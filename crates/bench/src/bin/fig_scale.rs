@@ -27,11 +27,7 @@ const REQUESTS: usize = 1_000_000;
 const SEED: u64 = 8;
 
 fn total_events(report: &ScaleReport) -> u64 {
-    report
-        .epochs
-        .last()
-        .map(|e| e.events.iter().sum())
-        .unwrap_or(0)
+    report.epochs.iter().flat_map(|e| &e.events).sum()
 }
 
 fn main() {
@@ -43,8 +39,8 @@ fn main() {
     let scenario = scale_replay_scenario(POOLS, REQUESTS, SEED);
 
     println!(
-        "{:<14} {:>9} {:>14} {:>8} {:>9} {:>7} {:>12} {:>18}",
-        "Run", "wall s", "sim req/s", "epochs", "events", "unfin", "completed", "digest"
+        "{:<14} {:>9} {:>14} {:>9} {:>7} {:>12} {:>18}",
+        "Run", "wall s", "sim req/s", "events", "unfin", "completed", "digest"
     );
     let mut first_digest = None;
     let mut first_stream_digest = None;
@@ -68,8 +64,7 @@ fn main() {
                 format!("replay_{threads}t")
             };
             println!(
-                "{bench:<14} {wall:>9.2} {sim_req_per_s:>14.0} {:>8} {:>9} {:>7} {:>12} {digest:#018x}",
-                report.epochs.len(),
+                "{bench:<14} {wall:>9.2} {sim_req_per_s:>14.0} {:>9} {:>7} {:>12} {digest:#018x}",
                 total_events(&report),
                 report.unfinished,
                 report.completed,
@@ -113,7 +108,7 @@ fn main() {
                             r#"{{"group":"fig_scale","bench":"{bench}","threads":{threads},"#,
                             r#""telemetry":"{tel}","requests":{req},"pools":{pools},"#,
                             r#""shards":{pools},"wall_s":{wall:.3},"sim_req_per_s":{rps:.0},"#,
-                            r#""epochs":{epochs},"events":{events},"completed":{completed},"#,
+                            r#""events":{events},"completed":{completed},"#,
                             r#""unfinished":{unfin},"digest":"{digest:016x}","#,
                             r#""stream_digest":"{sd}","stream_len":{slen}}}"#
                         ),
@@ -124,7 +119,6 @@ fn main() {
                         pools = POOLS,
                         wall = wall,
                         rps = sim_req_per_s,
-                        epochs = report.epochs.len(),
                         events = total_events(&report),
                         completed = report.completed,
                         unfin = report.unfinished,
@@ -139,9 +133,8 @@ fn main() {
         }
     }
     println!();
-    println!("Shards share nothing between barriers, so the digest is identical for");
-    println!("every thread budget; threads only buy wall-clock time. Barriers fall on");
-    println!("the hourly SpotPriceStep re-quotes each pool's price trace schedules.");
+    println!("Shards share nothing and each runs to completion, so the digest is");
+    println!("identical for every thread budget; threads only buy wall-clock time.");
     println!("Telemetry-on runs replay the same bytes and merge per-shard streams by");
     println!("(time, shard, seq), so the JSONL export never depends on thread count.");
 }

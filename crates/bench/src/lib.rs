@@ -296,9 +296,8 @@ pub fn ablation_ladder() -> Vec<(&'static str, AblationFlags)> {
 /// The million-request replay behind `fig_scale`: `pools` stable zones
 /// (one per shard), OPT-6.7B at a per-pool-sustainable aggregate rate,
 /// exactly `requests` Gamma arrivals. Every pool carries a price trace
-/// with a re-quote step every simulated hour, so the sharded run crosses
-/// a `SpotPriceStep` barrier each hour — the epoch machinery is
-/// exercised, not idled, at scale.
+/// with a re-quote step every simulated hour, so each shard's market
+/// delivers a `SpotPriceStep` every hour at scale.
 ///
 /// # Panics
 ///
@@ -324,7 +323,7 @@ pub fn scale_replay_scenario(pools: usize, requests: usize, seed: u64) -> Scenar
             let steps: Vec<(SimTime, f64)> = (0..=horizon / 3600)
                 .map(|h| {
                     // Deterministic +/-10% wobble around $1.9/h, staggered
-                    // per pool so the hourly barriers are real re-quotes.
+                    // per pool so the hourly steps are real re-quotes.
                     let wobble = ((h + i as u64) % 5) as f64 * 0.05 - 0.1;
                     (SimTime::from_secs(h * 3600), 1.9 * (1.0 + wobble))
                 })

@@ -377,6 +377,14 @@ impl CloudMarket {
         self.pools.iter().flat_map(CloudSim::fleet)
     }
 
+    /// The billing kind of live lease `id`, read from its owning pool;
+    /// `None` once the lease has ended.
+    pub fn kind_of(&self, id: InstanceId) -> Option<InstanceKind> {
+        self.pools
+            .get(PoolId::of_instance(id).0 as usize)?
+            .kind_of(id)
+    }
+
     /// Number of live leases of `kind` across all pools.
     pub fn live_count(&self, kind: InstanceKind) -> usize {
         self.pools.iter().map(|p| p.live_count(kind)).sum()
@@ -388,7 +396,7 @@ impl CloudMarket {
         if (pool.0 as usize) < self.pools.len() {
             // Only a release that ends a live lease is telemetry-worthy
             // (releasing an already-dead id is a silent no-op below).
-            let live = self.telemetry.is_enabled() && self.pool(pool).fleet().any(|i| i.id == id);
+            let live = self.telemetry.is_enabled() && self.kind_of(id).is_some();
             self.pool_mut(pool).release(now, id);
             if live {
                 self.telemetry.emit(
@@ -420,27 +428,6 @@ impl CloudMarket {
         }
         let (_, i) = best?;
         let popped = self.pools[i].pop_next();
-        if let Some((t, ev)) = &popped {
-            self.note_event(*t, ev);
-        }
-        popped
-    }
-
-    // ---- Per-pool event streams ------------------------------------
-    //
-    // The sharded simulation core partitions pools across shards; a shard
-    // drains exactly its own pools' streams. Interleaving every pool's
-    // stream by `(time, pool index)` reproduces `pop_next`'s merged order,
-    // so sharded and merged consumers see the same events.
-
-    /// Timestamp of the next deliverable event in one pool's stream.
-    pub fn peek_time_in(&mut self, pool: PoolId) -> Option<SimTime> {
-        self.pool_mut(pool).peek_time()
-    }
-
-    /// Pops the next deliverable event from one pool's stream.
-    pub fn pop_next_in(&mut self, pool: PoolId) -> Option<(SimTime, CloudEvent)> {
-        let popped = self.pool_mut(pool).pop_next();
         if let Some((t, ev)) = &popped {
             self.note_event(*t, ev);
         }
@@ -549,52 +536,6 @@ mod tests {
             PoolId::of_instance(e1.instance().expect("grant")),
             PoolId(1)
         );
-    }
-
-    #[test]
-    fn per_pool_streams_interleave_to_the_merged_stream() {
-        let pools = vec![
-            PoolSpec::new("a", AvailabilityTrace::paper_bs()),
-            PoolSpec::new("b", AvailabilityTrace::constant(2)).with_spot_price(1.4),
-            PoolSpec::new("c", AvailabilityTrace::constant(1))
-                .with_grant_delay(SimDuration::from_secs(80)),
-        ];
-        let make = || {
-            let mut m = CloudMarket::new(&CloudConfig::default(), &pools, 17);
-            m.request_spot_in(SimTime::ZERO, PoolId(0), 4);
-            m.request_spot_in(SimTime::ZERO, PoolId(1), 2);
-            m.request_spot_in(SimTime::ZERO, PoolId(2), 1);
-            m.request_on_demand(SimTime::from_secs(10), 1);
-            m
-        };
-
-        let merged = drain_market(&mut make());
-
-        // Drain each pool's stream independently, then interleave by
-        // (time, pool index) — must reproduce the merged order exactly.
-        let mut m = make();
-        let mut per_pool: Vec<Vec<(SimTime, String)>> = (0..3)
-            .map(|p| {
-                std::iter::from_fn(|| m.pop_next_in(PoolId(p)))
-                    .map(|(t, e)| (t, format!("{e:?}")))
-                    .collect()
-            })
-            .collect();
-        let mut interleaved = Vec::new();
-        loop {
-            let mut best: Option<(SimTime, usize)> = None;
-            for (p, evs) in per_pool.iter().enumerate() {
-                if let Some(&(t, _)) = evs.first() {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, p));
-                    }
-                }
-            }
-            let Some((_, p)) = best else { break };
-            interleaved.push(per_pool[p].remove(0));
-        }
-        assert_eq!(interleaved, merged);
-        assert_eq!(m.peek_time_in(PoolId(0)), None, "pool 0 fully drained");
     }
 
     #[test]

@@ -266,6 +266,12 @@ impl CloudSim {
         self.active.values()
     }
 
+    /// The billing kind of live lease `id`; `None` once it has ended or
+    /// if this pool never granted it.
+    pub(crate) fn kind_of(&self, id: InstanceId) -> Option<InstanceKind> {
+        self.active.get(&id).map(|i| i.kind)
+    }
+
     /// Number of live leases of `kind`.
     pub fn live_count(&self, kind: InstanceKind) -> usize {
         self.active.values().filter(|i| i.kind == kind).count()
@@ -445,13 +451,13 @@ impl CloudSim {
     /// nonzero coupling, so a coupling-free model draws nothing.
     fn apply_price_step(&mut self, t: SimTime, idx: usize) {
         let price = self.price_path[idx].1;
-        self.out.push_back((
+        self.deliver(
             t,
             CloudEvent::SpotPriceStep {
                 pool: self.pool,
                 cents_per_hour: (price * 100.0).round() as u32,
             },
-        ));
+        );
         let p = self.price_kill_probs[idx];
         if p <= 0.0 {
             return;
@@ -500,13 +506,13 @@ impl CloudSim {
             .expect("victim is active")
             .kill_at = Some(kill_at);
         self.internal.schedule(kill_at, Internal::Kill(victim));
-        self.out.push_back((
+        self.deliver(
             t,
             CloudEvent::PreemptionNotice {
                 id: victim,
                 kill_at,
             },
-        ));
+        );
     }
 
     /// Kills `victim` with zero grace: the lease ends immediately and the
@@ -515,8 +521,7 @@ impl CloudSim {
     fn fail_instance(&mut self, t: SimTime, victim: InstanceId) {
         self.active.remove(&victim).expect("victim is active");
         self.meter.lease_ended(victim, t);
-        self.out
-            .push_back((t, CloudEvent::InstanceFailed { id: victim }));
+        self.deliver(t, CloudEvent::InstanceFailed { id: victim });
         self.try_start_spot_grants(t);
     }
 
@@ -524,13 +529,13 @@ impl CloudSim {
     /// [`CloudEvent::RequestLapsed`].
     fn note_lapse(&mut self, t: SimTime) {
         self.lapsed_spot += 1;
-        self.out.push_back((
+        self.deliver(
             t,
             CloudEvent::RequestLapsed {
                 pool: self.pool,
                 kind: InstanceKind::Spot,
             },
-        ));
+        );
     }
 
     fn grant(&mut self, t: SimTime, kind: InstanceKind) {
@@ -550,7 +555,7 @@ impl CloudSim {
             InstanceKind::Spot => CloudEvent::SpotGranted { id },
             InstanceKind::OnDemand => CloudEvent::OnDemandGranted { id },
         };
-        self.out.push_back((t, ev));
+        self.deliver(t, ev);
     }
 
     fn process_internal(&mut self, t: SimTime, ev: Internal) {
@@ -579,7 +584,7 @@ impl CloudSim {
             Internal::Kill(id) => {
                 if self.active.remove(&id).is_some() {
                     self.meter.lease_ended(id, t);
-                    self.out.push_back((t, CloudEvent::Preempted { id }));
+                    self.deliver(t, CloudEvent::Preempted { id });
                     self.try_start_spot_grants(t);
                 }
             }
@@ -606,12 +611,27 @@ impl CloudSim {
         }
     }
 
+    /// Queues a deliverable event in time order (after any already
+    /// queued at the same instant).
+    fn deliver(&mut self, t: SimTime, ev: CloudEvent) {
+        let at = self.out.partition_point(|&(u, _)| u <= t);
+        self.out.insert(at, (t, ev));
+    }
+
     /// Timestamp of the next deliverable event, if any.
+    ///
+    /// Processes internal events until one is deliverable. An internal
+    /// event earlier than the next deliverable one — scheduled by a
+    /// command issued after that one was produced — is processed first,
+    /// so the cloud's clock never runs backwards.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.started = true;
         loop {
+            let next_internal = self.internal.peek_time();
             if let Some(&(t, _)) = self.out.front() {
-                return Some(t);
+                if next_internal.is_none_or(|i| i >= t) {
+                    return Some(t);
+                }
             }
             let (t, ev) = self.internal.pop()?;
             self.process_internal(t, ev);
@@ -721,6 +741,24 @@ mod tests {
                 "grants 40s after capacity rise"
             );
         }
+    }
+
+    #[test]
+    fn a_command_after_a_lookahead_still_pops_in_time_order() {
+        // Peeking materializes the capacity drop at t=500 (two notices)
+        // early. An on-demand request issued at t=300 afterwards grants
+        // at t=340, so it must pop before the notices.
+        let trace =
+            AvailabilityTrace::from_steps(vec![(SimTime::ZERO, 2), (SimTime::from_secs(500), 0)]);
+        let mut cloud = sim(trace);
+        cloud.request_spot(SimTime::ZERO, 2);
+        cloud.pop_next().expect("grant");
+        cloud.pop_next().expect("grant");
+        assert_eq!(cloud.peek_time(), Some(SimTime::from_secs(500)));
+        cloud.request_on_demand(SimTime::from_secs(300), 1);
+        let times: Vec<SimTime> = drain(&mut cloud).into_iter().map(|(t, _)| t).collect();
+        let secs = [340, 500, 500, 530, 530].map(SimTime::from_secs);
+        assert_eq!(times, secs, "the cloud clock never runs backwards");
     }
 
     #[test]

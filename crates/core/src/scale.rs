@@ -1,39 +1,29 @@
 //! The sharded, deterministic parallel simulation core.
 //!
-//! Pools and pipelines are near-independent between fleet events, so a
-//! multi-pool scenario can be partitioned into shards — each shard a full
+//! A multi-pool scenario is partitioned into shards — each shard a full
 //! [`ServingSystem`] over a contiguous slice of the pool list and a
-//! round-robin slice of the request stream — and the shards advanced on
-//! worker threads between synchronization barriers. Barriers sit at every
-//! fleet/market event (grants, preemption notices and kills,
-//! `SpotPriceStep` re-quotes) and at migration-transition commits/resumes:
-//! the epoch loop advances every shard through all events at or before the
-//! earliest pending sync point, joins, logs the epoch, and repeats.
+//! round-robin slice of the request stream. Shards share nothing: a
+//! shard's controller reacts only to its own pools' cloud events, as
+//! SpotServe's controller reacts only to its own deployment's. So every
+//! shard runs to completion on a worker thread, and the results merge in
+//! shard order.
 //!
-//! Determinism comes from partitioning, not locks. Shards share nothing;
-//! within an epoch each shard advances its own `EventQueue` in `(time,
-//! seq)` order, and the merged record is assembled in `(SimTime, shard_id,
-//! seq)` order — so [`ScaleReport::digest`] is byte-identical for every
-//! thread count, and a single-shard run executes the legacy sequential
-//! path verbatim.
+//! Determinism comes from partitioning, not locks: each shard advances
+//! its own `EventQueue` in `(time, seq)` order whichever thread runs it,
+//! and the merged record is assembled in `(SimTime, shard_id, seq)`
+//! order — so [`ScaleReport::digest`] is byte-identical for every thread
+//! count, and a single-shard run is the sequential [`ServingSystem::run`]
+//! verbatim.
 
-use simkit::{run_shards, Percentiles, Sampler, SimTime};
+use simkit::{run_shards, Percentiles, Sampler};
 use telemetry::{Fnv1a, TelemetryStream};
 
 use crate::config::SystemOptions;
 use crate::report::RunReport;
 use crate::system::{Scenario, ServingSystem};
 
-/// One shard of a partitioned run.
-struct Shard {
-    /// `None` after the report has been taken at the end of the run.
-    sys: Option<ServingSystem>,
-    /// Still has events to process.
-    running: bool,
-}
-
-/// A multi-pool scenario partitioned into independently-advanceable
-/// shards, run in barrier-delimited epochs on up to `threads` workers.
+/// A multi-pool scenario partitioned into independent shards, run to
+/// completion on up to `threads` workers.
 ///
 /// # Example
 ///
@@ -46,7 +36,7 @@ struct Shard {
 /// println!("digest={:016x}", report.digest());
 /// ```
 pub struct ShardedSystem {
-    shards: Vec<Shard>,
+    shards: Vec<ServingSystem>,
     threads: usize,
 }
 
@@ -65,14 +55,10 @@ impl ShardedSystem {
     /// has fewer pools than shards.
     pub fn new(opts: SystemOptions, scenario: Scenario, shards: usize) -> Self {
         assert!(shards > 0, "at least one shard required");
-        let parts = partition(scenario, shards);
         ShardedSystem {
-            shards: parts
+            shards: partition(scenario, shards)
                 .into_iter()
-                .map(|sc| Shard {
-                    sys: Some(ServingSystem::new(opts.clone(), sc)),
-                    running: true,
-                })
+                .map(|sc| ServingSystem::new(opts.clone(), sc))
                 .collect(),
             threads: 1,
         }
@@ -90,61 +76,23 @@ impl ShardedSystem {
         self.shards.len()
     }
 
-    /// Runs every shard to completion in barrier-delimited epochs and
-    /// merges the results in shard order.
-    pub fn run(mut self) -> ScaleReport {
-        let threads = self.threads;
-        run_shards(&mut self.shards, threads, |_, s| {
-            s.sys.as_mut().expect("not finished").start();
-        });
-
-        let mut epochs = Vec::new();
-        loop {
-            // The global barrier: the earliest sync point any running
-            // shard still owes the others. `None` once nothing constrains
-            // the fleet again — the final epoch then drains to the end.
-            let mut barrier: Option<SimTime> = None;
-            for s in self.shards.iter_mut().filter(|s| s.running) {
-                if let Some(t) = s.sys.as_mut().expect("not finished").next_sync_time() {
-                    barrier = Some(barrier.map_or(t, |b| b.min(t)));
-                }
-            }
-            let target = barrier.unwrap_or(SimTime::MAX);
-
-            // Fan out: every running shard processes all events at or
-            // before the barrier (including its own barrier event), then
-            // joins. Each shard's advance is the sequential loop verbatim.
-            run_shards(&mut self.shards, threads, |_, s| {
-                if s.running {
-                    s.running = s.sys.as_mut().expect("not finished").advance_until(target);
-                }
-            });
-
-            epochs.push(EpochRecord {
-                barrier,
-                events: self
-                    .shards
-                    .iter()
-                    .map(|s| s.sys.as_ref().expect("not finished").events_processed())
-                    .collect(),
-                completed: self
-                    .shards
-                    .iter()
-                    .map(|s| s.sys.as_ref().expect("not finished").completed_so_far())
-                    .collect(),
-            });
-            if !self.shards.iter().any(|s| s.running) {
-                break;
-            }
-        }
-
-        // Merge in shard order — the `(time, shard_id, seq)` order within
-        // an epoch, since each shard's records are already time-sorted.
-        let mut shards: Vec<RunReport> = self
+    /// Runs every shard to completion and merges the results in shard
+    /// order.
+    pub fn run(self) -> ScaleReport {
+        // A slot holds a shard's system until a worker runs it, then the
+        // shard's report and event count.
+        let mut slots: Vec<_> = self
             .shards
-            .iter_mut()
-            .map(|s| s.sys.take().expect("finished once").finish())
+            .into_iter()
+            .map(|sys| (Some(sys), None))
             .collect();
+        run_shards(&mut slots, self.threads, |_, (sys, out)| {
+            *out = sys.take().map(ServingSystem::run_counted);
+        });
+        let (mut shards, events): (Vec<RunReport>, Vec<u64>) = slots
+            .into_iter()
+            .map(|(_, out)| out.expect("every shard ran"))
+            .unzip();
         // The fleet-wide telemetry stream: per-shard streams (each already
         // deterministic in isolation) re-tagged and merged `(time, shard,
         // seq)`, so the export is identical at every thread count.
@@ -177,7 +125,7 @@ impl ShardedSystem {
             total_cost_usd,
             completed,
             unfinished,
-            epochs,
+            epochs: vec![EpochRecord { events }],
             shards,
             telemetry,
         }
@@ -234,25 +182,22 @@ fn partition(scenario: Scenario, shards: usize) -> Vec<Scenario> {
         .collect()
 }
 
-/// One barrier-delimited epoch of a sharded run.
+/// One epoch of a sharded run. Shards run to completion without
+/// barriers, so a run has exactly one.
 #[derive(Debug, Clone)]
 pub struct EpochRecord {
-    /// The sync point this epoch advanced to, `None` for the final drain
-    /// epoch (no fleet event or transition pending anywhere).
-    pub barrier: Option<SimTime>,
-    /// Cumulative events processed per shard when the epoch joined.
+    /// Events each shard processed, in shard order.
     pub events: Vec<u64>,
-    /// Cumulative completions per shard when the epoch joined.
-    pub completed: Vec<usize>,
 }
 
 /// Everything a sharded run produced: the per-shard [`RunReport`]s in
-/// shard order, the epoch log, and fleet-wide merged summaries.
+/// shard order, the per-shard event counts, and fleet-wide merged
+/// summaries.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
     /// Per-shard reports, in shard order.
     pub shards: Vec<RunReport>,
-    /// The barrier log, in epoch order.
+    /// The run's single epoch (see [`EpochRecord`]).
     pub epochs: Vec<EpochRecord>,
     /// Request latencies merged across shards (exact quantiles — the
     /// merged sampler holds every shard's samples).
@@ -272,26 +217,9 @@ pub struct ScaleReport {
 
 impl ScaleReport {
     /// Streams the byte-exact rendering of the whole sharded run: the
-    /// epoch log, the merged summaries (float bits), and every shard's
+    /// merged summaries (float bits), then every shard's
     /// [`RunReport::canonical_into`] section in shard order.
     pub fn canonical_into(&self, out: &mut impl std::fmt::Write) {
-        for (i, e) in self.epochs.iter().enumerate() {
-            write!(
-                out,
-                "epoch {i} barrier_us={}",
-                e.barrier.map(|t| t.as_micros() as i128).unwrap_or(-1)
-            )
-            .expect("write");
-            write!(out, " events=").expect("write");
-            for (j, n) in e.events.iter().enumerate() {
-                write!(out, "{}{n}", if j > 0 { "," } else { "" }).expect("write");
-            }
-            write!(out, " completed=").expect("write");
-            for (j, n) in e.completed.iter().enumerate() {
-                write!(out, "{}{n}", if j > 0 { "," } else { "" }).expect("write");
-            }
-            writeln!(out).expect("write");
-        }
         writeln!(
             out,
             "total_cost_bits={:016x}",
@@ -439,9 +367,9 @@ mod tests {
             .run();
         assert_eq!(rep.completed + rep.unfinished, total);
         assert_eq!(rep.latency.count, rep.completed);
-        assert!(!rep.epochs.is_empty());
-        let last = rep.epochs.last().unwrap();
-        assert_eq!(last.completed.iter().sum::<usize>(), rep.completed);
+        assert_eq!(rep.epochs.len(), 1, "no barriers, one epoch");
+        assert_eq!(rep.epochs[0].events.len(), 4);
+        assert!(rep.epochs[0].events.iter().all(|&n| n > 0));
         assert!(rep.total_cost_usd > 0.0);
     }
 }

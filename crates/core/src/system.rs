@@ -320,12 +320,6 @@ pub struct ServingSystem {
     lapses: u32,
     grants: u32,
     arrivals_end: SimTime,
-    /// Pending migration-transition event instants (commit + resume), the
-    /// non-cloud synchronization points the sharded runner barriers on.
-    /// Values count events sharing an instant.
-    sync_points: BTreeMap<SimTime, u32>,
-    /// Events processed so far (epoch-log instrumentation).
-    events_processed: u64,
     /// Control-plane telemetry recorder (decisions, transitions, fleet
     /// commands, rollups). Disabled unless [`SystemOptions::telemetry`];
     /// disabled it is one branch per emit point.
@@ -461,8 +455,6 @@ impl ServingSystem {
             lapses: 0,
             grants: 0,
             arrivals_end,
-            sync_points: BTreeMap::new(),
-            events_processed: 0,
             telemetry,
             retired_counters: EngineCounters::default(),
             scenario,
@@ -591,26 +583,14 @@ impl ServingSystem {
     }
 
     fn sample_fleet(&mut self) {
-        let spot = self
-            .ready
-            .iter()
-            .chain(self.initializing.keys())
-            .filter(|id| {
-                self.cloud
-                    .fleet()
-                    .any(|i| i.id == **id && i.kind == InstanceKind::Spot)
-            })
-            .count() as u32;
-        let od = self
-            .ready
-            .iter()
-            .chain(self.initializing.keys())
-            .filter(|id| {
-                self.cloud
-                    .fleet()
-                    .any(|i| i.id == **id && i.kind == InstanceKind::OnDemand)
-            })
-            .count() as u32;
+        let (mut spot, mut od) = (0, 0);
+        for &id in self.ready.iter().chain(self.initializing.keys()) {
+            match self.cloud.kind_of(id) {
+                Some(InstanceKind::Spot) => spot += 1,
+                Some(InstanceKind::OnDemand) => od += 1,
+                None => {}
+            }
+        }
         self.fleet_timeline.push((self.now, spot, od));
     }
 
@@ -632,71 +612,37 @@ impl ServingSystem {
     }
 
     /// Runs the simulation to completion and reports.
-    ///
-    /// Equivalent to [`start`](Self::start), advancing through every event
-    /// up to the drain cap, then [`finish`](Self::finish) — the sharded
-    /// runner drives the same three phases with barriers in between, so
-    /// single-shard runs execute this exact path.
-    pub fn run(mut self) -> RunReport {
-        self.start();
-        let hard_stop = self.hard_stop();
-        self.advance_until(hard_stop);
-        self.finish()
+    pub fn run(self) -> RunReport {
+        self.run_counted().0
     }
 
-    /// Seeds the event horizon: warm start, the arrival stream, and the
-    /// first rate tick. Called exactly once, before any stepping.
-    pub(crate) fn start(&mut self) {
+    /// [`run`](Self::run), also returning how many events the run
+    /// processed (the sharded runner's per-shard work count).
+    pub(crate) fn run_counted(mut self) -> (RunReport, u64) {
+        // Warm start, the arrival stream, and the first rate tick.
         self.bootstrap();
-        let arrivals: Vec<(usize, SimTime)> = self
-            .scenario
-            .requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i, r.arrival))
-            .collect();
-        for (i, t) in arrivals {
-            self.events.schedule(t, Ev::Arrival(i));
+        for (i, r) in self.scenario.requests.iter().enumerate() {
+            self.events.schedule(r.arrival, Ev::Arrival(i));
         }
         self.events
             .schedule(SimTime::ZERO + self.opts.rate_tick, Ev::RateTick);
-    }
-
-    /// The instant past which the drain cap stops the simulation.
-    fn hard_stop(&self) -> SimTime {
-        self.arrivals_end + self.opts.drain_cap
-    }
-
-    /// Processes every event at or before `barrier`, in exactly the order
-    /// the sequential loop would. Returns `false` once the run is over
-    /// (every request settled, the event horizon empty, or the hard stop
-    /// passed) and `true` when only the barrier stopped it.
-    pub(crate) fn advance_until(&mut self, barrier: SimTime) -> bool {
-        let hard_stop = self.hard_stop();
-        loop {
-            if self.outstanding == 0 {
-                return false;
-            }
+        // Step until every request settles, the event horizon empties, or
+        // the drain cap passes.
+        let hard_stop = self.arrivals_end + self.opts.drain_cap;
+        let mut events = 0;
+        while self.outstanding > 0 {
             let next_internal = self.events.peek_time();
             let next_cloud = self.cloud.peek_time();
-            let next = match (next_internal, next_cloud) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return false,
+            let Some(next) = next_internal.into_iter().chain(next_cloud).min() else {
+                break;
             };
             if next > hard_stop {
-                return false;
-            }
-            if next > barrier {
-                return true;
+                break;
             }
             self.now = next;
-            self.events_processed += 1;
-            if next_cloud == Some(next) && next_internal.map(|t| next < t).unwrap_or(true) {
-                let (_, ev) = self.cloud.pop_next().expect("peeked");
-                self.on_cloud_event(ev);
-            } else if next_internal == Some(next) {
+            events += 1;
+            // Internal events win ties with the cloud.
+            if next_internal == Some(next) {
                 let (_, ev) = self.events.pop().expect("peeked");
                 self.on_event(ev);
             } else {
@@ -704,74 +650,35 @@ impl ServingSystem {
                 self.on_cloud_event(ev);
             }
         }
-    }
-
-    /// The next instant this system must synchronize with its siblings at
-    /// when run as one shard of a partitioned fleet: the next market event
-    /// (grant, preemption notice/kill, spot price re-quote) or pending
-    /// migration-transition commit/resume. `None` when no synchronization
-    /// obligations remain.
-    pub(crate) fn next_sync_time(&mut self) -> Option<SimTime> {
-        let cloud = self.cloud.peek_time();
-        let transition = self.sync_points.keys().next().copied();
-        match (cloud, transition) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Events processed so far (epoch-log instrumentation).
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Registers a scheduled migration-transition event as a sync point.
-    fn note_sync_point(&mut self, t: SimTime) {
-        *self.sync_points.entry(t).or_insert(0) += 1;
-    }
-
-    /// Retires one sync point at `t` once its event has popped.
-    fn clear_sync_point(&mut self, t: SimTime) {
-        if let Some(n) = self.sync_points.get_mut(&t) {
-            *n -= 1;
-            if *n == 0 {
-                self.sync_points.remove(&t);
-            }
-        }
-    }
-
-    /// Completions recorded so far (epoch-log instrumentation).
-    pub(crate) fn completed_so_far(&self) -> usize {
-        self.latency.completed()
+        (self.finish(), events)
     }
 
     /// Releases the fleet and closes the books.
-    pub(crate) fn finish(self) -> RunReport {
-        let mut sys = self;
+    fn finish(mut self) -> RunReport {
         // Close the stream with a final rollup, then capture it BEFORE the
         // teardown lease releases below: those are end-of-run bookkeeping,
         // not market events, and would drag every live-floor query to zero.
-        sys.emit_rollups();
-        let telemetry = sys.telemetry.is_enabled().then(|| {
-            TelemetryStream::from_sources(vec![sys.cloud.take_telemetry(), sys.telemetry.take()])
+        self.emit_rollups();
+        let telemetry = self.telemetry.is_enabled().then(|| {
+            TelemetryStream::from_sources(vec![self.cloud.take_telemetry(), self.telemetry.take()])
         });
-        let ids: Vec<InstanceId> = sys.cloud.fleet().map(|i| i.id).collect();
+        let ids: Vec<InstanceId> = self.cloud.fleet().map(|i| i.id).collect();
         for id in ids {
-            sys.cloud.release(sys.now, id);
+            self.cloud.release(self.now, id);
         }
         RunReport {
-            cost_usd: sys.cloud.total_usd(sys.now),
-            cost_breakdown: sys.cloud.cost_breakdown(sys.now),
-            latency: sys.latency,
-            unfinished: sys.outstanding,
-            config_changes: sys.config_changes,
-            finished_at: sys.now,
-            preemptions: sys.preemptions,
-            faults: sys.faults,
-            lapses: sys.lapses,
-            grants: sys.grants,
-            fleet_timeline: sys.fleet_timeline,
-            slo_rejections: sys.slo_rejections,
+            cost_usd: self.cloud.total_usd(self.now),
+            cost_breakdown: self.cloud.cost_breakdown(self.now),
+            latency: self.latency,
+            unfinished: self.outstanding,
+            config_changes: self.config_changes,
+            finished_at: self.now,
+            preemptions: self.preemptions,
+            faults: self.faults,
+            lapses: self.lapses,
+            grants: self.grants,
+            fleet_timeline: self.fleet_timeline,
+            slo_rejections: self.slo_rejections,
             telemetry,
         }
     }
@@ -813,12 +720,7 @@ impl ServingSystem {
                         .unwrap_or(0)
                 };
                 let want = target + self.opts.spare_instances;
-                let ids = if matches!(
-                    self.opts.fleet_policy,
-                    FleetPolicy::SpotHedge { .. }
-                        | FleetPolicy::CostAwareHedge { .. }
-                        | FleetPolicy::CostPerToken { .. }
-                ) {
+                let ids = if self.opts.fleet_policy.is_hedged() {
                     // Hedged warm start: spread target + spares + hedge
                     // across pools so no zone holds a fleet-killing share.
                     let caps: Vec<u32> = (0..self.cloud.pool_count())
@@ -1002,13 +904,11 @@ impl ServingSystem {
                 }
             }
             Ev::TransitionCommit { epoch } => {
-                self.clear_sync_point(self.now);
                 if self.transition.as_ref().map(|t| t.epoch) == Some(epoch) {
                     self.commit_transition();
                 }
             }
             Ev::TransitionDone { epoch } => {
-                self.clear_sync_point(self.now);
                 if epoch == self.epoch {
                     self.complete_transition();
                 }
@@ -1730,11 +1630,7 @@ impl ServingSystem {
     fn initializing_on_demand(&self) -> u32 {
         self.initializing
             .keys()
-            .filter(|id| {
-                self.cloud
-                    .fleet()
-                    .any(|i| i.id == **id && i.kind == InstanceKind::OnDemand)
-            })
+            .filter(|&&id| self.cloud.kind_of(id) == Some(InstanceKind::OnDemand))
             .count() as u32
     }
 
@@ -1753,20 +1649,12 @@ impl ServingSystem {
         let used = self.assignment.instances();
         let spot_usable = usable
             .iter()
-            .filter(|id| {
-                self.cloud
-                    .fleet()
-                    .any(|i| i.id == **id && i.kind == InstanceKind::Spot)
-            })
+            .filter(|&&id| self.cloud.kind_of(id) == Some(InstanceKind::Spot))
             .count() as u32;
         let od_held: Vec<InstanceId> = usable
             .iter()
             .copied()
-            .filter(|id| {
-                self.cloud
-                    .fleet()
-                    .any(|i| i.id == *id && i.kind == InstanceKind::OnDemand)
-            })
+            .filter(|&id| self.cloud.kind_of(id) == Some(InstanceKind::OnDemand))
             .collect();
         let shortfall = needed.saturating_sub(spot_usable);
         let keep = shortfall.min(od_held.len() as u32);
@@ -1795,10 +1683,7 @@ impl ServingSystem {
             .into_iter()
             .filter(|id| !used.contains(id))
             .map(|id| {
-                let od = self
-                    .cloud
-                    .fleet()
-                    .any(|i| i.id == id && i.kind == InstanceKind::OnDemand);
+                let od = self.cloud.kind_of(id) == Some(InstanceKind::OnDemand);
                 (!od, id) // false sorts first: on-demand first
             })
             .collect();
@@ -1851,7 +1736,6 @@ impl ServingSystem {
         };
         self.events
             .schedule(commit_at, Ev::TransitionCommit { epoch });
-        self.note_sync_point(commit_at);
     }
 
     /// The worst (minimum) chaos bandwidth multiplier across the pools
@@ -2576,7 +2460,6 @@ impl ServingSystem {
         self.transition = None;
         self.events
             .schedule(resume_at, Ev::TransitionDone { epoch });
-        self.note_sync_point(resume_at);
         // Give back what the new configuration does not need. Controller
         // policies size the fleet themselves (the hedge deliberately holds
         // more than `used + spares`, and the fallback's on-demand bridge

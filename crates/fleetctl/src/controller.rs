@@ -84,6 +84,15 @@ impl PoolView {
     pub fn committed(&self) -> u32 {
         self.live_spot + self.provisioning_spot + self.queued_spot
     }
+
+    /// Whether the pool's spot price has reached `parity_permille`/1000
+    /// of its on-demand price. A pool with no price card on file
+    /// (on-demand price 0) never has.
+    fn past_parity(&self, parity_permille: u32) -> bool {
+        self.caps.ondemand_cents_per_hour > 0
+            && u64::from(self.caps.spot_cents_per_hour) * 1000
+                >= u64::from(parity_permille) * u64::from(self.caps.ondemand_cents_per_hour)
+    }
 }
 
 /// A point-in-time snapshot of the whole fleet.
@@ -109,6 +118,17 @@ impl FleetView {
 
     fn live_spot(&self) -> u32 {
         self.pools.iter().map(|p| p.live_spot).sum()
+    }
+
+    /// The capable pool with the cheapest on-demand price (lowest index
+    /// on ties): where price-aware policies land on-demand requests.
+    fn cheapest_capable(&self) -> Option<u32> {
+        self.pools
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.caps.fits_model)
+            .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
+            .map(|(i, _)| i as u32)
     }
 }
 
@@ -210,22 +230,7 @@ impl FleetController {
     /// `min_hedge > max_hedge` — failing fast at construction instead of
     /// deep inside the simulation loop.
     pub fn new(policy: FleetPolicy, n_pools: usize, grant_delay: SimDuration) -> Self {
-        if let FleetPolicy::SpotHedge {
-            min_hedge,
-            max_hedge,
-            ..
-        }
-        | FleetPolicy::CostAwareHedge {
-            min_hedge,
-            max_hedge,
-            ..
-        }
-        | FleetPolicy::CostPerToken {
-            min_hedge,
-            max_hedge,
-            ..
-        } = policy
-        {
+        if let Some((min_hedge, max_hedge)) = policy.hedge_bounds() {
             assert!(
                 min_hedge <= max_hedge,
                 "SpotHedge bounds are inverted: min_hedge {min_hedge} > max_hedge {max_hedge}"
@@ -320,23 +325,8 @@ impl FleetController {
     /// kills over one grant delay), clamped to the policy's bounds. Zero
     /// for non-hedge policies.
     pub fn hedge(&self, target: u32, caps: &[u32], now: SimTime) -> u32 {
-        let (min_hedge, max_hedge) = match self.policy {
-            FleetPolicy::SpotHedge {
-                min_hedge,
-                max_hedge,
-                ..
-            }
-            | FleetPolicy::CostAwareHedge {
-                min_hedge,
-                max_hedge,
-                ..
-            }
-            | FleetPolicy::CostPerToken {
-                min_hedge,
-                max_hedge,
-                ..
-            } => (min_hedge, max_hedge),
-            _ => return 0,
+        let Some((min_hedge, max_hedge)) = self.policy.hedge_bounds() else {
+            return 0;
         };
         let churn = self.estimator.expected_kills(now, self.grant_delay).ceil() as u32;
         let zone_floor = Self::zone_safe_hedge(target, caps);
@@ -370,13 +360,14 @@ impl FleetController {
     pub fn command(&self, view: &FleetView, now: SimTime) -> FleetCommand {
         let n = view.pools.len();
         let mut cmd = FleetCommand::idle(n);
-        match self.policy {
+        let stages = match self.policy {
             FleetPolicy::ReactiveSpot => {
                 let have = view.committed_spot() + view.live_ondemand;
                 let want = (view.target + view.spares).saturating_sub(have);
                 if n > 0 {
                     cmd.spot[0] = want;
                 }
+                return cmd;
             }
             FleetPolicy::OnDemandFallback => {
                 // Ride spot exactly like the reactive baseline...
@@ -403,171 +394,111 @@ impl FleetController {
                     cancel -= k;
                 }
                 cmd.release = (view.live_spot() + view.live_ondemand).saturating_sub(desired);
+                return cmd;
             }
             FleetPolicy::SpotHedge {
                 ondemand_backstop, ..
-            } => {
-                // Backoff mask: a pool inside its retry window after
-                // lapsed grants contributes no capacity and receives no
-                // requests until the window expires.
-                let caps: Vec<u32> = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        if self.tracker.is_backed_off(i, now) {
-                            0
-                        } else {
-                            p.capacity
-                        }
-                    })
-                    .collect();
-                let hedge = self.hedge(view.target, &caps, now);
-                let desired_total = view.target + view.spares + hedge;
-                let alloc = spread(desired_total, &caps);
-                for (i, (&want, pool)) in alloc.iter().zip(&view.pools).enumerate() {
-                    let have = pool.committed();
-                    cmd.spot[i] = want.saturating_sub(have);
-                    cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
-                }
-                if ondemand_backstop {
-                    // Even the hedged spread cannot reach the target: every
-                    // pool is short at once. Bridge the rest with on-demand.
-                    let spot_reachable: u32 = alloc.iter().sum();
-                    cmd.ondemand = view.target.saturating_sub(
-                        spot_reachable + view.live_ondemand + view.pending_ondemand,
-                    );
-                }
-                let live = view.live_spot() + view.live_ondemand;
-                cmd.release = live.saturating_sub(desired_total);
-            }
+            } => HedgeStages {
+                cost_aware: false,
+                parity_permille: None,
+                backstop: ondemand_backstop,
+            },
             FleetPolicy::CostAwareHedge {
                 ondemand_backstop, ..
-            } => {
-                // Capability mask (pools whose SKU cannot host the model)
-                // plus the backoff mask (pools cooling down after lapsed
-                // grants): neither contributes capacity nor receives
-                // requests.
-                let caps: Vec<u32> = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        if p.caps.fits_model && !self.tracker.is_backed_off(i, now) {
-                            p.capacity
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                let hedge = self.hedge(view.target, &caps, now);
-                let desired_total = view.target + view.spares + hedge;
-                // Price-ordered spread: same share *multiset* as the even
-                // spread (so one-outage survivability is unchanged), with
-                // the remainder shares biased toward cheap spot pools.
-                let alloc = spread_by_price(desired_total, &caps, |i| {
-                    view.pools[i].caps.spot_cents_per_hour
-                });
-                for (i, (&want, pool)) in alloc.iter().zip(&view.pools).enumerate() {
-                    let have = pool.committed();
-                    cmd.spot[i] = want.saturating_sub(have);
-                    cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
-                }
-                if ondemand_backstop {
-                    let spot_reachable: u32 = alloc.iter().sum();
-                    cmd.ondemand = view.target.saturating_sub(
-                        spot_reachable + view.live_ondemand + view.pending_ondemand,
-                    );
-                    // The backstop lands in the cheapest *capable* pool —
-                    // its SKU, its bill — instead of defaulting to pool 0.
-                    cmd.ondemand_pool = view
-                        .pools
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.caps.fits_model)
-                        .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
-                        .map(|(i, _)| i as u32);
-                }
-                let live = view.live_spot() + view.live_ondemand;
-                cmd.release = live.saturating_sub(desired_total);
-            }
+            } => HedgeStages {
+                cost_aware: true,
+                parity_permille: None,
+                backstop: ondemand_backstop,
+            },
+            // On-demand always bridges what the below-parity pools cannot
+            // reach — including the everything-spiked case, where the
+            // whole target rides guaranteed capacity until spot prices
+            // come back down.
             FleetPolicy::CostPerToken {
                 parity_permille, ..
-            } => {
-                // Parity mask on top of the capability mask: a pool whose
-                // spot price has spiked to `parity_permille`/1000 of its
-                // on-demand price buys tokens no cheaper than guaranteed
-                // capacity would, while still carrying preemption risk —
-                // stop feeding it. Pools with no price card on file
-                // (on-demand price 0) are never considered spiked.
-                let past_parity = |p: &PoolView| {
-                    p.caps.ondemand_cents_per_hour > 0
-                        && u64::from(p.caps.spot_cents_per_hour) * 1000
-                            >= u64::from(parity_permille)
-                                * u64::from(p.caps.ondemand_cents_per_hour)
-                };
-                let caps: Vec<u32> = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        if p.caps.fits_model
-                            && !past_parity(p)
-                            && !self.tracker.is_backed_off(i, now)
-                        {
-                            p.capacity
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                let hedge = self.hedge(view.target, &caps, now);
-                let desired_total = view.target + view.spares + hedge;
-                let alloc = spread_by_price(desired_total, &caps, |i| {
-                    view.pools[i].caps.spot_cents_per_hour
-                });
-                for (i, (&want, pool)) in alloc.iter().zip(&view.pools).enumerate() {
-                    let have = pool.committed();
-                    cmd.spot[i] = want.saturating_sub(have);
-                    cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
-                }
-                // On-demand bridges whatever the below-parity pools cannot
-                // reach — including the everything-spiked case, where the
-                // whole target rides guaranteed capacity until spot prices
-                // come back down.
-                let spot_reachable: u32 = alloc.iter().sum();
-                cmd.ondemand = view
-                    .target
-                    .saturating_sub(spot_reachable + view.live_ondemand + view.pending_ondemand);
-                cmd.ondemand_pool = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.caps.fits_model)
-                    .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
-                    .map(|(i, _)| i as u32);
-                let live = view.live_spot() + view.live_ondemand;
-                cmd.release = live.saturating_sub(desired_total);
-            }
-        }
+            } => HedgeStages {
+                cost_aware: true,
+                parity_permille: Some(parity_permille),
+                backstop: true,
+            },
+        };
+        self.hedge_into(&mut cmd, view, now, stages);
         // Escalation: a pool that failed K consecutive times no longer
         // earns the spread's patience. Bridge the live gap with
         // guaranteed capacity — routed to the cheapest capable pool —
         // while the backoff keeps re-probing the spot side.
-        if self.policy.is_hedged() && self.tracker.any_escalated() {
+        if self.tracker.any_escalated() {
             let live = view.live_spot() + view.live_ondemand + view.pending_ondemand;
             cmd.ondemand = cmd.ondemand.max(view.target.saturating_sub(live));
             if cmd.ondemand > 0 && cmd.ondemand_pool.is_none() {
-                cmd.ondemand_pool = view
-                    .pools
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.caps.fits_model)
-                    .min_by_key(|(i, p)| (p.caps.ondemand_cents_per_hour, *i))
-                    .map(|(i, _)| i as u32);
+                cmd.ondemand_pool = view.cheapest_capable();
             }
         }
         cmd
+    }
+
+    /// The hedged policies' acquisition pipeline, staged: mask the pools
+    /// that may not receive spot, size the hedge, spread the target plus
+    /// spares plus hedge over the rest, backstop the shortfall with
+    /// on-demand, and route that on-demand.
+    fn hedge_into(
+        &self,
+        cmd: &mut FleetCommand,
+        view: &FleetView,
+        now: SimTime,
+        stages: HedgeStages,
+    ) {
+        // Mask: a pool contributes no capacity and receives no requests
+        // while it is backed off after lapsed grants, when its SKU cannot
+        // host the model (cost-aware), or when its spot price has spiked
+        // to on-demand parity — preemptible capacity that buys tokens no
+        // cheaper than guaranteed capacity would.
+        let caps: Vec<u32> = view
+            .pools
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let masked = (stages.cost_aware && !p.caps.fits_model)
+                    || stages.parity_permille.is_some_and(|pm| p.past_parity(pm))
+                    || self.tracker.is_backed_off(i, now);
+                if masked {
+                    0
+                } else {
+                    p.capacity
+                }
+            })
+            .collect();
+        let hedge = self.hedge(view.target, &caps, now);
+        let desired_total = view.target + view.spares + hedge;
+        // Spread: even, or price-ordered — the same share *multiset* as
+        // the even spread (so one-outage survivability is unchanged), with
+        // the remainder shares biased toward cheap spot pools.
+        let alloc = if stages.cost_aware {
+            spread_by_price(desired_total, &caps, |i| {
+                view.pools[i].caps.spot_cents_per_hour
+            })
+        } else {
+            spread(desired_total, &caps)
+        };
+        for (i, (&want, pool)) in alloc.iter().zip(&view.pools).enumerate() {
+            let have = pool.committed();
+            cmd.spot[i] = want.saturating_sub(have);
+            cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
+        }
+        if stages.backstop {
+            // Even the hedged spread cannot reach the target: bridge the
+            // rest with on-demand — in the cheapest capable pool (its SKU,
+            // its bill) when cost-aware, else in pool 0.
+            let spot_reachable: u32 = alloc.iter().sum();
+            cmd.ondemand = view
+                .target
+                .saturating_sub(spot_reachable + view.live_ondemand + view.pending_ondemand);
+            if stages.cost_aware {
+                cmd.ondemand_pool = view.cheapest_capable();
+            }
+        }
+        let live = view.live_spot() + view.live_ondemand;
+        cmd.release = live.saturating_sub(desired_total);
     }
 
     /// [`FleetController::command`], recording a
@@ -586,6 +517,20 @@ impl FleetController {
         }
         cmd
     }
+}
+
+/// Which stages of the hedged pipeline a policy switches on (see
+/// [`FleetController::command`]).
+#[derive(Debug, Clone, Copy)]
+struct HedgeStages {
+    /// Mask pools whose SKU cannot host the model, spread by spot price,
+    /// and route the on-demand backstop to the cheapest capable pool.
+    cost_aware: bool,
+    /// Mask pools whose spot price reached this share (permille) of their
+    /// on-demand price.
+    parity_permille: Option<u32>,
+    /// Bridge with on-demand whatever the spread cannot reach.
+    backstop: bool,
 }
 
 /// [`spread`] with the pools visited cheapest-first: permute capacities by

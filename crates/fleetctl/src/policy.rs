@@ -108,17 +108,35 @@ impl FleetPolicy {
         matches!(self, FleetPolicy::ReactiveSpot)
     }
 
+    /// The hedge's `(min_hedge, max_hedge)` bounds; `None` for the
+    /// policies that do not hedge.
+    pub(crate) fn hedge_bounds(&self) -> Option<(u32, u32)> {
+        match *self {
+            FleetPolicy::SpotHedge {
+                min_hedge,
+                max_hedge,
+                ..
+            }
+            | FleetPolicy::CostAwareHedge {
+                min_hedge,
+                max_hedge,
+                ..
+            }
+            | FleetPolicy::CostPerToken {
+                min_hedge,
+                max_hedge,
+                ..
+            } => Some((min_hedge, max_hedge)),
+            FleetPolicy::ReactiveSpot | FleetPolicy::OnDemandFallback => None,
+        }
+    }
+
     /// Whether this policy spreads a hedge across pools — the policies
     /// that honor the request tracker's backoff masks and escalation
     /// verdicts. The reactive baseline stays paper-exact and retries
     /// blindly; the fallback already rides on-demand continuously.
     pub fn is_hedged(&self) -> bool {
-        matches!(
-            self,
-            FleetPolicy::SpotHedge { .. }
-                | FleetPolicy::CostAwareHedge { .. }
-                | FleetPolicy::CostPerToken { .. }
-        )
+        self.hedge_bounds().is_some()
     }
 }
 

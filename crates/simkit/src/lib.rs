@@ -7,9 +7,8 @@
 //!   with saturating arithmetic and human-readable formatting,
 //! * [`EventQueue`] — a deterministic future-event list (ties broken by
 //!   insertion order, never by hash or pointer identity),
-//! * [`ShardedEventQueue`] / [`run_shards`] — per-shard future-event lists
-//!   merged in `(SimTime, shard_id, seq)` order plus a deterministic
-//!   fork/join helper, the substrate of the parallel simulation core,
+//! * [`run_shards`] — a deterministic fork/join helper, the substrate of
+//!   the parallel simulation core,
 //! * [`SimRng`] — named, independently-seeded random streams derived from a
 //!   single master seed, so that adding a new consumer of randomness does
 //!   not perturb existing streams,
@@ -38,5 +37,5 @@ pub mod time;
 pub use event::EventQueue;
 pub use metrics::{OnlineStats, Percentiles, Sampler};
 pub use rng::SimRng;
-pub use shard::{run_shards, ShardedEventQueue};
+pub use shard::run_shards;
 pub use time::{SimDuration, SimTime};

@@ -6,7 +6,7 @@
 //! the same bytes; this module keeps the historical free-function shape
 //! the suites call.
 
-use spotserve::{InvariantAuditor, RunReport};
+use spotserve::{InvariantAuditor, RunReport, Scenario, ServingSystem, SystemOptions};
 
 /// Canonical byte-exact rendering of everything a run produced: floats
 /// via their IEEE-754 bit patterns (so "close enough" can never pass),
@@ -26,4 +26,14 @@ pub fn assert_audit_clean(report: &RunReport, expected: usize) {
         .with_expected_requests(expected)
         .audit(report)
         .assert_clean();
+}
+
+/// Runs `scenario` under `opts` and audits the report against the
+/// scenario's request count (see [`assert_audit_clean`]).
+#[allow(dead_code)] // each suite compiles this module separately
+pub fn run_audited(opts: SystemOptions, scenario: Scenario) -> RunReport {
+    let expected = scenario.requests.len();
+    let report = ServingSystem::new(opts, scenario).run();
+    assert_audit_clean(&report, expected);
+    report
 }

@@ -11,11 +11,11 @@
 use cloudsim::{AvailabilityTrace, PoolSpec};
 use llmsim::ModelSpec;
 use simkit::{SimDuration, SimTime};
-use spotserve::{FleetPolicy, RunReport, Scenario, ServingSystem, SystemOptions};
+use spotserve::{FleetPolicy, RunReport, Scenario, SystemOptions};
 use workload::apply_slo;
 
 mod common;
-use common::canonical;
+use common::{canonical, run_audited};
 
 /// The scripted single-zone collapse: `z0` healthy then dead at t = 300 s,
 /// `z1`/`z2` steady.
@@ -97,7 +97,7 @@ fn reactive_spot_replays_bit_identical_to_the_default_path() {
                 AvailabilityTrace::paper_bs(),
             )]);
         }
-        canonical(&ServingSystem::new(opts, s).run())
+        canonical(&run_audited(opts, s))
     };
     let legacy = run(SystemOptions::spotserve(), false);
     let explicit = run(
@@ -122,11 +122,10 @@ fn on_demand_fallback_holds_target_after_the_grant_delay() {
     )];
     let s = scenario(pools, 480, None, 31);
     let total = s.requests.len();
-    let report = ServingSystem::new(
+    let report = run_audited(
         SystemOptions::spotserve().with_fleet_policy(FleetPolicy::OnDemandFallback),
         s,
-    )
-    .run();
+    );
     assert_eq!(report.unfinished, 0, "fallback serves everything");
     assert_eq!(report.latency.completed(), total);
     let n = target_n(&report);
@@ -152,11 +151,10 @@ fn spot_hedge_survives_a_full_single_pool_outage() {
     // alone still hold the target: zero request loss, zero SLO rejections,
     // and live capacity never drops below N once the collapse settles.
     let slo = Some(SimDuration::from_secs(900));
-    let hedge = ServingSystem::new(
+    let hedge = run_audited(
         SystemOptions::spotserve().with_fleet_policy(FleetPolicy::spot_hedge()),
         scenario(outage_pools(), 480, slo, 41),
-    )
-    .run();
+    );
     assert_eq!(hedge.unfinished, 0, "zero request loss through the outage");
     assert!(hedge.slo_rejections.is_empty(), "zero SLO rejections");
     assert!(hedge.preemptions > 0, "the outage must actually bite");
@@ -174,11 +172,10 @@ fn spot_hedge_survives_a_full_single_pool_outage() {
     assert!(cost.spot_usd > cost.ondemand_usd);
 
     // The reactive baseline is bound to z0 and stalls when it dies.
-    let reactive = ServingSystem::new(
+    let reactive = run_audited(
         SystemOptions::spotserve(),
         scenario(outage_pools(), 480, slo, 41),
-    )
-    .run();
+    );
     assert!(
         reactive.unfinished > 0 || !reactive.slo_rejections.is_empty(),
         "single-market reactive must stall on a z0 collapse"
@@ -220,11 +217,10 @@ fn cost_per_token_undercuts_the_price_blind_hedge_through_a_squeeze() {
     };
     let slo = Some(SimDuration::from_secs(900));
     let run = |policy| {
-        ServingSystem::new(
+        run_audited(
             SystemOptions::spotserve().with_fleet_policy(policy),
             scenario(pools(), 900, slo, 61),
         )
-        .run()
     };
     let hedge = run(FleetPolicy::spot_hedge());
     let cpt = run(FleetPolicy::cost_per_token());
@@ -251,11 +247,10 @@ fn cost_per_token_undercuts_the_price_blind_hedge_through_a_squeeze() {
 #[test]
 fn multi_pool_replay_is_byte_identical() {
     let run = || {
-        let report = ServingSystem::new(
+        let report = run_audited(
             SystemOptions::spotserve().with_fleet_policy(FleetPolicy::spot_hedge()),
             scenario(outage_pools(), 480, Some(SimDuration::from_secs(900)), 77),
-        )
-        .run();
+        );
         canonical(&report)
     };
     let a = run();
@@ -285,11 +280,10 @@ fn preemption_landing_during_an_acquisition_grant_is_survived() {
     let run = |seed| {
         let s = scenario(pools.clone(), 240, None, seed);
         let total = s.requests.len();
-        let report = ServingSystem::new(
+        let report = run_audited(
             SystemOptions::spotserve().with_fleet_policy(FleetPolicy::spot_hedge()),
             s,
-        )
-        .run();
+        );
         (total, report)
     };
     let (total, report) = run(53);

@@ -1,5 +1,5 @@
 //! Shard-merge invariants for the metrics substrate: statistics gathered in
-//! per-shard accumulators and folded together at a barrier must agree with a
+//! per-shard accumulators and folded together after the run must agree with a
 //! single accumulator fed the whole stream — exactly for quantiles (samplers
 //! retain the full multiset), and to 1e-9 for the Welford moments.
 
