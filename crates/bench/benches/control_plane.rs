@@ -1,17 +1,29 @@
-//! The PR 5 hot-path benches.
+//! The hot-path benches.
 //!
 //! **`control_plane`** — Algorithm 1 at fleet ceilings of 16/64/256
-//! instances, three ways per ceiling:
+//! instances, four ways per ceiling (GPT-20B on T4):
 //!
 //! * `decide_reference/<N>` — the pre-frontier path (fresh enumeration +
 //!   per-candidate cost-model pricing on every call), kept as the
 //!   before/after baseline;
 //! * `decide_frontier/<N>` — the frontier-backed path with the memo
-//!   defeated (a fresh `α` every call), i.e. the cost of one real
-//!   re-decision at event-churn time;
+//!   defeated (a fresh `α` every call), priced by the paper's fixed-batch
+//!   estimator;
+//! * `decide_frontier_cont/<N>` — the same under the continuous-batching
+//!   estimator, the one the serving system runs with, and so the cost of
+//!   one real single-SKU re-decision at event-churn time;
 //! * `decide_warm/<N>` — the steady-state path (same `(N, α)` repeated),
-//!   i.e. a memo hit. This is the number CI's perf-smoke step holds
-//!   against the paper's 1 s re-decision budget.
+//!   i.e. a memo hit. CI's perf-smoke step holds it against the paper's
+//!   1 s re-decision budget.
+//!
+//! Plus the joint decision and the frontier build:
+//!
+//! * `decide_multi_3sku` — `decide_multi` over g4dn/L4/A100 lanes under
+//!   the continuous estimator with a fresh `α` every call: one real
+//!   mixed-fleet re-decision. CI's perf-smoke step holds it to 10 ms;
+//! * `frontier_build/<model>` — enumerating, pricing and pruning one
+//!   paper model's frontier at the 16-instance default ceiling, which
+//!   every fresh serving system pays once.
 //!
 //! **`scheduler_hot_loop`** — the continuous engine's per-boundary work:
 //! the allocation-free SLO admission verdict at a full batch, the EDF
@@ -20,12 +32,13 @@
 
 use std::collections::VecDeque;
 
+use cloudsim::{GpuSpec, InstanceType};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use enginesim::{IterationScheduler, PendingQueue};
-use llmsim::ModelSpec;
-use parallelism::{ParallelConfig, PerfModel};
+use llmsim::{MemoryModel, ModelSpec};
+use parallelism::{CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel};
 use simkit::{SimDuration, SimTime};
-use spotserve::ConfigOptimizer;
+use spotserve::{ConfigOptimizer, EngineMode};
 use workload::{Request, RequestId};
 
 fn bench_control_plane(c: &mut Criterion) {
@@ -42,6 +55,11 @@ fn bench_control_plane(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("decide_reference", ceiling), |b| {
             b.iter(|| opt.decide_reference(black_box(n), black_box(0.35)))
         });
+        // Before the memo-defeating rows, so the warm entry is the memo's
+        // only one and the hit costs the same whatever they left behind.
+        g.bench_function(BenchmarkId::new("decide_warm", ceiling), |b| {
+            b.iter(|| opt.decide(black_box(n), black_box(0.35)))
+        });
         g.bench_function(BenchmarkId::new("decide_frontier", ceiling), |b| {
             // A fresh α each call defeats the memo (and keeps evicting
             // it), so this measures a genuine frontier-scan re-decision.
@@ -51,8 +69,44 @@ fn bench_control_plane(c: &mut Criterion) {
                 opt.decide(black_box(n), 0.1 + (i % 1024) as f64 * 1e-4)
             })
         });
-        g.bench_function(BenchmarkId::new("decide_warm", ceiling), |b| {
-            b.iter(|| opt.decide(black_box(n), black_box(0.35)))
+
+        let cont = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), ceiling)
+            .with_engine_mode(EngineMode::ContinuousBatching);
+        assert_eq!(
+            cont.decide(n, 0.35),
+            cont.decide_reference(n, 0.35),
+            "equivalence"
+        );
+        g.bench_function(BenchmarkId::new("decide_frontier_cont", ceiling), |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i += 1;
+                cont.decide(black_box(n), 0.1 + (i % 1024) as f64 * 1e-4)
+            })
+        });
+    }
+
+    // A mixed shard's optimizer: three SKU lanes, fleet spread over them.
+    let multi = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16)
+        .with_engine_mode(EngineMode::ContinuousBatching)
+        .with_sku(InstanceType::g4dn_12xlarge())
+        .with_sku(InstanceType::l4())
+        .with_sku(InstanceType::a100());
+    let avail = [6u32, 4, 2];
+    assert!(multi.decide_multi(&avail, 0.35).target.is_some());
+    g.bench_function("decide_multi_3sku", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            multi.decide_multi(black_box(&avail), 0.2 + (i % 1024) as f64 * 1e-4)
+        })
+    });
+
+    for model in ModelSpec::paper_models() {
+        let perf = PerfModel::paper_defaults(model.clone());
+        let (mem, space) = (MemoryModel::default(), ConfigSpace::default());
+        g.bench_function(BenchmarkId::new("frontier_build", model.name), |b| {
+            b.iter(|| CandidateFrontier::new(&perf, &mem, &GpuSpec::t4(), &space, 4, 16))
         });
     }
     g.finish();

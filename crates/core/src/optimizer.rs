@@ -17,13 +17,17 @@
 //! multi-pool markets every grant/preemption in every pool hits this code.
 //! The decision paths therefore run over a memoized
 //! [`CandidateFrontier`]: the space is enumerated and priced **once** per
-//! fleet ceiling, `feasible_at(n)` is a range lookup, Pareto-dominated
-//! candidates are skipped, and a small per-`(N, α)` decision memo answers
-//! repeated queries outright. Decisions are **bit-identical** with the
-//! fresh-enumeration reference implementations
-//! ([`ConfigOptimizer::decide_reference`] and friends), which are kept —
-//! unchanged from the pre-frontier code — as the contract the equivalence
-//! property test and the §6.2 pinned tests hold both paths to.
+//! fleet ceiling (and re-built at least twice as wide when a fleet
+//! outgrows it), `feasible_at(n)` is a range lookup, Pareto-dominated
+//! candidates are skipped, minimum-latency scans run in latency-floor
+//! order and stop once no remaining candidate can price lower, and a small
+//! per-`(N, α)` decision memo answers repeated queries outright. Decisions
+//! are **bit-identical** with the fresh-enumeration reference
+//! implementations ([`ConfigOptimizer::decide_reference`] and friends),
+//! which are kept — unchanged from the pre-frontier code — as the contract
+//! the equivalence property test and the §6.2 pinned tests hold both paths
+//! to. [`ConfigOptimizer::decide_multi`] is held to a brute-force oracle
+//! in the same property-test file.
 
 use std::cell::{Cell, Ref, RefCell};
 
@@ -396,23 +400,38 @@ impl ConfigOptimizer {
     /// not be called while a [`ConfigOptimizer::frontier_ref`] borrow is
     /// live.
     fn ensure_frontier(&self, ceiling: u32) {
-        let sufficient = self
+        let current = self
             .frontier
             .borrow()
             .as_ref()
-            .is_some_and(|f| f.ceiling() >= ceiling);
-        if sufficient {
+            .map(CandidateFrontier::ceiling);
+        let Some(build_at) = self.build_ceiling(current, ceiling) else {
             return;
-        }
+        };
         let built = CandidateFrontier::new(
             &self.perf,
             &self.mem,
             &self.gpu,
             &self.space,
             self.gpus_per_instance,
-            ceiling.max(self.max_instances),
+            build_at,
         );
         *self.frontier.borrow_mut() = Some(built);
+    }
+
+    /// The ceiling to (re)build a frontier at so that it covers `needed`
+    /// instances, or `None` when the `current` one already does. Growth at
+    /// least doubles, so a fleet creeping past the ceiling one instance at
+    /// a time rebuilds logarithmically often. A wider frontier answers
+    /// every query exactly as a tighter one would: each instance bucket at
+    /// or below the query is the same set, and every scan and membership
+    /// test clamps to the query.
+    fn build_ceiling(&self, current: Option<u32>, needed: u32) -> Option<u32> {
+        match current {
+            Some(c) if c >= needed => None,
+            Some(c) => Some(needed.max(c.saturating_mul(2))),
+            None => Some(needed.max(self.max_instances)),
+        }
     }
 
     /// The live frontier (must be [`ensure`](Self::ensure_frontier)d
@@ -550,21 +569,21 @@ impl ConfigOptimizer {
     /// Ensures lane `i`'s frontier exists and covers `ceiling` instances.
     fn ensure_lane_frontier(&self, i: usize, ceiling: u32) {
         let lane = &self.lanes[i];
-        let sufficient = lane
+        let current = lane
             .frontier
             .borrow()
             .as_ref()
-            .is_some_and(|f| f.ceiling() >= ceiling);
-        if sufficient {
+            .map(CandidateFrontier::ceiling);
+        let Some(build_at) = self.build_ceiling(current, ceiling) else {
             return;
-        }
+        };
         let built = CandidateFrontier::new(
             &lane.perf,
             &self.mem,
             &lane.ty.gpu,
             &self.space,
             lane.ty.gpus_per_instance,
-            ceiling.max(self.max_instances),
+            build_at,
         );
         *lane.frontier.borrow_mut() = Some(built);
     }
@@ -651,39 +670,30 @@ impl ConfigOptimizer {
         }
         let mode = self.pricing_mode();
         // Joint line 3: minimum-(l_req, instances, lane, config) sustaining
-        // candidate, at each lane's ceiling (target) and within each
-        // lane's availability (now).
-        let mut target: Option<(SimDuration, u32, usize, ParallelConfig)> = None;
-        let mut now_sustaining: Option<(SimDuration, u32, usize, ParallelConfig)> = None;
+        // candidate at each lane's ceiling.
+        let mut target: Option<LatencyKey> = None;
         for (i, lane) in self.lanes.iter().enumerate() {
             let ceiling = self.max_instances.max(avail[i]);
             self.ensure_lane_frontier(i, ceiling);
             let fr = self.lane_frontier_ref(i);
-            for cand in fr.pruned_at(ceiling, mode) {
-                if cand.throughput(mode) < alpha {
-                    continue;
-                }
-                let k = (
-                    cand.latency(&lane.perf, mode, alpha),
-                    cand.instances,
-                    i,
-                    cand.config,
-                );
-                if target.is_none_or(|b| k < b) {
-                    target = Some(k);
-                }
-                if cand.instances <= avail[i] && now_sustaining.is_none_or(|b| k < b) {
-                    now_sustaining = Some(k);
-                }
-            }
+            min_latency_sustaining(&mut target, &fr, i, ceiling, mode, &lane.perf, alpha);
         }
         let d = match target {
             Some((_, needed, lane, config)) => {
                 let now = if needed <= avail[lane] {
                     Some((lane, config))
                 } else {
-                    now_sustaining
-                        .map(|(_, _, i, c)| (i, c))
+                    // The same minimum within each lane's availability.
+                    let mut now: Option<LatencyKey> = None;
+                    for (i, lane) in self.lanes.iter().enumerate() {
+                        if avail[i] > 0 {
+                            let fr = self.lane_frontier_ref(i);
+                            min_latency_sustaining(
+                                &mut now, &fr, i, avail[i], mode, &lane.perf, alpha,
+                            );
+                        }
+                    }
+                    now.map(|(_, _, i, c)| (i, c))
                         .or_else(|| self.max_throughput_multi(avail, mode))
                 };
                 MultiSkuDecision {
@@ -734,9 +744,14 @@ impl ConfigOptimizer {
         let mode = self.pricing_mode();
         let fr = self.frontier_ref();
 
+        let min_latency = |limit| {
+            let mut best = None;
+            min_latency_sustaining(&mut best, &fr, 0, limit, mode, &self.perf, alpha);
+            best.map(|(_, _, _, c)| c)
+        };
         // Line 3: minimize l_req among sustaining configs at the ceiling
-        // — one pruned-range scan, no allocation.
-        let target = min_latency_sustaining(&fr, ceiling, mode, &self.perf, alpha)
+        // — one floor-ordered scan, no allocation.
+        let target = min_latency(ceiling)
             // Line 5: maximize throughput within the current fleet.
             .or_else(|| max_throughput(&fr, n_instances, mode));
 
@@ -744,8 +759,7 @@ impl ConfigOptimizer {
         // shape preference.
         let now = match target {
             Some(t) if t.instances_needed(self.gpus_per_instance) <= n_instances => Some(t),
-            _ => min_latency_sustaining(&fr, n_instances, mode, &self.perf, alpha)
-                .or_else(|| max_throughput(&fr, n_instances, mode)),
+            _ => min_latency(n_instances).or_else(|| max_throughput(&fr, n_instances, mode)),
         };
 
         let needed = target
@@ -963,30 +977,44 @@ impl ConfigOptimizer {
     }
 }
 
-/// Minimum-`(l_req, instances, canonical)` sustaining candidate within `n`
-/// instances, over the pruned frontier range — `None` when nothing
-/// sustains `alpha` there. Bit-identical to `best_latency` over the
+/// Algorithm 1's latency selection key: `(l_req, instances, lane,
+/// canonical config)`, minimized. Single-SKU decisions use lane 0.
+type LatencyKey = (SimDuration, u32, usize, ParallelConfig);
+
+/// Folds lane `lane`'s minimum-key sustaining candidate within `n`
+/// instances into the running minimum `best` (left as is when nothing
+/// there sustains `alpha`). Bit-identical to `best_latency` over the
 /// sustaining subset of a fresh enumeration: keys are unique (the config
-/// is part of the key), so the scan order cannot matter, and pruning only
-/// skips candidates that lose every key comparison.
+/// is part of the key), so the scan order cannot matter; pruning only
+/// skips candidates that lose every key comparison; and the scan runs in
+/// floor order and stops at the first floor above the best latency, past
+/// which every candidate prices strictly higher.
 fn min_latency_sustaining(
+    best: &mut Option<LatencyKey>,
     fr: &CandidateFrontier,
+    lane: usize,
     n: u32,
     mode: PricingMode,
     perf: &PerfModel,
     alpha: f64,
-) -> Option<ParallelConfig> {
-    let mut best: Option<(SimDuration, u32, ParallelConfig)> = None;
-    for cand in fr.pruned_at(n, mode) {
-        if cand.throughput(mode) < alpha {
+) {
+    for cand in fr.pruned_by_floor(mode) {
+        if best.is_some_and(|(l, ..)| cand.floor(mode) > l) {
+            break;
+        }
+        if cand.instances > n || cand.throughput(mode) < alpha {
             continue;
         }
-        let key = (cand.latency(perf, mode, alpha), cand.instances, cand.config);
+        let key = (
+            cand.latency(perf, mode, alpha),
+            cand.instances,
+            lane,
+            cand.config,
+        );
         if best.is_none_or(|b| key < b) {
-            best = Some(key);
+            *best = Some(key);
         }
     }
-    best.map(|(_, _, c)| c)
 }
 
 /// Maximum-`(φ, Reverse(canonical))` candidate within `n` instances, over
@@ -1170,6 +1198,31 @@ mod tests {
         let _ = o.decide(8, 0.35);
         let big = o.decide(24, 0.35);
         assert_eq!(big, o.decide_reference(24, 0.35));
+    }
+
+    #[test]
+    fn a_fleet_creeping_past_the_ceiling_rebuilds_logarithmically() {
+        let o = opt(ModelSpec::gpt_20b())
+            .with_engine_mode(EngineMode::ContinuousBatching)
+            .with_sku(InstanceType::t4());
+        let ceiling = || o.frontier.borrow().as_ref().map(CandidateFrontier::ceiling);
+        let lane_ceiling = || {
+            o.lanes[0]
+                .frontier
+                .borrow()
+                .as_ref()
+                .map(CandidateFrontier::ceiling)
+        };
+        let mut ceilings = Vec::new();
+        for n in 16..=40u32 {
+            assert_eq!(o.decide(n, 0.35), o.decide_reference(n, 0.35), "n={n}");
+            let multi = o.decide_multi(&[n], 0.35);
+            assert_eq!(multi.target.map(|(_, c)| c), o.decide(n, 0.35).target);
+            assert_eq!(lane_ceiling(), ceiling());
+            ceilings.push(ceiling().expect("built"));
+        }
+        ceilings.dedup();
+        assert_eq!(ceilings, [16, 32, 64], "one rebuild per doubling");
     }
 
     #[test]

@@ -12,14 +12,21 @@
 //!   instances is exactly the candidates with `instances_needed(n) ≤ n`, so
 //!   candidates are sorted by `(instances_needed, canonical order)` and
 //!   `feasible_at(n)` is a prefix range behind a cumulative index;
-//! * **price once** — `l_exe` (fixed-batch) and the per-occupancy
-//!   slot/steady-iteration tables (continuous) are computed per candidate
-//!   at build time; `l_req(C, α)` then runs the shared [`PerfModel`]
-//!   kernels over the cached components, bit-identical to fresh pricing;
+//! * **price once per mesh** — none of `l_exe` (fixed-batch) or the
+//!   per-occupancy slot/steady-iteration tables (continuous) depends on the
+//!   data degree, so the tables are computed once per `(P, M)` mesh and
+//!   `l_exe` once per `(P, M, B)` at build time, and every `D` shares them;
+//!   `l_req(C, α)` then runs the shared [`PerfModel`] kernels over the
+//!   cached components, bit-identical to fresh pricing;
 //! * **Pareto-prune** — candidates dominated at equal instance cost
 //!   (throughput no higher, latency no lower *for every* `α`, and losing
 //!   every tie-break) can never be chosen by any of Algorithm 1's
-//!   objectives, so the decision loops skip them entirely.
+//!   objectives, so the decision loops skip them entirely;
+//! * **order by latency floor** — each candidate carries an `α`-free lower
+//!   bound on its `l_req` ([`Candidate::floor`]), and the survivors of
+//!   pruning are also indexed in floor order, so a minimum-latency scan
+//!   stops at the first candidate whose floor exceeds the best latency
+//!   found ([`CandidateFrontier::pruned_by_floor`]).
 //!
 //! The domination test is deliberately conservative: it only fires on
 //! component-wise orderings that imply `l_req(y, α) ≤ l_req(x, α)` for all
@@ -31,6 +38,8 @@
 //! and frontier-backed decisions stay bit-identical with fresh
 //! enumeration. That contract is pinned by the equivalence property test
 //! in `tests/optimizer_properties.rs`.
+
+use std::collections::HashMap;
 
 use cloudsim::GpuSpec;
 use llmsim::MemoryModel;
@@ -64,6 +73,8 @@ pub struct Candidate {
     phi_fixed: f64,
     /// Cached continuous `φ(C)`.
     phi_cont: f64,
+    /// The continuous estimator's latency floor (see [`Candidate::floor`]).
+    floor_cont: SimDuration,
     /// `slot_time(C, b)` for `b = 1..=B` (index `b − 1`).
     slot_times: Box<[SimDuration]>,
     /// `steady_iteration(C, b)` for `b = 1..=B` (index `b − 1`).
@@ -71,27 +82,16 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    fn price(perf: &PerfModel, config: ParallelConfig, gpus_per_instance: u8) -> Self {
-        let l_exe = perf.exec_latency(&config);
-        let slot_times: Box<[SimDuration]> = (1..=config.batch)
-            .map(|b| perf.slot_time(&config, b))
-            .collect();
-        let steady_times: Box<[SimDuration]> = (1..=config.batch)
-            .map(|b| perf.steady_iteration(&config, b))
-            .collect();
-        // Bitwise the same computations as `PerfModel::throughput` /
-        // `throughput_continuous` over the cached components.
-        let phi_fixed = (config.data * config.batch) as f64 / l_exe.as_secs_f64();
-        let phi_cont = (config.data * config.batch) as f64
-            / slot_times[config.batch as usize - 1].as_secs_f64();
-        Candidate {
-            config,
-            instances: config.instances_needed(gpus_per_instance),
-            l_exe,
-            phi_fixed,
-            phi_cont,
-            slot_times,
-            steady_times,
+    /// A lower bound on [`Candidate::latency`] under `mode` that holds for
+    /// every arrival rate: `l_exe` for the fixed-batch estimator (it only
+    /// adds fill and queueing delay), and the smallest `slot(b) +
+    /// steady(b)/2` over occupancies `b ≤ B` — or `slot(1)`, the empty
+    /// engine's price at `α = 0` — for the continuous one. Saturated
+    /// candidates price at [`SimDuration::MAX`], above any floor.
+    pub fn floor(&self, mode: PricingMode) -> SimDuration {
+        match mode {
+            PricingMode::FixedBatch => self.l_exe,
+            PricingMode::ContinuousBatching => self.floor_cont,
         }
     }
 
@@ -215,6 +215,72 @@ pub struct CandidateFrontier {
     /// Same for the continuous estimator.
     pruned_cont: Vec<u32>,
     pruned_cont_cum: Vec<u32>,
+    /// The same survivors as `pruned_fixed` / `pruned_cont` at the
+    /// ceiling, reordered by ascending [`Candidate::floor`] (ties keep
+    /// `(instances, config)` order).
+    by_floor_fixed: Vec<u32>,
+    by_floor_cont: Vec<u32>,
+}
+
+/// The pricing shared by every data degree of one `(P, M)` mesh: none of
+/// `exec_latency`, `slot_time` or `steady_iteration` depends on `D`.
+#[derive(Default)]
+struct MeshPricing {
+    /// `slot_time(b)` for `b = 1..=` the largest batch priced so far.
+    slot: Vec<SimDuration>,
+    /// `steady_iteration(b)`, same range.
+    steady: Vec<SimDuration>,
+    /// `exec_latency` per batch size priced so far.
+    l_exe: Vec<(u32, SimDuration)>,
+}
+
+impl MeshPricing {
+    /// Prices `config` (of this mesh), extending the shared tables to its
+    /// batch size first.
+    fn price(
+        &mut self,
+        perf: &PerfModel,
+        config: ParallelConfig,
+        gpus_per_instance: u8,
+    ) -> Candidate {
+        for b in self.slot.len() as u32 + 1..=config.batch {
+            self.slot.push(perf.slot_time(&config, b));
+            self.steady.push(perf.steady_iteration(&config, b));
+        }
+        let l_exe = match self.l_exe.iter().find(|&&(b, _)| b == config.batch) {
+            Some(&(_, l)) => l,
+            None => {
+                let l = perf.exec_latency(&config);
+                self.l_exe.push((config.batch, l));
+                l
+            }
+        };
+        let b = config.batch as usize;
+        let slot_times: Box<[SimDuration]> = self.slot[..b].into();
+        let steady_times: Box<[SimDuration]> = self.steady[..b].into();
+        // Bitwise the same computations as `PerfModel::throughput` /
+        // `throughput_continuous` over the cached components.
+        let phi_fixed = (config.data * config.batch) as f64 / l_exe.as_secs_f64();
+        let phi_cont = (config.data * config.batch) as f64 / slot_times[b - 1].as_secs_f64();
+        // The continuous kernel returns `slot(b̄) + steady(b̄)/2 + queueing`
+        // for some occupancy `b̄ ∈ 1..=B` when α > 0, and `slot(1)` alone
+        // when α = 0.
+        let floor_cont = slot_times
+            .iter()
+            .zip(steady_times.iter())
+            .map(|(&s, &st)| s + st / 2)
+            .fold(slot_times[0], SimDuration::min);
+        Candidate {
+            config,
+            instances: config.instances_needed(gpus_per_instance),
+            l_exe,
+            phi_fixed,
+            phi_cont,
+            floor_cont,
+            slot_times,
+            steady_times,
+        }
+    }
 }
 
 impl CandidateFrontier {
@@ -233,6 +299,7 @@ impl CandidateFrontier {
         ceiling_instances: u32,
     ) -> Self {
         assert!(gpus_per_instance > 0 && ceiling_instances > 0);
+        let mut meshes: HashMap<(u32, u32), MeshPricing> = HashMap::new();
         let mut candidates: Vec<Candidate> = enumerate_configs(
             perf.model(),
             mem,
@@ -241,7 +308,12 @@ impl CandidateFrontier {
             ceiling_instances * gpus_per_instance as u32,
         )
         .into_iter()
-        .map(|c| Candidate::price(perf, c, gpus_per_instance))
+        .map(|c| {
+            meshes
+                .entry((c.pipeline, c.tensor))
+                .or_default()
+                .price(perf, c, gpus_per_instance)
+        })
         .collect();
         // Stable sort: within one instance bucket the canonical
         // (enumeration) order is preserved.
@@ -254,6 +326,13 @@ impl CandidateFrontier {
             ceiling_instances,
             PricingMode::ContinuousBatching,
         );
+        let by_floor = |pruned: &[u32], mode| {
+            let mut order = pruned.to_vec();
+            order.sort_by_key(|&i| candidates[i as usize].floor(mode));
+            order
+        };
+        let by_floor_fixed = by_floor(&pruned_fixed, PricingMode::FixedBatch);
+        let by_floor_cont = by_floor(&pruned_cont, PricingMode::ContinuousBatching);
         CandidateFrontier {
             gpus_per_instance,
             ceiling: ceiling_instances,
@@ -263,6 +342,8 @@ impl CandidateFrontier {
             pruned_fixed_cum,
             pruned_cont,
             pruned_cont_cum,
+            by_floor_fixed,
+            by_floor_cont,
         }
     }
 
@@ -316,6 +397,19 @@ impl CandidateFrontier {
         idx[..cum[n] as usize]
             .iter()
             .map(move |&i| &self.candidates[i as usize])
+    }
+
+    /// The candidates surviving pruning under `mode` at the ceiling, in
+    /// ascending [`Candidate::floor`] order. A scan for the minimum
+    /// `l_req` within `n` instances skips candidates needing more than `n`
+    /// and may stop at the first floor above the best latency found: no
+    /// later candidate can price lower.
+    pub fn pruned_by_floor(&self, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
+        let idx = match mode {
+            PricingMode::FixedBatch => &self.by_floor_fixed,
+            PricingMode::ContinuousBatching => &self.by_floor_cont,
+        };
+        idx.iter().map(move |&i| &self.candidates[i as usize])
     }
 
     /// Whether `c` is feasible on a fleet of `n` instances — the direct
@@ -387,7 +481,10 @@ fn prune(candidates: &[Candidate], ceiling: u32, mode: PricingMode) -> (Vec<u32>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudsim::InstanceType;
     use llmsim::ModelSpec;
+
+    use crate::perf::tests::sku_perf;
 
     fn frontier(model: ModelSpec, ceiling: u32) -> (PerfModel, CandidateFrontier) {
         let perf = PerfModel::paper_defaults(model);
@@ -401,6 +498,30 @@ mod tests {
         );
         (perf, f)
     }
+
+    /// Every paper model on the paper's calibrated T4 estimator and on an
+    /// L4 lane's estimator, each with its frontier at `ceiling`.
+    fn model_sku_frontiers(ceiling: u32) -> Vec<(String, PerfModel, CandidateFrontier)> {
+        let mut out = Vec::new();
+        for model in ModelSpec::paper_models() {
+            let (perf, f) = frontier(model.clone(), ceiling);
+            out.push((format!("{} on T4", model.name), perf, f));
+            let l4 = InstanceType::l4();
+            let perf = sku_perf(&model, &l4);
+            let f = CandidateFrontier::new(
+                &perf,
+                &MemoryModel::default(),
+                &l4.gpu,
+                &ConfigSpace::default(),
+                l4.gpus_per_instance,
+                ceiling,
+            );
+            out.push((format!("{} on L4", model.name), perf, f));
+        }
+        out
+    }
+
+    const MODES: [PricingMode; 2] = [PricingMode::FixedBatch, PricingMode::ContinuousBatching];
 
     #[test]
     fn feasible_at_matches_fresh_enumeration_at_every_fleet_size() {
@@ -422,25 +543,74 @@ mod tests {
 
     #[test]
     fn cached_pricing_is_bit_identical_with_fresh_pricing() {
-        let (perf, f) = frontier(ModelSpec::gpt_20b(), 12);
-        for cand in f.feasible_at(12) {
-            let c = &cand.config;
-            assert_eq!(cand.throughput(PricingMode::FixedBatch), perf.throughput(c));
-            assert_eq!(
-                cand.throughput(PricingMode::ContinuousBatching),
-                perf.throughput_continuous(c)
-            );
-            for alpha in [0.0, 0.1, 0.35, 1.0, 3.0] {
+        // Per-mesh pricing shares one set of tables across every data
+        // degree; each candidate must still price exactly as `PerfModel`
+        // prices it from scratch.
+        for (name, perf, f) in model_sku_frontiers(12) {
+            assert!(!f.is_empty(), "{name}");
+            for cand in f.feasible_at(12) {
+                let c = &cand.config;
+                assert_eq!(cand.throughput(PricingMode::FixedBatch), perf.throughput(c));
                 assert_eq!(
-                    cand.latency(&perf, PricingMode::FixedBatch, alpha),
-                    perf.request_latency(c, alpha),
-                    "{c} fixed @ {alpha}"
+                    cand.throughput(PricingMode::ContinuousBatching),
+                    perf.throughput_continuous(c)
                 );
-                assert_eq!(
-                    cand.latency(&perf, PricingMode::ContinuousBatching, alpha),
-                    perf.request_latency_continuous(c, alpha),
-                    "{c} continuous @ {alpha}"
+                for alpha in [0.0, 0.1, 0.35, 1.0, 3.0] {
+                    assert_eq!(
+                        cand.latency(&perf, PricingMode::FixedBatch, alpha),
+                        perf.request_latency(c, alpha),
+                        "{name}: {c} fixed @ {alpha}"
+                    );
+                    assert_eq!(
+                        cand.latency(&perf, PricingMode::ContinuousBatching, alpha),
+                        perf.request_latency_continuous(c, alpha),
+                        "{name}: {c} continuous @ {alpha}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_bounds_latency_at_every_rate() {
+        // From the empty engine (α = 0) through saturation (ρ ≥ 1 prices
+        // at MAX), no candidate ever prices below its floor.
+        let fractions = [0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0, 2.0];
+        for (name, perf, f) in model_sku_frontiers(16) {
+            for cand in f.feasible_at(16) {
+                for mode in MODES {
+                    let floor = cand.floor(mode);
+                    for frac in fractions {
+                        let alpha = cand.throughput(mode) * frac;
+                        let l = cand.latency(&perf, mode, alpha);
+                        assert!(
+                            floor <= l,
+                            "{name}: {} {mode:?} floor {floor} above l_req {l} at α = {alpha}",
+                            cand.config
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_order_is_a_permutation_of_the_pruned_set() {
+        for (name, _, f) in model_sku_frontiers(16) {
+            for mode in MODES {
+                let by_floor: Vec<&Candidate> = f.pruned_by_floor(mode).collect();
+                assert!(
+                    by_floor
+                        .windows(2)
+                        .all(|w| w[0].floor(mode) <= w[1].floor(mode)),
+                    "{name} {mode:?}: not in floor order"
                 );
+                let mut sorted: Vec<ParallelConfig> = by_floor.iter().map(|c| c.config).collect();
+                sorted.sort_unstable();
+                let mut pruned: Vec<ParallelConfig> =
+                    f.pruned_at(16, mode).map(|c| c.config).collect();
+                pruned.sort_unstable();
+                assert_eq!(sorted, pruned, "{name} {mode:?}");
             }
         }
     }

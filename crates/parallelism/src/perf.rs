@@ -272,6 +272,74 @@ impl PerfModel {
         if rho >= 1.0 {
             return SimDuration::MAX;
         }
+        // Steady occupancy by Little's law, iterated to a fixed point (at
+        // most 16 steps). Each iterate depends only on the previous integer
+        // occupancy, so once `bi` repeats every later step repeats it too.
+        let per_pipeline = alpha / c.data as f64;
+        let mut bi = 1u32;
+        for _ in 0..16 {
+            let next = (per_pipeline * slot(bi).as_secs_f64())
+                .clamp(1.0, c.batch as f64)
+                .ceil() as u32;
+            if next == bi {
+                break;
+            }
+            bi = next;
+        }
+        let l_exe = slot(bi);
+        let boundary = steady(bi) / 2;
+        let servers = (c.data * c.batch) as f64;
+        let queue = slot(c.batch).as_secs_f64() * rho.powf((2.0 * (servers + 1.0)).sqrt())
+            / (servers * (1.0 - rho));
+        l_exe + boundary + SimDuration::from_secs_f64(queue)
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use cloudsim::InstanceType;
+    use llmsim::MemoryModel;
+
+    use crate::enumerate::{enumerate_configs, ConfigSpace};
+
+    fn perf(model: ModelSpec) -> PerfModel {
+        PerfModel::paper_defaults(model)
+    }
+
+    /// `model`'s estimator on `ty`, built the way an optimizer's SKU lane
+    /// builds it: that SKU's hardware under the model's calibration scale.
+    pub(crate) fn sku_perf(model: &ModelSpec, ty: &InstanceType) -> PerfModel {
+        let scale = llmsim::calibration::calibration_scale(model);
+        PerfModel::new(
+            model.clone(),
+            CostModel::for_instance_type(ty).with_scale(scale),
+            llmsim::calibration::PAPER_S_IN,
+            llmsim::calibration::PAPER_S_OUT,
+        )
+    }
+
+    /// The continuous kernel as it was before the fixed-point loop learned
+    /// to stop early: all 16 steps, verbatim.
+    fn request_latency_continuous_16_steps(
+        c: &ParallelConfig,
+        alpha: f64,
+        slot: impl Fn(u32) -> SimDuration,
+        steady: impl Fn(u32) -> SimDuration,
+    ) -> SimDuration {
+        assert!(
+            alpha >= 0.0 && alpha.is_finite(),
+            "bad arrival rate {alpha}"
+        );
+        if alpha == 0.0 {
+            // Empty engine: run alone at occupancy 1.
+            return slot(1);
+        }
+        let phi = (c.data * c.batch) as f64 / slot(c.batch).as_secs_f64();
+        let rho = alpha / phi;
+        if rho >= 1.0 {
+            return SimDuration::MAX;
+        }
         // Steady occupancy by Little's law, iterated to a fixed point.
         let per_pipeline = alpha / c.data as f64;
         let clamp = |b: f64| b.clamp(1.0, c.batch as f64);
@@ -288,14 +356,49 @@ impl PerfModel {
             / (servers * (1.0 - rho));
         l_exe + boundary + SimDuration::from_secs_f64(queue)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn perf(model: ModelSpec) -> PerfModel {
-        PerfModel::paper_defaults(model)
+    #[test]
+    fn converged_fixed_point_equals_the_16_step_loop() {
+        // Every configuration of the paper models that fits 16 instances
+        // of each SKU, from a trickle of load up to the edge of saturation.
+        let fractions = [
+            0.0, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99,
+            0.999,
+        ];
+        let mut checked = 0usize;
+        for model in ModelSpec::paper_models() {
+            for ty in [InstanceType::t4(), InstanceType::l4(), InstanceType::a100()] {
+                let p = sku_perf(&model, &ty);
+                let configs = enumerate_configs(
+                    &model,
+                    &MemoryModel::default(),
+                    &ty.gpu,
+                    &ConfigSpace::default(),
+                    16 * ty.gpus_per_instance as u32,
+                );
+                for c in configs {
+                    let slot: Vec<SimDuration> =
+                        (1..=c.batch).map(|b| p.slot_time(&c, b)).collect();
+                    let steady: Vec<SimDuration> =
+                        (1..=c.batch).map(|b| p.steady_iteration(&c, b)).collect();
+                    let phi = p.throughput_continuous(&c);
+                    for frac in fractions {
+                        let alpha = phi * frac;
+                        let slot_of = |b: u32| slot[b as usize - 1];
+                        let steady_of = |b: u32| steady[b as usize - 1];
+                        assert_eq!(
+                            p.request_latency_continuous_with(&c, alpha, slot_of, steady_of),
+                            request_latency_continuous_16_steps(&c, alpha, slot_of, steady_of),
+                            "{} on {}: {c} at α = {alpha}",
+                            model.name,
+                            ty.name
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} evaluations");
     }
 
     #[test]

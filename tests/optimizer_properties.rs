@@ -1,14 +1,16 @@
 //! Property tests for Algorithm 1's invariants over the whole input space,
 //! and for the scheduler's SLO-aware admission guard.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
+use cloudsim::InstanceType;
 use enginesim::IterationScheduler;
 use llmsim::ModelSpec;
-use parallelism::{ParallelConfig, PerfModel};
+use parallelism::{enumerate_configs, ConfigSpace, ParallelConfig, PerfModel};
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
-use spotserve::{ConfigOptimizer, EngineMode};
+use spotserve::{ConfigOptimizer, EngineMode, MultiSkuDecision};
 use workload::{Request, RequestId};
 
 proptest! {
@@ -149,6 +151,141 @@ proptest! {
             opt.perf().throughput_continuous(&c) >= opt.perf().throughput(&c),
             "{c}"
         );
+    }
+}
+
+// ---- The joint (SKU, C, B) decision against a brute-force oracle --------
+
+/// The fleet ceiling the `decide_multi` oracle property runs at.
+const MULTI_CEILING: u32 = 8;
+
+/// Every configuration of lane `i` within `n` instances, fresh from
+/// `enumerate_configs`, priced `(φ, l_req(α))` through `lane_perf(i)`
+/// under `engine`.
+fn lane_candidates(
+    opt: &ConfigOptimizer,
+    engine: EngineMode,
+    i: usize,
+    n: u32,
+    alpha: f64,
+) -> Vec<(f64, SimDuration, u32, ParallelConfig)> {
+    let ty = opt.lane_type(i);
+    let perf = opt.lane_perf(i);
+    enumerate_configs(
+        perf.model(),
+        opt.memory(),
+        &ty.gpu,
+        &ConfigSpace::default(),
+        n * ty.gpus_per_instance as u32,
+    )
+    .into_iter()
+    .map(|c| {
+        let (phi, l) = match engine {
+            EngineMode::FixedBatch => (perf.throughput(&c), perf.request_latency(&c, alpha)),
+            EngineMode::ContinuousBatching => (
+                perf.throughput_continuous(&c),
+                perf.request_latency_continuous(&c, alpha),
+            ),
+        };
+        (phi, l, c.instances_needed(ty.gpus_per_instance), c)
+    })
+    .collect()
+}
+
+/// Algorithm 1 over SKU lanes, by brute force: the minimum
+/// `(l_req, instances, lane, config)` sustaining candidate at each lane's
+/// ceiling (target) and within each lane's availability (now), else the
+/// maximum `(φ, Reverse((lane, config)))` within availability.
+fn decide_multi_oracle(
+    opt: &ConfigOptimizer,
+    engine: EngineMode,
+    avail: &[u32],
+    alpha: f64,
+) -> MultiSkuDecision {
+    // (φ, the lane's availability, (l_req, instances, lane, config)) for
+    // every candidate of every lane at that lane's ceiling.
+    let mut all = Vec::new();
+    for (i, &n) in avail.iter().enumerate() {
+        for (phi, l, inst, c) in lane_candidates(opt, engine, i, MULTI_CEILING.max(n), alpha) {
+            all.push((phi, n, (l, inst, i, c)));
+        }
+    }
+    let sustaining = || all.iter().filter(|(phi, ..)| *phi >= alpha);
+    let target = sustaining().map(|&(.., key)| key).min();
+    let now_sustaining = sustaining()
+        .filter(|&&(_, n, (_, inst, ..))| inst <= n)
+        .map(|&(.., key)| key)
+        .min();
+    let max_phi = all
+        .iter()
+        .filter(|&&(_, n, (_, inst, ..))| inst <= n)
+        .map(|&(phi, _, (_, _, i, c))| (phi, Reverse((i, c))))
+        .max_by(|a, b| a.partial_cmp(b).expect("throughput is finite"))
+        .map(|(_, Reverse(pick))| pick);
+    let delta = |(i, c): (usize, ParallelConfig)| {
+        c.instances_needed(opt.lane_type(i).gpus_per_instance) as i64 - avail[i] as i64
+    };
+    match target {
+        Some((_, needed, lane, config)) => MultiSkuDecision {
+            now: if needed <= avail[lane] {
+                Some((lane, config))
+            } else {
+                now_sustaining.map(|(_, _, i, c)| (i, c)).or(max_phi)
+            },
+            target: Some((lane, config)),
+            instance_delta: delta((lane, config)),
+        },
+        None => MultiSkuDecision {
+            now: max_phi,
+            target: max_phi,
+            instance_delta: max_phi.map_or(0, delta),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `decide_multi` — floor-ordered scans over each lane's memoized,
+    /// pruned frontier — is bit-identical with the brute-force oracle over
+    /// 1–3 lanes, per-lane availability from 0 to past the ceiling, both
+    /// engines, and arrival rates from 0 through exactly-saturating to
+    /// beyond every candidate's throughput. The query runs twice so the
+    /// memo-hit path is held to the same identity.
+    #[test]
+    fn decide_multi_equals_brute_force_oracle(
+        lanes in 1usize..4,
+        avail in prop::collection::vec(0u32..13, 3),
+        model_sel in 0usize..3,
+        engine_sel in 0usize..2,
+        alpha_sel in 0usize..4,
+        alpha_millis in 1u32..3000,
+    ) {
+        let model = ModelSpec::paper_models()[model_sel].clone();
+        let engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_sel];
+        let skus = [InstanceType::g4dn_12xlarge(), InstanceType::l4(), InstanceType::a100()];
+        let mut opt = ConfigOptimizer::paper_defaults(model, MULTI_CEILING)
+            .with_engine_mode(engine);
+        for ty in &skus[..lanes] {
+            opt = opt.with_sku(ty.clone());
+        }
+        let avail = &avail[..lanes];
+        let alpha = match alpha_sel {
+            0 => 0.0,
+            // Exactly some candidate's throughput: it sustains α at ρ = 1
+            // and prices at SimDuration::MAX.
+            1 => {
+                let cands = lane_candidates(&opt, engine, 0, MULTI_CEILING, 0.0);
+                prop_assume!(!cands.is_empty());
+                cands[alpha_millis as usize % cands.len()].0
+            }
+            // Beyond every candidate: nothing sustains.
+            2 => 1e4,
+            _ => alpha_millis as f64 / 1000.0,
+        };
+        let oracle = decide_multi_oracle(&opt, engine, avail, alpha);
+        prop_assert_eq!(opt.decide_multi(avail, alpha), oracle, "{engine:?} {avail:?} α={alpha}");
+        prop_assert_eq!(opt.decide_multi(avail, alpha), oracle, "memo hit");
     }
 }
 
