@@ -28,6 +28,11 @@
 //! [`EngineRollup`]: telemetry::TelemetryEvent::EngineRollup
 //! [`CostRollup`]: telemetry::TelemetryEvent::CostRollup
 //!
+//! A check that cannot run on a report is listed in
+//! [`AuditReport::skipped`], never dropped silently: without a telemetry
+//! stream, invariants 3 and 4 and the cost-rollup half of 5; without an
+//! expected request count, the totals half of 1.
+//!
 //! The auditor is pure: it holds no simulation handles, reads only the
 //! report, and is itself deterministic — the same report always yields
 //! the same verdict, so audits can gate CI.
@@ -76,15 +81,31 @@ impl fmt::Display for Violation {
 }
 
 /// The auditor's verdict over one run: every violated invariant, in
-/// discovery order (empty = clean).
+/// discovery order (empty = clean), and every check it could not run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AuditReport {
     /// The violations found, in check order.
     pub violations: Vec<Violation>,
+    /// The checks skipped for want of their input, in check order:
+    /// [`SKIPPED_TOTALS`] without an expected request count, and
+    /// [`SKIPPED_WITHOUT_TELEMETRY`] without a telemetry stream.
+    pub skipped: Vec<&'static str>,
 }
 
+/// The check skipped by an auditor without
+/// [`InvariantAuditor::with_expected_requests`].
+pub const SKIPPED_TOTALS: &str = "request-conservation totals";
+
+/// The checks skipped on a report without a telemetry stream.
+pub const SKIPPED_WITHOUT_TELEMETRY: [&str; 3] = [
+    "lease-lifecycle",
+    "monotone-progress",
+    "billing-consistency cost rollups",
+];
+
 impl AuditReport {
-    /// Whether every invariant held.
+    /// Whether every invariant held. Skipped checks are not violations:
+    /// a report can be clean with checks skipped.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
@@ -99,10 +120,16 @@ impl AuditReport {
 impl fmt::Display for AuditReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.violations.is_empty() {
-            return write!(f, "audit clean");
+            write!(f, "audit clean")?;
         }
         for v in &self.violations {
             writeln!(f, "{v}")?;
+        }
+        if !self.skipped.is_empty() {
+            if self.violations.is_empty() {
+                write!(f, "; ")?;
+            }
+            write!(f, "skipped: {}", self.skipped.join(", "))?;
         }
         Ok(())
     }
@@ -136,9 +163,12 @@ impl InvariantAuditor {
         self.check_request_conservation(report, &mut out);
         Self::check_outcome_causality(report, &mut out);
         Self::check_billing(report, &mut out);
-        if let Some(stream) = &report.telemetry {
-            Self::check_lease_lifecycle(stream, &mut out);
-            Self::check_monotone_progress(stream, &mut out);
+        match &report.telemetry {
+            Some(stream) => {
+                Self::check_lease_lifecycle(stream, &mut out);
+                Self::check_monotone_progress(stream, &mut out);
+            }
+            None => out.skipped.extend(SKIPPED_WITHOUT_TELEMETRY),
         }
         out
     }
@@ -169,20 +199,22 @@ impl InvariantAuditor {
                 });
             }
         }
-        if let Some(expected) = self.expected_requests {
-            let settled = finished.len() + rejected.len();
-            if settled + report.unfinished != expected {
-                out.violations.push(Violation {
-                    invariant: "request-conservation",
-                    detail: format!(
-                        "{} finished + {} rejected + {} unfinished != {} admitted",
-                        finished.len(),
-                        rejected.len(),
-                        report.unfinished,
-                        expected
-                    ),
-                });
-            }
+        let Some(expected) = self.expected_requests else {
+            out.skipped.push(SKIPPED_TOTALS);
+            return;
+        };
+        let settled = finished.len() + rejected.len();
+        if settled + report.unfinished != expected {
+            out.violations.push(Violation {
+                invariant: "request-conservation",
+                detail: format!(
+                    "{} finished + {} rejected + {} unfinished != {} admitted",
+                    finished.len(),
+                    rejected.len(),
+                    report.unfinished,
+                    expected
+                ),
+            });
         }
     }
 
@@ -386,6 +418,39 @@ mod tests {
             .audit(&rep);
         assert!(audit.is_clean(), "{audit}");
         audit.assert_clean();
+    }
+
+    #[test]
+    fn a_telemetry_off_audit_names_the_stream_checks_it_skipped() {
+        let rep = report_with(&[(0, 0, 5)], 0);
+        let audit = InvariantAuditor::new()
+            .with_expected_requests(1)
+            .audit(&rep);
+        assert!(audit.is_clean(), "a skip is not a violation");
+        assert_eq!(audit.skipped, SKIPPED_WITHOUT_TELEMETRY);
+        assert_eq!(
+            audit.to_string(),
+            "audit clean; skipped: lease-lifecycle, monotone-progress, \
+             billing-consistency cost rollups"
+        );
+    }
+
+    #[test]
+    fn an_audit_without_an_expected_count_names_the_totals_check() {
+        let mut rep = report_with(&[(0, 0, 5)], 0);
+        rep.telemetry = Some(stream_of(&[]));
+        let audit = InvariantAuditor::new().audit(&rep);
+        assert!(audit.is_clean());
+        assert_eq!(audit.skipped, [SKIPPED_TOTALS]);
+        assert!(audit
+            .to_string()
+            .ends_with("skipped: request-conservation totals"));
+        // With both inputs present nothing is skipped.
+        let full = InvariantAuditor::new()
+            .with_expected_requests(1)
+            .audit(&rep);
+        assert!(full.skipped.is_empty());
+        assert_eq!(full.to_string(), "audit clean");
     }
 
     #[test]

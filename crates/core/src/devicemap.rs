@@ -11,9 +11,23 @@
 //! the inner optimum is applied within each matched pair. Position groups
 //! follow canonical mesh order, which keeps tensor groups on as few
 //! instances as possible.
+//!
+//! Mapping runs inside the grace period, so each outer cell is built once
+//! from per-call tables: the old assignment inverted (GPU → old position),
+//! every new position's context, and every instance's SKU card. An
+//! instance enters a cell only through its card and the old positions its
+//! GPUs hold, so a cell in which no edge reuses anything — a fresh
+//! instance, or one holding none of the group's layers — equals the fresh
+//! cell of its card, priced once per (card, group). Every inner matrix
+//! with reuse is solved allocation-free for its optimum, which is unique;
+//! the matched pairs of the chosen cells still come from
+//! [`max_weight_assignment`] on the same inner matrix, so tie-breaks are
+//! those of the full hierarchical matching.
+
+use std::ops::Range;
 
 use cloudsim::{GpuRef, InstanceId};
-use kmatch::{max_weight_assignment, SkuCaps, WeightMatrix};
+use kmatch::{max_weight_assignment, KmScratch, SkuCaps, WeightMatrix};
 use llmsim::ModelSpec;
 use migration::DeviceAssignment;
 use parallelism::{MeshPosition, ParallelConfig, PositionContext};
@@ -138,47 +152,34 @@ pub fn map_devices_with_skus(
 
     // Position groups in canonical order, one instance's worth each.
     let positions: Vec<MeshPosition> = new_config.positions().collect();
-    let groups: Vec<&[MeshPosition]> = positions.chunks(gpus_per_instance as usize).collect();
-
-    let weight = |gpu: GpuRef, pos: MeshPosition| -> i64 {
-        let reuse = edge_weight(model, new_config, gpu, pos, old, &inheritance);
-        let Some(table) = skus else { return reuse };
-        let dst = (table.caps_of)(gpu.instance);
-        // Bytes the position needs that are *not* already on this GPU:
-        // they cross the fabric, at the slower of the two links.
-        let ctx = PositionContext::new(
-            model.num_layers,
-            new_config.pipeline,
-            pos.stage,
-            new_config.tensor,
-            pos.shard,
-        );
-        let full = ctx.weight_overlap_bytes(&ctx, model.layer_bytes()) as i64;
-        let moved = (full - reuse).max(0) as u64;
-        kmatch::edge_weight(
-            reuse.max(0) as u64,
-            moved,
-            table.required_bytes_per_gpu,
-            &table.src,
-            &dst,
-        )
-    };
+    let gpi = gpus_per_instance as usize;
+    let groups: Vec<Range<usize>> = (0..positions.len())
+        .step_by(gpi)
+        .map(|lo| lo..(lo + gpi).min(positions.len()))
+        .collect();
 
     let mut sorted_instances = instances.to_vec();
     sorted_instances.sort_unstable();
+    let edges = Edges::new(
+        model,
+        new_config,
+        &positions,
+        &sorted_instances,
+        gpi,
+        old,
+        &inheritance,
+        skus,
+    );
 
     let mut assignment = DeviceAssignment::new();
     let mut reused = 0i64;
 
     if !use_km {
-        // Ablation: arbitrary deterministic mapping.
-        let gpus: Vec<GpuRef> = sorted_instances
-            .iter()
-            .flat_map(|&i| (0..gpus_per_instance).map(move |s| GpuRef::new(i, s)))
-            .collect();
-        for (pos, gpu) in positions.iter().zip(&gpus) {
-            assignment.insert(*pos, *gpu);
-            reused += weight(*gpu, *pos);
+        // Ablation: arbitrary deterministic mapping, GPUs in instance order.
+        for (c, pos) in positions.iter().enumerate() {
+            let (r, s) = (c / gpi, c % gpi);
+            assignment.insert(*pos, GpuRef::new(sorted_instances[r], s as u8));
+            reused += edges.weight(r, s, c);
         }
         return DeviceMapOutcome {
             assignment,
@@ -189,28 +190,26 @@ pub fn map_devices_with_skus(
 
     // Step 1: instance-level KM; each edge weight is the optimum of the
     // inner GPU-level matching for that (instance, group) pair.
-    let inner = |inst: InstanceId, group: &[MeshPosition]| -> (i64, Vec<(MeshPosition, GpuRef)>) {
-        let gpus: Vec<GpuRef> = (0..gpus_per_instance)
-            .map(|s| GpuRef::new(inst, s))
-            .collect();
-        let w = WeightMatrix::from_fn(gpus.len(), group.len(), |r, c| weight(gpus[r], group[c]));
-        let a = max_weight_assignment(&w);
-        let pairs = a
-            .pairs()
-            .map(|(r, c)| (group[c], gpus[r]))
-            .collect::<Vec<_>>();
-        (a.total_weight, pairs)
-    };
-
-    let outer = WeightMatrix::from_fn(sorted_instances.len(), groups.len(), |r, c| {
-        inner(sorted_instances[r], groups[c]).0
+    let fresh = edges.fresh_cells(&groups);
+    let mut km = KmScratch::default();
+    let mut cell = Vec::with_capacity(gpi * gpi);
+    let outer = WeightMatrix::from_fn(sorted_instances.len(), groups.len(), |r, g| {
+        let fresh = fresh[edges.card_of[r] * groups.len() + g];
+        edges.cell(r, groups[g].clone(), fresh, &mut km, &mut cell)
     });
+    // Step 2: apply the inner optimum within each matched pair.
     let outer_match = max_weight_assignment(&outer);
-    for (r, c) in outer_match.pairs() {
-        let (w, pairs) = inner(sorted_instances[r], groups[c]);
-        reused += w;
-        for (pos, gpu) in pairs {
-            assignment.insert(pos, gpu);
+    for (r, g) in outer_match.pairs() {
+        let group = groups[g].clone();
+        let inner =
+            WeightMatrix::from_fn(gpi, group.len(), |s, j| edges.weight(r, s, group.start + j));
+        let a = max_weight_assignment(&inner);
+        reused += a.total_weight;
+        for (s, j) in a.pairs() {
+            assignment.insert(
+                positions[group.start + j],
+                GpuRef::new(sorted_instances[r], s as u8),
+            );
         }
     }
 
@@ -221,45 +220,228 @@ pub fn map_devices_with_skus(
     }
 }
 
-fn edge_weight(
-    model: &ModelSpec,
-    new_config: &ParallelConfig,
-    gpu: GpuRef,
-    pos: MeshPosition,
-    old: &OldState,
-    inheritance: &[Option<u32>],
-) -> i64 {
-    let Some((old_cfg, old_asg)) = &old.config_and_assignment else {
-        return 0;
-    };
-    let Some(old_pos) = old_asg.position_of(gpu) else {
-        return 0;
-    };
-    let old_ctx = PositionContext::new(
-        model.num_layers,
-        old_cfg.pipeline,
-        old_pos.stage,
-        old_cfg.tensor,
-        old_pos.shard,
-    );
-    let new_ctx = PositionContext::new(
-        model.num_layers,
-        new_config.pipeline,
-        pos.stage,
-        new_config.tensor,
-        pos.shard,
-    );
-    let mut w = old_ctx.weight_overlap_bytes(&new_ctx, model.layer_bytes()) as i64;
-    if inheritance.get(pos.pipeline as usize).copied().flatten() == Some(old_pos.pipeline) {
-        let cache_total = old
-            .cache_bytes_per_pipeline
-            .get(old_pos.pipeline as usize)
-            .copied()
-            .unwrap_or(0);
-        let cache_per_layer = cache_total / model.num_layers as u64;
-        w += old_ctx.weight_overlap_bytes(&new_ctx, cache_per_layer) as i64;
+/// A new mesh position as the edge weights read it.
+struct NewSlot {
+    ctx: PositionContext,
+    /// Weight bytes of the whole position (what a fresh GPU must load).
+    full: i64,
+    /// The old pipeline the position's pipeline inherits, if any.
+    inherits: Option<u32>,
+}
+
+/// The old context one candidate GPU holds.
+struct OldSlot {
+    ctx: PositionContext,
+    pipeline: u32,
+    cache_per_layer: u64,
+}
+
+/// Everything an edge weight reads, derived once per mapping call.
+/// Instances are rows in sorted order; GPU `s` of row `r` is slot
+/// `r · gpi + s`; positions are columns in canonical order.
+struct Edges<'a> {
+    layer_bytes: u64,
+    gpi: usize,
+    new: Vec<NewSlot>,
+    old: Vec<Option<OldSlot>>,
+    /// Per instance: the hull of the layers its GPUs hold (empty when it
+    /// holds nothing).
+    held_layers: Vec<Range<u32>>,
+    /// Per instance: index of its SKU card in `cards` (0 without a table).
+    card_of: Vec<usize>,
+    /// The distinct SKU cards of the instances, by bit pattern.
+    cards: Vec<SkuCaps>,
+    skus: Option<&'a SkuTable<'a>>,
+}
+
+impl<'a> Edges<'a> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        model: &ModelSpec,
+        new_config: &ParallelConfig,
+        positions: &[MeshPosition],
+        instances: &[InstanceId],
+        gpi: usize,
+        old: &OldState,
+        inheritance: &[Option<u32>],
+        skus: Option<&'a SkuTable<'a>>,
+    ) -> Self {
+        let layer_bytes = model.layer_bytes();
+        let new = positions
+            .iter()
+            .map(|pos| {
+                let ctx = PositionContext::new(
+                    model.num_layers,
+                    new_config.pipeline,
+                    pos.stage,
+                    new_config.tensor,
+                    pos.shard,
+                );
+                NewSlot {
+                    full: ctx.weight_bytes(layer_bytes) as i64,
+                    inherits: inheritance.get(pos.pipeline as usize).copied().flatten(),
+                    ctx,
+                }
+            })
+            .collect();
+
+        let mut old_slots: Vec<Option<OldSlot>> = Vec::with_capacity(instances.len() * gpi);
+        let mut held_layers = Vec::with_capacity(instances.len());
+        let by_gpu = old
+            .config_and_assignment
+            .as_ref()
+            .map(|(cfg, asg)| (cfg, asg.by_gpu()));
+        for &inst in instances {
+            let mut hull: Option<Range<u32>> = None;
+            for s in 0..gpi {
+                let slot = by_gpu.as_ref().and_then(|(old_cfg, by_gpu)| {
+                    let gpu = GpuRef::new(inst, s as u8);
+                    let k = by_gpu.binary_search_by_key(&gpu, |&(g, _)| g).ok()?;
+                    let pos = by_gpu[k].1;
+                    let cache_total = old
+                        .cache_bytes_per_pipeline
+                        .get(pos.pipeline as usize)
+                        .copied()
+                        .unwrap_or(0);
+                    Some(OldSlot {
+                        ctx: PositionContext::new(
+                            model.num_layers,
+                            old_cfg.pipeline,
+                            pos.stage,
+                            old_cfg.tensor,
+                            pos.shard,
+                        ),
+                        pipeline: pos.pipeline,
+                        cache_per_layer: cache_total / model.num_layers as u64,
+                    })
+                });
+                if let Some(o) = &slot {
+                    let l = o.ctx.layers();
+                    hull = Some(match hull {
+                        Some(h) => h.start.min(l.start)..h.end.max(l.end),
+                        None => l,
+                    });
+                }
+                old_slots.push(slot);
+            }
+            held_layers.push(hull.unwrap_or(0..0));
+        }
+
+        let mut cards: Vec<SkuCaps> = Vec::new();
+        let card_of = instances
+            .iter()
+            .map(|&inst| {
+                let Some(table) = skus else { return 0 };
+                let caps = (table.caps_of)(inst);
+                let same = |c: &SkuCaps| {
+                    c.memory_bytes == caps.memory_bytes
+                        && c.link_bandwidth.to_bits() == caps.link_bandwidth.to_bits()
+                };
+                cards.iter().position(same).unwrap_or_else(|| {
+                    cards.push(caps);
+                    cards.len() - 1
+                })
+            })
+            .collect();
+
+        Edges {
+            layer_bytes,
+            gpi,
+            new,
+            old: old_slots,
+            held_layers,
+            card_of,
+            cards,
+            skus,
+        }
     }
-    w
+
+    /// Reused bytes of placing GPU `s` of instance `r` at position `c`:
+    /// the weights it already holds, plus its cache when `c`'s pipeline
+    /// inherits the GPU's old pipeline.
+    fn reuse(&self, r: usize, s: usize, c: usize) -> i64 {
+        let Some(old) = &self.old[r * self.gpi + s] else {
+            return 0;
+        };
+        let new = &self.new[c];
+        let mut w = old.ctx.weight_overlap_bytes(&new.ctx, self.layer_bytes) as i64;
+        if new.inherits == Some(old.pipeline) {
+            w += old.ctx.weight_overlap_bytes(&new.ctx, old.cache_per_layer) as i64;
+        }
+        w
+    }
+
+    /// The edge weight of `reuse` bytes at position `c` on an instance of
+    /// SKU card `card`: plain reuse without a table, else the
+    /// capability-priced weight of [`kmatch::edge_weight`].
+    fn price(&self, reuse: i64, card: usize, c: usize) -> i64 {
+        let Some(table) = self.skus else {
+            return reuse;
+        };
+        // Bytes the position needs that are *not* already on this GPU:
+        // they cross the fabric, at the slower of the two links.
+        let moved = (self.new[c].full - reuse).max(0) as u64;
+        kmatch::edge_weight(
+            reuse.max(0) as u64,
+            moved,
+            table.required_bytes_per_gpu,
+            &table.src,
+            &self.cards[card],
+        )
+    }
+
+    /// The KM edge weight of GPU `s` of instance `r` at position `c`.
+    fn weight(&self, r: usize, s: usize, c: usize) -> i64 {
+        self.price(self.reuse(r, s, c), self.card_of[r], c)
+    }
+
+    /// The cell of an instance that reuses nothing, per (card, group),
+    /// card-major. Its inner matrix repeats one weight down each column,
+    /// and with no more columns than rows every column is matched, so the
+    /// optimum is the column sum: no matching needed.
+    fn fresh_cells(&self, groups: &[Range<usize>]) -> Vec<i64> {
+        (0..self.cards.len().max(1))
+            .flat_map(|card| {
+                groups
+                    .iter()
+                    .map(move |g| g.clone().map(|c| self.price(0, card, c)).sum())
+            })
+            .collect()
+    }
+
+    /// The optimum of the inner matching between instance `r`'s GPUs and
+    /// the positions `group`; `fresh` is the cell of a fresh instance of
+    /// `r`'s card. `buf` holds the inner matrix between calls.
+    fn cell(
+        &self,
+        r: usize,
+        group: Range<usize>,
+        fresh: i64,
+        km: &mut KmScratch,
+        buf: &mut Vec<i64>,
+    ) -> i64 {
+        let held = &self.held_layers[r];
+        let overlaps = group.clone().any(|c| {
+            let l = self.new[c].ctx.layers();
+            l.start < held.end && held.start < l.end
+        });
+        if !overlaps {
+            return fresh;
+        }
+        buf.clear();
+        let mut any_reuse = false;
+        for s in 0..self.gpi {
+            for c in group.clone() {
+                let reuse = self.reuse(r, s, c);
+                any_reuse |= reuse != 0;
+                buf.push(self.price(reuse, self.card_of[r], c));
+            }
+        }
+        if !any_reuse {
+            return fresh;
+        }
+        km.max_weight_total(self.gpi, group.len(), buf)
+    }
 }
 
 #[cfg(test)]

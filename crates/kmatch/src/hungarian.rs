@@ -68,96 +68,169 @@ impl Assignment {
 /// assert_eq!(a.total_weight, 11 + 5);
 /// ```
 pub fn max_weight_assignment(weights: &WeightMatrix) -> Assignment {
-    if weights.rows() > weights.cols() {
+    let (rows, cols) = (weights.rows(), weights.cols());
+    let mut km = KmScratch::default();
+    let mut row_to_col = vec![None; rows];
+    let mut col_to_row = vec![None; cols];
+    if rows > cols {
         // Solve the transposed problem and flip the mapping back.
-        let t = max_weight_assignment(&weights.transposed());
-        let mut row_to_col = vec![None; weights.rows()];
-        let mut col_to_row = vec![None; weights.cols()];
-        for (c, r) in t.pairs() {
-            row_to_col[r] = Some(c);
-            col_to_row[c] = Some(r);
-        }
-        return Assignment {
-            row_to_col,
-            col_to_row,
-            total_weight: t.total_weight,
-        };
-    }
-
-    let n = weights.rows();
-    let m = weights.cols();
-    const INF: i64 = i64::MAX / 4;
-
-    // Minimize cost = -weight. 1-indexed potentials as in the classic
-    // formulation: u over rows, v over columns, p[j] = row matched to j.
-    let cost = |i: usize, j: usize| -> i64 { -weights.get(i - 1, j - 1) };
-    let mut u = vec![0i64; n + 1];
-    let mut v = vec![0i64; m + 1];
-    let mut p = vec![0usize; m + 1];
-    let mut way = vec![0usize; m + 1];
-
-    for i in 1..=n {
-        p[0] = i;
-        let mut j0 = 0usize;
-        let mut minv = vec![INF; m + 1];
-        let mut used = vec![false; m + 1];
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let mut delta = INF;
-            let mut j1 = 0usize;
-            for j in 1..=m {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost(i0, j) - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
-                }
-            }
-            for j in 0..=m {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
-            }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
+        km.solve(cols, rows, |i, j| weights.get(j, i));
+        for (r, &c) in km.p[1..].iter().enumerate() {
+            if c != 0 {
+                row_to_col[r] = Some(c - 1);
+                col_to_row[c - 1] = Some(r);
             }
         }
-        // Unwind the augmenting path.
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
+    } else {
+        km.solve(rows, cols, |i, j| weights.get(i, j));
+        for (c, &r) in km.p[1..].iter().enumerate() {
+            if r != 0 {
+                row_to_col[r - 1] = Some(c);
+                col_to_row[c] = Some(r - 1);
             }
         }
     }
-
-    let mut row_to_col = vec![None; n];
-    let mut col_to_row = vec![None; m];
-    let mut total = 0i64;
-    for j in 1..=m {
-        if p[j] != 0 {
-            row_to_col[p[j] - 1] = Some(j - 1);
-            col_to_row[j - 1] = Some(p[j] - 1);
-            total += weights.get(p[j] - 1, j - 1);
-        }
-    }
+    let total_weight = row_to_col
+        .iter()
+        .enumerate()
+        .filter_map(|(r, c)| c.map(|c| weights.get(r, c)))
+        .sum();
     Assignment {
         row_to_col,
         col_to_row,
-        total_weight: total,
+        total_weight,
+    }
+}
+
+/// Reusable working memory for repeated assignment problems.
+///
+/// [`max_weight_assignment`] allocates its potentials and path buffers on
+/// every call. A caller solving many small problems in a row (the device
+/// mapper prices every instance × position-group cell with an inner
+/// matching) keeps one `KmScratch` and asks it for optimal totals only,
+/// allocating nothing once the buffers have grown to the largest problem.
+///
+/// # Example
+///
+/// ```
+/// use kmatch::{max_weight_assignment, KmScratch, WeightMatrix};
+///
+/// let rows = [vec![7, 5, 11], vec![5, 4, 1]];
+/// let mut km = KmScratch::default();
+/// assert_eq!(km.max_weight_total(2, 3, &[7, 5, 11, 5, 4, 1]), 16);
+/// let a = max_weight_assignment(&WeightMatrix::from_rows(&rows));
+/// assert_eq!(a.total_weight, 16);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct KmScratch {
+    u: Vec<i64>,
+    v: Vec<i64>,
+    p: Vec<usize>,
+    way: Vec<usize>,
+    minv: Vec<i64>,
+    used: Vec<bool>,
+}
+
+impl KmScratch {
+    /// The optimal total of the `rows × cols` problem whose weights are
+    /// `weights` in row-major order: the same value as
+    /// [`max_weight_assignment`]`(..).total_weight`, which is unique even
+    /// when several matchings attain it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is zero or `weights` is not
+    /// `rows · cols` long.
+    pub fn max_weight_total(&mut self, rows: usize, cols: usize, weights: &[i64]) -> i64 {
+        assert!(rows > 0 && cols > 0, "empty weight matrix");
+        assert_eq!(weights.len(), rows * cols, "weights are not rows x cols");
+        if rows > cols {
+            self.solve(cols, rows, |i, j| weights[j * cols + i]);
+            self.p[1..]
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c != 0)
+                .map(|(r, &c)| weights[r * cols + c - 1])
+                .sum()
+        } else {
+            self.solve(rows, cols, |i, j| weights[i * cols + j]);
+            self.p[1..]
+                .iter()
+                .enumerate()
+                .filter(|&(_, &r)| r != 0)
+                .map(|(c, &r)| weights[(r - 1) * cols + c])
+                .sum()
+        }
+    }
+
+    /// The shortest-augmenting-path Hungarian method on an `n × m` problem
+    /// (`n ≤ m`) with 0-indexed weights `weight(i, j)`. Leaves the
+    /// matching in `p`: `p[j]` (1-indexed) is the row matched to column
+    /// `j`, or 0 when the column stays unmatched.
+    fn solve(&mut self, n: usize, m: usize, weight: impl Fn(usize, usize) -> i64) {
+        debug_assert!(n <= m, "solve expects rows <= cols");
+        const INF: i64 = i64::MAX / 4;
+
+        // Minimize cost = -weight. 1-indexed potentials as in the classic
+        // formulation: u over rows, v over columns, p[j] = row matched to j.
+        let cost = |i: usize, j: usize| -> i64 { -weight(i - 1, j - 1) };
+        fn reset<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) -> &mut [T] {
+            buf.clear();
+            buf.resize(len, value);
+            buf
+        }
+        let u = reset(&mut self.u, n + 1, 0);
+        let v = reset(&mut self.v, m + 1, 0);
+        let p = reset(&mut self.p, m + 1, 0);
+        let way = reset(&mut self.way, m + 1, 0);
+
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            let minv = reset(&mut self.minv, m + 1, INF);
+            let used = reset(&mut self.used, m + 1, false);
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let mut delta = INF;
+                let mut j1 = 0usize;
+                for j in 1..=m {
+                    if used[j] {
+                        continue;
+                    }
+                    let cur = cost(i0, j) - u[i0] - v[j];
+                    if cur < minv[j] {
+                        minv[j] = cur;
+                        way[j] = j0;
+                    }
+                    if minv[j] < delta {
+                        delta = minv[j];
+                        j1 = j;
+                    }
+                }
+                for j in 0..=m {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            // Unwind the augmenting path.
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
     }
 }
 

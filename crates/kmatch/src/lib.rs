@@ -29,7 +29,7 @@ pub mod hungarian;
 pub mod matrix;
 pub mod skucost;
 
-pub use hungarian::{max_weight_assignment, Assignment};
+pub use hungarian::{max_weight_assignment, Assignment, KmScratch};
 pub use matrix::WeightMatrix;
 pub use skucost::{
     capability_priced_matrix, edge_weight, transfer_penalty_bytes, SkuCaps, FORBIDDEN,

@@ -1,8 +1,5 @@
 //! Algorithm 2: the progressive, memory-optimized migration planner.
 
-use std::collections::BTreeSet;
-
-use cloudsim::GpuRef;
 use parallelism::stage_layers;
 
 use crate::task::MigrationTask;
@@ -88,41 +85,43 @@ impl MigrationPlan {
 pub fn plan_migration(task: &MigrationTask, opts: &PlannerOptions) -> MigrationPlan {
     let transfers = compute_transfers(task);
     let layers_n = task.model.num_layers;
+    let deltas = LayerDeltas::new(&transfers, layers_n);
 
     let layer_order = if opts.memory_optimized {
-        memopt_order(&transfers, layers_n, opts.u_max)
+        memopt_order(&deltas, layers_n, opts.u_max)
     } else {
         (0..layers_n).collect()
     };
 
     // Walk the order, tracking per-GPU buffer growth and stage completion.
-    let mut usage: std::collections::BTreeMap<GpuRef, i64> = std::collections::BTreeMap::new();
+    let stages = task.new_config.pipeline;
+    let mut usage = vec![0i64; deltas.gpus];
     let mut peak = 0i64;
     let mut steps = vec![PlanStep::MigrateCache];
-    let mut remaining_per_stage: Vec<BTreeSet<u32>> = (0..task.new_config.pipeline)
-        .map(|p| stage_layers(layers_n, task.new_config.pipeline, p).collect::<BTreeSet<u32>>())
+    let stage_of: Vec<u32> = (0..stages)
+        .flat_map(|p| stage_layers(layers_n, stages, p).map(move |_| p))
         .collect();
-    let mut started = vec![false; task.new_config.pipeline as usize];
+    let mut remaining: Vec<usize> = (0..stages)
+        .map(|p| stage_layers(layers_n, stages, p).len())
+        .collect();
 
     for &layer in &layer_order {
         steps.push(PlanStep::MigrateLayer(layer));
-        for (gpu, deltas) in &transfers.layer_deltas {
-            let u = usage.entry(*gpu).or_insert(0);
-            *u += deltas[layer as usize];
+        for (u, d) in usage.iter_mut().zip(deltas.of(layer)) {
+            *u += d;
             peak = peak.max(*u);
         }
         if opts.progressive {
-            for (p, remaining) in remaining_per_stage.iter_mut().enumerate() {
-                remaining.remove(&layer);
-                if remaining.is_empty() && !started[p] {
-                    started[p] = true;
-                    steps.push(PlanStep::StartStage(p as u32));
-                }
+            // A stage starts the moment its last layer lands.
+            let p = stage_of[layer as usize];
+            remaining[p as usize] -= 1;
+            if remaining[p as usize] == 0 {
+                steps.push(PlanStep::StartStage(p));
             }
         }
     }
     if !opts.progressive {
-        for p in 0..task.new_config.pipeline {
+        for p in 0..stages {
             steps.push(PlanStep::StartStage(p));
         }
     }
@@ -132,7 +131,34 @@ pub fn plan_migration(task: &MigrationTask, opts: &PlannerOptions) -> MigrationP
         layer_order,
         transfers,
         peak_buffer_growth: peak.max(0) as u64,
-        new_stages: task.new_config.pipeline,
+        new_stages: stages,
+    }
+}
+
+/// [`TransferSet::layer_deltas`] as one dense layer-major matrix: row
+/// `layer` holds every GPU's delta when that layer migrates, one column
+/// per `layer_deltas` key (all-zero rows included).
+struct LayerDeltas {
+    gpus: usize,
+    by_layer: Vec<i64>,
+}
+
+impl LayerDeltas {
+    fn new(transfers: &TransferSet, layers_n: u32) -> Self {
+        let gpus = transfers.layer_deltas.len();
+        let mut by_layer = vec![0i64; gpus * layers_n as usize];
+        for (j, row) in transfers.layer_deltas.values().enumerate() {
+            for layer in 0..layers_n as usize {
+                by_layer[layer * gpus + j] = row[layer];
+            }
+        }
+        LayerDeltas { gpus, by_layer }
+    }
+
+    /// Every GPU's delta when `layer` migrates.
+    fn of(&self, layer: u32) -> &[i64] {
+        let start = layer as usize * self.gpus;
+        &self.by_layer[start..start + self.gpus]
     }
 }
 
@@ -140,45 +166,56 @@ pub fn plan_migration(task: &MigrationTask, opts: &PlannerOptions) -> MigrationP
 /// layers whose migration keeps every GPU's buffer growth under `u_max`;
 /// then append the deferred layers greedily, each time picking the layer
 /// minimizing the resulting maximum buffer usage.
-fn memopt_order(transfers: &TransferSet, layers_n: u32, u_max: u64) -> Vec<u32> {
-    let mut usage: std::collections::BTreeMap<GpuRef, i64> = std::collections::BTreeMap::new();
+fn memopt_order(deltas: &LayerDeltas, layers_n: u32, u_max: u64) -> Vec<u32> {
+    let mut usage = vec![0i64; deltas.gpus];
     let mut order = Vec::with_capacity(layers_n as usize);
     let mut deferred: Vec<u32> = Vec::new();
 
-    let would_peak =
-        |usage: &std::collections::BTreeMap<GpuRef, i64>, transfers: &TransferSet, layer: u32| {
-            transfers
-                .layer_deltas
-                .iter()
-                .map(|(g, d)| usage.get(g).copied().unwrap_or(0) + d[layer as usize])
-                .max()
-                .unwrap_or(0)
-        };
-    let apply = |usage: &mut std::collections::BTreeMap<GpuRef, i64>,
-                 transfers: &TransferSet,
-                 layer: u32| {
-        for (g, d) in &transfers.layer_deltas {
-            *usage.entry(*g).or_insert(0) += d[layer as usize];
+    let would_peak = |usage: &[i64], layer: u32| {
+        usage
+            .iter()
+            .zip(deltas.of(layer))
+            .map(|(u, d)| u + d)
+            .max()
+            .unwrap_or(0)
+    };
+    let apply = |usage: &mut [i64], layer: u32| {
+        for (u, d) in usage.iter_mut().zip(deltas.of(layer)) {
+            *u += d;
         }
     };
 
     for layer in 0..layers_n {
-        if would_peak(&usage, transfers, layer) <= u_max as i64 {
-            apply(&mut usage, transfers, layer);
+        if would_peak(&usage, layer) <= u_max as i64 {
+            apply(&mut usage, layer);
             order.push(layer);
         } else {
             deferred.push(layer);
         }
     }
-    // Greedy min-max completion (Algorithm 2, lines 18-21).
-    while !deferred.is_empty() {
-        let (idx, _) = deferred
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &l)| would_peak(&usage, transfers, l))
-            .expect("non-empty");
-        let layer = deferred.remove(idx);
-        apply(&mut usage, transfers, layer);
+    // Greedy min-max completion (Algorithm 2, lines 18-21): the first
+    // deferred layer of least resulting peak. A later layer wins only by
+    // peaking strictly lower, so its scan stops at the best peak so far.
+    let peak_under = |usage: &[i64], layer: u32, bound: i64| {
+        let mut peak = None;
+        for (u, d) in usage.iter().zip(deltas.of(layer)) {
+            if u + d >= bound {
+                return None;
+            }
+            peak = peak.max(Some(u + d));
+        }
+        let peak = peak.unwrap_or(0);
+        (peak < bound).then_some(peak)
+    };
+    while let Some(&first) = deferred.first() {
+        let mut best = (0, would_peak(&usage, first));
+        for (idx, &layer) in deferred.iter().enumerate().skip(1) {
+            if let Some(peak) = peak_under(&usage, layer, best.1) {
+                best = (idx, peak);
+            }
+        }
+        let layer = deferred.remove(best.0);
+        apply(&mut usage, layer);
         order.push(layer);
     }
     order
@@ -188,7 +225,7 @@ fn memopt_order(transfers: &TransferSet, layers_n: u32, u_max: u64) -> Vec<u32> 
 mod tests {
     use super::*;
     use crate::task::DeviceAssignment;
-    use cloudsim::InstanceId;
+    use cloudsim::{GpuRef, InstanceId};
     use llmsim::ModelSpec;
     use parallelism::ParallelConfig;
 
@@ -336,7 +373,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::task::DeviceAssignment;
-    use cloudsim::InstanceId;
+    use cloudsim::{GpuRef, InstanceId};
     use llmsim::ModelSpec;
     use parallelism::ParallelConfig;
     use proptest::prelude::*;

@@ -68,6 +68,17 @@ impl DeviceAssignment {
             .map(|(pos, _)| *pos)
     }
 
+    /// The inverse binding, sorted by GPU: every bound GPU with its
+    /// position. A GPU bound at several positions keeps the first in
+    /// position order, the one [`position_of`](Self::position_of) finds,
+    /// so one inversion answers every `position_of` query.
+    pub fn by_gpu(&self) -> Vec<(GpuRef, MeshPosition)> {
+        let mut inverse: Vec<(GpuRef, MeshPosition)> = self.iter().map(|(p, g)| (g, p)).collect();
+        inverse.sort_unstable();
+        inverse.dedup_by_key(|&mut (g, _)| g);
+        inverse
+    }
+
     /// All `(position, gpu)` bindings in position order.
     pub fn iter(&self) -> impl Iterator<Item = (MeshPosition, GpuRef)> + '_ {
         self.map.iter().map(|(p, g)| (*p, *g))
@@ -214,6 +225,21 @@ mod tests {
         let asg = DeviceAssignment::contiguous(&cfg, &[gpu(5, 0), gpu(6, 0)]);
         assert_eq!(asg.position_of(gpu(6, 0)), Some(MeshPosition::new(1, 0, 0)));
         assert_eq!(asg.position_of(gpu(9, 0)), None);
+    }
+
+    #[test]
+    fn by_gpu_inverts_like_position_of() {
+        let cfg = ParallelConfig::new(2, 1, 2, 1);
+        let mut asg =
+            DeviceAssignment::contiguous(&cfg, &[gpu(5, 0), gpu(5, 1), gpu(3, 0), gpu(3, 1)]);
+        // Bind one GPU twice: the first position in position order wins.
+        asg.insert(MeshPosition::new(1, 0, 1), gpu(5, 1));
+        let inverse = asg.by_gpu();
+        assert_eq!(inverse.len(), 3);
+        assert!(inverse.windows(2).all(|w| w[0].0 < w[1].0), "sorted by GPU");
+        for (g, pos) in inverse {
+            assert_eq!(asg.position_of(g), Some(pos), "{g}");
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! storage when every replica was lost (§4.2 fault tolerance).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use cloudsim::GpuRef;
 use parallelism::{stage_layers, MeshPosition};
 
-use crate::task::MigrationTask;
+use crate::task::{DeviceAssignment, MigrationTask};
 
 /// Where a transferred piece of context comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +92,17 @@ struct Interval {
 }
 
 impl Interval {
+    const EMPTY: Interval = Interval { lo: 0, hi: 0 };
+
+    /// The `shard`-th interval of width `unit`: a shard of a layer split
+    /// `den / unit` ways.
+    fn shard(shard: u32, unit: u32) -> Interval {
+        Interval {
+            lo: shard as u64 * unit as u64,
+            hi: (shard as u64 + 1) * unit as u64,
+        }
+    }
+
     fn len(&self) -> u64 {
         self.hi.saturating_sub(self.lo)
     }
@@ -102,26 +114,96 @@ impl Interval {
         }
     }
 
-    /// `self` minus `other`: up to two residual intervals.
-    fn subtract(&self, other: Interval) -> Vec<Interval> {
-        let inter = self.intersect(other);
-        if inter.len() == 0 {
-            return vec![*self];
+    /// The shards of width `unit` this interval overlaps: each gives a
+    /// non-empty piece.
+    fn shards(&self, unit: u32) -> Range<u32> {
+        if self.len() == 0 {
+            return 0..0;
         }
-        let mut out = Vec::new();
-        if self.lo < inter.lo {
-            out.push(Interval {
+        (self.lo / unit as u64) as u32..self.hi.div_ceil(unit as u64) as u32
+    }
+
+    /// `self` minus `other` (nothing when `None`): the residual below and
+    /// above `other`, either possibly empty.
+    fn subtract(&self, other: Option<Interval>) -> [Interval; 2] {
+        let inter = other.map_or(Interval::EMPTY, |o| self.intersect(o));
+        if inter.len() == 0 {
+            return [*self, Interval::EMPTY];
+        }
+        [
+            Interval {
                 lo: self.lo,
                 hi: inter.lo,
-            });
-        }
-        if inter.hi < self.hi {
-            out.push(Interval {
+            },
+            Interval {
                 lo: inter.hi,
                 hi: self.hi,
-            });
+            },
+        ]
+    }
+}
+
+/// What one mesh position holds: the layers of its stage, and the same
+/// shard interval of each.
+struct Holding {
+    layers: Range<u32>,
+    shard: Interval,
+}
+
+impl Holding {
+    /// Position `pos` of a mesh of `stages` stages over `layers_n` layers,
+    /// its shard of width `unit`.
+    fn new(layers_n: u32, stages: u32, pos: MeshPosition, unit: u32) -> Holding {
+        Holding {
+            layers: stage_layers(layers_n, stages, pos.stage),
+            shard: Interval::shard(pos.shard, unit),
         }
-        out
+    }
+
+    /// The interval of `layer` held, if any.
+    fn of(&self, layer: u32) -> Option<Interval> {
+        self.layers.contains(&layer).then_some(self.shard)
+    }
+}
+
+/// The GPUs of an assignment by position, dense over the bounding box of
+/// the positions it binds (so every lookup the assignment could answer,
+/// this table answers too).
+struct PositionTable {
+    dims: (u32, u32, u32),
+    gpu: Vec<Option<usize>>,
+}
+
+impl PositionTable {
+    /// `index` numbers the assignment's GPUs.
+    fn new(asg: &DeviceAssignment, index: impl Fn(GpuRef) -> usize) -> Self {
+        let dims = asg.iter().fold((0, 0, 0), |(d, p, m), (pos, _)| {
+            (
+                d.max(pos.pipeline + 1),
+                p.max(pos.stage + 1),
+                m.max(pos.shard + 1),
+            )
+        });
+        let mut table = PositionTable {
+            dims,
+            gpu: vec![None; (dims.0 * dims.1 * dims.2) as usize],
+        };
+        for (pos, g) in asg.iter() {
+            let slot = table.slot(pos).expect("inside the bounding box");
+            table.gpu[slot] = Some(index(g));
+        }
+        table
+    }
+
+    fn slot(&self, pos: MeshPosition) -> Option<usize> {
+        let (d, p, m) = self.dims;
+        (pos.pipeline < d && pos.stage < p && pos.shard < m)
+            .then(|| ((pos.pipeline * p + pos.stage) * m + pos.shard) as usize)
+    }
+
+    /// The index of the GPU at `pos`, if bound.
+    fn get(&self, pos: MeshPosition) -> Option<usize> {
+        self.slot(pos).and_then(|s| self.gpu[s])
     }
 }
 
@@ -132,37 +214,53 @@ impl Interval {
 /// [`TransferSet::cache_lost_bytes`] (the whole inherited pipeline's cache
 /// is counted lost if any piece of it is unrecoverable, since decoding
 /// needs every layer's KV to resume).
+///
+/// Both assignments are inverted once, over one dense index of every GPU
+/// involved; send loads and per-layer deltas live in per-GPU arrays, and
+/// [`TransferSet::layer_deltas`] is built from them at the end.
 pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
     let model = &task.model;
     let layers_n = model.num_layers;
+    let layers = layers_n as usize;
     let (m_old, m_new) = (task.old_config.tensor, task.new_config.tensor);
     let den = (m_old as u64) * (m_new as u64);
     let layer_bytes = model.layer_bytes();
-
-    // Index the old assignment: (stage, shard) -> holders per pipeline.
     let old_cfg = task.old_config;
     let new_cfg = task.new_config;
 
-    // Bytes each source GPU has been asked to send so far (load balancing).
-    let mut send_load: BTreeMap<GpuRef, u64> = BTreeMap::new();
-    let mut layer_deltas: BTreeMap<GpuRef, Vec<i64>> = BTreeMap::new();
-    let mut delta = |g: GpuRef, layer: u32, amount: i64| {
-        layer_deltas
-            .entry(g)
-            .or_insert_with(|| vec![0i64; layers_n as usize])[layer as usize] += amount;
-    };
+    // One dense index over every GPU of either assignment, and both
+    // assignments inverted onto it (first position wins, as in
+    // `position_of`).
+    let old_by_gpu = task.old_assignment.by_gpu();
+    let new_by_gpu = task.new_assignment.by_gpu();
+    let mut gpus: Vec<GpuRef> = old_by_gpu
+        .iter()
+        .chain(&new_by_gpu)
+        .map(|&(g, _)| g)
+        .collect();
+    gpus.sort_unstable();
+    gpus.dedup();
+    let index = |g: GpuRef| gpus.binary_search(&g).expect("GPU of an assignment");
+    let mut old_pos_of: Vec<Option<MeshPosition>> = vec![None; gpus.len()];
+    for &(g, pos) in &old_by_gpu {
+        old_pos_of[index(g)] = Some(pos);
+    }
+    let mut new_pos_of: Vec<Option<MeshPosition>> = vec![None; gpus.len()];
+    for &(g, pos) in &new_by_gpu {
+        new_pos_of[index(g)] = Some(pos);
+    }
+    // Old holders by position, and each layer's old stage.
+    let holders = PositionTable::new(&task.old_assignment, index);
+    let old_stage_of: Vec<u32> = (0..old_cfg.pipeline)
+        .flat_map(|p| stage_layers(layers_n, old_cfg.pipeline, p).map(move |_| p))
+        .collect();
 
-    // Which interval of `layer` does an old position hold?
-    let old_interval = |pos: MeshPosition, layer: u32| -> Option<Interval> {
-        let range = stage_layers(layers_n, old_cfg.pipeline, pos.stage);
-        if !range.contains(&layer) {
-            return None;
-        }
-        Some(Interval {
-            lo: pos.shard as u64 * m_new as u64,
-            hi: (pos.shard as u64 + 1) * m_new as u64,
-        })
-    };
+    // Bytes each source GPU has been asked to send so far (load balancing),
+    // and per GPU and layer the net resident-memory change; `touched`
+    // marks the GPUs that get a `layer_deltas` row.
+    let mut send_load = vec![0u64; gpus.len()];
+    let mut deltas = vec![0i64; gpus.len() * layers];
+    let mut touched = vec![false; gpus.len()];
 
     let piece_bytes = |iv: Interval, total: u64| -> u64 {
         ((iv.len() as u128 * total as u128) / den as u128) as u64
@@ -177,58 +275,33 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
         .collect();
 
     for (new_pos, dest) in task.new_assignment.iter() {
-        let need_layers = stage_layers(layers_n, new_cfg.pipeline, new_pos.stage);
-        let need_iv = Interval {
-            lo: new_pos.shard as u64 * m_old as u64,
-            hi: (new_pos.shard as u64 + 1) * m_old as u64,
-        };
-        let dest_old_pos = task.old_assignment.position_of(dest);
-        for layer in need_layers.clone() {
-            // What the destination already holds of this layer.
-            let held = dest_old_pos.and_then(|p| old_interval(p, layer));
-            let missing = match held {
-                Some(h) => need_iv.subtract(h),
-                None => vec![need_iv],
-            };
-            for miss in missing {
-                if miss.len() == 0 {
-                    continue;
-                }
+        let di = index(dest);
+        let need_iv = Interval::shard(new_pos.shard, m_old);
+        // What the destination already holds.
+        let held = old_pos_of[di].map(|p| Holding::new(layers_n, old_cfg.pipeline, p, m_new));
+        for layer in stage_layers(layers_n, new_cfg.pipeline, new_pos.stage) {
+            for miss in need_iv.subtract(held.as_ref().and_then(|h| h.of(layer))) {
                 // Split by old shard boundaries and source each piece.
-                for k in 0..m_old {
-                    let shard_iv = Interval {
-                        lo: k as u64 * m_new as u64,
-                        hi: (k as u64 + 1) * m_new as u64,
-                    };
-                    let piece = miss.intersect(shard_iv);
-                    if piece.len() == 0 {
-                        continue;
-                    }
+                for k in miss.shards(m_new) {
+                    let piece = miss.intersect(Interval::shard(k, m_new));
                     let bytes = piece_bytes(piece, layer_bytes);
                     if bytes == 0 {
                         continue;
                     }
                     // Candidate sources: any old pipeline's holder of
                     // (stage_of(layer), shard k) that is still assigned.
-                    let stage = (0..old_cfg.pipeline)
-                        .find(|&p| stage_layers(layers_n, old_cfg.pipeline, p).contains(&layer))
-                        .expect("layer belongs to a stage");
-                    let mut candidates: Vec<GpuRef> = (0..old_cfg.data)
-                        .filter_map(|d| task.old_assignment.gpu_at(MeshPosition::new(d, stage, k)))
-                        .filter(|g| *g != dest)
-                        .collect();
                     // Prefer same-instance sources, then the least-loaded.
-                    candidates.sort_by_key(|g| {
-                        (
-                            g.instance != dest.instance,
-                            send_load.get(g).copied().unwrap_or(0),
-                            *g,
-                        )
-                    });
-                    let source = match candidates.first() {
-                        Some(&g) => {
-                            *send_load.entry(g).or_insert(0) += bytes;
-                            TransferSource::Gpu(g)
+                    let stage = old_stage_of[layer as usize];
+                    let source = (0..old_cfg.data)
+                        .filter_map(|d| holders.get(MeshPosition::new(d, stage, k)))
+                        .filter(|&gi| gpus[gi] != dest)
+                        .min_by_key(|&gi| {
+                            (gpus[gi].instance != dest.instance, send_load[gi], gpus[gi])
+                        });
+                    let source = match source {
+                        Some(gi) => {
+                            send_load[gi] += bytes;
+                            TransferSource::Gpu(gpus[gi])
                         }
                         None => TransferSource::Storage,
                     };
@@ -237,7 +310,8 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
                         dest,
                         bytes,
                     });
-                    delta(dest, layer, bytes as i64);
+                    deltas[di * layers + layer as usize] += bytes as i64;
+                    touched[di] = true;
                 }
             }
         }
@@ -246,30 +320,19 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
     // Freed bytes: every old holder releases the parts of each layer it
     // does not keep in its own new position.
     for (old_pos, gpu) in task.old_assignment.iter() {
-        let held_layers = stage_layers(layers_n, old_cfg.pipeline, old_pos.stage);
-        let held_iv = Interval {
-            lo: old_pos.shard as u64 * m_new as u64,
-            hi: (old_pos.shard as u64 + 1) * m_new as u64,
-        };
-        let new_pos = task.new_assignment.position_of(gpu);
-        for layer in held_layers {
-            let kept = new_pos
-                .and_then(|np| {
-                    let r = stage_layers(layers_n, new_cfg.pipeline, np.stage);
-                    if !r.contains(&layer) {
-                        return None;
-                    }
-                    Some(Interval {
-                        lo: np.shard as u64 * m_old as u64,
-                        hi: (np.shard as u64 + 1) * m_old as u64,
-                    })
-                })
-                .map(|iv| held_iv.intersect(iv).len())
-                .unwrap_or(0);
+        let gi = index(gpu);
+        let held_iv = Interval::shard(old_pos.shard, m_new);
+        let kept_in = new_pos_of[gi].map(|np| Holding::new(layers_n, new_cfg.pipeline, np, m_old));
+        for layer in stage_layers(layers_n, old_cfg.pipeline, old_pos.stage) {
+            let kept = kept_in
+                .as_ref()
+                .and_then(|h| h.of(layer))
+                .map_or(0, |iv| held_iv.intersect(iv).len());
             let freed = held_iv.len() - kept;
             if freed > 0 {
                 let bytes = ((freed as u128 * layer_bytes as u128) / den as u128) as i64;
-                delta(gpu, layer, -bytes);
+                deltas[gi * layers + layer as usize] -= bytes;
+                touched[gi] = true;
             }
         }
     }
@@ -295,42 +358,20 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
                 lost = true;
                 continue;
             };
-            let need_layers = stage_layers(layers_n, new_cfg.pipeline, new_pos.stage);
-            let need_iv = Interval {
-                lo: new_pos.shard as u64 * m_old as u64,
-                hi: (new_pos.shard as u64 + 1) * m_old as u64,
-            };
-            let dest_old_pos = task
-                .old_assignment
-                .position_of(dest)
-                .filter(|p| p.pipeline == d_old);
-            for layer in need_layers {
-                let held = dest_old_pos.and_then(|p| old_interval(p, layer));
-                let missing = match held {
-                    Some(h) => need_iv.subtract(h),
-                    None => vec![need_iv],
-                };
-                for miss in missing {
-                    for k in 0..m_old {
-                        let shard_iv = Interval {
-                            lo: k as u64 * m_new as u64,
-                            hi: (k as u64 + 1) * m_new as u64,
-                        };
-                        let piece = miss.intersect(shard_iv);
-                        if piece.len() == 0 {
-                            continue;
-                        }
+            let need_iv = Interval::shard(new_pos.shard, m_old);
+            let held = old_pos_of[index(dest)]
+                .filter(|p| p.pipeline == d_old)
+                .map(|p| Holding::new(layers_n, old_cfg.pipeline, p, m_new));
+            for layer in stage_layers(layers_n, new_cfg.pipeline, new_pos.stage) {
+                for miss in need_iv.subtract(held.as_ref().and_then(|h| h.of(layer))) {
+                    for k in miss.shards(m_new) {
+                        let piece = miss.intersect(Interval::shard(k, m_new));
                         let bytes = piece_bytes(piece, per_layer);
-                        let stage = (0..old_cfg.pipeline)
-                            .find(|&p| stage_layers(layers_n, old_cfg.pipeline, p).contains(&layer))
-                            .expect("layer belongs to a stage");
+                        let stage = old_stage_of[layer as usize];
                         // Cache exists only on the inherited pipeline.
-                        match task
-                            .old_assignment
-                            .gpu_at(MeshPosition::new(d_old, stage, k))
-                        {
-                            Some(src) if src != dest => pipeline_cache.push(Transfer {
-                                source: TransferSource::Gpu(src),
+                        match holders.get(MeshPosition::new(d_old, stage, k)) {
+                            Some(src) if gpus[src] != dest => pipeline_cache.push(Transfer {
+                                source: TransferSource::Gpu(gpus[src]),
                                 dest,
                                 bytes,
                             }),
@@ -348,6 +389,13 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
             cache.extend(pipeline_cache);
         }
     }
+
+    // Every touched GPU gets its row, all-zero rows included: the planner
+    // takes its buffer maxima over exactly these GPUs.
+    let layer_deltas = (0..gpus.len())
+        .filter(|&gi| touched[gi])
+        .map(|gi| (gpus[gi], deltas[gi * layers..(gi + 1) * layers].to_vec()))
+        .collect();
 
     TransferSet {
         cache,

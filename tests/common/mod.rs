@@ -8,6 +8,9 @@
 
 use spotserve::{InvariantAuditor, RunReport, Scenario, ServingSystem, SystemOptions};
 
+#[allow(dead_code)] // each suite compiles this module separately
+pub mod reference;
+
 /// Canonical byte-exact rendering of everything a run produced: floats
 /// via their IEEE-754 bit patterns (so "close enough" can never pass),
 /// including the per-kind / per-pool cost breakdown and SLO rejections.

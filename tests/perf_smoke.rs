@@ -6,8 +6,9 @@
 //! release mode, see the `control_plane` bench) so only gross regressions
 //! — e.g. losing the frontier/memo and falling back to per-call
 //! re-enumeration at scale — can trip them, never CI jitter or debug-mode
-//! overhead. CI additionally asserts the release-mode number out of
-//! `BENCH_PR5.json` in the bench-smoke job.
+//! overhead. CI additionally asserts the release-mode numbers out of
+//! `BENCH_PR10.json` in the bench-smoke job: the warm and memo-missing
+//! decides, and the mixed-SKU device mapping.
 
 use std::time::Instant;
 
