@@ -21,9 +21,11 @@
 //! * `decide_multi_3sku` — `decide_multi` over g4dn/L4/A100 lanes under
 //!   the continuous estimator with a fresh `α` every call: one real
 //!   mixed-fleet re-decision. CI's perf-smoke step holds it to 10 ms;
-//! * `frontier_build/<model>` — enumerating, pricing and pruning one
-//!   paper model's frontier at the 16-instance default ceiling, which
-//!   every fresh serving system pays once.
+//! * `frontier_build/<model>` — enumerating and pricing one paper model's
+//!   frontier at the 16-instance default ceiling, plus the first
+//!   continuous-estimator scan, which prunes and floor-sorts that mode's
+//!   candidates on first use: what every fresh serving system pays once,
+//!   at its first decision.
 //!
 //! **`scheduler_hot_loop`** — the continuous engine's per-boundary work:
 //! the allocation-free SLO admission verdict at a full batch, the EDF
@@ -36,7 +38,7 @@ use cloudsim::{GpuSpec, InstanceType};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use enginesim::{IterationScheduler, PendingQueue};
 use llmsim::{MemoryModel, ModelSpec};
-use parallelism::{CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel};
+use parallelism::{CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel, PricingMode};
 use simkit::{SimDuration, SimTime};
 use spotserve::{ConfigOptimizer, EngineMode};
 use workload::{Request, RequestId};
@@ -106,7 +108,15 @@ fn bench_control_plane(c: &mut Criterion) {
         let perf = PerfModel::paper_defaults(model.clone());
         let (mem, space) = (MemoryModel::default(), ConfigSpace::default());
         g.bench_function(BenchmarkId::new("frontier_build", model.name), |b| {
-            b.iter(|| CandidateFrontier::new(&perf, &mem, &GpuSpec::t4(), &space, 4, 16))
+            b.iter(|| {
+                let f = CandidateFrontier::new(&perf, &mem, &GpuSpec::t4(), &space, 4, 16);
+                black_box(
+                    f.pruned_by_floor(PricingMode::ContinuousBatching)
+                        .next()
+                        .map(|c| c.config),
+                );
+                f
+            })
         });
     }
     g.finish();

@@ -1,6 +1,7 @@
-//! Whole-run simulation throughput: one 20-minute serving trace end to end,
-//! the continuous-vs-fixed engine comparison at equal configuration, and
-//! the chunked-prefill long-prompt/tight-SLO case.
+//! Whole-run simulation throughput: 20-minute serving traces end to end
+//! (the `_o` row mixes on-demand instances in, and joins hundreds of them
+//! per run), the continuous-vs-fixed engine comparison at equal
+//! configuration, and the chunked-prefill long-prompt/tight-SLO case.
 
 use cloudsim::AvailabilityTrace;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -32,6 +33,17 @@ fn bench_e2e(c: &mut Criterion) {
                 1,
             );
             ServingSystem::new(SystemOptions::spotserve(), sc).run()
+        })
+    });
+    g.bench_function("spotserve_gpt20b_bs_o", |b| {
+        b.iter(|| {
+            let sc = Scenario::paper_stable(
+                ModelSpec::gpt_20b(),
+                AvailabilityTrace::paper_bs(),
+                0.35,
+                1,
+            );
+            ServingSystem::new(SystemOptions::spotserve().with_on_demand_mixing(), sc).run()
         })
     });
     g.finish();

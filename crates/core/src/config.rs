@@ -26,7 +26,7 @@ pub enum Policy {
 }
 
 /// Which execution engine the inference pipelines run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
     /// Iteration-level continuous batching (the default): requests are
     /// admitted and retired at decode-iteration boundaries, within the

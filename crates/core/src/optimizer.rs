@@ -20,8 +20,10 @@
 //! fleet ceiling (and re-built at least twice as wide when a fleet
 //! outgrows it), `feasible_at(n)` is a range lookup, Pareto-dominated
 //! candidates are skipped, minimum-latency scans run in latency-floor
-//! order and stop once no remaining candidate can price lower, and a small
-//! per-`(N, α)` decision memo answers repeated queries outright. Decisions
+//! order and stop once no remaining candidate can price lower, and small
+//! memos answer repeated queries outright: per `(N, α)` decision, per
+//! incumbent-biased decision, per joint decision and per lane scan (see
+//! [`ConfigOptimizer::memo_hits`] for which of them count as hits). Decisions
 //! are **bit-identical** with the fresh-enumeration reference
 //! implementations ([`ConfigOptimizer::decide_reference`] and friends),
 //! which are kept — unchanged from the pre-frontier code — as the contract
@@ -30,6 +32,8 @@
 //! in the same property-test file.
 
 use std::cell::{Cell, Ref, RefCell};
+use std::collections::HashMap;
+use std::hash::Hash;
 
 use cloudsim::{GpuSpec, InstanceType};
 use llmsim::{CostModel, MemoryModel, ModelSpec};
@@ -53,8 +57,8 @@ pub struct OptimizerDecision {
     pub instance_delta: i64,
 }
 
-/// One memoized decision: the query key and its verdict.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The decision memo's key: one single-SKU query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum MemoKey {
     /// `decide(n, α)` (α keyed by its IEEE-754 bits: the memo must never
     /// conflate rates that price differently; keys carry the engine mode
@@ -74,33 +78,63 @@ enum MemoKey {
     },
 }
 
-/// A small decision memo: repeated queries at the same `(N, α)` — the
-/// common case under event churn, where every pool transition re-asks the
-/// same question within one rate-tick window — return without touching the
-/// frontier. Bounded and cleared wholesale on overflow; entries are keyed
-/// by engine mode, so an engine-mode flip never evicts anything.
-#[derive(Debug, Clone, Default)]
-struct DecisionMemo {
-    entries: Vec<(MemoKey, OptimizerDecision)>,
+/// The incumbent memo's key: a [`ConfigOptimizer::decide_with_incumbent`]
+/// query with an incumbent. The unbiased decision is a pure function of
+/// `(engine, n, α)`, so the biased one is a pure function of this key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct IncumbentKey {
+    engine: EngineMode,
+    n: u32,
+    alpha_bits: u64,
+    incumbent: ParallelConfig,
 }
 
-/// Entries kept before the memo is cleared wholesale (decisions are pure,
-/// so eviction is only a space/speed trade-off, never a correctness one).
+/// The lane-scan memo's key: one lane's minimum-latency sustaining scan
+/// within `limit` instances.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct LaneScanKey {
+    engine: EngineMode,
+    lane: usize,
+    limit: u32,
+    alpha_bits: u64,
+}
+
+/// A small memo of pure query results: repeated queries at the same
+/// `(N, α)` — the common case under event churn, where every pool
+/// transition re-asks the same question within one rate-tick window —
+/// return without touching the frontier. Bounded and cleared wholesale
+/// when full, so whether a query hits depends only on the keys inserted
+/// since the last clear; keys carry the engine mode, so an engine-mode
+/// flip never evicts anything.
+#[derive(Debug, Clone)]
+struct Memo<K, V> {
+    entries: HashMap<K, V>,
+}
+
+/// Entries kept before a memo is cleared wholesale (results are pure, so
+/// eviction is only a space/speed trade-off, never a correctness one).
 const MEMO_CAP: usize = 64;
 
-impl DecisionMemo {
-    fn get(&self, key: MemoKey) -> Option<OptimizerDecision> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, d)| *d)
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Memo {
+            entries: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq, V: Copy> Memo<K, V> {
+    fn get(&self, key: &K) -> Option<V> {
+        self.entries.get(key).copied()
     }
 
-    fn insert(&mut self, key: MemoKey, d: OptimizerDecision) {
+    /// Inserts a key that missed; a full memo is cleared first.
+    fn insert(&mut self, key: K, value: V) {
         if self.entries.len() >= MEMO_CAP {
             self.entries.clear();
         }
-        self.entries.push((key, d));
+        let fresh = self.entries.insert(key, value).is_none();
+        debug_assert!(fresh, "only a key that missed is inserted");
     }
 }
 
@@ -127,7 +161,7 @@ pub struct MultiSkuDecision {
 pub const MAX_SKU_LANES: usize = 8;
 
 /// Memo key for [`ConfigOptimizer::decide_multi`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MultiKey {
     engine: EngineMode,
     avail: [u32; MAX_SKU_LANES],
@@ -177,15 +211,18 @@ pub struct ConfigOptimizer {
     /// (and grown if a query ever exceeds it).
     frontier: RefCell<Option<CandidateFrontier>>,
     /// Per-`(N, α)` decision memo over the frontier.
-    memo: RefCell<DecisionMemo>,
+    memo: RefCell<Memo<MemoKey, OptimizerDecision>>,
+    /// Per-`(N, α, incumbent)` memo of incumbent-biased decisions.
+    incumbent_memo: RefCell<Memo<IncumbentKey, OptimizerDecision>>,
     /// Registered SKU lanes for heterogeneous fleets (empty in single-SKU
     /// operation, where no decision path reads them).
     lanes: Vec<SkuLane>,
     /// Per-`(avail, α)` memo for [`ConfigOptimizer::decide_multi`].
-    multi_memo: RefCell<Vec<(MultiKey, MultiSkuDecision)>>,
-    /// Lifetime count of decisions answered from a memo (any of the three
-    /// memos). Telemetry instrumentation: callers difference it around a
-    /// `decide*` call to tag the decision memo-hit or miss.
+    multi_memo: RefCell<Memo<MultiKey, MultiSkuDecision>>,
+    /// Per-`(lane, limit, α)` memo of one lane's minimum-latency scan.
+    lane_memo: RefCell<Memo<LaneScanKey, Option<LatencyKey>>>,
+    /// Lifetime count of decisions answered from the decision memo or the
+    /// joint-decision memo (see [`ConfigOptimizer::memo_hits`]).
     memo_hits: Cell<u64>,
 }
 
@@ -213,9 +250,11 @@ impl ConfigOptimizer {
             max_instances,
             engine: EngineMode::FixedBatch,
             frontier: RefCell::new(None),
-            memo: RefCell::new(DecisionMemo::default()),
+            memo: RefCell::default(),
+            incumbent_memo: RefCell::default(),
             lanes: Vec::new(),
-            multi_memo: RefCell::new(Vec::new()),
+            multi_memo: RefCell::default(),
+            lane_memo: RefCell::default(),
             memo_hits: Cell::new(0),
         }
     }
@@ -254,7 +293,7 @@ impl ConfigOptimizer {
             perf,
             frontier: RefCell::new(None),
         });
-        self.multi_memo.get_mut().clear();
+        self.multi_memo.get_mut().entries.clear();
         self
     }
 
@@ -266,8 +305,12 @@ impl ConfigOptimizer {
     }
 
     /// Lifetime count of `decide*` queries answered from a memo instead of
-    /// a frontier scan. Monotone; difference around a call to learn whether
-    /// that call hit.
+    /// a frontier scan: hits in the decision memo (`decide`,
+    /// `decide_with_incumbent`'s unbiased decision, `decide_slo`) and in
+    /// the joint-decision memo (`decide_multi`). The incumbent memo and the
+    /// lane-scan memo never count, so a biased or joint decision counts as
+    /// a hit exactly when its underlying decision memo answered it.
+    /// Monotone; difference around a call to learn whether that call hit.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits.get()
     }
@@ -343,8 +386,8 @@ impl ConfigOptimizer {
             .frontier
             .borrow()
             .as_ref()
-            .and_then(|f| f.lookup(c))
-            .map(|cand| cand.latency(&self.perf, self.pricing_mode(), alpha))
+            .and_then(|f| f.lookup(c).map(|cand| (f, cand)))
+            .map(|(f, cand)| f.latency(cand, &self.perf, self.pricing_mode(), alpha))
         {
             return l;
         }
@@ -459,8 +502,33 @@ impl ConfigOptimizer {
         alpha: f64,
         incumbent: Option<ParallelConfig>,
     ) -> OptimizerDecision {
-        let mut d = self.decide_fresh(n_instances, alpha);
+        // The unbiased decision runs first, behind its own memo, so the
+        // hit accounting is the same with or without an incumbent.
+        let d = self.decide_fresh(n_instances, alpha);
         let Some(inc) = incumbent else { return d };
+        let key = IncumbentKey {
+            engine: self.engine,
+            n: n_instances,
+            alpha_bits: alpha.to_bits(),
+            incumbent: inc,
+        };
+        if let Some(kept) = self.incumbent_memo.borrow().get(&key) {
+            return kept;
+        }
+        let kept = self.keep_incumbent(d, n_instances, alpha, inc);
+        self.incumbent_memo.borrow_mut().insert(key, kept);
+        kept
+    }
+
+    /// `d` with the incumbent kept wherever it is within 15% of the pick
+    /// (see [`ConfigOptimizer::decide_with_incumbent`]).
+    fn keep_incumbent(
+        &self,
+        mut d: OptimizerDecision,
+        n_instances: u32,
+        alpha: f64,
+        inc: ParallelConfig,
+    ) -> OptimizerDecision {
         if inc.instances_needed(self.gpus_per_instance) > n_instances {
             return d;
         }
@@ -514,7 +582,7 @@ impl ConfigOptimizer {
             alpha_bits: alpha.to_bits(),
             slo,
         };
-        if let Some(d) = self.memo.borrow().get(key) {
+        if let Some(d) = self.memo.borrow().get(&key) {
             self.memo_hits.set(self.memo_hits.get() + 1);
             return d;
         }
@@ -527,7 +595,7 @@ impl ConfigOptimizer {
         {
             let fr = self.frontier_ref();
             for cand in fr.pruned_at(ceiling, mode) {
-                let l = cand.latency(&self.perf, mode, alpha);
+                let l = fr.latency(cand, &self.perf, mode, alpha);
                 if l > slo {
                     continue;
                 }
@@ -658,25 +726,23 @@ impl ConfigOptimizer {
             alpha_bits: alpha.to_bits(),
         };
         key.avail[..avail.len()].copy_from_slice(avail);
-        if let Some(d) = self
-            .multi_memo
-            .borrow()
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, d)| *d)
-        {
+        if let Some(d) = self.multi_memo.borrow().get(&key) {
             self.memo_hits.set(self.memo_hits.get() + 1);
             return d;
         }
         let mode = self.pricing_mode();
         // Joint line 3: minimum-(l_req, instances, lane, config) sustaining
-        // candidate at each lane's ceiling.
+        // candidate at each lane's ceiling. Keys are unique (the lane and
+        // config are part of them), so folding the lane minima in lane
+        // order gives the minimum of one running scan.
         let mut target: Option<LatencyKey> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let ceiling = self.max_instances.max(avail[i]);
+        for (i, &lane_avail) in avail.iter().enumerate() {
+            let ceiling = self.max_instances.max(lane_avail);
             self.ensure_lane_frontier(i, ceiling);
-            let fr = self.lane_frontier_ref(i);
-            min_latency_sustaining(&mut target, &fr, i, ceiling, mode, &lane.perf, alpha);
+            target = target
+                .into_iter()
+                .chain(self.lane_min_latency(i, ceiling, alpha))
+                .min();
         }
         let d = match target {
             Some((_, needed, lane, config)) => {
@@ -685,12 +751,12 @@ impl ConfigOptimizer {
                 } else {
                     // The same minimum within each lane's availability.
                     let mut now: Option<LatencyKey> = None;
-                    for (i, lane) in self.lanes.iter().enumerate() {
-                        if avail[i] > 0 {
-                            let fr = self.lane_frontier_ref(i);
-                            min_latency_sustaining(
-                                &mut now, &fr, i, avail[i], mode, &lane.perf, alpha,
-                            );
+                    for (i, &lane_avail) in avail.iter().enumerate() {
+                        if lane_avail > 0 {
+                            now = now
+                                .into_iter()
+                                .chain(self.lane_min_latency(i, lane_avail, alpha))
+                                .min();
                         }
                     }
                     now.map(|(_, _, i, c)| (i, c))
@@ -719,12 +785,34 @@ impl ConfigOptimizer {
                 }
             }
         };
-        let mut memo = self.multi_memo.borrow_mut();
-        if memo.len() >= MEMO_CAP {
-            memo.clear();
-        }
-        memo.push((key, d));
+        self.multi_memo.borrow_mut().insert(key, d);
         d
+    }
+
+    /// Lane `i`'s minimum-key sustaining candidate within `limit`
+    /// instances, behind the lane-scan memo. The lane's frontier must
+    /// cover `limit`. A lane scanned on its own cannot stop early on
+    /// another lane's better result; that costs work, never the answer.
+    fn lane_min_latency(&self, i: usize, limit: u32, alpha: f64) -> Option<LatencyKey> {
+        let key = LaneScanKey {
+            engine: self.engine,
+            lane: i,
+            limit,
+            alpha_bits: alpha.to_bits(),
+        };
+        if let Some(best) = self.lane_memo.borrow().get(&key) {
+            return best;
+        }
+        let best = min_latency_sustaining(
+            &self.lane_frontier_ref(i),
+            i,
+            limit,
+            self.pricing_mode(),
+            &self.lanes[i].perf,
+            alpha,
+        );
+        self.lane_memo.borrow_mut().insert(key, best);
+        best
     }
 
     /// Algorithm 1's core decision over the frontier, behind the memo.
@@ -734,7 +822,7 @@ impl ConfigOptimizer {
             n: n_instances,
             alpha_bits: alpha.to_bits(),
         };
-        if let Some(d) = self.memo.borrow().get(key) {
+        if let Some(d) = self.memo.borrow().get(&key) {
             self.memo_hits.set(self.memo_hits.get() + 1);
             return d;
         }
@@ -745,9 +833,7 @@ impl ConfigOptimizer {
         let fr = self.frontier_ref();
 
         let min_latency = |limit| {
-            let mut best = None;
-            min_latency_sustaining(&mut best, &fr, 0, limit, mode, &self.perf, alpha);
-            best.map(|(_, _, _, c)| c)
+            min_latency_sustaining(&fr, 0, limit, mode, &self.perf, alpha).map(|(_, _, _, c)| c)
         };
         // Line 3: minimize l_req among sustaining configs at the ceiling
         // — one floor-ordered scan, no allocation.
@@ -981,23 +1067,22 @@ impl ConfigOptimizer {
 /// canonical config)`, minimized. Single-SKU decisions use lane 0.
 type LatencyKey = (SimDuration, u32, usize, ParallelConfig);
 
-/// Folds lane `lane`'s minimum-key sustaining candidate within `n`
-/// instances into the running minimum `best` (left as is when nothing
-/// there sustains `alpha`). Bit-identical to `best_latency` over the
-/// sustaining subset of a fresh enumeration: keys are unique (the config
-/// is part of the key), so the scan order cannot matter; pruning only
-/// skips candidates that lose every key comparison; and the scan runs in
-/// floor order and stops at the first floor above the best latency, past
-/// which every candidate prices strictly higher.
+/// Lane `lane`'s minimum-key sustaining candidate within `n` instances,
+/// or `None` when nothing there sustains `alpha`. Bit-identical to
+/// `best_latency` over the sustaining subset of a fresh enumeration: keys
+/// are unique (the config is part of the key), so the scan order cannot
+/// matter; pruning only skips candidates that lose every key comparison;
+/// and the scan runs in floor order and stops at the first floor above
+/// the best latency, past which every candidate prices strictly higher.
 fn min_latency_sustaining(
-    best: &mut Option<LatencyKey>,
     fr: &CandidateFrontier,
     lane: usize,
     n: u32,
     mode: PricingMode,
     perf: &PerfModel,
     alpha: f64,
-) {
+) -> Option<LatencyKey> {
+    let mut best: Option<LatencyKey> = None;
     for cand in fr.pruned_by_floor(mode) {
         if best.is_some_and(|(l, ..)| cand.floor(mode) > l) {
             break;
@@ -1006,15 +1091,16 @@ fn min_latency_sustaining(
             continue;
         }
         let key = (
-            cand.latency(perf, mode, alpha),
+            fr.latency(cand, perf, mode, alpha),
             cand.instances,
             lane,
             cand.config,
         );
         if best.is_none_or(|b| key < b) {
-            *best = Some(key);
+            best = Some(key);
         }
     }
+    best
 }
 
 /// Maximum-`(φ, Reverse(canonical))` candidate within `n` instances, over

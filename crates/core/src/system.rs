@@ -16,6 +16,7 @@
 //! * **Rerouting** — fixed `(P, M, B)`; preempted pipelines drop, their
 //!   requests reroute and recompute; new pipelines cold-start.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use cloudsim::{
@@ -307,6 +308,10 @@ pub struct ServingSystem {
     /// Mixed-SKU fleet state; `None` on homogeneous fleets (see
     /// [`HeteroState`]).
     hetero: Option<HeteroState>,
+    /// Each pool's capability card (its SKU and whether the model fits
+    /// it), fixed for the run and built at the first fleet view; a view
+    /// adds the current spot price.
+    pool_caps: OnceCell<Vec<PoolCaps>>,
 
     // Accounting.
     outstanding: usize,
@@ -444,6 +449,7 @@ impl ServingSystem {
             initial_fleet_target: 0,
             last_spot_cents: Vec::new(),
             hetero,
+            pool_caps: OnceCell::new(),
             outstanding: scenario.requests.len(),
             arrivals_seen: Vec::new(),
             slo_rejections: Vec::new(),
@@ -477,6 +483,20 @@ impl ServingSystem {
             .copied()
             .filter(|id| !self.noticed.contains_key(id))
             .collect()
+    }
+
+    /// How many instances [`usable`](Self::usable) lists, without listing
+    /// them: the ready ones less those both ready and noticed (a notice
+    /// can also land on an instance still initializing).
+    fn usable_count(&self) -> u32 {
+        let noticed_ready = self
+            .noticed
+            .keys()
+            .filter(|id| self.ready.contains(id))
+            .count();
+        let n = (self.ready.len() - noticed_ready) as u32;
+        debug_assert_eq!(n as usize, self.usable().len());
+        n
     }
 
     /// The SKU lane instance `id` belongs to (mixed fleets only).
@@ -1156,7 +1176,7 @@ impl ServingSystem {
     fn on_preemption_notice(&mut self, id: InstanceId, kill_at: SimTime) {
         // Reactive baselines do nothing until the instance is gone.
         if self.opts.policy == Policy::SpotServe {
-            let involved = self.assignment.instances().contains(&id);
+            let involved = self.assignment.contains_instance(id);
             if involved {
                 self.plan_transition(Some(kill_at));
             } else {
@@ -1171,7 +1191,7 @@ impl ServingSystem {
     /// window ever existed, so an in-flight transition timed against the
     /// old fleet is invalidated rather than left to commit stale.
     fn on_instance_gone(&mut self, id: InstanceId, unannounced: bool) {
-        let involved = self.assignment.instances().contains(&id);
+        let involved = self.assignment.contains_instance(id);
         self.assignment.remove_instance(id);
         if self.assignment.is_empty() {
             self.context_shape = None;
@@ -1282,7 +1302,7 @@ impl ServingSystem {
             return;
         }
         let alpha = self.rate_estimate();
-        let n = self.usable().len() as u32;
+        let n = self.usable_count();
         let decision = self.decide_serving(n, alpha);
         let next = self.pick_config(decision.now, n);
         self.manage_fleet(decision.instance_delta);
@@ -1378,6 +1398,31 @@ impl ServingSystem {
         }
     }
 
+    /// Each pool's capability card: price-blind policies ignore it; the
+    /// cost-aware hedge masks and biases by it.
+    fn pool_caps(&self) -> &[PoolCaps] {
+        self.pool_caps.get_or_init(|| {
+            (0..self.cloud.pool_count())
+                .map(|i| {
+                    let ty = self.cloud.instance_type_in(PoolId(i as u32));
+                    let fits_model = self
+                        .optimizer
+                        .memory()
+                        .min_gpus(
+                            &self.scenario.model,
+                            &ty.gpu,
+                            self.opts.max_instances * ty.gpus_per_instance as u32,
+                        )
+                        .is_some();
+                    PoolCaps {
+                        fits_model,
+                        ..PoolCaps::of(ty)
+                    }
+                })
+                .collect()
+        })
+    }
+
     /// A point-in-time [`FleetView`] for the controller: lease-level
     /// per-pool counts from the market, plus the optimizer's target.
     fn fleet_view(&self) -> FleetView {
@@ -1405,24 +1450,12 @@ impl ServingSystem {
             // Cumulative lapse count: the visible promised-but-never-
             // delivered shortfall (capacity sheds and chaos grant lapses).
             pool.lapsed_spot = self.cloud.lapsed_spot_in(pid);
-            // The pool's capability/price card: price-blind policies
-            // ignore it; the cost-aware hedge masks and biases by it.
-            let ty = self.cloud.instance_type_in(pid);
-            pool.caps = PoolCaps::of(ty);
+            pool.caps = self.pool_caps()[i];
             // Dynamically priced pools quote their *current* spot price,
             // not the SKU's list price. Constant pools round to the same
             // cents as the list price, keeping their views byte-identical.
             pool.caps.spot_cents_per_hour =
                 (self.cloud.spot_price_in(pid, self.now) * 100.0).round() as u32;
-            pool.caps.fits_model = self
-                .optimizer
-                .memory()
-                .min_gpus(
-                    &self.scenario.model,
-                    &ty.gpu,
-                    self.opts.max_instances * ty.gpus_per_instance as u32,
-                )
-                .is_some();
         }
         FleetView {
             pools,
@@ -1606,8 +1639,7 @@ impl ServingSystem {
             self.steer_fleet();
             return;
         }
-        let have =
-            self.usable().len() as u32 + self.initializing.len() as u32 + self.cloud.pending_spot();
+        let have = self.usable_count() + self.initializing.len() as u32 + self.cloud.pending_spot();
         if have < self.initial_fleet_target {
             let want = self.initial_fleet_target - have;
             self.cloud.request_spot(self.now, want);
@@ -1641,32 +1673,37 @@ impl ServingSystem {
         if !self.opts.on_demand_mixing {
             return;
         }
+        // One pass over the usable fleet: spot counted, on-demand listed
+        // in id order.
+        let mut spot_usable = 0u32;
+        let mut od_held: Vec<InstanceId> = Vec::new();
+        for &id in &self.ready {
+            if self.noticed.contains_key(&id) {
+                continue;
+            }
+            match self.cloud.kind_of(id) {
+                Some(InstanceKind::Spot) => spot_usable += 1,
+                Some(InstanceKind::OnDemand) => od_held.push(id),
+                None => {}
+            }
+        }
+        if od_held.is_empty() {
+            return;
+        }
         let needed = self
             .current
             .map(|c| c.instances_needed(self.gpus_per_instance()))
             .unwrap_or(0);
-        let usable = self.usable();
-        let used = self.assignment.instances();
-        let spot_usable = usable
-            .iter()
-            .filter(|&&id| self.cloud.kind_of(id) == Some(InstanceKind::Spot))
-            .count() as u32;
-        let od_held: Vec<InstanceId> = usable
-            .iter()
-            .copied()
-            .filter(|&id| self.cloud.kind_of(id) == Some(InstanceKind::OnDemand))
-            .collect();
         let shortfall = needed.saturating_sub(spot_usable);
         let keep = shortfall.min(od_held.len() as u32);
-        // Release idle on-demand first, then any excess.
-        let mut excess: Vec<InstanceId> = od_held
-            .iter()
-            .copied()
-            .filter(|id| !used.contains(id))
-            .chain(od_held.iter().copied().filter(|id| used.contains(id)))
+        // `keep` on-demand instances stay, idle ones counted first, and a
+        // busy one is never released: the idle ones after the first `keep`
+        // go.
+        let excess: Vec<InstanceId> = od_held
+            .into_iter()
+            .filter(|&id| !self.assignment.contains_instance(id))
             .skip(keep as usize)
             .collect();
-        excess.retain(|id| !used.contains(id));
         for id in excess {
             self.ready.remove(&id);
             self.cloud.release(self.now, id);
@@ -1677,11 +1714,10 @@ impl ServingSystem {
     /// on-demand first (§3.2: "on-demand instances have higher priority due
     /// to their costs").
     fn release_surplus(&mut self, n: u32) {
-        let used = self.assignment.instances();
         let mut idle: Vec<(bool, InstanceId)> = self
             .usable()
             .into_iter()
-            .filter(|id| !used.contains(id))
+            .filter(|&id| !self.assignment.contains_instance(id))
             .map(|id| {
                 let od = self.cloud.kind_of(id) == Some(InstanceKind::OnDemand);
                 (!od, id) // false sorts first: on-demand first
@@ -1704,7 +1740,7 @@ impl ServingSystem {
             return;
         }
         let alpha = self.rate_estimate();
-        let n = self.usable().len() as u32;
+        let n = self.usable_count();
         let decision = self.decide_serving(n, alpha);
         let target = self.pick_config(decision.now, n);
         self.manage_fleet(decision.instance_delta);
@@ -1955,7 +1991,7 @@ impl ServingSystem {
         // Re-decide with the fleet as of now (it may have changed while
         // decoding through the grace period).
         let alpha = self.rate_estimate();
-        let n = self.usable().len() as u32;
+        let n = self.usable_count();
         let decision = self.decide_serving(n, alpha);
         let target = self.pick_config(decision.now, n);
         let lane_change = self
@@ -2467,7 +2503,7 @@ impl ServingSystem {
         if self.opts.fleet_policy.is_reactive() {
             self.rebalance_on_demand();
             let used = self.assignment.instances().len() as u32;
-            let have = self.usable().len() as u32;
+            let have = self.usable_count();
             if have > used + self.opts.spare_instances {
                 self.release_surplus(have - used - self.opts.spare_instances);
             }
@@ -2512,20 +2548,28 @@ impl ServingSystem {
         let shape = ParallelConfig::new(1, p, m, b);
         let per = shape.instances_needed(self.gpus_per_instance());
         loop {
-            let used: BTreeSet<InstanceId> = self
-                .pipelines
-                .iter()
-                .flat_map(|s| s.instances.iter().copied())
-                .collect();
-            let idle: Vec<InstanceId> = self
-                .usable()
-                .into_iter()
-                .filter(|id| !used.contains(id))
-                .collect();
-            if (idle.len() as u32) < per {
+            // Idle: usable and in no pipeline. Every pipeline's instances
+            // hold its bindings in the assignment, so its per-instance
+            // counts answer without a scan of the slots. Counted first,
+            // since most calls find too few for a pipeline.
+            let idle = |id: &&InstanceId| {
+                let in_pipeline = self.assignment.contains_instance(**id);
+                debug_assert_eq!(
+                    in_pipeline,
+                    self.pipelines.iter().any(|s| s.instances.contains(*id))
+                );
+                !self.noticed.contains_key(*id) && !in_pipeline
+            };
+            if (self.ready.iter().filter(idle).count() as u32) < per {
                 break;
             }
-            let chosen: Vec<InstanceId> = idle.into_iter().take(per as usize).collect();
+            let chosen: Vec<InstanceId> = self
+                .ready
+                .iter()
+                .filter(idle)
+                .take(per as usize)
+                .copied()
+                .collect();
             // Cold pipeline: engine relaunch + weight load for one replica.
             let ready_at = self.now
                 + self.opts.engine_launch

@@ -23,6 +23,9 @@ use parallelism::{MeshPosition, ParallelConfig};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeviceAssignment {
     map: BTreeMap<MeshPosition, GpuRef>,
+    /// Bound positions per instance, for every instance holding at least
+    /// one: the map's instances, counted without a scan.
+    held: BTreeMap<InstanceId, u32>,
 }
 
 impl DeviceAssignment {
@@ -43,16 +46,15 @@ impl DeviceAssignment {
             cfg.total_gpus(),
             gpus.len()
         );
-        let mut map = BTreeMap::new();
-        for (pos, gpu) in cfg.positions().zip(gpus) {
-            map.insert(pos, *gpu);
-        }
-        DeviceAssignment { map }
+        cfg.positions().zip(gpus.iter().copied()).collect()
     }
 
     /// Binds `pos` to `gpu`, replacing any previous binding of `pos`.
     pub fn insert(&mut self, pos: MeshPosition, gpu: GpuRef) {
-        self.map.insert(pos, gpu);
+        if let Some(old) = self.map.insert(pos, gpu) {
+            release(&mut self.held, old.instance);
+        }
+        *self.held.entry(gpu.instance).or_insert(0) += 1;
     }
 
     /// The GPU at `pos`, if assigned.
@@ -97,17 +99,41 @@ impl DeviceAssignment {
     /// Removes every binding whose GPU lives on `instance` (used when an
     /// instance is preempted before migration finishes).
     pub fn remove_instance(&mut self, instance: InstanceId) {
-        self.map.retain(|_, g| g.instance != instance);
+        if self.held.remove(&instance).is_some() {
+            self.map.retain(|_, g| g.instance != instance);
+        }
+        debug_assert!(self.map.values().all(|g| g.instance != instance));
     }
 
     /// Removes every binding of data-parallel pipeline `d` (used when a
     /// single pipeline is torn down, e.g. by the Rerouting baseline).
     pub fn remove_pipeline(&mut self, d: u32) {
-        self.map.retain(|pos, _| pos.pipeline != d);
+        let held = &mut self.held;
+        self.map.retain(|pos, g| {
+            if pos.pipeline != d {
+                return true;
+            }
+            release(held, g.instance);
+            false
+        });
     }
 
-    /// Distinct instances participating in this assignment.
+    /// Distinct instances participating in this assignment, in id order.
     pub fn instances(&self) -> Vec<InstanceId> {
+        let out: Vec<InstanceId> = self.held.keys().copied().collect();
+        debug_assert_eq!(out, self.scanned_instances());
+        out
+    }
+
+    /// Whether any position is bound to a GPU of `instance`.
+    pub fn contains_instance(&self, instance: InstanceId) -> bool {
+        let held = self.held.contains_key(&instance);
+        debug_assert_eq!(held, self.map.values().any(|g| g.instance == instance));
+        held
+    }
+
+    /// The distinct instances by a scan of the map: what `held` counts.
+    fn scanned_instances(&self) -> Vec<InstanceId> {
         let mut out: Vec<InstanceId> = self.map.values().map(|g| g.instance).collect();
         out.sort_unstable();
         out.dedup();
@@ -115,11 +141,22 @@ impl DeviceAssignment {
     }
 }
 
+/// Drops one bound position from `instance`'s count in `held`.
+fn release(held: &mut BTreeMap<InstanceId, u32>, instance: InstanceId) {
+    let n = held.get_mut(&instance).expect("a bound instance is held");
+    *n -= 1;
+    if *n == 0 {
+        held.remove(&instance);
+    }
+}
+
 impl FromIterator<(MeshPosition, GpuRef)> for DeviceAssignment {
     fn from_iter<I: IntoIterator<Item = (MeshPosition, GpuRef)>>(iter: I) -> Self {
-        DeviceAssignment {
-            map: iter.into_iter().collect(),
+        let mut asg = DeviceAssignment::new();
+        for (pos, gpu) in iter {
+            asg.insert(pos, gpu);
         }
+        asg
     }
 }
 

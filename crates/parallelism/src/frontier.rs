@@ -14,14 +14,17 @@
 //!   `feasible_at(n)` is a prefix range behind a cumulative index;
 //! * **price once per mesh** — none of `l_exe` (fixed-batch) or the
 //!   per-occupancy slot/steady-iteration tables (continuous) depends on the
-//!   data degree, so the tables are computed once per `(P, M)` mesh and
-//!   `l_exe` once per `(P, M, B)` at build time, and every `D` shares them;
-//!   `l_req(C, α)` then runs the shared [`PerfModel`] kernels over the
-//!   cached components, bit-identical to fresh pricing;
+//!   data degree, so the tables are computed once per `(P, M)` mesh into
+//!   flat arrays every candidate of the mesh indexes, and `l_exe` once per
+//!   `(P, M, B)`; `l_req(C, α)` ([`CandidateFrontier::latency`]) then runs
+//!   the shared [`PerfModel`] kernels over the cached components,
+//!   bit-identical to fresh pricing;
 //! * **Pareto-prune** — candidates dominated at equal instance cost
 //!   (throughput no higher, latency no lower *for every* `α`, and losing
 //!   every tie-break) can never be chosen by any of Algorithm 1's
-//!   objectives, so the decision loops skip them entirely;
+//!   objectives, so the decision loops skip them entirely. Each pricing
+//!   mode's pruned index is built on its first query, since a system
+//!   prices with one engine only;
 //! * **order by latency floor** — each candidate carries an `α`-free lower
 //!   bound on its `l_req` ([`Candidate::floor`]), and the survivors of
 //!   pruning are also indexed in floor order, so a minimum-latency scan
@@ -39,6 +42,7 @@
 //! enumeration. That contract is pinned by the equivalence property test
 //! in `tests/optimizer_properties.rs`.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use cloudsim::GpuSpec;
@@ -61,6 +65,9 @@ pub enum PricingMode {
 }
 
 /// One enumerated configuration with its precomputed pricing components.
+/// Its per-occupancy tables live in the frontier that built it, shared
+/// by every candidate of the same `(P, M)` mesh (see
+/// [`CandidateFrontier::latency`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// The configuration.
@@ -75,16 +82,15 @@ pub struct Candidate {
     phi_cont: f64,
     /// The continuous estimator's latency floor (see [`Candidate::floor`]).
     floor_cont: SimDuration,
-    /// `slot_time(C, b)` for `b = 1..=B` (index `b − 1`).
-    slot_times: Box<[SimDuration]>,
-    /// `steady_iteration(C, b)` for `b = 1..=B` (index `b − 1`).
-    steady_times: Box<[SimDuration]>,
+    /// Offset of this candidate's mesh in the frontier's flat `slot` and
+    /// `steady` tables: occupancy `b` prices at index `table + b − 1`.
+    table: u32,
 }
 
 impl Candidate {
-    /// A lower bound on [`Candidate::latency`] under `mode` that holds for
-    /// every arrival rate: `l_exe` for the fixed-batch estimator (it only
-    /// adds fill and queueing delay), and the smallest `slot(b) +
+    /// A lower bound on [`CandidateFrontier::latency`] under `mode` that
+    /// holds for every arrival rate: `l_exe` for the fixed-batch estimator
+    /// (it only adds fill and queueing delay), and the smallest `slot(b) +
     /// steady(b)/2` over occupancies `b ≤ B` — or `slot(1)`, the empty
     /// engine's price at `α = 0` — for the continuous one. Saturated
     /// candidates price at [`SimDuration::MAX`], above any floor.
@@ -101,72 +107,6 @@ impl Candidate {
         match mode {
             PricingMode::FixedBatch => self.phi_fixed,
             PricingMode::ContinuousBatching => self.phi_cont,
-        }
-    }
-
-    /// `l_req(C, α)` under `mode`, via the shared [`PerfModel`] kernels
-    /// over the cached components — bit-identical to fresh pricing.
-    pub fn latency(&self, perf: &PerfModel, mode: PricingMode, alpha: f64) -> SimDuration {
-        match mode {
-            PricingMode::FixedBatch => {
-                perf.request_latency_with_exec(&self.config, self.l_exe, alpha)
-            }
-            PricingMode::ContinuousBatching => perf.request_latency_continuous_with(
-                &self.config,
-                alpha,
-                |b| self.slot_times[b as usize - 1],
-                |b| self.steady_times[b as usize - 1],
-            ),
-        }
-    }
-
-    /// Whether `self` dominates `x` under `mode`: no Algorithm 1 objective
-    /// — minimum-latency-among-sustaining, maximum-throughput, or
-    /// cheapest-meeting-SLO — can ever select `x` while `self` is present,
-    /// for *any* arrival rate, including every exact-tie case.
-    ///
-    /// Requirements (all conservative, see the module docs):
-    /// * equal instance cost and strictly earlier canonical order, so
-    ///   `self` wins every `(instances, config)` and `Reverse(config)`
-    ///   tie-break;
-    /// * `φ(self) ≥ φ(x)`, so `self` is in every sustaining/feasible set
-    ///   `x` is in, and wins the throughput objective;
-    /// * component-wise latency ordering that implies
-    ///   `l_req(self, α) ≤ l_req(x, α)` for all `α` through the
-    ///   estimator's monotone structure.
-    fn dominates(&self, x: &Candidate, mode: PricingMode) -> bool {
-        if self.instances != x.instances || self.config >= x.config {
-            return false;
-        }
-        match mode {
-            PricingMode::FixedBatch => {
-                // l_req = l_exe + (B−1)/2α + l_exe·ρ^√(2(D+1))/(2D(1−ρ)):
-                // monotone in l_exe, B, ρ = α/φ and anti-monotone in D.
-                self.phi_fixed >= x.phi_fixed
-                    && self.l_exe <= x.l_exe
-                    && self.config.batch <= x.config.batch
-                    && self.config.data >= x.config.data
-            }
-            PricingMode::ContinuousBatching => {
-                // The occupancy fixed point iterates b ← clamp((α/D)·slot(b))
-                // from the same seed over the same clamp range (equal B):
-                // a pointwise-≤ slot table and D ≥ keep the iterate ≤ at
-                // every step, so every component (slot(b̄), steady(b̄)/2,
-                // queueing over slot(B)) is ≤.
-                self.config.batch == x.config.batch
-                    && self.config.data >= x.config.data
-                    && self.phi_cont >= x.phi_cont
-                    && self
-                        .slot_times
-                        .iter()
-                        .zip(x.slot_times.iter())
-                        .all(|(a, b)| a <= b)
-                    && self
-                        .steady_times
-                        .iter()
-                        .zip(x.steady_times.iter())
-                        .all(|(a, b)| a <= b)
-            }
         }
     }
 }
@@ -197,6 +137,10 @@ impl Candidate {
 /// // Every survivor of pruning is still priced exactly.
 /// let c = f.pruned_at(16, PricingMode::FixedBatch).next().unwrap();
 /// assert_eq!(c.throughput(PricingMode::FixedBatch), perf.throughput(&c.config));
+/// assert_eq!(
+///     f.latency(c, &perf, PricingMode::FixedBatch, 0.2),
+///     perf.request_latency(&c.config, 0.2)
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct CandidateFrontier {
@@ -208,79 +152,38 @@ pub struct CandidateFrontier {
     /// `cum[n]` = number of candidates needing at most `n` instances
     /// (`n = 0..=ceiling`), so `feasible_at(n)` is `candidates[..cum[n]]`.
     cum: Vec<u32>,
-    /// Indices (ascending) of candidates surviving fixed-batch pruning,
-    /// with its own cumulative per-instance index.
-    pruned_fixed: Vec<u32>,
-    pruned_fixed_cum: Vec<u32>,
-    /// Same for the continuous estimator.
-    pruned_cont: Vec<u32>,
-    pruned_cont_cum: Vec<u32>,
-    /// The same survivors as `pruned_fixed` / `pruned_cont` at the
-    /// ceiling, reordered by ascending [`Candidate::floor`] (ties keep
-    /// `(instances, config)` order).
-    by_floor_fixed: Vec<u32>,
-    by_floor_cont: Vec<u32>,
+    /// `slot_time(b)` of every mesh, one contiguous run per `(P, M)` for
+    /// `b = 1..=` that mesh's largest batch (none of it depends on `D`).
+    slot: Vec<SimDuration>,
+    /// `steady_iteration(b)`, laid out like `slot`.
+    steady: Vec<SimDuration>,
+    /// Each pricing mode's pruned index, built on first use: a system
+    /// prices with one engine only.
+    fixed: OnceCell<ModeIndex>,
+    cont: OnceCell<ModeIndex>,
 }
 
-/// The pricing shared by every data degree of one `(P, M)` mesh: none of
-/// `exec_latency`, `slot_time` or `steady_iteration` depends on `D`.
-#[derive(Default)]
-struct MeshPricing {
-    /// `slot_time(b)` for `b = 1..=` the largest batch priced so far.
-    slot: Vec<SimDuration>,
-    /// `steady_iteration(b)`, same range.
-    steady: Vec<SimDuration>,
+/// The candidates surviving one pricing mode's pruning.
+#[derive(Debug, Clone)]
+struct ModeIndex {
+    /// Indices (ascending) of the survivors.
+    pruned: Vec<u32>,
+    /// `cum[n]` = survivors needing at most `n` instances.
+    cum: Vec<u32>,
+    /// The survivors in ascending [`Candidate::floor`] order (ties keep
+    /// `(instances, config)` order).
+    by_floor: Vec<u32>,
+}
+
+/// A `(P, M)` mesh's share of the build.
+struct Mesh {
+    /// One of the mesh's configurations, its batch raised to the largest
+    /// any of them runs: the occupancies its tables cover.
+    config: ParallelConfig,
+    /// Where the mesh's run starts in the flat tables.
+    table: u32,
     /// `exec_latency` per batch size priced so far.
     l_exe: Vec<(u32, SimDuration)>,
-}
-
-impl MeshPricing {
-    /// Prices `config` (of this mesh), extending the shared tables to its
-    /// batch size first.
-    fn price(
-        &mut self,
-        perf: &PerfModel,
-        config: ParallelConfig,
-        gpus_per_instance: u8,
-    ) -> Candidate {
-        for b in self.slot.len() as u32 + 1..=config.batch {
-            self.slot.push(perf.slot_time(&config, b));
-            self.steady.push(perf.steady_iteration(&config, b));
-        }
-        let l_exe = match self.l_exe.iter().find(|&&(b, _)| b == config.batch) {
-            Some(&(_, l)) => l,
-            None => {
-                let l = perf.exec_latency(&config);
-                self.l_exe.push((config.batch, l));
-                l
-            }
-        };
-        let b = config.batch as usize;
-        let slot_times: Box<[SimDuration]> = self.slot[..b].into();
-        let steady_times: Box<[SimDuration]> = self.steady[..b].into();
-        // Bitwise the same computations as `PerfModel::throughput` /
-        // `throughput_continuous` over the cached components.
-        let phi_fixed = (config.data * config.batch) as f64 / l_exe.as_secs_f64();
-        let phi_cont = (config.data * config.batch) as f64 / slot_times[b - 1].as_secs_f64();
-        // The continuous kernel returns `slot(b̄) + steady(b̄)/2 + queueing`
-        // for some occupancy `b̄ ∈ 1..=B` when α > 0, and `slot(1)` alone
-        // when α = 0.
-        let floor_cont = slot_times
-            .iter()
-            .zip(steady_times.iter())
-            .map(|(&s, &st)| s + st / 2)
-            .fold(slot_times[0], SimDuration::min);
-        Candidate {
-            config,
-            instances: config.instances_needed(gpus_per_instance),
-            l_exe,
-            phi_fixed,
-            phi_cont,
-            floor_cont,
-            slot_times,
-            steady_times,
-        }
-    }
 }
 
 impl CandidateFrontier {
@@ -299,51 +202,91 @@ impl CandidateFrontier {
         ceiling_instances: u32,
     ) -> Self {
         assert!(gpus_per_instance > 0 && ceiling_instances > 0);
-        let mut meshes: HashMap<(u32, u32), MeshPricing> = HashMap::new();
-        let mut candidates: Vec<Candidate> = enumerate_configs(
+        let configs = enumerate_configs(
             perf.model(),
             mem,
             gpu,
             space,
             ceiling_instances * gpus_per_instance as u32,
-        )
-        .into_iter()
-        .map(|c| {
-            meshes
-                .entry((c.pipeline, c.tensor))
-                .or_default()
-                .price(perf, c, gpus_per_instance)
-        })
-        .collect();
+        );
+        // Each mesh, first-seen, with the largest batch any of its
+        // candidates runs (`config.batch`), then priced once.
+        let mut mesh_of: HashMap<(u32, u32), usize> = HashMap::new();
+        let mut meshes: Vec<Mesh> = Vec::new();
+        for c in &configs {
+            let i = *mesh_of.entry((c.pipeline, c.tensor)).or_insert_with(|| {
+                meshes.push(Mesh {
+                    config: *c,
+                    table: 0,
+                    l_exe: Vec::new(),
+                });
+                meshes.len() - 1
+            });
+            let mesh = &mut meshes[i].config;
+            mesh.batch = mesh.batch.max(c.batch);
+        }
+        let mut slot = Vec::new();
+        let mut steady = Vec::new();
+        for mesh in &mut meshes {
+            mesh.table = slot.len() as u32;
+            for b in 1..=mesh.config.batch {
+                let st = perf.steady_iteration(&mesh.config, b);
+                slot.push(perf.slot_time_with_steady(&mesh.config, b, st));
+                steady.push(st);
+            }
+        }
+        let mut candidates: Vec<Candidate> = configs
+            .into_iter()
+            .map(|config| {
+                let mesh = &mut meshes[mesh_of[&(config.pipeline, config.tensor)]];
+                let l_exe = match mesh.l_exe.iter().find(|&&(b, _)| b == config.batch) {
+                    Some(&(_, l)) => l,
+                    None => {
+                        let l = perf.exec_latency(&config);
+                        mesh.l_exe.push((config.batch, l));
+                        l
+                    }
+                };
+                let t = mesh.table as usize;
+                let b = config.batch as usize;
+                let (slot_times, steady_times) = (&slot[t..t + b], &steady[t..t + b]);
+                // Bitwise the same computations as `PerfModel::throughput`
+                // / `throughput_continuous` over the cached components.
+                let phi_fixed = (config.data * config.batch) as f64 / l_exe.as_secs_f64();
+                let phi_cont =
+                    (config.data * config.batch) as f64 / slot_times[b - 1].as_secs_f64();
+                // The continuous kernel returns `slot(b̄) + steady(b̄)/2 +
+                // queueing` for some occupancy `b̄ ∈ 1..=B` when α > 0, and
+                // `slot(1)` alone when α = 0.
+                let floor_cont = slot_times
+                    .iter()
+                    .zip(steady_times)
+                    .map(|(&s, &st)| s + st / 2)
+                    .fold(slot_times[0], SimDuration::min);
+                Candidate {
+                    config,
+                    instances: config.instances_needed(gpus_per_instance),
+                    l_exe,
+                    phi_fixed,
+                    phi_cont,
+                    floor_cont,
+                    table: mesh.table,
+                }
+            })
+            .collect();
         // Stable sort: within one instance bucket the canonical
         // (enumeration) order is preserved.
         candidates.sort_by_key(|a| (a.instances, a.config));
         let cum = cumulative(candidates.iter().map(|c| c.instances), ceiling_instances);
-        let (pruned_fixed, pruned_fixed_cum) =
-            prune(&candidates, ceiling_instances, PricingMode::FixedBatch);
-        let (pruned_cont, pruned_cont_cum) = prune(
-            &candidates,
-            ceiling_instances,
-            PricingMode::ContinuousBatching,
-        );
-        let by_floor = |pruned: &[u32], mode| {
-            let mut order = pruned.to_vec();
-            order.sort_by_key(|&i| candidates[i as usize].floor(mode));
-            order
-        };
-        let by_floor_fixed = by_floor(&pruned_fixed, PricingMode::FixedBatch);
-        let by_floor_cont = by_floor(&pruned_cont, PricingMode::ContinuousBatching);
         CandidateFrontier {
             gpus_per_instance,
             ceiling: ceiling_instances,
             candidates,
             cum,
-            pruned_fixed,
-            pruned_fixed_cum,
-            pruned_cont,
-            pruned_cont_cum,
-            by_floor_fixed,
-            by_floor_cont,
+            slot,
+            steady,
+            fixed: OnceCell::new(),
+            cont: OnceCell::new(),
         }
     }
 
@@ -369,10 +312,41 @@ impl CandidateFrontier {
 
     /// Candidates surviving pruning under `mode`, at the ceiling.
     pub fn pruned_len(&self, mode: PricingMode) -> usize {
+        self.index(mode).pruned.len()
+    }
+
+    /// `l_req(C, α)` of `cand` under `mode`, via the shared [`PerfModel`]
+    /// kernels over the cached components — bit-identical to fresh
+    /// pricing. `cand` must come from this frontier (its continuous
+    /// tables live here).
+    pub fn latency(
+        &self,
+        cand: &Candidate,
+        perf: &PerfModel,
+        mode: PricingMode,
+        alpha: f64,
+    ) -> SimDuration {
         match mode {
-            PricingMode::FixedBatch => self.pruned_fixed.len(),
-            PricingMode::ContinuousBatching => self.pruned_cont.len(),
+            PricingMode::FixedBatch => {
+                perf.request_latency_with_exec(&cand.config, cand.l_exe, alpha)
+            }
+            PricingMode::ContinuousBatching => {
+                let (slot, steady) = self.tables(cand);
+                perf.request_latency_continuous_with(
+                    &cand.config,
+                    alpha,
+                    |b| slot[b as usize - 1],
+                    |b| steady[b as usize - 1],
+                )
+            }
         }
+    }
+
+    /// `cand`'s `slot(b)` and `steady(b)` for `b = 1..=B`.
+    fn tables(&self, cand: &Candidate) -> (&[SimDuration], &[SimDuration]) {
+        let t = cand.table as usize;
+        let b = cand.config.batch as usize;
+        (&self.slot[t..t + b], &self.steady[t..t + b])
     }
 
     /// Every candidate feasible on a fleet of `n` instances — the range
@@ -386,15 +360,12 @@ impl CandidateFrontier {
     /// The candidates feasible at `n` instances that survive Pareto
     /// pruning under `mode` — the set the decision loops scan. Skipped
     /// candidates are exactly those that can never be selected (see
-    /// [`Candidate`] `dominates`), so a scan over this iterator picks the
-    /// same winner as a scan over [`CandidateFrontier::feasible_at`].
+    /// `dominates`), so a scan over this iterator picks the same winner as
+    /// a scan over [`CandidateFrontier::feasible_at`].
     pub fn pruned_at(&self, n: u32, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
         let n = n.min(self.ceiling) as usize;
-        let (idx, cum) = match mode {
-            PricingMode::FixedBatch => (&self.pruned_fixed, &self.pruned_fixed_cum),
-            PricingMode::ContinuousBatching => (&self.pruned_cont, &self.pruned_cont_cum),
-        };
-        idx[..cum[n] as usize]
+        let index = self.index(mode);
+        index.pruned[..index.cum[n] as usize]
             .iter()
             .map(move |&i| &self.candidates[i as usize])
     }
@@ -405,11 +376,10 @@ impl CandidateFrontier {
     /// and may stop at the first floor above the best latency found: no
     /// later candidate can price lower.
     pub fn pruned_by_floor(&self, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
-        let idx = match mode {
-            PricingMode::FixedBatch => &self.by_floor_fixed,
-            PricingMode::ContinuousBatching => &self.by_floor_cont,
-        };
-        idx.iter().map(move |&i| &self.candidates[i as usize])
+        self.index(mode)
+            .by_floor
+            .iter()
+            .map(move |&i| &self.candidates[i as usize])
     }
 
     /// Whether `c` is feasible on a fleet of `n` instances — the direct
@@ -429,6 +399,99 @@ impl CandidateFrontier {
             .ok()
             .map(|i| &self.candidates[i])
     }
+
+    /// `mode`'s pruned index, built on first use.
+    fn index(&self, mode: PricingMode) -> &ModeIndex {
+        let cell = match mode {
+            PricingMode::FixedBatch => &self.fixed,
+            PricingMode::ContinuousBatching => &self.cont,
+        };
+        cell.get_or_init(|| self.build_index(mode))
+    }
+
+    /// Pareto pruning within equal-instance buckets: drop every candidate
+    /// dominated by another of the same instance cost. Only an earlier
+    /// candidate can dominate (domination requires a strictly earlier
+    /// canonical order), and domination is transitive, so a dominated
+    /// candidate always has a dominator among the earlier *survivors*:
+    /// testing against those keeps exactly the set a test against every
+    /// other candidate of the bucket keeps.
+    fn build_index(&self, mode: PricingMode) -> ModeIndex {
+        let mut pruned: Vec<u32> = Vec::new();
+        let mut bucket_start = 0;
+        for (i, x) in self.candidates.iter().enumerate() {
+            if i > 0 && self.candidates[i - 1].instances != x.instances {
+                bucket_start = pruned.len();
+            }
+            let dominated = pruned[bucket_start..]
+                .iter()
+                .any(|&j| self.dominates(&self.candidates[j as usize], x, mode));
+            if !dominated {
+                pruned.push(i as u32);
+            }
+        }
+        let cum = cumulative(
+            pruned
+                .iter()
+                .map(|&i| self.candidates[i as usize].instances),
+            self.ceiling,
+        );
+        let mut by_floor = pruned.clone();
+        by_floor.sort_by_key(|&i| self.candidates[i as usize].floor(mode));
+        ModeIndex {
+            pruned,
+            cum,
+            by_floor,
+        }
+    }
+
+    /// Whether `y` dominates `x` under `mode`: no Algorithm 1 objective —
+    /// minimum-latency-among-sustaining, maximum-throughput, or
+    /// cheapest-meeting-SLO — can ever select `x` while `y` is present,
+    /// for *any* arrival rate, including every exact-tie case.
+    ///
+    /// Requirements (all conservative, see the module docs):
+    /// * equal instance cost and strictly earlier canonical order, so `y`
+    ///   wins every `(instances, config)` and `Reverse(config)` tie-break;
+    /// * `φ(y) ≥ φ(x)`, so `y` is in every sustaining/feasible set `x` is
+    ///   in, and wins the throughput objective;
+    /// * component-wise latency ordering that implies
+    ///   `l_req(y, α) ≤ l_req(x, α)` for all `α` through the estimator's
+    ///   monotone structure.
+    fn dominates(&self, y: &Candidate, x: &Candidate, mode: PricingMode) -> bool {
+        if y.instances != x.instances || y.config >= x.config {
+            return false;
+        }
+        match mode {
+            PricingMode::FixedBatch => {
+                // l_req = l_exe + (B−1)/2α + l_exe·ρ^√(2(D+1))/(2D(1−ρ)):
+                // monotone in l_exe, B, ρ = α/φ and anti-monotone in D.
+                y.phi_fixed >= x.phi_fixed
+                    && y.l_exe <= x.l_exe
+                    && y.config.batch <= x.config.batch
+                    && y.config.data >= x.config.data
+            }
+            PricingMode::ContinuousBatching => {
+                // The occupancy fixed point iterates b ← clamp((α/D)·slot(b))
+                // from the same seed over the same clamp range (equal B):
+                // a pointwise-≤ slot table and D ≥ keep the iterate ≤ at
+                // every step, so every component (slot(b̄), steady(b̄)/2,
+                // queueing over slot(B)) is ≤. One mesh's candidates share
+                // their tables.
+                if y.config.batch != x.config.batch
+                    || y.config.data < x.config.data
+                    || y.phi_cont < x.phi_cont
+                {
+                    return false;
+                }
+                if y.table == x.table {
+                    return true;
+                }
+                let ((ys, yst), (xs, xst)) = (self.tables(y), self.tables(x));
+                ys.iter().zip(xs).all(|(a, b)| a <= b) && yst.iter().zip(xst).all(|(a, b)| a <= b)
+            }
+        }
+    }
 }
 
 /// `out[n]` = number of entries needing at most `n` instances, for
@@ -444,38 +507,6 @@ fn cumulative(instances: impl Iterator<Item = u32>, ceiling: u32) -> Vec<u32> {
         cum[n] += cum[n - 1];
     }
     cum
-}
-
-/// Pareto pruning within equal-instance buckets: drop every candidate
-/// dominated by another of the same instance cost. Domination is
-/// transitive, so any dominated candidate has a *surviving* dominator.
-fn prune(candidates: &[Candidate], ceiling: u32, mode: PricingMode) -> (Vec<u32>, Vec<u32>) {
-    let mut keep: Vec<u32> = Vec::new();
-    let mut start = 0;
-    while start < candidates.len() {
-        let inst = candidates[start].instances;
-        let mut end = start;
-        while end < candidates.len() && candidates[end].instances == inst {
-            end += 1;
-        }
-        let bucket = &candidates[start..end];
-        for (i, x) in bucket.iter().enumerate() {
-            let dominated = bucket
-                .iter()
-                .enumerate()
-                .any(|(j, y)| j != i && y.dominates(x, mode));
-            if !dominated {
-                keep.push((start + i) as u32);
-            }
-        }
-        start = end;
-    }
-    // Cumulative index over the kept (still instance-sorted) list.
-    let cum = cumulative(
-        keep.iter().map(|&i| candidates[i as usize].instances),
-        ceiling,
-    );
-    (keep, cum)
 }
 
 #[cfg(test)]
@@ -557,12 +588,12 @@ mod tests {
                 );
                 for alpha in [0.0, 0.1, 0.35, 1.0, 3.0] {
                     assert_eq!(
-                        cand.latency(&perf, PricingMode::FixedBatch, alpha),
+                        f.latency(cand, &perf, PricingMode::FixedBatch, alpha),
                         perf.request_latency(c, alpha),
                         "{name}: {c} fixed @ {alpha}"
                     );
                     assert_eq!(
-                        cand.latency(&perf, PricingMode::ContinuousBatching, alpha),
+                        f.latency(cand, &perf, PricingMode::ContinuousBatching, alpha),
                         perf.request_latency_continuous(c, alpha),
                         "{name}: {c} continuous @ {alpha}"
                     );
@@ -582,7 +613,7 @@ mod tests {
                     let floor = cand.floor(mode);
                     for frac in fractions {
                         let alpha = cand.throughput(mode) * frac;
-                        let l = cand.latency(&perf, mode, alpha);
+                        let l = f.latency(cand, &perf, mode, alpha);
                         assert!(
                             floor <= l,
                             "{name}: {} {mode:?} floor {floor} above l_req {l} at α = {alpha}",
@@ -628,11 +659,11 @@ mod tests {
                     let best_full = f
                         .feasible_at(n)
                         .iter()
-                        .map(|c| (c.latency(&perf, mode, alpha), c.instances, c.config))
+                        .map(|c| (f.latency(c, &perf, mode, alpha), c.instances, c.config))
                         .min();
                     let best_pruned = f
                         .pruned_at(n, mode)
-                        .map(|c| (c.latency(&perf, mode, alpha), c.instances, c.config))
+                        .map(|c| (f.latency(c, &perf, mode, alpha), c.instances, c.config))
                         .min();
                     assert_eq!(best_full, best_pruned, "latency {mode:?} n={n} α={alpha}");
                     let phi_full = f

@@ -201,7 +201,19 @@ impl PerfModel {
     /// How long one request occupies a slot at steady occupancy `b`: its
     /// admission (prefill) pass plus `S_out − 1` decode iterations.
     pub fn slot_time(&self, c: &ParallelConfig, b: u32) -> SimDuration {
-        self.admission_pass(c, b) + self.steady_iteration(c, b) * (self.s_out - 1) as u64
+        self.slot_time_with_steady(c, b, self.steady_iteration(c, b))
+    }
+
+    /// [`slot_time`](Self::slot_time) over `steady`, which must be
+    /// `steady_iteration(c, b)`: the frontier prices each occupancy's
+    /// steady pass once for both of its tables.
+    pub(crate) fn slot_time_with_steady(
+        &self,
+        c: &ParallelConfig,
+        b: u32,
+        steady: SimDuration,
+    ) -> SimDuration {
+        self.admission_pass(c, b) + steady * (self.s_out - 1) as u64
     }
 
     /// Peak serving throughput of the iteration-level engine: `D·B` slots,

@@ -3,7 +3,9 @@
 //! assignment, every cell builds its own inner matrix, and the planner
 //! keeps its state in `BTreeMap`s keyed by GPU. They are kept verbatim as
 //! oracles: `placement_equivalence.rs` checks that the production
-//! implementations return bit-identical outcomes and plans.
+//! implementations return bit-identical outcomes and plans. The candidate
+//! frontier's oracle is [`frontier`], held to the production frontier by
+//! `frontier_equivalence.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -571,4 +573,443 @@ fn memopt_order_reference(transfers: &TransferSet, layers_n: u32, u_max: u64) ->
         order.push(layer);
     }
     order
+}
+
+// ---- Candidate frontier (Algorithm 1's search space) -----------------
+
+/// The candidate frontier as it was before the shared per-mesh tables and
+/// the lazy per-mode index: every candidate carries boxed copies of its
+/// mesh's slot and steady tables, both pricing modes are pruned and
+/// floor-sorted at build time, and pruning tests each candidate against
+/// every other in its instance bucket. Kept verbatim as the oracle
+/// `frontier_equivalence.rs` holds the production frontier to.
+pub mod frontier {
+    use std::collections::HashMap;
+
+    use cloudsim::GpuSpec;
+    use llmsim::MemoryModel;
+    use parallelism::{enumerate_configs, ConfigSpace, ParallelConfig, PerfModel, PricingMode};
+    use simkit::SimDuration;
+
+    /// One enumerated configuration with its precomputed pricing components.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Candidate {
+        /// The configuration.
+        pub config: ParallelConfig,
+        /// `instances_needed` on the frontier's instance size.
+        pub instances: u32,
+        /// Cached `exec_latency` (the fixed-batch `l_exe`).
+        l_exe: SimDuration,
+        /// Cached fixed-batch `φ(C)`.
+        phi_fixed: f64,
+        /// Cached continuous `φ(C)`.
+        phi_cont: f64,
+        /// The continuous estimator's latency floor (see [`Candidate::floor`]).
+        floor_cont: SimDuration,
+        /// `slot_time(C, b)` for `b = 1..=B` (index `b − 1`).
+        slot_times: Box<[SimDuration]>,
+        /// `steady_iteration(C, b)` for `b = 1..=B` (index `b − 1`).
+        steady_times: Box<[SimDuration]>,
+    }
+
+    impl Candidate {
+        /// A lower bound on [`Candidate::latency`] under `mode` that holds for
+        /// every arrival rate: `l_exe` for the fixed-batch estimator (it only
+        /// adds fill and queueing delay), and the smallest `slot(b) +
+        /// steady(b)/2` over occupancies `b ≤ B` — or `slot(1)`, the empty
+        /// engine's price at `α = 0` — for the continuous one. Saturated
+        /// candidates price at [`SimDuration::MAX`], above any floor.
+        pub fn floor(&self, mode: PricingMode) -> SimDuration {
+            match mode {
+                PricingMode::FixedBatch => self.l_exe,
+                PricingMode::ContinuousBatching => self.floor_cont,
+            }
+        }
+
+        /// Cached `φ(C)` under `mode` — bit-identical to
+        /// [`PerfModel::throughput`] / [`PerfModel::throughput_continuous`].
+        pub fn throughput(&self, mode: PricingMode) -> f64 {
+            match mode {
+                PricingMode::FixedBatch => self.phi_fixed,
+                PricingMode::ContinuousBatching => self.phi_cont,
+            }
+        }
+
+        /// `l_req(C, α)` under `mode`, via the shared [`PerfModel`] kernels
+        /// over the cached components — bit-identical to fresh pricing.
+        pub fn latency(&self, perf: &PerfModel, mode: PricingMode, alpha: f64) -> SimDuration {
+            match mode {
+                PricingMode::FixedBatch => {
+                    perf.request_latency_with_exec(&self.config, self.l_exe, alpha)
+                }
+                PricingMode::ContinuousBatching => perf.request_latency_continuous_with(
+                    &self.config,
+                    alpha,
+                    |b| self.slot_times[b as usize - 1],
+                    |b| self.steady_times[b as usize - 1],
+                ),
+            }
+        }
+
+        /// Whether `self` dominates `x` under `mode`: no Algorithm 1 objective
+        /// — minimum-latency-among-sustaining, maximum-throughput, or
+        /// cheapest-meeting-SLO — can ever select `x` while `self` is present,
+        /// for *any* arrival rate, including every exact-tie case.
+        ///
+        /// Requirements (all conservative, see the module docs):
+        /// * equal instance cost and strictly earlier canonical order, so
+        ///   `self` wins every `(instances, config)` and `Reverse(config)`
+        ///   tie-break;
+        /// * `φ(self) ≥ φ(x)`, so `self` is in every sustaining/feasible set
+        ///   `x` is in, and wins the throughput objective;
+        /// * component-wise latency ordering that implies
+        ///   `l_req(self, α) ≤ l_req(x, α)` for all `α` through the
+        ///   estimator's monotone structure.
+        fn dominates(&self, x: &Candidate, mode: PricingMode) -> bool {
+            if self.instances != x.instances || self.config >= x.config {
+                return false;
+            }
+            match mode {
+                PricingMode::FixedBatch => {
+                    // l_req = l_exe + (B−1)/2α + l_exe·ρ^√(2(D+1))/(2D(1−ρ)):
+                    // monotone in l_exe, B, ρ = α/φ and anti-monotone in D.
+                    self.phi_fixed >= x.phi_fixed
+                        && self.l_exe <= x.l_exe
+                        && self.config.batch <= x.config.batch
+                        && self.config.data >= x.config.data
+                }
+                PricingMode::ContinuousBatching => {
+                    // The occupancy fixed point iterates b ← clamp((α/D)·slot(b))
+                    // from the same seed over the same clamp range (equal B):
+                    // a pointwise-≤ slot table and D ≥ keep the iterate ≤ at
+                    // every step, so every component (slot(b̄), steady(b̄)/2,
+                    // queueing over slot(B)) is ≤.
+                    self.config.batch == x.config.batch
+                        && self.config.data >= x.config.data
+                        && self.phi_cont >= x.phi_cont
+                        && self
+                            .slot_times
+                            .iter()
+                            .zip(x.slot_times.iter())
+                            .all(|(a, b)| a <= b)
+                        && self
+                            .steady_times
+                            .iter()
+                            .zip(x.steady_times.iter())
+                            .all(|(a, b)| a <= b)
+                }
+            }
+        }
+    }
+
+    /// The enumerated, priced and pruned candidate set for one
+    /// `(model, space, gpu, mem)` at a fleet ceiling. See the module docs.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cloudsim::GpuSpec;
+    /// use llmsim::{MemoryModel, ModelSpec};
+    /// use parallelism::{CandidateFrontier, ConfigSpace, PerfModel, PricingMode};
+    ///
+    /// let model = ModelSpec::gpt_20b();
+    /// let perf = PerfModel::paper_defaults(model.clone());
+    /// let f = CandidateFrontier::new(
+    ///     &perf,
+    ///     &MemoryModel::default(),
+    ///     &GpuSpec::t4(),
+    ///     &ConfigSpace::default(),
+    ///     4,
+    ///     16,
+    /// );
+    /// // GPT-20B needs 12 GPUs = 3 instances: nothing fits at 2.
+    /// assert!(f.feasible_at(2).is_empty());
+    /// assert!(!f.feasible_at(3).is_empty());
+    /// // Every survivor of pruning is still priced exactly.
+    /// let c = f.pruned_at(16, PricingMode::FixedBatch).next().unwrap();
+    /// assert_eq!(c.throughput(PricingMode::FixedBatch), perf.throughput(&c.config));
+    /// ```
+    #[derive(Debug, Clone)]
+    pub struct CandidateFrontier {
+        gpus_per_instance: u8,
+        /// Fleet ceiling (instances) this frontier was enumerated at.
+        ceiling: u32,
+        /// All candidates, sorted by `(instances, canonical config order)`.
+        candidates: Vec<Candidate>,
+        /// `cum[n]` = number of candidates needing at most `n` instances
+        /// (`n = 0..=ceiling`), so `feasible_at(n)` is `candidates[..cum[n]]`.
+        cum: Vec<u32>,
+        /// Indices (ascending) of candidates surviving fixed-batch pruning,
+        /// with its own cumulative per-instance index.
+        pruned_fixed: Vec<u32>,
+        pruned_fixed_cum: Vec<u32>,
+        /// Same for the continuous estimator.
+        pruned_cont: Vec<u32>,
+        pruned_cont_cum: Vec<u32>,
+        /// The same survivors as `pruned_fixed` / `pruned_cont` at the
+        /// ceiling, reordered by ascending [`Candidate::floor`] (ties keep
+        /// `(instances, config)` order).
+        by_floor_fixed: Vec<u32>,
+        by_floor_cont: Vec<u32>,
+    }
+
+    /// The pricing shared by every data degree of one `(P, M)` mesh: none of
+    /// `exec_latency`, `slot_time` or `steady_iteration` depends on `D`.
+    #[derive(Default)]
+    struct MeshPricing {
+        /// `slot_time(b)` for `b = 1..=` the largest batch priced so far.
+        slot: Vec<SimDuration>,
+        /// `steady_iteration(b)`, same range.
+        steady: Vec<SimDuration>,
+        /// `exec_latency` per batch size priced so far.
+        l_exe: Vec<(u32, SimDuration)>,
+    }
+
+    impl MeshPricing {
+        /// Prices `config` (of this mesh), extending the shared tables to its
+        /// batch size first.
+        fn price(
+            &mut self,
+            perf: &PerfModel,
+            config: ParallelConfig,
+            gpus_per_instance: u8,
+        ) -> Candidate {
+            for b in self.slot.len() as u32 + 1..=config.batch {
+                self.slot.push(perf.slot_time(&config, b));
+                self.steady.push(perf.steady_iteration(&config, b));
+            }
+            let l_exe = match self.l_exe.iter().find(|&&(b, _)| b == config.batch) {
+                Some(&(_, l)) => l,
+                None => {
+                    let l = perf.exec_latency(&config);
+                    self.l_exe.push((config.batch, l));
+                    l
+                }
+            };
+            let b = config.batch as usize;
+            let slot_times: Box<[SimDuration]> = self.slot[..b].into();
+            let steady_times: Box<[SimDuration]> = self.steady[..b].into();
+            // Bitwise the same computations as `PerfModel::throughput` /
+            // `throughput_continuous` over the cached components.
+            let phi_fixed = (config.data * config.batch) as f64 / l_exe.as_secs_f64();
+            let phi_cont = (config.data * config.batch) as f64 / slot_times[b - 1].as_secs_f64();
+            // The continuous kernel returns `slot(b̄) + steady(b̄)/2 + queueing`
+            // for some occupancy `b̄ ∈ 1..=B` when α > 0, and `slot(1)` alone
+            // when α = 0.
+            let floor_cont = slot_times
+                .iter()
+                .zip(steady_times.iter())
+                .map(|(&s, &st)| s + st / 2)
+                .fold(slot_times[0], SimDuration::min);
+            Candidate {
+                config,
+                instances: config.instances_needed(gpus_per_instance),
+                l_exe,
+                phi_fixed,
+                phi_cont,
+                floor_cont,
+                slot_times,
+                steady_times,
+            }
+        }
+    }
+
+    impl CandidateFrontier {
+        /// Enumerates, prices and prunes the space for a fleet of up to
+        /// `ceiling_instances` instances of `gpus_per_instance` GPUs each.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `gpus_per_instance` or `ceiling_instances` is zero.
+        pub fn new(
+            perf: &PerfModel,
+            mem: &MemoryModel,
+            gpu: &GpuSpec,
+            space: &ConfigSpace,
+            gpus_per_instance: u8,
+            ceiling_instances: u32,
+        ) -> Self {
+            assert!(gpus_per_instance > 0 && ceiling_instances > 0);
+            let mut meshes: HashMap<(u32, u32), MeshPricing> = HashMap::new();
+            let mut candidates: Vec<Candidate> = enumerate_configs(
+                perf.model(),
+                mem,
+                gpu,
+                space,
+                ceiling_instances * gpus_per_instance as u32,
+            )
+            .into_iter()
+            .map(|c| {
+                meshes
+                    .entry((c.pipeline, c.tensor))
+                    .or_default()
+                    .price(perf, c, gpus_per_instance)
+            })
+            .collect();
+            // Stable sort: within one instance bucket the canonical
+            // (enumeration) order is preserved.
+            candidates.sort_by_key(|a| (a.instances, a.config));
+            let cum = cumulative(candidates.iter().map(|c| c.instances), ceiling_instances);
+            let (pruned_fixed, pruned_fixed_cum) =
+                prune(&candidates, ceiling_instances, PricingMode::FixedBatch);
+            let (pruned_cont, pruned_cont_cum) = prune(
+                &candidates,
+                ceiling_instances,
+                PricingMode::ContinuousBatching,
+            );
+            let by_floor = |pruned: &[u32], mode| {
+                let mut order = pruned.to_vec();
+                order.sort_by_key(|&i| candidates[i as usize].floor(mode));
+                order
+            };
+            let by_floor_fixed = by_floor(&pruned_fixed, PricingMode::FixedBatch);
+            let by_floor_cont = by_floor(&pruned_cont, PricingMode::ContinuousBatching);
+            CandidateFrontier {
+                gpus_per_instance,
+                ceiling: ceiling_instances,
+                candidates,
+                cum,
+                pruned_fixed,
+                pruned_fixed_cum,
+                pruned_cont,
+                pruned_cont_cum,
+                by_floor_fixed,
+                by_floor_cont,
+            }
+        }
+
+        /// The fleet ceiling (instances) this frontier covers.
+        pub fn ceiling(&self) -> u32 {
+            self.ceiling
+        }
+
+        /// GPUs per instance the cumulative index was built for.
+        pub fn gpus_per_instance(&self) -> u8 {
+            self.gpus_per_instance
+        }
+
+        /// Total enumerated candidates.
+        pub fn len(&self) -> usize {
+            self.candidates.len()
+        }
+
+        /// Whether the space is empty at the ceiling.
+        pub fn is_empty(&self) -> bool {
+            self.candidates.is_empty()
+        }
+
+        /// Candidates surviving pruning under `mode`, at the ceiling.
+        pub fn pruned_len(&self, mode: PricingMode) -> usize {
+            match mode {
+                PricingMode::FixedBatch => self.pruned_fixed.len(),
+                PricingMode::ContinuousBatching => self.pruned_cont.len(),
+            }
+        }
+
+        /// Every candidate feasible on a fleet of `n` instances — the range
+        /// lookup replacing a fresh `enumerate_configs` call. `n` above the
+        /// ceiling clamps to the ceiling (callers grow the frontier instead).
+        pub fn feasible_at(&self, n: u32) -> &[Candidate] {
+            let n = n.min(self.ceiling) as usize;
+            &self.candidates[..self.cum[n] as usize]
+        }
+
+        /// The candidates feasible at `n` instances that survive Pareto
+        /// pruning under `mode` — the set the decision loops scan. Skipped
+        /// candidates are exactly those that can never be selected (see
+        /// [`Candidate`] `dominates`), so a scan over this iterator picks the
+        /// same winner as a scan over [`CandidateFrontier::feasible_at`].
+        pub fn pruned_at(
+            &self,
+            n: u32,
+            mode: PricingMode,
+        ) -> impl Iterator<Item = &Candidate> + '_ {
+            let n = n.min(self.ceiling) as usize;
+            let (idx, cum) = match mode {
+                PricingMode::FixedBatch => (&self.pruned_fixed, &self.pruned_fixed_cum),
+                PricingMode::ContinuousBatching => (&self.pruned_cont, &self.pruned_cont_cum),
+            };
+            idx[..cum[n] as usize]
+                .iter()
+                .map(move |&i| &self.candidates[i as usize])
+        }
+
+        /// The candidates surviving pruning under `mode` at the ceiling, in
+        /// ascending [`Candidate::floor`] order. A scan for the minimum
+        /// `l_req` within `n` instances skips candidates needing more than `n`
+        /// and may stop at the first floor above the best latency found: no
+        /// later candidate can price lower.
+        pub fn pruned_by_floor(&self, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
+            let idx = match mode {
+                PricingMode::FixedBatch => &self.by_floor_fixed,
+                PricingMode::ContinuousBatching => &self.by_floor_cont,
+            };
+            idx.iter().map(move |&i| &self.candidates[i as usize])
+        }
+
+        /// Whether `c` is feasible on a fleet of `n` instances — the direct
+        /// membership test replacing `feasible(n).contains(&c)` (a binary
+        /// search over the enumerated set instead of an `O(|space|)`
+        /// re-enumeration). `n` must be within the ceiling.
+        pub fn contains(&self, c: &ParallelConfig, n: u32) -> bool {
+            let inst = c.instances_needed(self.gpus_per_instance);
+            inst <= n.min(self.ceiling) && self.lookup(c).is_some()
+        }
+
+        /// The priced candidate for `c`, if `c` is in the enumerated space.
+        pub fn lookup(&self, c: &ParallelConfig) -> Option<&Candidate> {
+            let inst = c.instances_needed(self.gpus_per_instance);
+            self.candidates
+                .binary_search_by(|cand| (cand.instances, cand.config).cmp(&(inst, *c)))
+                .ok()
+                .map(|i| &self.candidates[i])
+        }
+    }
+
+    /// `out[n]` = number of entries needing at most `n` instances, for
+    /// `n = 0..=ceiling` (entries are instance-sorted, each within the
+    /// ceiling).
+    fn cumulative(instances: impl Iterator<Item = u32>, ceiling: u32) -> Vec<u32> {
+        let mut cum = vec![0u32; ceiling as usize + 1];
+        for inst in instances {
+            debug_assert!(inst >= 1 && inst <= ceiling);
+            cum[inst as usize] += 1;
+        }
+        for n in 1..cum.len() {
+            cum[n] += cum[n - 1];
+        }
+        cum
+    }
+
+    /// Pareto pruning within equal-instance buckets: drop every candidate
+    /// dominated by another of the same instance cost. Domination is
+    /// transitive, so any dominated candidate has a *surviving* dominator.
+    fn prune(candidates: &[Candidate], ceiling: u32, mode: PricingMode) -> (Vec<u32>, Vec<u32>) {
+        let mut keep: Vec<u32> = Vec::new();
+        let mut start = 0;
+        while start < candidates.len() {
+            let inst = candidates[start].instances;
+            let mut end = start;
+            while end < candidates.len() && candidates[end].instances == inst {
+                end += 1;
+            }
+            let bucket = &candidates[start..end];
+            for (i, x) in bucket.iter().enumerate() {
+                let dominated = bucket
+                    .iter()
+                    .enumerate()
+                    .any(|(j, y)| j != i && y.dominates(x, mode));
+                if !dominated {
+                    keep.push((start + i) as u32);
+                }
+            }
+            start = end;
+        }
+        // Cumulative index over the kept (still instance-sorted) list.
+        let cum = cumulative(
+            keep.iter().map(|&i| candidates[i as usize].instances),
+            ceiling,
+        );
+        (keep, cum)
+    }
 }

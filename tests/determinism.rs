@@ -709,6 +709,11 @@ fn golden_digests_are_pinned() {
             replay_chaos(73).0,
         ),
         (
+            "replay/spotserve_od_mixing",
+            0x8914_7847_22f7_2776,
+            replay(SystemOptions::spotserve().with_on_demand_mixing(), 99),
+        ),
+        (
             "sharded",
             0x2f9f_979a_4d39_37d4,
             sharded_canonical(1, 4, 53),

@@ -289,6 +289,156 @@ proptest! {
     }
 }
 
+// ---- The memo contract ---------------------------------------------------
+
+/// Entries a decision memo holds before it is cleared wholesale.
+const MEMO_CAP: usize = 64;
+
+/// The memo contract: a query hits exactly when its key was inserted since
+/// the last wholesale clear, and a missed key is inserted after clearing a
+/// full memo.
+struct MemoModel<K> {
+    keys: Vec<K>,
+    clears: u32,
+}
+
+impl<K: PartialEq> MemoModel<K> {
+    fn new() -> Self {
+        MemoModel {
+            keys: Vec::new(),
+            clears: 0,
+        }
+    }
+
+    /// Whether `key` hits; records it when it misses.
+    fn query(&mut self, key: K) -> bool {
+        if self.keys.contains(&key) {
+            return true;
+        }
+        if self.keys.len() >= MEMO_CAP {
+            self.keys.clear();
+            self.clears += 1;
+        }
+        self.keys.push(key);
+        false
+    }
+}
+
+/// SplitMix64: a query sequence drawn from a seed.
+struct Draw(u64);
+
+impl Draw {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// Over a sequence with far more than `MEMO_CAP` distinct `(n, α)` keys,
+/// with and without incumbents, `memo_hits()` rises exactly on the calls
+/// whose key the memo contract says is held, and every answer equals the
+/// fresh-enumeration reference. The incumbent-biased decisions are
+/// memoized too, but that memo never counts as a hit.
+#[test]
+fn decision_memo_hits_follow_the_wholesale_clear_contract() {
+    for engine in [EngineMode::ContinuousBatching, EngineMode::FixedBatch] {
+        let opt =
+            ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16).with_engine_mode(engine);
+        let incumbents = opt.feasible(16);
+        let fleets = [3u32, 5, 8, 12, 16, 20];
+        let mut model = MemoModel::new();
+        let mut draw = Draw(engine as u64 + 7);
+        let mut previous: Option<(u32, f64, Option<ParallelConfig>)> = None;
+        let (mut hits, mut distinct) = (0, std::collections::BTreeSet::new());
+        for step in 0..400 {
+            // A third of the calls repeat the previous query outright.
+            let (n, alpha, incumbent) = match previous {
+                Some(q) if draw.below(3) == 0 => q,
+                _ => {
+                    let n = fleets[draw.below(fleets.len())];
+                    let alpha = 0.02 + draw.below(32) as f64 * 0.029;
+                    let incumbent = match draw.below(3) {
+                        0 => None,
+                        _ => Some(incumbents[draw.below(incumbents.len())]),
+                    };
+                    (n, alpha, incumbent)
+                }
+            };
+            previous = Some((n, alpha, incumbent));
+            distinct.insert((n, alpha.to_bits()));
+            let before = opt.memo_hits();
+            let d = opt.decide_with_incumbent(n, alpha, incumbent);
+            let hit = model.query((n, alpha.to_bits()));
+            hits += hit as u32;
+            assert_eq!(
+                opt.memo_hits() - before,
+                hit as u64,
+                "{engine:?} step {step}: n={n} α={alpha} incumbent {incumbent:?}"
+            );
+            assert_eq!(
+                d,
+                opt.decide_with_incumbent_reference(n, alpha, incumbent),
+                "{engine:?} step {step}: n={n} α={alpha} incumbent {incumbent:?}"
+            );
+        }
+        assert!(distinct.len() > MEMO_CAP, "{} keys", distinct.len());
+        assert!(model.clears >= 2, "{} clears", model.clears);
+        assert!(hits > 60, "only {hits} hits");
+    }
+}
+
+/// The same contract for the joint decision's memo over `(avail, α)`,
+/// against the brute-force oracle. The per-lane scan memo under it never
+/// counts as a hit.
+#[test]
+fn multi_memo_hits_follow_the_wholesale_clear_contract() {
+    let engine = EngineMode::ContinuousBatching;
+    let opt = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), MULTI_CEILING)
+        .with_engine_mode(engine)
+        .with_sku(InstanceType::g4dn_12xlarge())
+        .with_sku(InstanceType::l4())
+        .with_sku(InstanceType::a100());
+    let mut model = MemoModel::new();
+    let mut draw = Draw(11);
+    let mut previous: Option<([u32; 3], f64)> = None;
+    let (mut hits, mut distinct) = (0, std::collections::BTreeSet::new());
+    for step in 0..160 {
+        let (avail, alpha) = match previous {
+            Some(q) if draw.below(3) == 0 => q,
+            _ => {
+                let avail = [
+                    draw.below(4) as u32 * 3,
+                    draw.below(3) as u32 * 4,
+                    draw.below(2) as u32 * 2,
+                ];
+                (avail, 0.05 + draw.below(12) as f64 * 0.09)
+            }
+        };
+        previous = Some((avail, alpha));
+        distinct.insert((avail, alpha.to_bits()));
+        let before = opt.memo_hits();
+        let d = opt.decide_multi(&avail, alpha);
+        let hit = model.query((avail, alpha.to_bits()));
+        hits += hit as u32;
+        assert_eq!(
+            opt.memo_hits() - before,
+            hit as u64,
+            "step {step}: {avail:?} α={alpha}"
+        );
+        assert_eq!(
+            d,
+            decide_multi_oracle(&opt, engine, &avail, alpha),
+            "step {step}: {avail:?} α={alpha}"
+        );
+    }
+    assert!(distinct.len() > MEMO_CAP, "{} keys", distinct.len());
+    assert!(model.clears >= 1, "{} clears", model.clears);
+    assert!(hits > 40, "only {hits} hits");
+}
+
 // ---- SLO-aware admission properties -----------------------------------
 
 fn perf() -> PerfModel {

@@ -8,7 +8,9 @@
 //! context-holding, fresh and spare instances, an `SkuTable` of 1–3 SKUs
 //! whose memory requirement can forbid a SKU, and zero, full or
 //! Partial-scaled caches. Every field of every `DeviceMapOutcome`,
-//! `TransferSet` and `MigrationPlan` must be bit-identical.
+//! `TransferSet` and `MigrationPlan` must be bit-identical. A last
+//! property holds `DeviceAssignment`'s per-instance counts to a scan of
+//! its bindings.
 
 mod common;
 
@@ -20,7 +22,7 @@ use kmatch::SkuCaps;
 use llmsim::{MemoryModel, ModelSpec};
 use migration::transfers::{compute_transfers, TransferSet};
 use migration::{plan_migration, DeviceAssignment, MigrationTask, PlannerOptions};
-use parallelism::ParallelConfig;
+use parallelism::{MeshPosition, ParallelConfig};
 use proptest::prelude::*;
 use spotserve::devicemap::{map_devices_with_skus, DeviceMapOutcome, OldState, SkuTable};
 
@@ -336,6 +338,75 @@ proptest! {
         prop_assert_eq!(fast.peak_buffer_growth, slow.peak_buffer_growth);
         prop_assert_eq!(fast.new_stages, slow.new_stages);
         same_transfers(&fast.transfers, &slow.transfers)?;
+    }
+}
+
+/// `asg`'s instances by a scan of its bindings, sorted and deduplicated.
+fn scanned_instances(asg: &DeviceAssignment) -> Vec<InstanceId> {
+    let mut out: Vec<InstanceId> = asg.iter().map(|(_, g)| g.instance).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// `DeviceAssignment` keeps a count of bound positions per instance
+    /// beside its map. After any sequence of inserts (fresh or rebinding a
+    /// position), instance and pipeline removals, contiguous rebuilds and
+    /// collections, `instances()` and `contains_instance` must answer as a
+    /// scan of the bindings does.
+    #[test]
+    fn assignment_instance_counts_equal_a_scan(
+        ops in 1usize..40,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut r = Draw(seed);
+        let gpu = |r: &mut Draw| GpuRef::new(InstanceId(r.below(6)), r.below(4) as u8);
+        let mut asg = DeviceAssignment::new();
+        for _ in 0..ops {
+            match r.below(6) {
+                0 | 1 => {
+                    let pos = MeshPosition::new(
+                        r.below(3) as u32,
+                        r.below(3) as u32,
+                        r.below(2) as u32,
+                    );
+                    let g = gpu(&mut r);
+                    asg.insert(pos, g);
+                }
+                2 => asg.remove_instance(InstanceId(r.below(6))),
+                3 => asg.remove_pipeline(r.below(3) as u32),
+                4 => {
+                    let cfg = ParallelConfig::new(
+                        1 + r.below(2) as u32,
+                        1 + r.below(2) as u32,
+                        1 + r.below(2) as u32,
+                        1,
+                    );
+                    let gpus: Vec<GpuRef> =
+                        (0..cfg.total_gpus()).map(|_| gpu(&mut r)).collect();
+                    asg = DeviceAssignment::contiguous(&cfg, &gpus);
+                }
+                _ => {
+                    // Rebuild from the bindings, with a few rebinding
+                    // duplicates: a later binding of a position wins.
+                    let mut pairs: Vec<(MeshPosition, GpuRef)> = asg.iter().collect();
+                    if let Some(&(pos, _)) = pairs.first() {
+                        pairs.push((pos, gpu(&mut r)));
+                    }
+                    asg = pairs.into_iter().collect();
+                }
+            }
+            let scanned = scanned_instances(&asg);
+            prop_assert_eq!(asg.instances(), scanned.clone());
+            for id in (0..7).map(InstanceId) {
+                prop_assert_eq!(asg.contains_instance(id), scanned.contains(&id), "{}", id);
+            }
+            let rebuilt: DeviceAssignment = asg.iter().collect();
+            prop_assert_eq!(&rebuilt, &asg);
+        }
     }
 }
 
