@@ -11,29 +11,40 @@
 //! * report the instance delta so the instance manager can allocate
 //!   (on-demand and spot together, §3.2) or release (on-demand first).
 //!
+//! # SKU lanes
+//!
+//! Each instance type is a *lane*: its GPUs, its performance model and its
+//! memoized frontier. The type the optimizer is built with is the base
+//! lane, and [`ConfigOptimizer::with_sku`] registers more. One decision
+//! core serves every call: the single-SKU calls (`decide*`) run it over
+//! the base lane alone, the joint calls (`decide_multi*`) over the
+//! registered lanes, picking `(SKU, C, B)` jointly. The serving system
+//! registers one lane per distinct pool SKU, so a homogeneous fleet is one
+//! lane and a mixed fleet several, on the same path and under the same
+//! incumbent bias.
+//!
 //! # Hot-path architecture
 //!
 //! The paper's bound is "re-decide within 1 second" (§3.2) — and with
 //! multi-pool markets every grant/preemption in every pool hits this code.
-//! The decision paths therefore run over a memoized
+//! Decisions therefore run over each lane's memoized
 //! [`CandidateFrontier`]: the space is enumerated and priced **once** per
 //! fleet ceiling (and re-built at least twice as wide when a fleet
 //! outgrows it), `feasible_at(n)` is a range lookup, Pareto-dominated
 //! candidates are skipped, minimum-latency scans run in latency-floor
 //! order and stop once no remaining candidate can price lower, and small
-//! memos answer repeated queries outright: per `(N, α)` decision, per
-//! incumbent-biased decision, per joint decision and per lane scan (see
-//! [`ConfigOptimizer::memo_hits`] for which of them count as hits). Decisions
-//! are **bit-identical** with the fresh-enumeration reference
-//! implementations ([`ConfigOptimizer::decide_reference`] and friends),
-//! which are kept — unchanged from the pre-frontier code — as the contract
-//! the equivalence property test and the §6.2 pinned tests hold both paths
-//! to. [`ConfigOptimizer::decide_multi`] is held to a brute-force oracle
-//! in the same property-test file.
+//! memos answer repeated queries outright: per `(lanes, availability, α)`
+//! decision, per incumbent-biased decision and per lane scan (see
+//! [`ConfigOptimizer::memo_hits`] for which of them count as hits).
+//! Single-SKU decisions are **bit-identical** with the fresh-enumeration
+//! reference implementations, and joint decisions with a brute-force
+//! oracle; both live with the integration tests (`tests/common/reference.rs`
+//! and `tests/optimizer_properties.rs`), which hold the core to them.
 
 use std::cell::{Cell, Ref, RefCell};
+use std::cmp::{Ordering, Reverse};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use cloudsim::{GpuSpec, InstanceType};
 use llmsim::{CostModel, MemoryModel, ModelSpec};
@@ -57,19 +68,79 @@ pub struct OptimizerDecision {
     pub instance_delta: i64,
 }
 
-/// The decision memo's key: one single-SKU query.
+impl From<MultiSkuDecision> for OptimizerDecision {
+    /// The decision without its lane indices.
+    fn from(d: MultiSkuDecision) -> Self {
+        OptimizerDecision {
+            now: d.now.map(|(_, c)| c),
+            target: d.target.map(|(_, c)| c),
+            instance_delta: d.instance_delta,
+        }
+    }
+}
+
+/// The joint verdict over SKU lanes: which lane serves, and what
+/// configuration on it.
+///
+/// `now` and `target` may name *different* lanes — e.g. keep serving on
+/// the surviving L4 pool while growing toward an H100 mesh — which is
+/// exactly the cross-SKU migration the device mapper prices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MultiSkuDecision {
+    /// `(lane index, config)` to materialize now, or `None` when nothing
+    /// fits any lane's current availability.
+    pub now: Option<(usize, ParallelConfig)>,
+    /// `(lane index, config)` the fleet should grow toward.
+    pub target: Option<(usize, ParallelConfig)>,
+    /// `#Instances(target) − avail[target lane]` — the delta on the
+    /// *target lane's* pool(s); other lanes' instances are releasable.
+    /// Without any target it is `−Σ avail` (`#Instances(∅) = 0`).
+    pub instance_delta: i64,
+}
+
+/// Upper bound on registered SKU lanes: the memo keys availability as a
+/// fixed `[u32; MAX_SKU_LANES]` so it stays `Copy`.
+pub const MAX_SKU_LANES: usize = 8;
+
+/// Index of the base lane: the SKU the optimizer was built with.
+const BASE: usize = 0;
+/// Index of the first lane [`ConfigOptimizer::with_sku`] registered.
+const REGISTERED: usize = 1;
+
+/// One decision query: lanes `first..first + lanes` at availability
+/// `avail[..lanes]` (zero-padded) and rate `α`, keyed by its IEEE-754 bits
+/// (the memo must never conflate rates that price differently). Keys carry
+/// the engine mode that priced them, so flipping modes invalidates
+/// per-entry instead of discarding the other mode's warm entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LanesKey {
+    engine: EngineMode,
+    first: u8,
+    lanes: u8,
+    avail: [u32; MAX_SKU_LANES],
+    alpha_bits: u64,
+}
+
+impl Hash for LanesKey {
+    /// Hashes whole words, and only the lanes the query names: a memo hit
+    /// costs little more than this hash, and most queries name one lane.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let head =
+            u32::from(self.engine as u8) | u32::from(self.first) << 8 | u32::from(self.lanes) << 16;
+        state.write_u32(head);
+        state.write_u64(self.alpha_bits);
+        for &n in &self.avail[..usize::from(self.lanes)] {
+            state.write_u32(n);
+        }
+    }
+}
+
+/// The decision memo's key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum MemoKey {
-    /// `decide(n, α)` (α keyed by its IEEE-754 bits: the memo must never
-    /// conflate rates that price differently; keys carry the engine mode
-    /// that priced them, so flipping modes invalidates per-entry instead of
-    /// discarding the other mode's warm entries).
-    Fresh {
-        engine: EngineMode,
-        n: u32,
-        alpha_bits: u64,
-    },
-    /// `decide_slo(n, α, slo)`.
+    /// An unbiased decision over a set of lanes.
+    Lanes(LanesKey),
+    /// `decide_slo(n, α, slo)` on the base lane.
     Slo {
         engine: EngineMode,
         n: u32,
@@ -78,22 +149,22 @@ enum MemoKey {
     },
 }
 
-/// The incumbent memo's key: a [`ConfigOptimizer::decide_with_incumbent`]
-/// query with an incumbent. The unbiased decision is a pure function of
-/// `(engine, n, α)`, so the biased one is a pure function of this key.
+/// The incumbent memo's key: a query with an incumbent `(lane, config)`.
+/// The unbiased decision is a pure function of the query, so the biased
+/// one is a pure function of this key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct IncumbentKey {
-    engine: EngineMode,
-    n: u32,
-    alpha_bits: u64,
-    incumbent: ParallelConfig,
+    query: LanesKey,
+    incumbent: (usize, ParallelConfig),
 }
 
-/// The lane-scan memo's key: one lane's minimum-latency sustaining scan
-/// within `limit` instances.
+/// The lane-scan memo's key: lane `lane` of the lanes starting at `first`,
+/// scanned for its minimum-latency sustaining candidate within `limit`
+/// instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct LaneScanKey {
     engine: EngineMode,
+    first: usize,
     lane: usize,
     limit: u32,
     alpha_bits: u64,
@@ -138,45 +209,17 @@ impl<K: Hash + Eq, V: Copy> Memo<K, V> {
     }
 }
 
-/// The joint verdict over a heterogeneous fleet: which SKU lane serves,
-/// and what configuration on it.
-///
-/// `now` and `target` may name *different* lanes — e.g. keep serving on
-/// the surviving L4 pool while growing toward an H100 mesh — which is
-/// exactly the cross-SKU migration the device mapper prices.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiSkuDecision {
-    /// `(lane index, config)` to materialize now, or `None` when nothing
-    /// fits any lane's current availability.
-    pub now: Option<(usize, ParallelConfig)>,
-    /// `(lane index, config)` the fleet should grow toward.
-    pub target: Option<(usize, ParallelConfig)>,
-    /// `#Instances(target) − avail[target lane]` — the delta on the
-    /// *target lane's* pool(s); other lanes' instances are releasable.
-    pub instance_delta: i64,
-}
-
-/// Upper bound on registered SKU lanes: the memo keys availability as a
-/// fixed `[u32; MAX_SKU_LANES]` so it stays `Copy`.
-pub const MAX_SKU_LANES: usize = 8;
-
-/// Memo key for [`ConfigOptimizer::decide_multi`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MultiKey {
-    engine: EngineMode,
-    avail: [u32; MAX_SKU_LANES],
-    alpha_bits: u64,
-}
-
-/// One instance type's decision lane: its own performance model (the
-/// per-model calibration scale on that SKU's hardware terms) and its own
-/// memoized frontier. Registered lanes are *additive* — the single-SKU
-/// decision paths never consult them.
+/// One instance type's decision lane: its GPUs, its performance model
+/// (the per-model calibration scale on that SKU's hardware terms) and its
+/// memoized frontier, built lazily at the fleet ceiling and grown if a
+/// query ever exceeds it. The frontier is boxed, so a lane nobody decides
+/// on (a serving system's base lane) costs a pointer.
 #[derive(Debug, Clone)]
 struct SkuLane {
-    ty: InstanceType,
+    gpu: GpuSpec,
+    gpus_per_instance: u8,
     perf: PerfModel,
-    frontier: RefCell<Option<CandidateFrontier>>,
+    frontier: RefCell<Option<Box<CandidateFrontier>>>,
 }
 
 /// The paper's Algorithm 1, parameterized by model, memory model and
@@ -195,11 +238,8 @@ struct SkuLane {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConfigOptimizer {
-    perf: PerfModel,
     mem: MemoryModel,
-    gpu: GpuSpec,
     space: ConfigSpace,
-    gpus_per_instance: u8,
     max_instances: u32,
     /// Which engine's `φ(C)`/`l_req(C)` estimator prices candidates: the
     /// paper's fixed-batch formulas, or the re-derived continuous-batching
@@ -207,27 +247,24 @@ pub struct ConfigOptimizer {
     /// [`EngineMode::FixedBatch`] so paper-exact figures stay bit-exact;
     /// the serving system passes its own engine mode in.
     engine: EngineMode,
-    /// The memoized candidate frontier, built lazily at the fleet ceiling
-    /// (and grown if a query ever exceeds it).
-    frontier: RefCell<Option<CandidateFrontier>>,
-    /// Per-`(N, α)` decision memo over the frontier.
-    memo: RefCell<Memo<MemoKey, OptimizerDecision>>,
-    /// Per-`(N, α, incumbent)` memo of incumbent-biased decisions.
-    incumbent_memo: RefCell<Memo<IncumbentKey, OptimizerDecision>>,
-    /// Registered SKU lanes for heterogeneous fleets (empty in single-SKU
-    /// operation, where no decision path reads them).
+    /// The base lane, then the registered lanes in registration order.
     lanes: Vec<SkuLane>,
-    /// Per-`(avail, α)` memo for [`ConfigOptimizer::decide_multi`].
-    multi_memo: RefCell<Memo<MultiKey, MultiSkuDecision>>,
-    /// Per-`(lane, limit, α)` memo of one lane's minimum-latency scan.
+    /// The registered lanes' instance types.
+    skus: Vec<InstanceType>,
+    /// Unbiased decisions and SLO decisions.
+    memo: RefCell<Memo<MemoKey, MultiSkuDecision>>,
+    /// Incumbent-biased decisions.
+    incumbent_memo: RefCell<Memo<IncumbentKey, MultiSkuDecision>>,
+    /// Each lane's minimum-latency scans.
     lane_memo: RefCell<Memo<LaneScanKey, Option<LatencyKey>>>,
-    /// Lifetime count of decisions answered from the decision memo or the
-    /// joint-decision memo (see [`ConfigOptimizer::memo_hits`]).
+    /// Lifetime count of decisions answered from the decision memo (see
+    /// [`ConfigOptimizer::memo_hits`]).
     memo_hits: Cell<u64>,
 }
 
 impl ConfigOptimizer {
-    /// Builds an optimizer.
+    /// Builds an optimizer whose base lane is `gpus_per_instance` `gpu`s
+    /// per instance priced by `perf`.
     ///
     /// # Panics
     ///
@@ -242,18 +279,19 @@ impl ConfigOptimizer {
     ) -> Self {
         assert!(gpus_per_instance > 0 && max_instances > 0);
         ConfigOptimizer {
-            perf,
             mem,
-            gpu,
             space,
-            gpus_per_instance,
             max_instances,
             engine: EngineMode::FixedBatch,
-            frontier: RefCell::new(None),
+            lanes: vec![SkuLane {
+                gpu,
+                gpus_per_instance,
+                perf,
+                frontier: RefCell::new(None),
+            }],
+            skus: Vec::new(),
             memo: RefCell::default(),
             incumbent_memo: RefCell::default(),
-            lanes: Vec::new(),
-            multi_memo: RefCell::default(),
             lane_memo: RefCell::default(),
             memo_hits: Cell::new(0),
         }
@@ -271,81 +309,120 @@ impl ConfigOptimizer {
         self
     }
 
-    /// Registers a SKU lane for heterogeneous decisions: `ty`'s hardware
-    /// terms under this optimizer's model-structure calibration scale and
-    /// sequence shape. Lane indices are assignment order — the caller's
-    /// pool→SKU mapping must use the same order. Single-SKU decision paths
-    /// (`decide*`) never read lanes, so registering them cannot perturb a
-    /// homogeneous replay.
+    /// Registers a SKU lane for joint decisions: `ty`'s hardware terms
+    /// under the base lane's model-structure calibration scale and
+    /// sequence shape. Lane indices are registration order — the caller's
+    /// pool→SKU mapping must use the same order.
     ///
     /// # Panics
     ///
     /// Panics past [`MAX_SKU_LANES`] registered lanes.
     pub fn with_sku(mut self, ty: InstanceType) -> Self {
-        assert!(self.lanes.len() < MAX_SKU_LANES, "too many SKU lanes");
-        let model = self.perf.model().clone();
+        assert!(self.skus.len() < MAX_SKU_LANES, "too many SKU lanes");
+        let base = &self.lanes[BASE].perf;
+        let model = base.model().clone();
         let scale = llmsim::calibration::calibration_scale(&model);
-        let (s_in, s_out) = self.perf.sequence_shape();
+        let (s_in, s_out) = base.sequence_shape();
         let cost = CostModel::for_instance_type(&ty).with_scale(scale);
-        let perf = PerfModel::new(model, cost, s_in, s_out);
+        // Lanes are few and registered once: grow by exactly one.
+        self.lanes.reserve_exact(1);
+        self.skus.reserve_exact(1);
         self.lanes.push(SkuLane {
-            ty,
-            perf,
+            gpu: ty.gpu,
+            gpus_per_instance: ty.gpus_per_instance,
+            perf: PerfModel::new(model, cost, s_in, s_out),
             frontier: RefCell::new(None),
         });
-        self.multi_memo.get_mut().entries.clear();
+        self.skus.push(ty);
         self
     }
 
-    /// Number of live single-SKU memo entries (test instrumentation for
-    /// the per-entry invalidation guarantee).
+    /// Number of live decision-memo entries (test instrumentation for the
+    /// per-entry invalidation guarantee).
     #[cfg(test)]
     fn memo_len(&self) -> usize {
         self.memo.borrow().entries.len()
     }
 
-    /// Lifetime count of `decide*` queries answered from a memo instead of
-    /// a frontier scan: hits in the decision memo (`decide`,
-    /// `decide_with_incumbent`'s unbiased decision, `decide_slo`) and in
-    /// the joint-decision memo (`decide_multi`). The incumbent memo and the
-    /// lane-scan memo never count, so a biased or joint decision counts as
-    /// a hit exactly when its underlying decision memo answered it.
-    /// Monotone; difference around a call to learn whether that call hit.
+    /// Lifetime count of `decide*` queries answered from the decision memo
+    /// instead of a frontier scan: unbiased decisions (`decide`,
+    /// `decide_multi`, and the unbiased decision under each
+    /// `*_with_incumbent` call) and `decide_slo`. The incumbent memo and
+    /// the lane-scan memo never count, so a biased decision counts as a
+    /// hit exactly when its unbiased decision was memoized. Monotone;
+    /// difference around a call to learn whether that call hit.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits.get()
     }
 
     /// Number of registered SKU lanes.
     pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+        self.skus.len()
     }
 
-    /// The instance type behind lane `i`.
+    /// The instance type behind registered lane `i`.
     pub fn lane_type(&self, i: usize) -> &InstanceType {
-        &self.lanes[i].ty
+        &self.skus[i]
     }
 
-    /// Lane `i`'s performance model (that SKU's hardware under the shared
-    /// calibration scale).
+    /// Registered lane `i`'s performance model (that SKU's hardware under
+    /// the shared calibration scale).
     pub fn lane_perf(&self, i: usize) -> &PerfModel {
-        &self.lanes[i].perf
+        &self.lanes[REGISTERED + i].perf
     }
 
-    /// `φ(C)` on lane `i` under the selected engine's estimator.
+    /// `φ(C)` on registered lane `i` under the selected engine's estimator.
     pub fn lane_throughput(&self, i: usize, c: &ParallelConfig) -> f64 {
-        let perf = &self.lanes[i].perf;
+        self.throughput_on(REGISTERED + i, c)
+    }
+
+    /// `l_req(C, α)` on registered lane `i` under the selected engine's
+    /// estimator.
+    pub fn lane_latency(&self, i: usize, c: &ParallelConfig, alpha: f64) -> SimDuration {
+        self.latency_on(REGISTERED + i, c, alpha)
+    }
+
+    /// `l_req(C, α)` on the base lane under the selected engine's
+    /// estimator.
+    pub fn estimated_latency(&self, c: &ParallelConfig, alpha: f64) -> SimDuration {
+        self.latency_on(BASE, c, alpha)
+    }
+
+    /// `φ(C)` on lane `lane`, served from its frontier's cache when `c` is
+    /// a priced candidate.
+    fn throughput_on(&self, lane: usize, c: &ParallelConfig) -> f64 {
+        let l = &self.lanes[lane];
+        if let Some(phi) = l
+            .frontier
+            .borrow()
+            .as_ref()
+            .and_then(|f| f.lookup(c))
+            .map(|cand| cand.throughput(self.pricing_mode()))
+        {
+            return phi;
+        }
         match self.engine {
-            EngineMode::FixedBatch => perf.throughput(c),
-            EngineMode::ContinuousBatching => perf.throughput_continuous(c),
+            EngineMode::FixedBatch => l.perf.throughput(c),
+            EngineMode::ContinuousBatching => l.perf.throughput_continuous(c),
         }
     }
 
-    /// `l_req(C, α)` on lane `i` under the selected engine's estimator.
-    pub fn lane_latency(&self, i: usize, c: &ParallelConfig, alpha: f64) -> SimDuration {
-        let perf = &self.lanes[i].perf;
+    /// `l_req(C, α)` on lane `lane`, served from its frontier's cached
+    /// components when `c` is a priced candidate.
+    fn latency_on(&self, lane: usize, c: &ParallelConfig, alpha: f64) -> SimDuration {
+        let l = &self.lanes[lane];
+        if let Some(latency) = l
+            .frontier
+            .borrow()
+            .as_ref()
+            .and_then(|f| f.lookup(c).map(|cand| (f, cand)))
+            .map(|(f, cand)| f.latency(cand, &l.perf, self.pricing_mode(), alpha))
+        {
+            return latency;
+        }
         match self.engine {
-            EngineMode::FixedBatch => perf.request_latency(c, alpha),
-            EngineMode::ContinuousBatching => perf.request_latency_continuous(c, alpha),
+            EngineMode::FixedBatch => l.perf.request_latency(c, alpha),
+            EngineMode::ContinuousBatching => l.perf.request_latency_continuous(c, alpha),
         }
     }
 
@@ -361,42 +438,6 @@ impl ConfigOptimizer {
         }
     }
 
-    /// `φ(C)` under the selected engine's estimator (served from the
-    /// frontier's cache when `c` is a priced candidate).
-    pub fn estimated_throughput(&self, c: &ParallelConfig) -> f64 {
-        if let Some(phi) = self
-            .frontier
-            .borrow()
-            .as_ref()
-            .and_then(|f| f.lookup(c))
-            .map(|cand| cand.throughput(self.pricing_mode()))
-        {
-            return phi;
-        }
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.throughput(c),
-            EngineMode::ContinuousBatching => self.perf.throughput_continuous(c),
-        }
-    }
-
-    /// `l_req(C, α)` under the selected engine's estimator (served from
-    /// the frontier's cached components when `c` is a priced candidate).
-    pub fn estimated_latency(&self, c: &ParallelConfig, alpha: f64) -> simkit::SimDuration {
-        if let Some(l) = self
-            .frontier
-            .borrow()
-            .as_ref()
-            .and_then(|f| f.lookup(c).map(|cand| (f, cand)))
-            .map(|(f, cand)| f.latency(cand, &self.perf, self.pricing_mode(), alpha))
-        {
-            return l;
-        }
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.request_latency(c, alpha),
-            EngineMode::ContinuousBatching => self.perf.request_latency_continuous(c, alpha),
-        }
-    }
-
     /// The paper's evaluation setup for `model` with a fleet ceiling.
     pub fn paper_defaults(model: ModelSpec, max_instances: u32) -> Self {
         ConfigOptimizer::new(
@@ -409,9 +450,9 @@ impl ConfigOptimizer {
         )
     }
 
-    /// The performance model in use.
+    /// The base lane's performance model.
     pub fn perf(&self) -> &PerfModel {
-        &self.perf
+        &self.lanes[BASE].perf
     }
 
     /// The memory model in use.
@@ -419,163 +460,99 @@ impl ConfigOptimizer {
         &self.mem
     }
 
-    /// GPUs per instance.
+    /// GPUs per base-lane instance.
     pub fn gpus_per_instance(&self) -> u8 {
-        self.gpus_per_instance
+        self.lanes[BASE].gpus_per_instance
     }
 
-    /// Enumerates feasible configurations for a fleet of `instances` —
-    /// the reference enumeration (fresh, canonical order), which the
+    /// The fleet ceiling: every lane's growth target is sought within
+    /// `max(ceiling, availability)` instances.
+    pub fn max_instances(&self) -> u32 {
+        self.max_instances
+    }
+
+    /// Enumerates the base lane's feasible configurations for a fleet of
+    /// `instances` — the fresh enumeration in canonical order, which the
     /// frontier's range lookups are held bit-equal to.
     pub fn feasible(&self, instances: u32) -> Vec<ParallelConfig> {
+        let base = &self.lanes[BASE];
         enumerate_configs(
-            self.perf.model(),
+            base.perf.model(),
             &self.mem,
-            &self.gpu,
+            &base.gpu,
             &self.space,
-            instances * self.gpus_per_instance as u32,
+            instances * base.gpus_per_instance as u32,
         )
     }
 
-    // ---- The memoized frontier --------------------------------------
+    // ---- The memoized frontiers ---------------------------------------
 
-    /// Ensures the frontier exists and covers `ceiling` instances. Must
-    /// not be called while a [`ConfigOptimizer::frontier_ref`] borrow is
-    /// live.
-    fn ensure_frontier(&self, ceiling: u32) {
-        let current = self
+    /// Ensures lane `lane`'s frontier exists and covers `needed`
+    /// instances. Growth at least doubles, so a fleet creeping past the
+    /// ceiling one instance at a time rebuilds logarithmically often. A
+    /// wider frontier answers every query exactly as a tighter one would:
+    /// each instance bucket at or below the query is the same set, and
+    /// every scan and membership test clamps to the query. Must not be
+    /// called while a [`ConfigOptimizer::frontier_ref`] borrow of the lane
+    /// is live.
+    fn ensure_frontier(&self, lane: usize, needed: u32) {
+        let l = &self.lanes[lane];
+        let current = l
             .frontier
             .borrow()
-            .as_ref()
+            .as_deref()
             .map(CandidateFrontier::ceiling);
-        let Some(build_at) = self.build_ceiling(current, ceiling) else {
-            return;
+        let build_at = match current {
+            Some(c) if c >= needed => return,
+            Some(c) => needed.max(c.saturating_mul(2)),
+            None => needed.max(self.max_instances),
         };
         let built = CandidateFrontier::new(
-            &self.perf,
+            &l.perf,
             &self.mem,
-            &self.gpu,
+            &l.gpu,
             &self.space,
-            self.gpus_per_instance,
+            l.gpus_per_instance,
             build_at,
         );
-        *self.frontier.borrow_mut() = Some(built);
+        *l.frontier.borrow_mut() = Some(Box::new(built));
     }
 
-    /// The ceiling to (re)build a frontier at so that it covers `needed`
-    /// instances, or `None` when the `current` one already does. Growth at
-    /// least doubles, so a fleet creeping past the ceiling one instance at
-    /// a time rebuilds logarithmically often. A wider frontier answers
-    /// every query exactly as a tighter one would: each instance bucket at
-    /// or below the query is the same set, and every scan and membership
-    /// test clamps to the query.
-    fn build_ceiling(&self, current: Option<u32>, needed: u32) -> Option<u32> {
-        match current {
-            Some(c) if c >= needed => None,
-            Some(c) => Some(needed.max(c.saturating_mul(2))),
-            None => Some(needed.max(self.max_instances)),
-        }
-    }
-
-    /// The live frontier (must be [`ensure`](Self::ensure_frontier)d
-    /// first).
-    fn frontier_ref(&self) -> Ref<'_, CandidateFrontier> {
-        Ref::map(self.frontier.borrow(), |o| {
-            o.as_ref().expect("frontier ensured by caller")
+    /// Lane `lane`'s live frontier (must be
+    /// [`ensure`](Self::ensure_frontier)d first).
+    fn frontier_ref(&self, lane: usize) -> Ref<'_, CandidateFrontier> {
+        Ref::map(self.lanes[lane].frontier.borrow(), |o| {
+            o.as_deref().expect("frontier ensured by caller")
         })
     }
 
-    /// Runs Algorithm 1 for `n_instances` available instances (including
-    /// grace-period arrivals, excluding instances being reclaimed) and
-    /// arrival-rate estimate `alpha`.
+    // ---- Decisions ----------------------------------------------------
+
+    /// Runs Algorithm 1 on the base lane for `n_instances` available
+    /// instances (including grace-period arrivals, excluding instances
+    /// being reclaimed) and arrival-rate estimate `alpha`.
     pub fn decide(&self, n_instances: u32, alpha: f64) -> OptimizerDecision {
         self.decide_with_incumbent(n_instances, alpha, None)
     }
 
     /// Like [`ConfigOptimizer::decide`], but biased toward the `incumbent`
-    /// configuration: switching has a real migration cost, so the incumbent
-    /// is kept whenever it still sustains `alpha` and its estimated latency
-    /// is within 15% of the best candidate's.
+    /// configuration: the base lane alone under
+    /// [`ConfigOptimizer::decide_multi_with_incumbent`]'s keep rule.
     pub fn decide_with_incumbent(
         &self,
         n_instances: u32,
         alpha: f64,
         incumbent: Option<ParallelConfig>,
     ) -> OptimizerDecision {
-        // The unbiased decision runs first, behind its own memo, so the
-        // hit accounting is the same with or without an incumbent.
-        let d = self.decide_fresh(n_instances, alpha);
-        let Some(inc) = incumbent else { return d };
-        let key = IncumbentKey {
-            engine: self.engine,
-            n: n_instances,
-            alpha_bits: alpha.to_bits(),
-            incumbent: inc,
-        };
-        if let Some(kept) = self.incumbent_memo.borrow().get(&key) {
-            return kept;
-        }
-        let kept = self.keep_incumbent(d, n_instances, alpha, inc);
-        self.incumbent_memo.borrow_mut().insert(key, kept);
-        kept
-    }
-
-    /// `d` with the incumbent kept wherever it is within 15% of the pick
-    /// (see [`ConfigOptimizer::decide_with_incumbent`]).
-    fn keep_incumbent(
-        &self,
-        mut d: OptimizerDecision,
-        n_instances: u32,
-        alpha: f64,
-        inc: ParallelConfig,
-    ) -> OptimizerDecision {
-        if inc.instances_needed(self.gpus_per_instance) > n_instances {
-            return d;
-        }
-        // Direct membership test: the incumbent is feasible iff it is in
-        // the enumerated space and fits the fleet — a binary search over
-        // the frontier, not an O(|space|) re-enumeration. (A memo hit in
-        // `decide_fresh` returns before touching the frontier, so ensure
-        // it here.)
-        self.ensure_frontier(self.max_instances.max(n_instances));
-        {
-            let fr = self.frontier_ref();
-            if !fr.contains(&inc, n_instances) {
-                return d;
-            }
-        }
-        let keepable = |best: ParallelConfig| {
-            let inc_l = self.estimated_latency(&inc, alpha);
-            let best_l = self.estimated_latency(&best, alpha);
-            self.estimated_throughput(&inc) >= alpha
-                && inc_l != simkit::SimDuration::MAX
-                && inc_l.as_secs_f64() <= best_l.as_secs_f64() * 1.15
-        };
-        if let Some(best) = d.now {
-            if best != inc && keepable(best) {
-                d.now = Some(inc);
-            }
-        }
-        if let Some(best) = d.target {
-            if best != inc && keepable(best) {
-                d.target = Some(inc);
-                d.instance_delta =
-                    inc.instances_needed(self.gpus_per_instance) as i64 - n_instances as i64;
-            }
-        }
-        d
+        self.decide_lanes(BASE, &[n_instances], alpha, incumbent.map(|c| (0, c)))
+            .into()
     }
 
     /// The §3.2 alternative objective: instead of minimizing latency, meet
-    /// a pre-defined SLO (`l_req(C) ≤ slo`) with the *cheapest* fleet.
-    /// Falls back to plain latency minimization when no configuration can
-    /// meet the SLO.
-    pub fn decide_slo(
-        &self,
-        n_instances: u32,
-        alpha: f64,
-        slo: simkit::SimDuration,
-    ) -> OptimizerDecision {
+    /// a pre-defined SLO (`l_req(C) ≤ slo`) with the *cheapest* fleet, on
+    /// the base lane. Falls back to plain latency minimization when no
+    /// configuration can meet the SLO.
+    pub fn decide_slo(&self, n_instances: u32, alpha: f64, slo: SimDuration) -> OptimizerDecision {
         let key = MemoKey::Slo {
             engine: self.engine,
             n: n_instances,
@@ -584,18 +561,18 @@ impl ConfigOptimizer {
         };
         if let Some(d) = self.memo.borrow().get(&key) {
             self.memo_hits.set(self.memo_hits.get() + 1);
-            return d;
+            return d.into();
         }
         let ceiling = self.max_instances.max(n_instances);
-        self.ensure_frontier(ceiling);
+        self.ensure_frontier(BASE, ceiling);
         let mode = self.pricing_mode();
         // Cheapest-meeting selection key: (instances, l_req, canonical).
         let mut target_key: Option<(u32, SimDuration, ParallelConfig)> = None;
         let mut now_key: Option<(u32, SimDuration, ParallelConfig)> = None;
         {
-            let fr = self.frontier_ref();
+            let fr = self.frontier_ref(BASE);
             for cand in fr.pruned_at(ceiling, mode) {
-                let l = fr.latency(cand, &self.perf, mode, alpha);
+                let l = fr.latency(cand, self.perf(), mode, alpha);
                 if l > slo {
                     continue;
                 }
@@ -612,9 +589,9 @@ impl ConfigOptimizer {
             // Nothing meets the SLO anywhere: plain latency minimization —
             // memoized under the SLO key too, so a standing unmeetable SLO
             // does not re-scan the ceiling range on every event.
-            let d = self.decide(n_instances, alpha);
+            let d = self.decide_lanes(BASE, &[n_instances], alpha, None);
             self.memo.borrow_mut().insert(key, d);
-            return d;
+            return d.into();
         };
         let now = if needed <= n_instances {
             Some(target)
@@ -623,84 +600,35 @@ impl ConfigOptimizer {
                 .map(|(_, _, c)| c)
                 .or_else(|| self.decide(n_instances, alpha).now)
         };
-        let d = OptimizerDecision {
-            now,
-            target: Some(target),
+        let d = MultiSkuDecision {
+            now: now.map(|c| (0, c)),
+            target: Some((0, target)),
             instance_delta: needed as i64 - n_instances as i64,
         };
         self.memo.borrow_mut().insert(key, d);
-        d
+        d.into()
     }
 
-    // ---- Heterogeneous fleets: the joint (SKU, C, B) decision --------
-
-    /// Ensures lane `i`'s frontier exists and covers `ceiling` instances.
-    fn ensure_lane_frontier(&self, i: usize, ceiling: u32) {
-        let lane = &self.lanes[i];
-        let current = lane
-            .frontier
-            .borrow()
-            .as_ref()
-            .map(CandidateFrontier::ceiling);
-        let Some(build_at) = self.build_ceiling(current, ceiling) else {
-            return;
-        };
-        let built = CandidateFrontier::new(
-            &lane.perf,
-            &self.mem,
-            &lane.ty.gpu,
-            &self.space,
-            lane.ty.gpus_per_instance,
-            build_at,
-        );
-        *lane.frontier.borrow_mut() = Some(built);
-    }
-
-    /// Lane `i`'s live frontier (must be ensured first).
-    fn lane_frontier_ref(&self, i: usize) -> Ref<'_, CandidateFrontier> {
-        Ref::map(self.lanes[i].frontier.borrow(), |o| {
-            o.as_ref().expect("lane frontier ensured by caller")
-        })
-    }
-
-    /// Joint maximum-throughput candidate across lanes within each lane's
-    /// current availability: maximize `φ`, break ties toward the lower
-    /// lane index, then canonical config order.
-    fn max_throughput_multi(
-        &self,
-        avail: &[u32],
-        mode: PricingMode,
-    ) -> Option<(usize, ParallelConfig)> {
-        let mut best: Option<(f64, std::cmp::Reverse<(usize, ParallelConfig)>)> = None;
-        for (i, &lane_avail) in avail.iter().enumerate().take(self.lanes.len()) {
-            if lane_avail == 0 {
-                continue;
-            }
-            self.ensure_lane_frontier(i, self.max_instances.max(lane_avail));
-            let fr = self.lane_frontier_ref(i);
-            for cand in fr.pruned_at(lane_avail, mode) {
-                let key = (cand.throughput(mode), std::cmp::Reverse((i, cand.config)));
-                let better = match &best {
-                    None => true,
-                    Some(b) => {
-                        key.partial_cmp(b).expect("throughput is finite")
-                            == std::cmp::Ordering::Greater
-                    }
-                };
-                if better {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, std::cmp::Reverse((i, c)))| (i, c))
-    }
-
-    /// Algorithm 1 over a heterogeneous fleet: given per-lane instance
+    /// Algorithm 1 over the registered lanes: given per-lane instance
     /// availability `avail[i]` (same order as [`ConfigOptimizer::with_sku`]
     /// registration), pick the best `(SKU, C, B)` jointly.
     ///
-    /// The structure mirrors [`ConfigOptimizer::decide`] exactly, with the
-    /// lane index inserted into each tie-break:
+    /// # Panics
+    ///
+    /// Panics when no lanes are registered or `avail.len()` differs from
+    /// the lane count.
+    pub fn decide_multi(&self, avail: &[u32], alpha: f64) -> MultiSkuDecision {
+        self.decide_multi_with_incumbent(avail, alpha, None)
+    }
+
+    /// [`ConfigOptimizer::decide_multi`], biased toward the `incumbent`
+    /// `(lane, config)`: switching has a real migration cost, so the
+    /// incumbent is kept — as `now` and as `target` alike — wherever it
+    /// fits its lane's availability, sustains `alpha` and prices within
+    /// 15 % of the pick, each side priced on its own lane. A kept target's
+    /// delta is relative to the incumbent lane's availability.
+    ///
+    /// The unbiased decision:
     ///
     /// * if any lane has a sustaining configuration within its ceiling,
     ///   minimize `(l_req, instances, lane, config)` across *all* lanes —
@@ -715,88 +643,178 @@ impl ConfigOptimizer {
     ///
     /// # Panics
     ///
-    /// Panics when no lanes are registered or `avail.len()` differs from
-    /// the lane count.
-    pub fn decide_multi(&self, avail: &[u32], alpha: f64) -> MultiSkuDecision {
-        assert!(!self.lanes.is_empty(), "no SKU lanes registered");
-        assert_eq!(avail.len(), self.lanes.len(), "one entry per lane");
-        let mut key = MultiKey {
+    /// As [`ConfigOptimizer::decide_multi`], and when the incumbent's lane
+    /// is out of range.
+    pub fn decide_multi_with_incumbent(
+        &self,
+        avail: &[u32],
+        alpha: f64,
+        incumbent: Option<(usize, ParallelConfig)>,
+    ) -> MultiSkuDecision {
+        assert!(!self.skus.is_empty(), "no SKU lanes registered");
+        assert_eq!(avail.len(), self.skus.len(), "one entry per lane");
+        self.decide_lanes(REGISTERED, avail, alpha, incumbent)
+    }
+
+    /// The one decision core: Algorithm 1 over lanes
+    /// `first..first + avail.len()` behind the decision memo, then the
+    /// incumbent bias behind its own memo. The unbiased decision runs
+    /// first, so the hit accounting is the same with or without an
+    /// incumbent.
+    fn decide_lanes(
+        &self,
+        first: usize,
+        avail: &[u32],
+        alpha: f64,
+        incumbent: Option<(usize, ParallelConfig)>,
+    ) -> MultiSkuDecision {
+        let mut query = LanesKey {
             engine: self.engine,
+            first: first as u8,
+            lanes: avail.len() as u8,
             avail: [0; MAX_SKU_LANES],
             alpha_bits: alpha.to_bits(),
         };
-        key.avail[..avail.len()].copy_from_slice(avail);
-        if let Some(d) = self.multi_memo.borrow().get(&key) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
-            return d;
+        query.avail[..avail.len()].copy_from_slice(avail);
+        let memoized = self.memo.borrow().get(&MemoKey::Lanes(query));
+        let d = match memoized {
+            Some(d) => {
+                self.memo_hits.set(self.memo_hits.get() + 1);
+                d
+            }
+            None => {
+                let d = self.decide_fresh(first, avail, alpha);
+                self.memo.borrow_mut().insert(MemoKey::Lanes(query), d);
+                d
+            }
+        };
+        let Some(incumbent) = incumbent else { return d };
+        let key = IncumbentKey { query, incumbent };
+        if let Some(kept) = self.incumbent_memo.borrow().get(&key) {
+            return kept;
         }
+        let kept = self.keep_incumbent(d, first, avail, alpha, incumbent);
+        self.incumbent_memo.borrow_mut().insert(key, kept);
+        kept
+    }
+
+    /// The unbiased decision over lanes `first..first + avail.len()` (see
+    /// [`ConfigOptimizer::decide_multi_with_incumbent`]), without memo.
+    fn decide_fresh(&self, first: usize, avail: &[u32], alpha: f64) -> MultiSkuDecision {
         let mode = self.pricing_mode();
-        // Joint line 3: minimum-(l_req, instances, lane, config) sustaining
+        // Line 3: the minimum-(l_req, instances, lane, config) sustaining
         // candidate at each lane's ceiling. Keys are unique (the lane and
         // config are part of them), so folding the lane minima in lane
         // order gives the minimum of one running scan.
-        let mut target: Option<LatencyKey> = None;
-        for (i, &lane_avail) in avail.iter().enumerate() {
-            let ceiling = self.max_instances.max(lane_avail);
-            self.ensure_lane_frontier(i, ceiling);
-            target = target
+        let mut best: Option<LatencyKey> = None;
+        for (i, &n) in avail.iter().enumerate() {
+            let ceiling = self.max_instances.max(n);
+            self.ensure_frontier(first + i, ceiling);
+            best = best
                 .into_iter()
-                .chain(self.lane_min_latency(i, ceiling, alpha))
+                .chain(self.lane_min_latency(first, i, ceiling, alpha))
                 .min();
         }
-        let d = match target {
-            Some((_, needed, lane, config)) => {
-                let now = if needed <= avail[lane] {
-                    Some((lane, config))
-                } else {
-                    // The same minimum within each lane's availability.
-                    let mut now: Option<LatencyKey> = None;
-                    for (i, &lane_avail) in avail.iter().enumerate() {
-                        if lane_avail > 0 {
-                            now = now
-                                .into_iter()
-                                .chain(self.lane_min_latency(i, lane_avail, alpha))
-                                .min();
-                        }
+        let target = match best {
+            Some((_, _, lane, config)) => Some((lane, config)),
+            // Line 5: nothing sustains anywhere — maximize throughput with
+            // the instances at hand.
+            None => self.max_throughput(first, avail, mode),
+        };
+        let needed = |(lane, c): (usize, ParallelConfig)| {
+            c.instances_needed(self.lanes[first + lane].gpus_per_instance)
+        };
+        // What can actually run right now, consistent with the target's
+        // shape preference: the same minimum within each lane's
+        // availability, else its maximum throughput.
+        let now = match target {
+            Some(t) if needed(t) <= avail[t.0] => Some(t),
+            _ => {
+                let mut now: Option<LatencyKey> = None;
+                for (i, &n) in avail.iter().enumerate() {
+                    if n > 0 {
+                        now = now
+                            .into_iter()
+                            .chain(self.lane_min_latency(first, i, n, alpha))
+                            .min();
                     }
-                    now.map(|(_, _, i, c)| (i, c))
-                        .or_else(|| self.max_throughput_multi(avail, mode))
-                };
-                MultiSkuDecision {
-                    now,
-                    target: Some((lane, config)),
-                    instance_delta: needed as i64 - avail[lane] as i64,
                 }
-            }
-            None => {
-                // Joint line 5: nothing sustains anywhere — maximize
-                // throughput with the instances at hand.
-                let best = self.max_throughput_multi(avail, mode);
-                let delta = best
-                    .map(|(i, c)| {
-                        let gpi = self.lanes[i].ty.gpus_per_instance;
-                        c.instances_needed(gpi) as i64 - avail[i] as i64
-                    })
-                    .unwrap_or(0);
-                MultiSkuDecision {
-                    now: best,
-                    target: best,
-                    instance_delta: delta,
-                }
+                now.map(|(_, _, i, c)| (i, c))
+                    .or_else(|| self.max_throughput(first, avail, mode))
             }
         };
-        self.multi_memo.borrow_mut().insert(key, d);
+        // Line 6: #Instances(target) − N, with #Instances(∅) = 0.
+        let instance_delta = match target {
+            Some(t) => needed(t) as i64 - avail[t.0] as i64,
+            None => -avail.iter().map(|&n| i64::from(n)).sum::<i64>(),
+        };
+        MultiSkuDecision {
+            now,
+            target,
+            instance_delta,
+        }
+    }
+
+    /// `d` with the incumbent kept wherever it is within 15% of the pick
+    /// (see [`ConfigOptimizer::decide_multi_with_incumbent`]).
+    fn keep_incumbent(
+        &self,
+        mut d: MultiSkuDecision,
+        first: usize,
+        avail: &[u32],
+        alpha: f64,
+        incumbent: (usize, ParallelConfig),
+    ) -> MultiSkuDecision {
+        let (lane, inc) = incumbent;
+        let n = avail[lane];
+        let inc_needed = inc.instances_needed(self.lanes[first + lane].gpus_per_instance);
+        if inc_needed > n {
+            return d;
+        }
+        // Direct membership test: the incumbent is feasible iff it is in
+        // the enumerated space and fits its lane — a binary search over
+        // the frontier, not an O(|space|) re-enumeration. (A memo hit
+        // returns before touching the frontier, so ensure it here.)
+        self.ensure_frontier(first + lane, self.max_instances.max(n));
+        if !self.frontier_ref(first + lane).contains(&inc, n) {
+            return d;
+        }
+        let keepable = |(best_lane, best): (usize, ParallelConfig)| {
+            let inc_l = self.latency_on(first + lane, &inc, alpha);
+            let best_l = self.latency_on(first + best_lane, &best, alpha);
+            self.throughput_on(first + lane, &inc) >= alpha
+                && inc_l != SimDuration::MAX
+                && inc_l.as_secs_f64() <= best_l.as_secs_f64() * 1.15
+        };
+        if let Some(best) = d.now {
+            if best != incumbent && keepable(best) {
+                d.now = Some(incumbent);
+            }
+        }
+        if let Some(best) = d.target {
+            if best != incumbent && keepable(best) {
+                d.target = Some(incumbent);
+                d.instance_delta = inc_needed as i64 - n as i64;
+            }
+        }
         d
     }
 
-    /// Lane `i`'s minimum-key sustaining candidate within `limit`
+    /// Lane `lane`'s minimum-key sustaining candidate within `limit`
     /// instances, behind the lane-scan memo. The lane's frontier must
     /// cover `limit`. A lane scanned on its own cannot stop early on
     /// another lane's better result; that costs work, never the answer.
-    fn lane_min_latency(&self, i: usize, limit: u32, alpha: f64) -> Option<LatencyKey> {
+    fn lane_min_latency(
+        &self,
+        first: usize,
+        lane: usize,
+        limit: u32,
+        alpha: f64,
+    ) -> Option<LatencyKey> {
         let key = LaneScanKey {
             engine: self.engine,
-            lane: i,
+            first,
+            lane,
             limit,
             alpha_bits: alpha.to_bits(),
         };
@@ -804,273 +822,54 @@ impl ConfigOptimizer {
             return best;
         }
         let best = min_latency_sustaining(
-            &self.lane_frontier_ref(i),
-            i,
+            &self.frontier_ref(first + lane),
+            lane,
             limit,
             self.pricing_mode(),
-            &self.lanes[i].perf,
+            &self.lanes[first + lane].perf,
             alpha,
         );
         self.lane_memo.borrow_mut().insert(key, best);
         best
     }
 
-    /// Algorithm 1's core decision over the frontier, behind the memo.
-    fn decide_fresh(&self, n_instances: u32, alpha: f64) -> OptimizerDecision {
-        let key = MemoKey::Fresh {
-            engine: self.engine,
-            n: n_instances,
-            alpha_bits: alpha.to_bits(),
-        };
-        if let Some(d) = self.memo.borrow().get(&key) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
-            return d;
-        }
-        // Line 2: does any configuration within the ceiling sustain α?
-        let ceiling = self.max_instances.max(n_instances);
-        self.ensure_frontier(ceiling);
-        let mode = self.pricing_mode();
-        let fr = self.frontier_ref();
-
-        let min_latency = |limit| {
-            min_latency_sustaining(&fr, 0, limit, mode, &self.perf, alpha).map(|(_, _, _, c)| c)
-        };
-        // Line 3: minimize l_req among sustaining configs at the ceiling
-        // — one floor-ordered scan, no allocation.
-        let target = min_latency(ceiling)
-            // Line 5: maximize throughput within the current fleet.
-            .or_else(|| max_throughput(&fr, n_instances, mode));
-
-        // What can actually run right now, consistent with the target's
-        // shape preference.
-        let now = match target {
-            Some(t) if t.instances_needed(self.gpus_per_instance) <= n_instances => Some(t),
-            _ => min_latency(n_instances).or_else(|| max_throughput(&fr, n_instances, mode)),
-        };
-
-        let needed = target
-            .map(|t| t.instances_needed(self.gpus_per_instance))
-            .unwrap_or(0);
-        let d = OptimizerDecision {
-            now,
-            target,
-            instance_delta: needed as i64 - n_instances as i64,
-        };
-        drop(fr);
-        self.memo.borrow_mut().insert(key, d);
-        d
-    }
-
-    // ---- Reference implementations ----------------------------------
-    //
-    // The pre-frontier decision paths, kept verbatim: they re-enumerate
-    // the space on every call and price every candidate from the cost
-    // model. The frontier-backed paths above are pinned bit-identical to
-    // these by the equivalence property test (and by the §6.2 pinned
-    // tests, which predate the frontier). They also serve as the
-    // before/after baseline for the `control_plane` bench.
-
-    /// Scores candidates: minimize `l_req(C, α)`, tie-break toward fewer
-    /// instances, then canonical order for determinism.
-    fn best_latency(
+    /// The maximum-`(φ, Reverse((lane, config)))` candidate within each
+    /// lane's availability, over the pruned frontier ranges. Every lane's
+    /// frontier must cover its availability.
+    fn max_throughput(
         &self,
-        configs: impl IntoIterator<Item = ParallelConfig>,
-        alpha: f64,
-    ) -> Option<ParallelConfig> {
-        configs
-            .into_iter()
-            .map(|c| {
-                let l = self.estimated_latency_uncached(&c, alpha);
-                (l, c.instances_needed(self.gpus_per_instance), c)
-            })
-            .min_by(|a, b| a.cmp(b))
-            .map(|(_, _, c)| c)
-    }
-
-    /// `φ(C)` straight from the cost model (never the frontier cache).
-    fn estimated_throughput_uncached(&self, c: &ParallelConfig) -> f64 {
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.throughput(c),
-            EngineMode::ContinuousBatching => self.perf.throughput_continuous(c),
-        }
-    }
-
-    /// `l_req(C, α)` straight from the cost model (never the frontier
-    /// cache).
-    fn estimated_latency_uncached(&self, c: &ParallelConfig, alpha: f64) -> SimDuration {
-        match self.engine {
-            EngineMode::FixedBatch => self.perf.request_latency(c, alpha),
-            EngineMode::ContinuousBatching => self.perf.request_latency_continuous(c, alpha),
-        }
-    }
-
-    /// The pre-frontier [`ConfigOptimizer::decide`]: fresh enumeration and
-    /// pricing on every call. Reference implementation — see above.
-    pub fn decide_reference(&self, n_instances: u32, alpha: f64) -> OptimizerDecision {
-        self.decide_with_incumbent_reference(n_instances, alpha, None)
-    }
-
-    /// The pre-frontier [`ConfigOptimizer::decide_with_incumbent`],
-    /// including its `O(|space|)` incumbent membership re-enumeration.
-    /// Reference implementation — see above.
-    pub fn decide_with_incumbent_reference(
-        &self,
-        n_instances: u32,
-        alpha: f64,
-        incumbent: Option<ParallelConfig>,
-    ) -> OptimizerDecision {
-        let mut d = self.decide_fresh_reference(n_instances, alpha);
-        let Some(inc) = incumbent else { return d };
-        if inc.instances_needed(self.gpus_per_instance) > n_instances {
-            return d;
-        }
-        if !self.feasible(n_instances).contains(&inc) {
-            return d;
-        }
-        let keepable = |best: ParallelConfig| {
-            let inc_l = self.estimated_latency_uncached(&inc, alpha);
-            let best_l = self.estimated_latency_uncached(&best, alpha);
-            self.estimated_throughput_uncached(&inc) >= alpha
-                && inc_l != simkit::SimDuration::MAX
-                && inc_l.as_secs_f64() <= best_l.as_secs_f64() * 1.15
-        };
-        if let Some(best) = d.now {
-            if best != inc && keepable(best) {
-                d.now = Some(inc);
+        first: usize,
+        avail: &[u32],
+        mode: PricingMode,
+    ) -> Option<(usize, ParallelConfig)> {
+        let mut best: Option<(f64, Reverse<(usize, ParallelConfig)>)> = None;
+        for (i, &n) in avail.iter().enumerate() {
+            if n == 0 {
+                continue;
             }
-        }
-        if let Some(best) = d.target {
-            if best != inc && keepable(best) {
-                d.target = Some(inc);
-                d.instance_delta =
-                    inc.instances_needed(self.gpus_per_instance) as i64 - n_instances as i64;
-            }
-        }
-        d
-    }
-
-    /// The pre-frontier [`ConfigOptimizer::decide_slo`]. Reference
-    /// implementation — see above.
-    pub fn decide_slo_reference(
-        &self,
-        n_instances: u32,
-        alpha: f64,
-        slo: simkit::SimDuration,
-    ) -> OptimizerDecision {
-        let ceiling = self.max_instances.max(n_instances);
-        let meeting: Vec<ParallelConfig> = self
-            .feasible(ceiling)
-            .into_iter()
-            .filter(|c| self.estimated_latency_uncached(c, alpha) <= slo)
-            .collect();
-        if meeting.is_empty() {
-            return self.decide_reference(n_instances, alpha);
-        }
-        let target = meeting
-            .iter()
-            .copied()
-            .map(|c| {
-                // Cheapest first, then lowest latency, then canonical.
-                (
-                    c.instances_needed(self.gpus_per_instance),
-                    self.estimated_latency_uncached(&c, alpha),
-                    c,
-                )
-            })
-            .min()
-            .map(|(_, _, c)| c);
-        let now = target
-            .filter(|t| t.instances_needed(self.gpus_per_instance) <= n_instances)
-            .or_else(|| {
-                meeting
-                    .into_iter()
-                    .filter(|c| c.instances_needed(self.gpus_per_instance) <= n_instances)
-                    .map(|c| {
-                        (
-                            c.instances_needed(self.gpus_per_instance),
-                            self.estimated_latency_uncached(&c, alpha),
-                            c,
-                        )
-                    })
-                    .min()
-                    .map(|(_, _, c)| c)
-            })
-            .or(self.decide_reference(n_instances, alpha).now);
-        let needed = target
-            .map(|t| t.instances_needed(self.gpus_per_instance))
-            .unwrap_or(0);
-        OptimizerDecision {
-            now,
-            target,
-            instance_delta: needed as i64 - n_instances as i64,
-        }
-    }
-
-    fn decide_fresh_reference(&self, n_instances: u32, alpha: f64) -> OptimizerDecision {
-        // Line 2: does any configuration within the ceiling sustain α?
-        let ceiling = self.max_instances.max(n_instances);
-        let all = self.feasible(ceiling);
-        let sustaining: Vec<ParallelConfig> = all
-            .iter()
-            .copied()
-            .filter(|c| self.estimated_throughput_uncached(c) >= alpha)
-            .collect();
-
-        let target = if !sustaining.is_empty() {
-            // Line 3: minimize l_req among sustaining configs.
-            self.best_latency(sustaining, alpha)
-        } else {
-            // Line 5: maximize throughput within the current fleet.
-            self.feasible(n_instances)
-                .into_iter()
-                .map(|c| (self.estimated_throughput_uncached(&c), std::cmp::Reverse(c)))
-                .max_by(|a, b| a.partial_cmp(b).expect("throughput is finite"))
-                .map(|(_, std::cmp::Reverse(c))| c)
-        };
-
-        // What can actually run right now, consistent with the target's
-        // shape preference.
-        let now_candidates = self.feasible(n_instances);
-        let now = match target {
-            Some(t) if t.instances_needed(self.gpus_per_instance) <= n_instances => Some(t),
-            _ => {
-                let sustaining_now: Vec<ParallelConfig> = now_candidates
-                    .iter()
-                    .copied()
-                    .filter(|c| self.estimated_throughput_uncached(c) >= alpha)
-                    .collect();
-                if sustaining_now.is_empty() {
-                    // Max throughput with what we have.
-                    now_candidates
-                        .into_iter()
-                        .map(|c| (self.estimated_throughput_uncached(&c), std::cmp::Reverse(c)))
-                        .max_by(|a, b| a.partial_cmp(b).expect("finite"))
-                        .map(|(_, std::cmp::Reverse(c))| c)
-                } else {
-                    self.best_latency(sustaining_now, alpha)
+            let fr = self.frontier_ref(first + i);
+            for cand in fr.pruned_at(n, mode) {
+                let key = (cand.throughput(mode), Reverse((i, cand.config)));
+                let better = best.as_ref().is_none_or(|b| {
+                    key.partial_cmp(b).expect("throughput is finite") == Ordering::Greater
+                });
+                if better {
+                    best = Some(key);
                 }
             }
-        };
-
-        let needed = target
-            .map(|t| t.instances_needed(self.gpus_per_instance))
-            .unwrap_or(0);
-        OptimizerDecision {
-            now,
-            target,
-            instance_delta: needed as i64 - n_instances as i64,
         }
+        best.map(|(_, Reverse(pick))| pick)
     }
 }
 
 /// Algorithm 1's latency selection key: `(l_req, instances, lane,
-/// canonical config)`, minimized. Single-SKU decisions use lane 0.
+/// canonical config)`, minimized.
 type LatencyKey = (SimDuration, u32, usize, ParallelConfig);
 
 /// Lane `lane`'s minimum-key sustaining candidate within `n` instances,
-/// or `None` when nothing there sustains `alpha`. Bit-identical to
-/// `best_latency` over the sustaining subset of a fresh enumeration: keys
-/// are unique (the config is part of the key), so the scan order cannot
+/// or `None` when nothing there sustains `alpha`. Bit-identical to a
+/// minimum over the sustaining subset of a fresh enumeration: keys are
+/// unique (the config is part of the key), so the scan order cannot
 /// matter; pruning only skips candidates that lose every key comparison;
 /// and the scan runs in floor order and stops at the first floor above
 /// the best latency, past which every candidate prices strictly higher.
@@ -1101,25 +900,6 @@ fn min_latency_sustaining(
         }
     }
     best
-}
-
-/// Maximum-`(φ, Reverse(canonical))` candidate within `n` instances, over
-/// the pruned frontier range.
-fn max_throughput(fr: &CandidateFrontier, n: u32, mode: PricingMode) -> Option<ParallelConfig> {
-    let mut best: Option<(f64, std::cmp::Reverse<ParallelConfig>)> = None;
-    for cand in fr.pruned_at(n, mode) {
-        let key = (cand.throughput(mode), std::cmp::Reverse(cand.config));
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                key.partial_cmp(b).expect("throughput is finite") == std::cmp::Ordering::Greater
-            }
-        };
-        if better {
-            best = Some(key);
-        }
-    }
-    best.map(|(_, std::cmp::Reverse(c))| c)
 }
 
 #[cfg(test)]
@@ -1265,60 +1045,27 @@ mod tests {
     }
 
     #[test]
-    fn memo_overflow_clears_and_keeps_answers_correct() {
-        let o = opt(ModelSpec::gpt_20b());
-        let pinned = o.decide_reference(8, 0.35);
-        for i in 0..(2 * MEMO_CAP as u32) {
-            let alpha = 0.05 + i as f64 * 0.013;
-            assert_eq!(o.decide(8, alpha), o.decide_reference(8, alpha));
-        }
-        assert_eq!(o.decide(8, 0.35), pinned);
-    }
-
-    #[test]
-    fn queries_beyond_the_ceiling_grow_the_frontier() {
-        let o = opt(ModelSpec::gpt_20b());
-        // Warm the frontier at the ceiling, then exceed it: the frontier
-        // rebuilds at the larger fleet and the decision still matches the
-        // reference.
-        let _ = o.decide(8, 0.35);
-        let big = o.decide(24, 0.35);
-        assert_eq!(big, o.decide_reference(24, 0.35));
-    }
-
-    #[test]
     fn a_fleet_creeping_past_the_ceiling_rebuilds_logarithmically() {
         let o = opt(ModelSpec::gpt_20b())
             .with_engine_mode(EngineMode::ContinuousBatching)
             .with_sku(InstanceType::t4());
-        let ceiling = || o.frontier.borrow().as_ref().map(CandidateFrontier::ceiling);
-        let lane_ceiling = || {
-            o.lanes[0]
+        let ceiling = |lane: usize| {
+            o.lanes[lane]
                 .frontier
                 .borrow()
-                .as_ref()
+                .as_deref()
                 .map(CandidateFrontier::ceiling)
         };
         let mut ceilings = Vec::new();
         for n in 16..=40u32 {
-            assert_eq!(o.decide(n, 0.35), o.decide_reference(n, 0.35), "n={n}");
+            let single = o.decide(n, 0.35);
             let multi = o.decide_multi(&[n], 0.35);
-            assert_eq!(multi.target.map(|(_, c)| c), o.decide(n, 0.35).target);
-            assert_eq!(lane_ceiling(), ceiling());
-            ceilings.push(ceiling().expect("built"));
+            assert_eq!(multi.target.map(|(_, c)| c), single.target, "n={n}");
+            assert_eq!(ceiling(REGISTERED), ceiling(BASE));
+            ceilings.push(ceiling(BASE).expect("built"));
         }
         ceilings.dedup();
         assert_eq!(ceilings, [16, 32, 64], "one rebuild per doubling");
-    }
-
-    #[test]
-    fn engine_mode_change_invalidates_the_memo() {
-        let fixed = opt(ModelSpec::gpt_20b());
-        let d_fixed = fixed.decide(12, 0.35);
-        let cont = opt(ModelSpec::gpt_20b()).with_engine_mode(EngineMode::ContinuousBatching);
-        let d_cont = cont.decide(12, 0.35);
-        assert_ne!(d_fixed.now, d_cont.now, "estimator change changes picks");
-        assert_eq!(d_cont, cont.decide_reference(12, 0.35));
     }
 
     #[test]
@@ -1454,23 +1201,5 @@ mod tests {
         let (now_lane, now_c) = d.now.expect("8 T4 instances fit LLaMA-30B");
         assert_eq!(now_lane, 0, "only the T4 fleet can serve now");
         assert!(now_c.instances_needed(4) <= 8);
-    }
-
-    #[test]
-    fn incumbent_membership_is_bit_equal_with_reference() {
-        let o = opt(ModelSpec::gpt_20b());
-        // Sweep incumbents including infeasible and out-of-space shapes.
-        let mut incumbents = o.feasible(16);
-        incumbents.push(ParallelConfig::new(1, 1, 3, 5)); // outside the space
-        incumbents.push(ParallelConfig::new(16, 16, 8, 8)); // beyond any fleet
-        for inc in incumbents {
-            for n in [3u32, 7, 10, 16] {
-                assert_eq!(
-                    o.decide_with_incumbent(n, 0.35, Some(inc)),
-                    o.decide_with_incumbent_reference(n, 0.35, Some(inc)),
-                    "incumbent {inc} at {n}"
-                );
-            }
-        }
     }
 }

@@ -43,7 +43,7 @@ use fleetctl::{FleetController, FleetPolicy, FleetView, PoolCaps, PoolView};
 
 use crate::config::{EngineMode, Policy, SystemOptions};
 use crate::devicemap::{map_devices_with_skus, OldState, SkuTable};
-use crate::optimizer::{ConfigOptimizer, MultiSkuDecision, OptimizerDecision};
+use crate::optimizer::{ConfigOptimizer, MultiSkuDecision, OptimizerDecision, MAX_SKU_LANES};
 use crate::report::{ConfigChange, RunReport};
 
 /// A complete experiment input: model, availability trace, request stream.
@@ -183,40 +183,34 @@ struct Transition {
     deadline: Option<SimTime>,
 }
 
-/// Mixed-SKU fleet state. `None` whenever every pool leases the scenario's
-/// base instance type — the single-SKU decision, pricing, and placement
-/// paths then execute verbatim, keeping homogeneous replays byte-identical.
+/// The fleet's SKU lanes: one optimizer lane per distinct pool SKU, so a
+/// homogeneous fleet has exactly one. Decisions, pricing and placement all
+/// go through them.
 #[derive(Debug)]
-struct HeteroState {
+struct LaneState {
     /// Optimizer lane index of each pool (lane order = first-seen SKU
     /// order across the pool list).
     pool_lane: Vec<usize>,
     /// The lane whose SKU the serving mesh currently runs on (prices
     /// running batches and the old side of a migration).
-    active_lane: usize,
+    active: usize,
     /// The lane the latest decision's `now` config is shaped for (prices
     /// the new mesh; placement draws from this lane's pools). Becomes
-    /// `active_lane` when the configuration is adopted.
-    decided_lane: usize,
+    /// `active` when the configuration is adopted.
+    decided: usize,
 }
 
-/// The perf model pricing the *serving* mesh: the active lane's on a mixed
-/// fleet, the base model otherwise. A free function over the two fields so
-/// call sites holding disjoint `&mut` borrows of the system keep compiling.
-fn serving_perf<'a>(optimizer: &'a ConfigOptimizer, hetero: &Option<HeteroState>) -> &'a PerfModel {
-    match hetero {
-        None => optimizer.perf(),
-        Some(h) => optimizer.lane_perf(h.active_lane),
-    }
+/// The perf model pricing the *serving* mesh: the active lane's. A free
+/// function over the two fields so call sites holding disjoint `&mut`
+/// borrows of the system keep compiling.
+fn serving_perf<'a>(optimizer: &'a ConfigOptimizer, lanes: &LaneState) -> &'a PerfModel {
+    optimizer.lane_perf(lanes.active)
 }
 
 /// The perf model pricing the *decided* (incoming) mesh — differs from
-/// [`serving_perf`] only mid-transition on a mixed fleet.
-fn decided_perf<'a>(optimizer: &'a ConfigOptimizer, hetero: &Option<HeteroState>) -> &'a PerfModel {
-    match hetero {
-        None => optimizer.perf(),
-        Some(h) => optimizer.lane_perf(h.decided_lane),
-    }
+/// [`serving_perf`] only mid-transition across lanes.
+fn decided_perf<'a>(optimizer: &'a ConfigOptimizer, lanes: &LaneState) -> &'a PerfModel {
+    optimizer.lane_perf(lanes.decided)
 }
 
 /// The capability card kmatch prices cross-SKU edges with.
@@ -305,9 +299,8 @@ pub struct ServingSystem {
     /// edge-triggered price-pressure feeding under
     /// [`FleetPolicy::CostPerToken`]. Empty until first consulted.
     last_spot_cents: Vec<u32>,
-    /// Mixed-SKU fleet state; `None` on homogeneous fleets (see
-    /// [`HeteroState`]).
-    hetero: Option<HeteroState>,
+    /// The fleet's SKU lanes (see [`LaneState`]).
+    lanes: LaneState,
     /// Each pool's capability card (its SKU and whether the model fits
     /// it), fixed for the run and built at the first fleet view; a view
     /// adds the current spot price.
@@ -361,35 +354,36 @@ impl ServingSystem {
         // that actually serves (fixed batch-fill delay vs iteration-level
         // slot turnover).
         .with_engine_mode(opts.engine);
-        // A pool leasing a different SKU than the base type turns on the
-        // heterogeneous decision path: one optimizer lane per distinct SKU,
-        // pools mapped onto lanes in first-seen order.
+        // One optimizer lane per distinct SKU, pools mapped onto lanes in
+        // first-seen order; a scenario without pools is one lane of the
+        // base type.
         let base_ty = &scenario.cloud.instance_type;
-        let mixed = scenario
-            .pools
-            .iter()
-            .any(|p| p.instance_type.as_ref().is_some_and(|t| t != base_ty));
-        let hetero = if mixed {
-            let mut lane_types: Vec<InstanceType> = Vec::new();
-            let mut pool_lane = Vec::with_capacity(scenario.pools.len());
-            for p in &scenario.pools {
-                let ty = p.instance_type.clone().unwrap_or_else(|| base_ty.clone());
-                let lane = lane_types.iter().position(|t| *t == ty).unwrap_or_else(|| {
-                    lane_types.push(ty.clone());
-                    lane_types.len() - 1
-                });
-                pool_lane.push(lane);
-            }
-            for ty in lane_types {
-                optimizer = optimizer.with_sku(ty);
-            }
-            Some(HeteroState {
-                pool_lane,
-                active_lane: 0,
-                decided_lane: 0,
-            })
+        let pool_types: Vec<&InstanceType> = if scenario.pools.is_empty() {
+            vec![base_ty]
         } else {
-            None
+            scenario
+                .pools
+                .iter()
+                .map(|p| p.instance_type.as_ref().unwrap_or(base_ty))
+                .collect()
+        };
+        let mut lane_types: Vec<&InstanceType> = Vec::new();
+        let pool_lane = pool_types
+            .into_iter()
+            .map(|ty| {
+                lane_types.iter().position(|t| *t == ty).unwrap_or_else(|| {
+                    lane_types.push(ty);
+                    lane_types.len() - 1
+                })
+            })
+            .collect();
+        for ty in lane_types {
+            optimizer = optimizer.with_sku(ty.clone());
+        }
+        let lanes = LaneState {
+            pool_lane,
+            active: 0,
+            decided: 0,
         };
         let mut cloud = if scenario.pools.is_empty() {
             CloudMarket::single(
@@ -448,7 +442,7 @@ impl ServingSystem {
             frozen_config: None,
             initial_fleet_target: 0,
             last_spot_cents: Vec::new(),
-            hetero,
+            lanes,
             pool_caps: OnceCell::new(),
             outstanding: scenario.requests.len(),
             arrivals_seen: Vec::new(),
@@ -468,12 +462,11 @@ impl ServingSystem {
     }
 
     /// GPUs per instance of the SKU new configurations are shaped for (the
-    /// decided lane's on a mixed fleet, the base type's otherwise).
+    /// decided lane's).
     fn gpus_per_instance(&self) -> u8 {
-        match &self.hetero {
-            None => self.scenario.cloud.instance_type.gpus_per_instance,
-            Some(h) => self.optimizer.lane_type(h.decided_lane).gpus_per_instance,
-        }
+        self.optimizer
+            .lane_type(self.lanes.decided)
+            .gpus_per_instance
     }
 
     /// Instances usable for serving decisions: engine up, not being killed.
@@ -499,65 +492,67 @@ impl ServingSystem {
         n
     }
 
-    /// The SKU lane instance `id` belongs to (mixed fleets only).
+    /// The SKU lane instance `id` belongs to.
     fn lane_of_instance(&self, id: InstanceId) -> usize {
-        let h = self.hetero.as_ref().expect("mixed fleet");
-        h.pool_lane[PoolId::of_instance(id).0 as usize]
+        self.lanes.pool_lane[PoolId::of_instance(id).0 as usize]
     }
 
-    /// Usable instances per lane, in lane registration order.
-    fn lane_avail(&self) -> Vec<u32> {
-        let mut avail = vec![0u32; self.optimizer.lane_count()];
-        for id in self.usable() {
+    /// Usable instances per lane, in lane registration order (the first
+    /// `lane_count()` entries): one pass over the ready instances, less
+    /// those both ready and noticed.
+    fn lane_avail(&self) -> [u32; MAX_SKU_LANES] {
+        let mut avail = [0u32; MAX_SKU_LANES];
+        for &id in &self.ready {
             avail[self.lane_of_instance(id)] += 1;
+        }
+        for &id in self.noticed.keys() {
+            if self.ready.contains(&id) {
+                avail[self.lane_of_instance(id)] -= 1;
+            }
         }
         avail
     }
 
-    /// Instances a new mesh may be placed on: every usable instance on a
-    /// homogeneous fleet; the decided lane's usable instances on a mixed
-    /// one (the serving mesh stays single-SKU).
+    /// Instances a new mesh may be placed on: the decided lane's usable
+    /// instances (the serving mesh stays single-SKU).
     fn placement_instances(&self) -> Vec<InstanceId> {
-        match &self.hetero {
-            None => self.usable(),
-            Some(h) => self
-                .usable()
-                .into_iter()
-                .filter(|&id| self.lane_of_instance(id) == h.decided_lane)
-                .collect(),
-        }
+        self.usable()
+            .into_iter()
+            .filter(|&id| self.lane_of_instance(id) == self.lanes.decided)
+            .collect()
     }
 
-    /// Maps a lane-annotated decision onto the legacy decision shape,
-    /// recording the decided lane and the target lane's fleet size.
-    fn apply_multi(&mut self, d: MultiSkuDecision) -> OptimizerDecision {
+    /// Whether the latest decision moves the mesh to another SKU.
+    fn lane_change(&self) -> bool {
+        self.lanes.decided != self.lanes.active
+    }
+
+    /// Maps a lane-annotated decision onto the serving loop's decision
+    /// shape, recording the decided lane and the target lane's fleet size.
+    fn apply_decision(&mut self, d: MultiSkuDecision) -> OptimizerDecision {
         if let Some((lane, _)) = d.now {
-            self.hetero.as_mut().expect("mixed fleet").decided_lane = lane;
+            self.lanes.decided = lane;
         }
         if let Some((lane, c)) = d.target {
             self.fleet_target =
                 c.instances_needed(self.optimizer.lane_type(lane).gpus_per_instance);
         }
-        OptimizerDecision {
-            now: d.now.map(|(_, c)| c),
-            target: d.target.map(|(_, c)| c),
-            instance_delta: d.instance_delta,
-        }
+        d.into()
     }
 
-    /// Algorithm 1 for the serving loop: the legacy single-SKU path on a
-    /// homogeneous fleet (bit-identical to the pre-SKU system), the joint
-    /// `(SKU, C, B)` decision across lanes on a mixed one.
-    fn decide_serving(&mut self, n: u32, alpha: f64) -> OptimizerDecision {
+    /// Algorithm 1 for the serving loop: the joint `(SKU, C, B)` decision
+    /// across the fleet's lanes, biased toward the serving configuration
+    /// on its own lane.
+    fn decide_serving(&mut self, alpha: f64) -> OptimizerDecision {
         let hits_before = self.optimizer.memo_hits();
-        let d = if self.hetero.is_none() {
-            let d = self.optimizer.decide_with_incumbent(n, alpha, self.current);
-            self.note_target(&d);
-            d
-        } else {
-            let d = self.optimizer.decide_multi(&self.lane_avail(), alpha);
-            self.apply_multi(d)
-        };
+        let incumbent = self.current.map(|c| (self.lanes.active, c));
+        let avail = self.lane_avail();
+        let d = self.optimizer.decide_multi_with_incumbent(
+            &avail[..self.optimizer.lane_count()],
+            alpha,
+            incumbent,
+        );
+        let d = self.apply_decision(d);
         self.note_decision(&d, hits_before);
         d
     }
@@ -571,10 +566,7 @@ impl ServingSystem {
         let memo_hit = self.optimizer.memo_hits() > memo_hits_before;
         let ev = match d.now {
             Some(c) => TelemetryEvent::Decision {
-                sku: match &self.hetero {
-                    None => self.scenario.cloud.instance_type.name,
-                    Some(h) => self.optimizer.lane_type(h.decided_lane).name,
-                },
+                sku: self.optimizer.lane_type(self.lanes.decided).name,
                 data: c.data,
                 pipe: c.pipeline,
                 tensor: c.tensor,
@@ -584,22 +576,6 @@ impl ServingSystem {
             None => TelemetryEvent::DecisionHalt { memo_hit },
         };
         self.telemetry.emit(self.now, ev);
-    }
-
-    /// `φ(C)` of the serving mesh under its own SKU's estimator.
-    fn serving_throughput(&self, c: &ParallelConfig) -> f64 {
-        match &self.hetero {
-            None => self.optimizer.estimated_throughput(c),
-            Some(h) => self.optimizer.lane_throughput(h.active_lane, c),
-        }
-    }
-
-    /// `l_req(C, α)` of a config on the serving mesh's SKU.
-    fn serving_latency(&self, c: &ParallelConfig, alpha: f64) -> SimDuration {
-        match &self.hetero {
-            None => self.optimizer.estimated_latency(c, alpha),
-            Some(h) => self.optimizer.lane_latency(h.active_lane, c, alpha),
-        }
     }
 
     fn sample_fleet(&mut self) {
@@ -713,32 +689,21 @@ impl ServingSystem {
                 self.initial_fleet_target = instances;
             }
             _ => {
-                // Reactive keeps the paper's single-market view (pool 0);
-                // the controller policies size against every pool.
-                let target = if self.hetero.is_some() {
-                    // Mixed fleet: size against per-lane pool capacities;
-                    // the joint decision already prices each lane's SKU.
-                    let h = self.hetero.as_ref().expect("mixed fleet");
-                    let mut cap = vec![0u32; self.optimizer.lane_count()];
-                    for (pid, &lane) in h.pool_lane.iter().enumerate() {
-                        cap[lane] += self.cloud.capacity_in(PoolId(pid as u32));
-                    }
-                    let d = self.optimizer.decide_multi(&cap, alpha);
-                    self.apply_multi(d);
-                    self.fleet_target
+                // Size against each lane's pool capacity. Reactive keeps
+                // the paper's single-market view (pool 0 only); the
+                // controller policies size against every pool.
+                let pools = if self.opts.fleet_policy.is_reactive() {
+                    1
                 } else {
-                    let cap = if self.opts.fleet_policy.is_reactive() {
-                        self.cloud.current_capacity()
-                    } else {
-                        self.cloud.total_capacity()
-                    };
-                    let decision = self.optimizer.decide(cap, alpha);
-                    self.note_target(&decision);
-                    decision
-                        .target
-                        .map(|c| c.instances_needed(self.gpus_per_instance()))
-                        .unwrap_or(0)
+                    self.cloud.pool_count()
                 };
+                let mut cap = vec![0u32; self.optimizer.lane_count()];
+                for pid in 0..pools {
+                    cap[self.lanes.pool_lane[pid]] += self.cloud.capacity_in(PoolId(pid as u32));
+                }
+                let d = self.optimizer.decide_multi(&cap, alpha);
+                self.apply_decision(d);
+                let target = self.fleet_target;
                 let want = target + self.opts.spare_instances;
                 let ids = if self.opts.fleet_policy.is_hedged() {
                     // Hedged warm start: spread target + spares + hedge
@@ -760,25 +725,16 @@ impl ServingSystem {
                 self.initial_fleet_target = want;
             }
         }
+        // Adopt the initial configuration at zero cost (pre-loaded).
+        let n = self.ready.len() as u32;
+        let decision = self.decide_serving(alpha);
         if matches!(self.opts.policy, Policy::Rerouting) {
             // Fix the model-parallel shape once (§6.1: "fixed pre-defined
             // optimal model parallel configuration").
-            let d = self.optimizer.decide(self.ready.len() as u32, alpha);
-            if let Some(c) = d.now.or(d.target) {
+            if let Some(c) = decision.now.or(decision.target) {
                 self.rerouting_shape = Some((c.pipeline, c.tensor, c.batch));
             }
         }
-        // Adopt the initial configuration at zero cost (pre-loaded).
-        let n = self.ready.len() as u32;
-        let hits_before = self.optimizer.memo_hits();
-        let decision = match &self.hetero {
-            None => self.optimizer.decide(n, alpha),
-            Some(_) => {
-                let d = self.optimizer.decide_multi(&self.lane_avail(), alpha);
-                self.apply_multi(d)
-            }
-        };
-        self.note_decision(&decision, hits_before);
         self.frozen_config = decision.now;
         if let Some(cfg) = self.pick_config(decision.now, n) {
             self.adopt_config(cfg, SimDuration::ZERO, 0, 0);
@@ -986,7 +942,7 @@ impl ServingSystem {
                 reqs,
                 &cfg,
                 self.now,
-                serving_perf(&self.optimizer, &self.hetero),
+                serving_perf(&self.optimizer, &self.lanes),
             );
             let finish = run.finish_time();
             let key = self.events.schedule(finish, Ev::BatchDone { pipeline: id });
@@ -1042,7 +998,7 @@ impl ServingSystem {
                 sched.admit(
                     &mut self.pending,
                     now,
-                    serving_perf(&self.optimizer, &self.hetero),
+                    serving_perf(&self.optimizer, &self.lanes),
                 );
                 let next = sched.next_event();
                 self.drain_rejections(pi);
@@ -1060,7 +1016,7 @@ impl ServingSystem {
         // upcoming boundary among those with room); the others keep
         // decoding undisturbed. A request that fits *nowhere* ends the
         // scan: that is capacity head-blocking, unchanged from before.
-        let perf = serving_perf(&self.optimizer, &self.hetero);
+        let perf = serving_perf(&self.optimizer, &self.lanes);
         let mut target: Option<(usize, Request)> = None;
         for r in self.pending.iter() {
             let mut fits_somewhere = false;
@@ -1119,7 +1075,7 @@ impl ServingSystem {
         let retired = sched.advance(
             now,
             &mut self.pending,
-            serving_perf(&self.optimizer, &self.hetero),
+            serving_perf(&self.optimizer, &self.lanes),
         );
         let next = sched.next_event();
         self.drain_rejections(pipeline);
@@ -1303,13 +1259,10 @@ impl ServingSystem {
         }
         let alpha = self.rate_estimate();
         let n = self.usable_count();
-        let decision = self.decide_serving(n, alpha);
+        let decision = self.decide_serving(alpha);
         let next = self.pick_config(decision.now, n);
         self.manage_fleet(decision.instance_delta);
-        let lane_change = self
-            .hetero
-            .as_ref()
-            .is_some_and(|h| h.decided_lane != h.active_lane);
+        let lane_change = self.lane_change();
         if next != self.current || lane_change {
             let worthwhile = match (self.current, next) {
                 (Some(cur), Some(new)) => {
@@ -1325,13 +1278,12 @@ impl ServingSystem {
                         // serving capability is incompatible with the
                         // workload, not on estimator noise). Priced with
                         // the serving engine's own estimator.
-                        let overloaded = self.serving_throughput(&cur) < alpha && backlog > cap;
+                        let (active, decided) = (self.lanes.active, self.lanes.decided);
+                        let overloaded =
+                            self.optimizer.lane_throughput(active, &cur) < alpha && backlog > cap;
                         // Or a large predicted latency win while calm.
-                        let cur_l = self.serving_latency(&cur, alpha);
-                        let new_l = match &self.hetero {
-                            None => self.optimizer.estimated_latency(&new, alpha),
-                            Some(h) => self.optimizer.lane_latency(h.decided_lane, &new, alpha),
-                        };
+                        let cur_l = self.optimizer.lane_latency(active, &cur, alpha);
+                        let new_l = self.optimizer.lane_latency(decided, &new, alpha);
                         let big_win =
                             backlog <= cap && new_l.as_secs_f64() < cur_l.as_secs_f64() * 0.7;
                         overloaded || big_win
@@ -1390,13 +1342,6 @@ impl ServingSystem {
     }
 
     // ---- Fleet management ------------------------------------------
-
-    /// Records the optimizer's desired fleet size for the controller.
-    fn note_target(&mut self, decision: &OptimizerDecision) {
-        if let Some(t) = decision.target {
-            self.fleet_target = t.instances_needed(self.gpus_per_instance());
-        }
-    }
 
     /// Each pool's capability card: price-blind policies ignore it; the
     /// cost-aware hedge masks and biases by it.
@@ -1741,13 +1686,10 @@ impl ServingSystem {
         }
         let alpha = self.rate_estimate();
         let n = self.usable_count();
-        let decision = self.decide_serving(n, alpha);
+        let decision = self.decide_serving(alpha);
         let target = self.pick_config(decision.now, n);
         self.manage_fleet(decision.instance_delta);
-        let lane_change = self
-            .hetero
-            .as_ref()
-            .is_some_and(|h| h.decided_lane != h.active_lane);
+        let lane_change = self.lane_change();
         if target == self.current && deadline.is_none() && !lane_change {
             return;
         }
@@ -1818,7 +1760,7 @@ impl ServingSystem {
         let (plan, _, _) = self.build_plan(cfg, &usable, SimTime::MAX);
         let tl = evaluate_plan(
             &plan,
-            decided_perf(&self.optimizer, &self.hetero)
+            decided_perf(&self.optimizer, &self.lanes)
                 .cost_model()
                 .net(),
             &self.scenario.storage,
@@ -1864,29 +1806,27 @@ impl ServingSystem {
             cache_bytes_per_pipeline: cache_bytes.clone(),
             progress_per_pipeline: progress,
         };
-        // On a mixed fleet the mapper prices edges with each SKU's
-        // capability card: forbidden where the shard exceeds the target
-        // GPU's memory, discounted where the reuse crosses into a slower
-        // fabric. Homogeneous fleets pass no table — the legacy matrix.
+        // The mapper prices edges with each SKU's capability card:
+        // forbidden where the shard exceeds the target GPU's memory,
+        // discounted where the reuse crosses into a slower fabric. On one
+        // lane every edge is plain reuse.
         let caps_of =
             |id: InstanceId| sku_caps(self.cloud.instance_type_in(PoolId::of_instance(id)));
-        let table = self.hetero.as_ref().map(|h| {
-            let src_lane = self
-                .assignment
-                .instances()
-                .first()
-                .map(|&id| self.lane_of_instance(id))
-                .unwrap_or(h.active_lane);
-            SkuTable {
-                caps_of: &caps_of,
-                src: sku_caps(self.optimizer.lane_type(src_lane)),
-                required_bytes_per_gpu: self.optimizer.memory().required_bytes_per_gpu(
-                    &self.scenario.model,
-                    cfg.pipeline,
-                    cfg.tensor,
-                ),
-            }
-        });
+        let src_lane = self
+            .assignment
+            .instances()
+            .first()
+            .map(|&id| self.lane_of_instance(id))
+            .unwrap_or(self.lanes.active);
+        let table = SkuTable {
+            caps_of: &caps_of,
+            src: sku_caps(self.optimizer.lane_type(src_lane)),
+            required_bytes_per_gpu: self.optimizer.memory().required_bytes_per_gpu(
+                &self.scenario.model,
+                cfg.pipeline,
+                cfg.tensor,
+            ),
+        };
         let outcome = map_devices_with_skus(
             &self.scenario.model,
             &cfg,
@@ -1894,7 +1834,7 @@ impl ServingSystem {
             self.gpus_per_instance(),
             &old,
             !self.opts.ablation.no_device_mapper,
-            table.as_ref(),
+            Some(&table),
         );
         let planner_opts = PlannerOptions {
             memory_optimized: !self.opts.ablation.no_migration_planner,
@@ -1910,7 +1850,7 @@ impl ServingSystem {
             cache_bytes_per_pipeline: cache_bytes,
             pipeline_inheritance: outcome.inheritance.clone(),
         };
-        let net = decided_perf(&self.optimizer, &self.hetero)
+        let net = decided_perf(&self.optimizer, &self.lanes)
             .cost_model()
             .net();
         let plan = plan_migration(&task, &planner_opts);
@@ -1992,12 +1932,9 @@ impl ServingSystem {
         // decoding through the grace period).
         let alpha = self.rate_estimate();
         let n = self.usable_count();
-        let decision = self.decide_serving(n, alpha);
+        let decision = self.decide_serving(alpha);
         let target = self.pick_config(decision.now, n);
-        let lane_change = self
-            .hetero
-            .as_ref()
-            .is_some_and(|h| h.decided_lane != h.active_lane);
+        let lane_change = self.lane_change();
 
         // Batch-size-only change: same mesh, nothing to migrate — adopt
         // instantly without touching running batches or resident context.
@@ -2067,13 +2004,13 @@ impl ServingSystem {
                 let usable = self.placement_instances();
                 let (plan, outcome, tri) =
                     self.build_plan(cfg, &usable, deadline.unwrap_or(SimTime::MAX));
-                let net = *decided_perf(&self.optimizer, &self.hetero)
+                let net = *decided_perf(&self.optimizer, &self.lanes)
                     .cost_model()
                     .net();
                 let tl = evaluate_plan(&plan, &net, &self.scenario.storage);
                 // Stage step for progressive overlap: one stage's share of
                 // a prefill pass (the incoming mesh's SKU sets the pace).
-                let perf = decided_perf(&self.optimizer, &self.hetero);
+                let perf = decided_perf(&self.optimizer, &self.lanes);
                 let (s_in, _) = perf.sequence_shape();
                 let stage_step = perf.cost_model().prefill_time(
                     &self.scenario.model,
@@ -2252,7 +2189,7 @@ impl ServingSystem {
                             .map(|r| r.request().s_in)
                             .max()
                             .expect("non-empty");
-                        let cost = decided_perf(&self.optimizer, &self.hetero).cost_model();
+                        let cost = decided_perf(&self.optimizer, &self.lanes).cost_model();
                         let prefill = cost.prefill_time(
                             &self.scenario.model,
                             cfg.pipeline,
@@ -2396,9 +2333,7 @@ impl ServingSystem {
     ) {
         self.epoch += 1;
         // The decided SKU's mesh takes over: pricing follows it from here.
-        if let Some(h) = &mut self.hetero {
-            h.active_lane = h.decided_lane;
-        }
+        self.lanes.active = self.lanes.decided;
         let resume_at = self.now + pause;
         self.current = Some(cfg);
         self.context_shape = Some(cfg);
@@ -2435,14 +2370,14 @@ impl ServingSystem {
                             reqs,
                             &cfg,
                             resume_at,
-                            serving_perf(&self.optimizer, &self.hetero),
+                            serving_perf(&self.optimizer, &self.lanes),
                         )
                     } else {
                         BatchRun::resume(
                             reqs,
                             &cfg,
                             resume_at,
-                            serving_perf(&self.optimizer, &self.hetero),
+                            serving_perf(&self.optimizer, &self.lanes),
                             committed,
                         )
                     };
@@ -2467,7 +2402,7 @@ impl ServingSystem {
                     .restore_within_budget(
                         records,
                         resume_at,
-                        serving_perf(&self.optimizer, &self.hetero),
+                        serving_perf(&self.optimizer, &self.lanes),
                     );
                     for req in dropped.into_iter().rev() {
                         self.pending.push_front(req);
@@ -2777,9 +2712,9 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_pools_never_build_hetero_state() {
-        // Multi-pool but single-SKU: the hetero axis must stay off so the
-        // legacy decision path executes verbatim.
+    fn homogeneous_pools_register_one_lane() {
+        // Multi-pool but single-SKU: one pool names the base SKU, the
+        // other inherits it, and both map onto the same single lane.
         let scenario = small_scenario(AvailabilityTrace::constant(0), 0.8, 47).with_pools(vec![
             PoolSpec::new("z0", AvailabilityTrace::constant(3)),
             PoolSpec::new("z1", AvailabilityTrace::constant(3))
@@ -2789,7 +2724,12 @@ mod tests {
             SystemOptions::spotserve().with_fleet_policy(fleetctl::FleetPolicy::spot_hedge()),
             scenario,
         );
-        assert!(sys.hetero.is_none(), "explicit base SKU is not mixed");
+        assert_eq!(
+            sys.optimizer.lane_count(),
+            1,
+            "explicit base SKU is not mixed"
+        );
+        assert_eq!(sys.lanes.pool_lane, [0, 0]);
         let report = sys.run();
         assert_eq!(report.unfinished, 0);
     }

@@ -5,7 +5,8 @@
 //! oracles: `placement_equivalence.rs` checks that the production
 //! implementations return bit-identical outcomes and plans. The candidate
 //! frontier's oracle is [`frontier`], held to the production frontier by
-//! `frontier_equivalence.rs`.
+//! `frontier_equivalence.rs`, and Algorithm 1's is [`optimizer`], held to
+//! `ConfigOptimizer` by `optimizer_properties.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1011,5 +1012,219 @@ pub mod frontier {
             ceiling,
         );
         (keep, cum)
+    }
+}
+
+// ---- Algorithm 1 (§3.2) ---------------------------------------------
+
+/// Algorithm 1 as it was before the candidate frontier: every call
+/// re-enumerates the configuration space and prices every candidate from
+/// the cost model. The frontier-backed `ConfigOptimizer` decisions are
+/// pinned bit-identical to these.
+pub mod optimizer {
+    use parallelism::ParallelConfig;
+    use simkit::SimDuration;
+    use spotserve::{ConfigOptimizer, EngineMode, OptimizerDecision};
+
+    /// Scores candidates: minimize `l_req(C, α)`, tie-break toward fewer
+    /// instances, then canonical order for determinism.
+    fn best_latency(
+        opt: &ConfigOptimizer,
+        configs: impl IntoIterator<Item = ParallelConfig>,
+        alpha: f64,
+    ) -> Option<ParallelConfig> {
+        configs
+            .into_iter()
+            .map(|c| {
+                let l = estimated_latency_uncached(opt, &c, alpha);
+                (l, c.instances_needed(opt.gpus_per_instance()), c)
+            })
+            .min_by(|a, b| a.cmp(b))
+            .map(|(_, _, c)| c)
+    }
+
+    /// `φ(C)` straight from the cost model (never the frontier cache).
+    fn estimated_throughput_uncached(opt: &ConfigOptimizer, c: &ParallelConfig) -> f64 {
+        match opt.engine_mode() {
+            EngineMode::FixedBatch => opt.perf().throughput(c),
+            EngineMode::ContinuousBatching => opt.perf().throughput_continuous(c),
+        }
+    }
+
+    /// `l_req(C, α)` straight from the cost model (never the frontier
+    /// cache).
+    fn estimated_latency_uncached(
+        opt: &ConfigOptimizer,
+        c: &ParallelConfig,
+        alpha: f64,
+    ) -> SimDuration {
+        match opt.engine_mode() {
+            EngineMode::FixedBatch => opt.perf().request_latency(c, alpha),
+            EngineMode::ContinuousBatching => opt.perf().request_latency_continuous(c, alpha),
+        }
+    }
+
+    /// The pre-frontier `ConfigOptimizer::decide`: fresh enumeration and
+    /// pricing on every call.
+    pub fn decide_reference(
+        opt: &ConfigOptimizer,
+        n_instances: u32,
+        alpha: f64,
+    ) -> OptimizerDecision {
+        decide_with_incumbent_reference(opt, n_instances, alpha, None)
+    }
+
+    /// The pre-frontier `ConfigOptimizer::decide_with_incumbent`,
+    /// including its `O(|space|)` incumbent membership re-enumeration.
+    pub fn decide_with_incumbent_reference(
+        opt: &ConfigOptimizer,
+        n_instances: u32,
+        alpha: f64,
+        incumbent: Option<ParallelConfig>,
+    ) -> OptimizerDecision {
+        let mut d = decide_fresh_reference(opt, n_instances, alpha);
+        let Some(inc) = incumbent else { return d };
+        if inc.instances_needed(opt.gpus_per_instance()) > n_instances {
+            return d;
+        }
+        if !opt.feasible(n_instances).contains(&inc) {
+            return d;
+        }
+        let keepable = |best: ParallelConfig| {
+            let inc_l = estimated_latency_uncached(opt, &inc, alpha);
+            let best_l = estimated_latency_uncached(opt, &best, alpha);
+            estimated_throughput_uncached(opt, &inc) >= alpha
+                && inc_l != simkit::SimDuration::MAX
+                && inc_l.as_secs_f64() <= best_l.as_secs_f64() * 1.15
+        };
+        if let Some(best) = d.now {
+            if best != inc && keepable(best) {
+                d.now = Some(inc);
+            }
+        }
+        if let Some(best) = d.target {
+            if best != inc && keepable(best) {
+                d.target = Some(inc);
+                d.instance_delta =
+                    inc.instances_needed(opt.gpus_per_instance()) as i64 - n_instances as i64;
+            }
+        }
+        d
+    }
+
+    /// The pre-frontier `ConfigOptimizer::decide_slo`.
+    pub fn decide_slo_reference(
+        opt: &ConfigOptimizer,
+        n_instances: u32,
+        alpha: f64,
+        slo: simkit::SimDuration,
+    ) -> OptimizerDecision {
+        let ceiling = opt.max_instances().max(n_instances);
+        let meeting: Vec<ParallelConfig> = opt
+            .feasible(ceiling)
+            .into_iter()
+            .filter(|c| estimated_latency_uncached(opt, c, alpha) <= slo)
+            .collect();
+        if meeting.is_empty() {
+            return decide_reference(opt, n_instances, alpha);
+        }
+        let target = meeting
+            .iter()
+            .copied()
+            .map(|c| {
+                // Cheapest first, then lowest latency, then canonical.
+                (
+                    c.instances_needed(opt.gpus_per_instance()),
+                    estimated_latency_uncached(opt, &c, alpha),
+                    c,
+                )
+            })
+            .min()
+            .map(|(_, _, c)| c);
+        let now = target
+            .filter(|t| t.instances_needed(opt.gpus_per_instance()) <= n_instances)
+            .or_else(|| {
+                meeting
+                    .into_iter()
+                    .filter(|c| c.instances_needed(opt.gpus_per_instance()) <= n_instances)
+                    .map(|c| {
+                        (
+                            c.instances_needed(opt.gpus_per_instance()),
+                            estimated_latency_uncached(opt, &c, alpha),
+                            c,
+                        )
+                    })
+                    .min()
+                    .map(|(_, _, c)| c)
+            })
+            .or(decide_reference(opt, n_instances, alpha).now);
+        let needed = target
+            .map(|t| t.instances_needed(opt.gpus_per_instance()))
+            .unwrap_or(0);
+        OptimizerDecision {
+            now,
+            target,
+            instance_delta: needed as i64 - n_instances as i64,
+        }
+    }
+
+    fn decide_fresh_reference(
+        opt: &ConfigOptimizer,
+        n_instances: u32,
+        alpha: f64,
+    ) -> OptimizerDecision {
+        // Line 2: does any configuration within the ceiling sustain α?
+        let ceiling = opt.max_instances().max(n_instances);
+        let all = opt.feasible(ceiling);
+        let sustaining: Vec<ParallelConfig> = all
+            .iter()
+            .copied()
+            .filter(|c| estimated_throughput_uncached(opt, c) >= alpha)
+            .collect();
+
+        let target = if !sustaining.is_empty() {
+            // Line 3: minimize l_req among sustaining configs.
+            best_latency(opt, sustaining, alpha)
+        } else {
+            // Line 5: maximize throughput within the current fleet.
+            opt.feasible(n_instances)
+                .into_iter()
+                .map(|c| (estimated_throughput_uncached(opt, &c), std::cmp::Reverse(c)))
+                .max_by(|a, b| a.partial_cmp(b).expect("throughput is finite"))
+                .map(|(_, std::cmp::Reverse(c))| c)
+        };
+
+        // What can actually run right now, consistent with the target's
+        // shape preference.
+        let now_candidates = opt.feasible(n_instances);
+        let now = match target {
+            Some(t) if t.instances_needed(opt.gpus_per_instance()) <= n_instances => Some(t),
+            _ => {
+                let sustaining_now: Vec<ParallelConfig> = now_candidates
+                    .iter()
+                    .copied()
+                    .filter(|c| estimated_throughput_uncached(opt, c) >= alpha)
+                    .collect();
+                if sustaining_now.is_empty() {
+                    // Max throughput with what we have.
+                    now_candidates
+                        .into_iter()
+                        .map(|c| (estimated_throughput_uncached(opt, &c), std::cmp::Reverse(c)))
+                        .max_by(|a, b| a.partial_cmp(b).expect("finite"))
+                        .map(|(_, std::cmp::Reverse(c))| c)
+                } else {
+                    best_latency(opt, sustaining_now, alpha)
+                }
+            }
+        };
+
+        let needed = target
+            .map(|t| t.instances_needed(opt.gpus_per_instance()))
+            .unwrap_or(0);
+        OptimizerDecision {
+            now,
+            target,
+            instance_delta: needed as i64 - n_instances as i64,
+        }
     }
 }

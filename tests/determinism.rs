@@ -212,6 +212,59 @@ fn replay_mixed_sku(seed: u64) -> String {
     canonical(&run_audited(opts, scenario))
 }
 
+/// Mixed-SKU churn: GPT-20B on three churning, OU-priced pools, one each
+/// of g4dn, L4 and A100, under the $/token hedge. Capacity steps every
+/// few minutes, so the serving mesh keeps re-deciding across SKU lanes
+/// with an incumbent on one of them: the replay pins the incumbent bias
+/// on a mixed fleet.
+fn replay_mixed_churn(seed: u64) -> String {
+    use cloudsim::{InstanceType, OuParams, PoolSpec, PriceModel, TraceGenerator};
+    use simkit::{SimDuration, SimRng};
+    use spotserve::FleetPolicy;
+
+    let horizon = SimDuration::from_secs(3600);
+    let mut churn = SimRng::new(seed).stream("churn");
+    let pools = [
+        InstanceType::g4dn_12xlarge(),
+        InstanceType::l4(),
+        InstanceType::a100(),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, ty)| {
+        let trace = TraceGenerator {
+            duration: horizon,
+            min_capacity: 0,
+            max_capacity: 8,
+            start_capacity: 6,
+            mean_dwell: SimDuration::from_secs(300),
+            drop_probability: 0.5,
+            max_step: 3,
+        }
+        .generate(&mut churn);
+        let price = PriceModel::Ou(OuParams {
+            horizon,
+            ..OuParams::around(ty.spot_price_per_hour)
+        });
+        PoolSpec::new(format!("p{i}"), trace)
+            .with_instance_type(ty)
+            .with_price(price)
+    })
+    .collect();
+    let mut scenario = Scenario::paper_stable(
+        ModelSpec::gpt_20b(),
+        AvailabilityTrace::constant(0), // unused once pools are set
+        0.6,
+        seed,
+    )
+    .with_pools(pools);
+    scenario
+        .requests
+        .retain(|r| r.arrival < SimTime::from_secs(1200));
+    let opts = SystemOptions::spotserve().with_fleet_policy(FleetPolicy::cost_per_token());
+    canonical(&run_audited(opts, scenario))
+}
+
 #[test]
 fn mixed_sku_fleet_replays_byte_identical() {
     let a = replay_mixed_sku(31);
@@ -722,6 +775,11 @@ fn golden_digests_are_pinned() {
             "sharded_chaos",
             0x0aa1_c10d_62fb_084e,
             sharded_chaos_canonical(1, 4, 79),
+        ),
+        (
+            "mixed_churn/cost_per_token",
+            0x3be8_5bb0_e7a0_b8b1,
+            replay_mixed_churn(13),
         ),
     ];
     let moved: Vec<String> = golden

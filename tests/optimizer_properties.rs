@@ -1,6 +1,8 @@
 //! Property tests for Algorithm 1's invariants over the whole input space,
 //! and for the scheduler's SLO-aware admission guard.
 
+mod common;
+
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -10,8 +12,12 @@ use llmsim::ModelSpec;
 use parallelism::{enumerate_configs, ConfigSpace, ParallelConfig, PerfModel};
 use proptest::prelude::*;
 use simkit::{SimDuration, SimTime};
-use spotserve::{ConfigOptimizer, EngineMode, MultiSkuDecision};
+use spotserve::{ConfigOptimizer, EngineMode, MultiSkuDecision, OptimizerDecision};
 use workload::{Request, RequestId};
+
+use common::reference::optimizer::{
+    decide_reference, decide_slo_reference, decide_with_incumbent_reference,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -116,11 +122,11 @@ proptest! {
         )
         .with_engine_mode(engine);
         let alpha = alpha_millis as f64 / 1000.0;
-        let reference = opt.decide_reference(n, alpha);
+        let reference = decide_reference(&opt, n, alpha);
         prop_assert_eq!(opt.decide(n, alpha), reference, "decide ({engine:?})");
         prop_assert_eq!(opt.decide(n, alpha), reference, "memo hit");
         let slo = SimDuration::from_secs(slo_secs);
-        let slo_ref = opt.decide_slo_reference(n, alpha, slo);
+        let slo_ref = decide_slo_reference(&opt, n, alpha, slo);
         prop_assert_eq!(opt.decide_slo(n, alpha, slo), slo_ref, "decide_slo");
         prop_assert_eq!(opt.decide_slo(n, alpha, slo), slo_ref, "slo memo hit");
         let feasible = opt.feasible(16);
@@ -128,7 +134,7 @@ proptest! {
             let inc = feasible[inc_idx % feasible.len()];
             prop_assert_eq!(
                 opt.decide_with_incumbent(n, alpha, Some(inc)),
-                opt.decide_with_incumbent_reference(n, alpha, Some(inc)),
+                decide_with_incumbent_reference(&opt, n, alpha, Some(inc)),
                 "incumbent {inc}"
             );
         }
@@ -154,10 +160,185 @@ proptest! {
     }
 }
 
+// ---- One decision core for every lane ------------------------------------
+
+/// The fleet ceiling the one-lane equivalence property runs at.
+const ONE_LANE_CEILING: u32 = 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The base SKU registered as a lane decides exactly as the single-SKU
+    /// reference: `with_sku(t4)` then `decide_multi_with_incumbent(&[n],
+    /// α, inc)` equals `decide_with_incumbent_reference(n, α, inc)` in
+    /// `now`, `target` and delta. Drawn over the paper models, both
+    /// engines, fleets from empty to past the ceiling, rates from 0
+    /// through fractions of a candidate's φ to beyond every φ (where
+    /// nothing sustains α, and on fleets too small for any mesh nothing
+    /// fits either), and incumbents that fit, need more instances than
+    /// the fleet holds, or lie outside the space. Each query runs twice
+    /// so the memo-hit paths are held to the same identity.
+    #[test]
+    fn one_lane_decisions_equal_the_single_sku_reference(
+        model_sel in 0usize..3,
+        engine_sel in 0usize..2,
+        n in 0u32..(ONE_LANE_CEILING + 9),
+        alpha_sel in 0usize..8,
+        phi_sel in 0usize..4096,
+        inc_sel in 0usize..4096,
+    ) {
+        let model = ModelSpec::paper_models()[model_sel].clone();
+        let engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_sel];
+        let opt = ConfigOptimizer::paper_defaults(model, ONE_LANE_CEILING)
+            .with_engine_mode(engine)
+            .with_sku(InstanceType::t4());
+        let space = opt.feasible(ONE_LANE_CEILING + 8);
+        let alpha = match alpha_sel {
+            0 => 0.0,
+            1 => 1e-6,
+            // A fraction of some candidate's φ, up to exactly φ (ρ = 1,
+            // priced at SimDuration::MAX).
+            2..=6 => {
+                prop_assume!(!space.is_empty());
+                let (phi, _) = lane_price(&opt, engine, 0, &space[phi_sel % space.len()], 0.0);
+                [0.1, 0.5, 0.9, 0.999, 1.0][alpha_sel - 2] * phi
+            }
+            // Beyond every candidate: nothing sustains.
+            _ => 1e4,
+        };
+        let inc = match inc_sel % 4 {
+            0 => None,
+            // Outside the space, which tries no M = 3 and no B = 5.
+            1 => Some(ParallelConfig::new(1, 1, 3, 5)),
+            _ if space.is_empty() => None,
+            // Fits `n`, or needs more instances than it.
+            _ => Some(space[inc_sel / 4 % space.len()]),
+        };
+        let reference = decide_with_incumbent_reference(&opt, n, alpha, inc);
+        for pass in ["fresh", "memo hit"] {
+            let d = opt.decide_multi_with_incumbent(&[n], alpha, inc.map(|c| (0, c)));
+            prop_assert_eq!(
+                OptimizerDecision::from(d),
+                reference,
+                "{} {:?} n={} α={} incumbent {:?}", pass, engine, n, alpha, inc
+            );
+            prop_assert!(d.now.iter().chain(&d.target).all(|&(lane, _)| lane == 0));
+        }
+    }
+}
+
+/// The equivalence checks the `control_plane` bench ran before timing its
+/// rows: GPT-20B at ceilings 16/64/256 with `N = ceiling − 2` and
+/// α = 0.35, under both engines, against the reference.
+#[test]
+fn large_ceiling_decisions_equal_the_reference() {
+    for ceiling in [16u32, 64, 256] {
+        for engine in [EngineMode::FixedBatch, EngineMode::ContinuousBatching] {
+            let opt = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), ceiling)
+                .with_engine_mode(engine);
+            let n = ceiling - 2;
+            assert_eq!(
+                opt.decide(n, 0.35),
+                decide_reference(&opt, n, 0.35),
+                "{engine:?} at ceiling {ceiling}"
+            );
+        }
+    }
+}
+
+#[test]
+fn memo_overflow_clears_and_keeps_answers_correct() {
+    let o = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16);
+    let pinned = decide_reference(&o, 8, 0.35);
+    for i in 0..(2 * MEMO_CAP as u32) {
+        let alpha = 0.05 + i as f64 * 0.013;
+        assert_eq!(o.decide(8, alpha), decide_reference(&o, 8, alpha));
+    }
+    assert_eq!(o.decide(8, 0.35), pinned);
+}
+
+#[test]
+fn queries_beyond_the_ceiling_grow_the_frontier() {
+    let o = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16);
+    // Warm the frontier at the ceiling, then exceed it: the frontier
+    // rebuilds at the larger fleet and the decision still matches the
+    // reference.
+    let _ = o.decide(8, 0.35);
+    let big = o.decide(24, 0.35);
+    assert_eq!(big, decide_reference(&o, 24, 0.35));
+}
+
+/// A fleet growing one instance at a time past the ceiling (the frontier
+/// rebuilds as it goes) decides as the reference on the base lane, and
+/// identically on a registered T4 lane.
+#[test]
+fn a_fleet_creeping_past_the_ceiling_decides_as_the_reference() {
+    let o = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16)
+        .with_engine_mode(EngineMode::ContinuousBatching)
+        .with_sku(InstanceType::t4());
+    for n in 16..=40u32 {
+        let single = o.decide(n, 0.35);
+        assert_eq!(single, decide_reference(&o, n, 0.35), "n={n}");
+        assert_eq!(
+            OptimizerDecision::from(o.decide_multi(&[n], 0.35)),
+            single,
+            "n={n}"
+        );
+    }
+}
+
+#[test]
+fn engine_mode_change_invalidates_the_memo() {
+    let fixed = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16);
+    let d_fixed = fixed.decide(12, 0.35);
+    let cont = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16)
+        .with_engine_mode(EngineMode::ContinuousBatching);
+    let d_cont = cont.decide(12, 0.35);
+    assert_ne!(d_fixed.now, d_cont.now, "estimator change changes picks");
+    assert_eq!(d_cont, decide_reference(&cont, 12, 0.35));
+}
+
+#[test]
+fn incumbent_membership_is_bit_equal_with_reference() {
+    let o = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), 16);
+    // Sweep incumbents including infeasible and out-of-space shapes.
+    let mut incumbents = o.feasible(16);
+    incumbents.push(ParallelConfig::new(1, 1, 3, 5)); // outside the space
+    incumbents.push(ParallelConfig::new(16, 16, 8, 8)); // beyond any fleet
+    for inc in incumbents {
+        for n in [3u32, 7, 10, 16] {
+            assert_eq!(
+                o.decide_with_incumbent(n, 0.35, Some(inc)),
+                decide_with_incumbent_reference(&o, n, 0.35, Some(inc)),
+                "incumbent {inc} at {n}"
+            );
+        }
+    }
+}
+
 // ---- The joint (SKU, C, B) decision against a brute-force oracle --------
 
 /// The fleet ceiling the `decide_multi` oracle property runs at.
 const MULTI_CEILING: u32 = 8;
+
+/// `(φ, l_req(α))` of `c` on lane `i`, straight from `lane_perf(i)` under
+/// `engine`.
+fn lane_price(
+    opt: &ConfigOptimizer,
+    engine: EngineMode,
+    i: usize,
+    c: &ParallelConfig,
+    alpha: f64,
+) -> (f64, SimDuration) {
+    let perf = opt.lane_perf(i);
+    match engine {
+        EngineMode::FixedBatch => (perf.throughput(c), perf.request_latency(c, alpha)),
+        EngineMode::ContinuousBatching => (
+            perf.throughput_continuous(c),
+            perf.request_latency_continuous(c, alpha),
+        ),
+    }
+}
 
 /// Every configuration of lane `i` within `n` instances, fresh from
 /// `enumerate_configs`, priced `(φ, l_req(α))` through `lane_perf(i)`
@@ -170,9 +351,8 @@ fn lane_candidates(
     alpha: f64,
 ) -> Vec<(f64, SimDuration, u32, ParallelConfig)> {
     let ty = opt.lane_type(i);
-    let perf = opt.lane_perf(i);
     enumerate_configs(
-        perf.model(),
+        opt.lane_perf(i).model(),
         opt.memory(),
         &ty.gpu,
         &ConfigSpace::default(),
@@ -180,13 +360,7 @@ fn lane_candidates(
     )
     .into_iter()
     .map(|c| {
-        let (phi, l) = match engine {
-            EngineMode::FixedBatch => (perf.throughput(&c), perf.request_latency(&c, alpha)),
-            EngineMode::ContinuousBatching => (
-                perf.throughput_continuous(&c),
-                perf.request_latency_continuous(&c, alpha),
-            ),
-        };
+        let (phi, l) = lane_price(opt, engine, i, &c, alpha);
         (phi, l, c.instances_needed(ty.gpus_per_instance), c)
     })
     .collect()
@@ -195,7 +369,8 @@ fn lane_candidates(
 /// Algorithm 1 over SKU lanes, by brute force: the minimum
 /// `(l_req, instances, lane, config)` sustaining candidate at each lane's
 /// ceiling (target) and within each lane's availability (now), else the
-/// maximum `(φ, Reverse((lane, config)))` within availability.
+/// maximum `(φ, Reverse((lane, config)))` within availability. With no
+/// target at all the delta is `−Σ avail` (`#Instances(∅) = 0`).
 fn decide_multi_oracle(
     opt: &ConfigOptimizer,
     engine: EngineMode,
@@ -238,8 +413,91 @@ fn decide_multi_oracle(
         None => MultiSkuDecision {
             now: max_phi,
             target: max_phi,
-            instance_delta: max_phi.map_or(0, delta),
+            instance_delta: max_phi
+                .map_or_else(|| -avail.iter().map(|&n| i64::from(n)).sum::<i64>(), delta),
         },
+    }
+}
+
+/// The incumbent bias by brute force: the incumbent `(lane, config)`
+/// replaces the pick — `now` and `target` alike — wherever it is an
+/// enumerated configuration within its lane's availability, sustains α
+/// there, and prices within 15 % of the pick, each side priced on its
+/// own lane. A kept target's delta is relative to the incumbent lane.
+fn keep_incumbent_oracle(
+    opt: &ConfigOptimizer,
+    engine: EngineMode,
+    avail: &[u32],
+    alpha: f64,
+    mut d: MultiSkuDecision,
+    incumbent: (usize, ParallelConfig),
+) -> MultiSkuDecision {
+    let (lane, inc) = incumbent;
+    let fits = lane_candidates(opt, engine, lane, avail[lane], alpha)
+        .iter()
+        .any(|&(.., c)| c == inc);
+    if !fits {
+        return d;
+    }
+    let (phi, inc_l) = lane_price(opt, engine, lane, &inc, alpha);
+    let keepable = |(best_lane, best): (usize, ParallelConfig)| {
+        let (_, best_l) = lane_price(opt, engine, best_lane, &best, alpha);
+        phi >= alpha
+            && inc_l != SimDuration::MAX
+            && inc_l.as_secs_f64() <= best_l.as_secs_f64() * 1.15
+    };
+    if let Some(best) = d.now {
+        if best != incumbent && keepable(best) {
+            d.now = Some(incumbent);
+        }
+    }
+    if let Some(best) = d.target {
+        if best != incumbent && keepable(best) {
+            d.target = Some(incumbent);
+            d.instance_delta = inc.instances_needed(opt.lane_type(lane).gpus_per_instance) as i64
+                - avail[lane] as i64;
+        }
+    }
+    d
+}
+
+/// [`decide_multi_oracle`] under the incumbent bias.
+fn decide_multi_with_incumbent_oracle(
+    opt: &ConfigOptimizer,
+    engine: EngineMode,
+    avail: &[u32],
+    alpha: f64,
+    incumbent: Option<(usize, ParallelConfig)>,
+) -> MultiSkuDecision {
+    let d = decide_multi_oracle(opt, engine, avail, alpha);
+    match incumbent {
+        Some(inc) => keep_incumbent_oracle(opt, engine, avail, alpha, d, inc),
+        None => d,
+    }
+}
+
+/// An incumbent for lane `lane` drawn by `sel`: a configuration feasible
+/// somewhere within the ceiling (it may not fit the lane's availability,
+/// or sustain α), or one outside the enumerated space.
+fn draw_incumbent(
+    opt: &ConfigOptimizer,
+    lane: usize,
+    ceiling: u32,
+    sel: usize,
+) -> (usize, ParallelConfig) {
+    let ty = opt.lane_type(lane);
+    let space = enumerate_configs(
+        opt.lane_perf(lane).model(),
+        opt.memory(),
+        &ty.gpu,
+        &ConfigSpace::default(),
+        ceiling * ty.gpus_per_instance as u32,
+    );
+    match sel % 8 {
+        // Outside the space, which tries no M = 3 and no B = 5.
+        0 => (lane, ParallelConfig::new(1, 1, 3, 5)),
+        _ if space.is_empty() => (lane, ParallelConfig::new(16, 16, 8, 8)),
+        _ => (lane, space[sel / 8 % space.len()]),
     }
 }
 
@@ -250,19 +508,24 @@ proptest! {
     /// pruned frontier — is bit-identical with the brute-force oracle over
     /// 1–3 lanes, per-lane availability from 0 to past the ceiling, both
     /// engines, and arrival rates from 0 through exactly-saturating to
-    /// beyond every candidate's throughput. The query runs twice so the
-    /// memo-hit path is held to the same identity.
+    /// beyond every candidate's throughput; and so is
+    /// `decide_multi_with_incumbent` with the brute-force keep rule, for
+    /// incumbents on any lane that fit, do not fit, or lie outside the
+    /// space. Each query runs twice so the memo-hit paths are held to the
+    /// same identity.
     #[test]
     fn decide_multi_equals_brute_force_oracle(
         lanes in 1usize..4,
         avail in prop::collection::vec(0u32..13, 3),
         model_sel in 0usize..3,
-        engine_sel in 0usize..2,
+        // The engine, then the incumbent's lane and draw.
+        engine_inc in 0usize..2 * 3 * 4096,
         alpha_sel in 0usize..4,
         alpha_millis in 1u32..3000,
     ) {
         let model = ModelSpec::paper_models()[model_sel].clone();
-        let engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_sel];
+        let engine = [EngineMode::FixedBatch, EngineMode::ContinuousBatching][engine_inc % 2];
+        let inc_sel = engine_inc / 2;
         let skus = [InstanceType::g4dn_12xlarge(), InstanceType::l4(), InstanceType::a100()];
         let mut opt = ConfigOptimizer::paper_defaults(model, MULTI_CEILING)
             .with_engine_mode(engine);
@@ -286,6 +549,15 @@ proptest! {
         let oracle = decide_multi_oracle(&opt, engine, avail, alpha);
         prop_assert_eq!(opt.decide_multi(avail, alpha), oracle, "{engine:?} {avail:?} α={alpha}");
         prop_assert_eq!(opt.decide_multi(avail, alpha), oracle, "memo hit");
+        let inc = draw_incumbent(&opt, inc_sel % 3 % lanes, MULTI_CEILING + 4, inc_sel / 3);
+        let biased = decide_multi_with_incumbent_oracle(&opt, engine, avail, alpha, Some(inc));
+        for pass in ["biased", "biased memo hit"] {
+            prop_assert_eq!(
+                opt.decide_multi_with_incumbent(avail, alpha, Some(inc)),
+                biased,
+                "{} {:?} {:?} α={} incumbent {:?}", pass, engine, avail, alpha, inc
+            );
+        }
     }
 }
 
@@ -380,7 +652,7 @@ fn decision_memo_hits_follow_the_wholesale_clear_contract() {
             );
             assert_eq!(
                 d,
-                opt.decide_with_incumbent_reference(n, alpha, incumbent),
+                decide_with_incumbent_reference(&opt, n, alpha, incumbent),
                 "{engine:?} step {step}: n={n} α={alpha} incumbent {incumbent:?}"
             );
         }
@@ -395,6 +667,24 @@ fn decision_memo_hits_follow_the_wholesale_clear_contract() {
 /// counts as a hit.
 #[test]
 fn multi_memo_hits_follow_the_wholesale_clear_contract() {
+    multi_memo_contract(false);
+}
+
+/// The same contract for biased joint queries: two of three calls carry
+/// an incumbent, hits follow the unbiased `(avail, α)` key alone (the
+/// incumbent memo never counts), and every answer equals the brute-force
+/// keep rule.
+#[test]
+fn biased_multi_memo_hits_follow_the_wholesale_clear_contract() {
+    multi_memo_contract(true);
+}
+
+/// One joint query: availability per lane, α and an optional incumbent.
+type JointQuery = ([u32; 3], f64, Option<(usize, ParallelConfig)>);
+
+/// 160 joint queries over g4dn/L4/A100 lanes, a third repeating the
+/// previous one, with incumbents drawn when `biased`.
+fn multi_memo_contract(biased: bool) {
     let engine = EngineMode::ContinuousBatching;
     let opt = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), MULTI_CEILING)
         .with_engine_mode(engine)
@@ -403,10 +693,10 @@ fn multi_memo_hits_follow_the_wholesale_clear_contract() {
         .with_sku(InstanceType::a100());
     let mut model = MemoModel::new();
     let mut draw = Draw(11);
-    let mut previous: Option<([u32; 3], f64)> = None;
+    let mut previous: Option<JointQuery> = None;
     let (mut hits, mut distinct) = (0, std::collections::BTreeSet::new());
     for step in 0..160 {
-        let (avail, alpha) = match previous {
+        let (avail, alpha, incumbent) = match previous {
             Some(q) if draw.below(3) == 0 => q,
             _ => {
                 let avail = [
@@ -414,24 +704,30 @@ fn multi_memo_hits_follow_the_wholesale_clear_contract() {
                     draw.below(3) as u32 * 4,
                     draw.below(2) as u32 * 2,
                 ];
-                (avail, 0.05 + draw.below(12) as f64 * 0.09)
+                let alpha = 0.05 + draw.below(12) as f64 * 0.09;
+                let incumbent = (biased && draw.below(3) > 0)
+                    .then(|| draw_incumbent(&opt, draw.below(3), MULTI_CEILING, draw.below(4096)));
+                (avail, alpha, incumbent)
             }
         };
-        previous = Some((avail, alpha));
+        previous = Some((avail, alpha, incumbent));
         distinct.insert((avail, alpha.to_bits()));
         let before = opt.memo_hits();
-        let d = opt.decide_multi(&avail, alpha);
+        let d = match incumbent {
+            None => opt.decide_multi(&avail, alpha),
+            Some(_) => opt.decide_multi_with_incumbent(&avail, alpha, incumbent),
+        };
         let hit = model.query((avail, alpha.to_bits()));
         hits += hit as u32;
         assert_eq!(
             opt.memo_hits() - before,
             hit as u64,
-            "step {step}: {avail:?} α={alpha}"
+            "step {step}: {avail:?} α={alpha} incumbent {incumbent:?}"
         );
         assert_eq!(
             d,
-            decide_multi_oracle(&opt, engine, &avail, alpha),
-            "step {step}: {avail:?} α={alpha}"
+            decide_multi_with_incumbent_oracle(&opt, engine, &avail, alpha, incumbent),
+            "step {step}: {avail:?} α={alpha} incumbent {incumbent:?}"
         );
     }
     assert!(distinct.len() > MEMO_CAP, "{} keys", distinct.len());
