@@ -411,7 +411,7 @@ mod tests {
     fn fleet_ladder_and_outage_scenario_are_well_formed() {
         let ladder = fleet_policy_ladder();
         assert_eq!(ladder.len(), 3);
-        assert!(ladder[0].1.is_reactive());
+        assert_eq!(ladder[0].1, FleetPolicy::ReactiveSpot);
         let s = zone_outage_scenario(1);
         assert_eq!(s.pools.len(), 3);
         assert_eq!(s.pools[0].trace.min_capacity(), 0, "z0 collapses");

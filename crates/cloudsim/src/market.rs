@@ -326,11 +326,6 @@ impl CloudMarket {
         self.request_spot_in(now, PoolId(0), n);
     }
 
-    /// Cancels up to `n` queued spot requests in pool 0.
-    pub fn cancel_pending_spot(&mut self, n: u32) -> u32 {
-        self.cancel_pending_spot_in(PoolId(0), n)
-    }
-
     /// Prewarms `n` spot instances in pool 0.
     pub fn prewarm_spot(&mut self, n: u32) -> Vec<InstanceId> {
         self.prewarm_spot_in(PoolId(0), n)
@@ -350,27 +345,12 @@ impl CloudMarket {
         self.pools[0].request_on_demand(now, n);
     }
 
-    /// Pool 0's current trace capacity (the legacy single-market view).
-    pub fn current_capacity(&self) -> u32 {
-        self.pools[0].current_capacity()
-    }
-
-    /// Sum of every pool's current trace capacity.
-    pub fn total_capacity(&self) -> u32 {
-        self.pools.iter().map(CloudSim::current_capacity).sum()
-    }
-
     /// On-demand requests whose grant has not fired yet.
     pub fn pending_on_demand(&self) -> u32 {
         self.pools.iter().map(CloudSim::pending_on_demand).sum()
     }
 
     // ---- Merged views ----------------------------------------------
-
-    /// Queued spot requests across all pools.
-    pub fn pending_spot(&self) -> u32 {
-        self.pools.iter().map(CloudSim::pending_spot).sum()
-    }
 
     /// Live leases across all pools, in pool order.
     pub fn fleet(&self) -> impl Iterator<Item = &InstanceInfo> {
@@ -383,11 +363,6 @@ impl CloudMarket {
         self.pools
             .get(PoolId::of_instance(id).0 as usize)?
             .kind_of(id)
-    }
-
-    /// Number of live leases of `kind` across all pools.
-    pub fn live_count(&self, kind: InstanceKind) -> usize {
-        self.pools.iter().map(|p| p.live_count(kind)).sum()
     }
 
     /// Releases a lease voluntarily; the id routes to its owning pool.

@@ -75,15 +75,13 @@ pub struct SystemOptions {
     pub prefill_chunk: Option<u32>,
     /// Component ablations (only meaningful for [`Policy::SpotServe`]).
     pub ablation: AblationFlags,
-    /// How the fleet acquires capacity from the spot market(s):
-    /// [`FleetPolicy::ReactiveSpot`] (the default) keeps the paper's
-    /// single-market reactive path bit-exact;
-    /// [`FleetPolicy::OnDemandFallback`] and [`FleetPolicy::SpotHedge`]
-    /// route acquisition through the `fleetctl` controller (multi-pool
-    /// spread, on-demand top-ups, preemption-rate-sized hedging).
+    /// How the fleet acquires capacity from the spot market(s). Every
+    /// policy runs through the `fleetctl` controller:
+    /// [`FleetPolicy::ReactiveSpot`] (the default) is the paper's
+    /// single-market spot path; [`FleetPolicy::OnDemandFallback`] adds
+    /// on-demand for the live shortfall (the `+O` traces); the hedged
+    /// policies spread across pools with a preemption-rate-sized hedge.
     pub fleet_policy: FleetPolicy,
-    /// Allow mixing on-demand instances into the fleet (the `+O` traces).
-    pub on_demand_mixing: bool,
     /// Extra spot instances kept as a warm candidate pool (§3.2 keeps two).
     pub spare_instances: u32,
     /// Ceiling on total fleet size the optimizer may target.
@@ -115,7 +113,6 @@ impl SystemOptions {
             prefill_chunk: None,
             ablation: AblationFlags::default(),
             fleet_policy: FleetPolicy::default(),
-            on_demand_mixing: false,
             spare_instances: 2,
             max_instances: 16,
             migration_safety_margin: SimDuration::from_secs(2),
@@ -147,10 +144,11 @@ impl SystemOptions {
         SystemOptions::base(Policy::OnDemandOnly { instances })
     }
 
-    /// Enables on-demand mixing (the `+O` trace variants).
-    pub fn with_on_demand_mixing(mut self) -> Self {
-        self.on_demand_mixing = true;
-        self
+    /// Mixes on-demand into the fleet (the `+O` trace variants): selects
+    /// [`FleetPolicy::OnDemandFallback`], replacing any fleet policy set
+    /// before it.
+    pub fn with_on_demand_mixing(self) -> Self {
+        self.with_fleet_policy(FleetPolicy::OnDemandFallback)
     }
 
     /// Selects the fleet acquisition policy (see
@@ -211,10 +209,13 @@ mod tests {
             SystemOptions::on_demand_only(4).policy,
             Policy::OnDemandOnly { instances: 4 }
         );
-        assert!(
+        assert_eq!(
             SystemOptions::spotserve()
+                .with_fleet_policy(FleetPolicy::spot_hedge())
                 .with_on_demand_mixing()
-                .on_demand_mixing
+                .fleet_policy,
+            FleetPolicy::OnDemandFallback,
+            "+O replaces any policy set before it"
         );
     }
 

@@ -221,7 +221,6 @@ fn sku_caps(ty: &InstanceType) -> SkuCaps {
     }
 }
 
-/// The discrete-event serving simulation. See the crate-level example.
 /// The grace-period triage decision attached to a migration plan (see
 /// [`migration::triage`]): which tier the transferable-data fraction
 /// graded into, and the fraction itself (what share of the optional
@@ -255,14 +254,14 @@ fn verdict_of(tier: TriageTier) -> TriageVerdict {
     }
 }
 
+/// The discrete-event serving simulation. See the crate-level example.
 pub struct ServingSystem {
     opts: SystemOptions,
     scenario: Scenario,
     optimizer: ConfigOptimizer,
     cloud: CloudMarket,
-    /// Policy-driven acquisition (consulted for every non-reactive
-    /// [`FleetPolicy`]; [`FleetPolicy::ReactiveSpot`] keeps the legacy
-    /// paper-exact path below).
+    /// Policy-driven acquisition: the one place every system, under every
+    /// [`FleetPolicy`], decides what to request, cancel and release.
     fleet: FleetController,
     /// The optimizer's most recent target fleet size `N` (serving need,
     /// excluding spares) — what the fleet controller steers toward.
@@ -294,7 +293,6 @@ pub struct ServingSystem {
     rerouting_shape: Option<(u32, u32, u32)>, // fixed (P, M, B)
     /// The bootstrap configuration (the `-Controller` ablation pins this).
     frozen_config: Option<ParallelConfig>,
-    initial_fleet_target: u32,
     /// Last spot price (cents/hour) each pool was seen at, for
     /// edge-triggered price-pressure feeding under
     /// [`FleetPolicy::CostPerToken`]. Empty until first consulted.
@@ -440,7 +438,6 @@ impl ServingSystem {
             settle_until: SimTime::ZERO,
             rerouting_shape: None,
             frozen_config: None,
-            initial_fleet_target: 0,
             last_spot_cents: Vec::new(),
             lanes,
             pool_caps: OnceCell::new(),
@@ -686,43 +683,35 @@ impl ServingSystem {
             Policy::OnDemandOnly { instances } => {
                 let ids = self.cloud.prewarm_on_demand(instances);
                 self.ready.extend(ids);
-                self.initial_fleet_target = instances;
             }
             _ => {
-                // Size against each lane's pool capacity. Reactive keeps
-                // the paper's single-market view (pool 0 only); the
-                // controller policies size against every pool.
-                let pools = if self.opts.fleet_policy.is_reactive() {
-                    1
-                } else {
+                // Size against the pools the policy requests spot from:
+                // every pool when it hedges, the single market (pool 0)
+                // otherwise.
+                let pools = if self.opts.fleet_policy.is_hedged() {
                     self.cloud.pool_count()
+                } else {
+                    1
                 };
+                let caps: Vec<u32> = (0..pools)
+                    .map(|i| self.cloud.capacity_in(PoolId(i as u32)))
+                    .collect();
                 let mut cap = vec![0u32; self.optimizer.lane_count()];
-                for pid in 0..pools {
-                    cap[self.lanes.pool_lane[pid]] += self.cloud.capacity_in(PoolId(pid as u32));
+                for (pid, &c) in caps.iter().enumerate() {
+                    cap[self.lanes.pool_lane[pid]] += c;
                 }
                 let d = self.optimizer.decide_multi(&cap, alpha);
                 self.apply_decision(d);
                 let target = self.fleet_target;
-                let want = target + self.opts.spare_instances;
-                let ids = if self.opts.fleet_policy.is_hedged() {
-                    // Hedged warm start: spread target + spares + hedge
-                    // across pools so no zone holds a fleet-killing share.
-                    let caps: Vec<u32> = (0..self.cloud.pool_count())
-                        .map(|i| self.cloud.capacity_in(PoolId(i as u32)))
-                        .collect();
-                    let hedge = self.fleet.hedge(target, &caps, SimTime::ZERO);
-                    let alloc = fleetctl::spread(want + hedge, &caps);
-                    alloc
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(i, &n)| self.cloud.prewarm_spot_in(PoolId(i as u32), n))
-                        .collect()
-                } else {
-                    self.cloud.prewarm_spot(want)
-                };
-                self.ready.extend(ids);
-                self.initial_fleet_target = want;
+                // Spread target + spares + hedge across those pools so no
+                // zone holds a fleet-killing share (unhedged policies
+                // hedge nothing, so pool 0 takes target + spares).
+                let hedge = self.fleet.hedge(target, &caps, SimTime::ZERO);
+                let alloc = fleetctl::spread(target + self.opts.spare_instances + hedge, &caps);
+                for (i, &n) in alloc.iter().enumerate() {
+                    let ids = self.cloud.prewarm_spot_in(PoolId(i as u32), n);
+                    self.ready.extend(ids);
+                }
             }
         }
         // Adopt the initial configuration at zero cost (pre-loaded).
@@ -739,9 +728,8 @@ impl ServingSystem {
         if let Some(cfg) = self.pick_config(decision.now, n) {
             self.adopt_config(cfg, SimDuration::ZERO, 0, 0);
         }
-        // A capacity-limited warm start may leave the controller policies
-        // short of target: let them top up (on-demand fallback, hedge
-        // spread) from t = 0.
+        // A capacity-limited warm start may leave the fleet short of
+        // target: let the controller top it up from t = 0.
         self.steer_fleet();
         self.sample_fleet();
     }
@@ -828,13 +816,11 @@ impl ServingSystem {
             }
             CloudEvent::RequestLapsed { pool, .. } => {
                 // A promised grant never materialized (capacity shed, or
-                // the chaos grant-lapse channel). The tracker's backoff
-                // masks the pool from hedged spreads; the reactive
-                // baseline stays paper-exact and retries blindly on its
-                // own cadence.
+                // the chaos grant-lapse channel). Under a hedged policy the
+                // tracker's backoff masks the pool from the spread; the
+                // single-market policies retry blindly at the next steer.
                 self.lapses += 1;
-                if !self.opts.fleet_policy.is_reactive() {
-                    let d = self.fleet.observe_lapse(pool.0 as usize, self.now);
+                if let Some(d) = self.fleet.observe_lapse(pool.0 as usize, self.now) {
                     self.note_retry(d);
                 }
             }
@@ -845,9 +831,7 @@ impl ServingSystem {
                 // under `CostPerToken`) in `steer_fleet` below.
             }
         }
-        // Every cloud transition is a steering point for the controller
-        // policies (no-op under ReactiveSpot, which replenishes via the
-        // legacy path above).
+        // Every cloud transition is a steering point for the controller.
         self.steer_fleet();
     }
 
@@ -875,7 +859,6 @@ impl ServingSystem {
                 if self.initializing.remove(&id).is_some() {
                     self.ready.insert(id);
                     self.on_instance_joined(id);
-                    self.rebalance_on_demand();
                     self.sample_fleet();
                 }
             }
@@ -1137,7 +1120,7 @@ impl ServingSystem {
                 self.plan_transition(Some(kill_at));
             } else {
                 // A spare is dying: just top the pool back up.
-                self.replenish_fleet();
+                self.steer_fleet();
             }
         }
     }
@@ -1171,14 +1154,14 @@ impl ServingSystem {
                         self.plan_transition(None);
                     }
                 } else {
-                    self.replenish_fleet();
+                    self.steer_fleet();
                 }
             }
             Policy::Reparallelization => {
                 if involved {
                     self.plan_transition(None);
                 } else {
-                    self.replenish_fleet();
+                    self.steer_fleet();
                 }
             }
             Policy::Rerouting => {
@@ -1199,7 +1182,7 @@ impl ServingSystem {
                     self.pipelines.retain(|s| !s.instances.is_empty());
                     self.reform_rerouting_pipelines();
                 }
-                self.replenish_fleet();
+                self.steer_fleet();
             }
             Policy::OnDemandOnly { .. } => {}
         }
@@ -1240,7 +1223,7 @@ impl ServingSystem {
             Policy::SpotServe | Policy::Reparallelization => self.on_rate_tick_decision(),
             Policy::Rerouting => {
                 self.reform_rerouting_pipelines();
-                self.replenish_fleet();
+                self.steer_fleet();
             }
             Policy::OnDemandOnly { .. } => {}
         }
@@ -1261,7 +1244,7 @@ impl ServingSystem {
         let n = self.usable_count();
         let decision = self.decide_serving(alpha);
         let next = self.pick_config(decision.now, n);
-        self.manage_fleet(decision.instance_delta);
+        self.steer_fleet();
         let lane_change = self.lane_change();
         if next != self.current || lane_change {
             let worthwhile = match (self.current, next) {
@@ -1432,13 +1415,13 @@ impl ServingSystem {
         }
     }
 
-    /// Consults the fleet controller and executes its command (the
-    /// acquisition path for every non-reactive [`FleetPolicy`]). No-op
-    /// under [`FleetPolicy::ReactiveSpot`] and [`Policy::OnDemandOnly`].
+    /// Consults the fleet controller and executes its command: the one
+    /// acquisition call of every system under every [`FleetPolicy`]
+    /// (Algorithm 1 lines 6-10: grow toward the target, mix in on-demand
+    /// on the `+O` traces, release on-demand first). No-op under
+    /// [`Policy::OnDemandOnly`], whose fleet is fixed.
     fn steer_fleet(&mut self) {
-        if matches!(self.opts.policy, Policy::OnDemandOnly { .. })
-            || self.opts.fleet_policy.is_reactive()
-        {
+        if matches!(self.opts.policy, Policy::OnDemandOnly { .. }) {
             return;
         }
         if let FleetPolicy::CostPerToken {
@@ -1472,7 +1455,7 @@ impl ServingSystem {
             if k > 0 {
                 self.cloud.request_spot_in(self.now, PoolId(i as u32), k);
                 // Every issued request is due a grant (or a lapse) within
-                // the tracker's deadline window.
+                // the tracker's deadline window (hedged policies only).
                 self.fleet.note_request(i, k, self.now);
             }
         }
@@ -1535,126 +1518,6 @@ impl ServingSystem {
         }
     }
 
-    /// Algorithm 1 lines 6-10: allocate on positive delta (on-demand and
-    /// spot together when mixing), release on negative (on-demand first).
-    fn manage_fleet(&mut self, delta: i64) {
-        if matches!(self.opts.policy, Policy::OnDemandOnly { .. }) {
-            return;
-        }
-        if !self.opts.fleet_policy.is_reactive() {
-            // Controller policies steer toward `fleet_target` instead of
-            // chasing the raw delta.
-            self.steer_fleet();
-            return;
-        }
-        let in_flight = self.initializing.len() as u32 + self.cloud.pending_spot();
-        if delta > 0 {
-            let want = (delta as u32 + self.opts.spare_instances).saturating_sub(in_flight);
-            if want > 0 {
-                self.cloud.request_spot(self.now, want);
-            }
-            if self.opts.on_demand_mixing {
-                // Algorithm 1 line 8: allocate on-demand alongside spot so
-                // a starved spot market does not stall serving. Cover the
-                // part of the serving shortfall that spot requests are
-                // still queueing for.
-                let unfilled = self.cloud.pending_spot().min(delta as u32);
-                let od_in_flight = self.initializing_on_demand();
-                let od = unfilled.saturating_sub(od_in_flight);
-                if od > 0 {
-                    self.cloud.request_on_demand(self.now, od);
-                }
-            }
-        } else if delta < 0 {
-            let surplus = (-delta) as u32;
-            let excess = surplus.saturating_sub(self.opts.spare_instances);
-            if excess > 0 {
-                self.release_surplus(excess);
-            }
-            self.cloud.cancel_pending_spot(surplus);
-        }
-    }
-
-    /// Tops the fleet back to the initial target (Rerouting / spares).
-    fn replenish_fleet(&mut self) {
-        if matches!(self.opts.policy, Policy::OnDemandOnly { .. }) {
-            return;
-        }
-        if !self.opts.fleet_policy.is_reactive() {
-            self.steer_fleet();
-            return;
-        }
-        let have = self.usable_count() + self.initializing.len() as u32 + self.cloud.pending_spot();
-        if have < self.initial_fleet_target {
-            let want = self.initial_fleet_target - have;
-            self.cloud.request_spot(self.now, want);
-        }
-        if self.opts.on_demand_mixing {
-            // Cover only the serving shortfall with on-demand, never the
-            // spare pool (spares are cheap-capacity insurance, §3.2).
-            let unfilled = self
-                .cloud
-                .pending_spot()
-                .saturating_sub(self.opts.spare_instances);
-            let od = unfilled.saturating_sub(self.initializing_on_demand());
-            if od > 0 {
-                self.cloud.request_on_demand(self.now, od);
-            }
-        }
-    }
-
-    /// On-demand instances currently provisioning.
-    fn initializing_on_demand(&self) -> u32 {
-        self.initializing
-            .keys()
-            .filter(|&&id| self.cloud.kind_of(id) == Some(InstanceKind::OnDemand))
-            .count() as u32
-    }
-
-    /// Releases held on-demand instances that spot capacity can now cover
-    /// (Algorithm 1 line 10: on-demand has release priority). On-demand is
-    /// kept only to bridge a spot shortfall, never as spare capacity.
-    fn rebalance_on_demand(&mut self) {
-        if !self.opts.on_demand_mixing {
-            return;
-        }
-        // One pass over the usable fleet: spot counted, on-demand listed
-        // in id order.
-        let mut spot_usable = 0u32;
-        let mut od_held: Vec<InstanceId> = Vec::new();
-        for &id in &self.ready {
-            if self.noticed.contains_key(&id) {
-                continue;
-            }
-            match self.cloud.kind_of(id) {
-                Some(InstanceKind::Spot) => spot_usable += 1,
-                Some(InstanceKind::OnDemand) => od_held.push(id),
-                None => {}
-            }
-        }
-        if od_held.is_empty() {
-            return;
-        }
-        let needed = self
-            .current
-            .map(|c| c.instances_needed(self.gpus_per_instance()))
-            .unwrap_or(0);
-        let shortfall = needed.saturating_sub(spot_usable);
-        let keep = shortfall.min(od_held.len() as u32);
-        // `keep` on-demand instances stay, idle ones counted first, and a
-        // busy one is never released: the idle ones after the first `keep`
-        // go.
-        let excess: Vec<InstanceId> = od_held
-            .into_iter()
-            .filter(|&id| !self.assignment.contains_instance(id))
-            .skip(keep as usize)
-            .collect();
-        for id in excess {
-            self.ready.remove(&id);
-            self.cloud.release(self.now, id);
-        }
-    }
-
     /// Releases up to `n` instances not used by the current assignment,
     /// on-demand first (§3.2: "on-demand instances have higher priority due
     /// to their costs").
@@ -1688,7 +1551,7 @@ impl ServingSystem {
         let n = self.usable_count();
         let decision = self.decide_serving(alpha);
         let target = self.pick_config(decision.now, n);
-        self.manage_fleet(decision.instance_delta);
+        self.steer_fleet();
         let lane_change = self.lane_change();
         if target == self.current && deadline.is_none() && !lane_change {
             return;
@@ -2431,20 +2294,10 @@ impl ServingSystem {
         self.transition = None;
         self.events
             .schedule(resume_at, Ev::TransitionDone { epoch });
-        // Give back what the new configuration does not need. Controller
-        // policies size the fleet themselves (the hedge deliberately holds
-        // more than `used + spares`, and the fallback's on-demand bridge
-        // must not be shed here).
-        if self.opts.fleet_policy.is_reactive() {
-            self.rebalance_on_demand();
-            let used = self.assignment.instances().len() as u32;
-            let have = self.usable_count();
-            if have > used + self.opts.spare_instances {
-                self.release_surplus(have - used - self.opts.spare_instances);
-            }
-        } else {
-            self.steer_fleet();
-        }
+        // Give back what the new configuration does not need: the
+        // controller sizes the fleet against the target (the hedge
+        // deliberately holds more than `used + spares`).
+        self.steer_fleet();
     }
 
     fn complete_transition(&mut self) {

@@ -275,9 +275,12 @@ impl FleetController {
     }
 
     /// Records `n` spot requests issued to `pool` at `now` (arms the
-    /// tracker's grant deadlines).
+    /// tracker's grant deadlines). Does nothing under the unhedged
+    /// policies, which never read the tracker.
     pub fn note_request(&mut self, pool: usize, n: u32, now: SimTime) {
-        self.tracker.note_request(pool, n, now);
+        if self.policy.is_hedged() {
+            self.tracker.note_request(pool, n, now);
+        }
     }
 
     /// Records `n` voluntarily cancelled spot requests in `pool`: their
@@ -296,10 +299,14 @@ impl FleetController {
     /// grows, the backoff doubles (bounded), and the returned decision
     /// says whether the pool escalated to on-demand. Lapses also feed
     /// the rate estimator — a pool that cannot launch is under the same
-    /// capacity pressure that precedes kills.
-    pub fn observe_lapse(&mut self, pool: usize, now: SimTime) -> RetryDecision {
+    /// capacity pressure that precedes kills. `None` under the unhedged
+    /// policies, which retry blindly and record nothing.
+    pub fn observe_lapse(&mut self, pool: usize, now: SimTime) -> Option<RetryDecision> {
+        if !self.policy.is_hedged() {
+            return None;
+        }
         self.estimator.record_pressure(pool, 1.0, now);
-        self.tracker.observe_failure(pool, now)
+        Some(self.tracker.observe_failure(pool, now))
     }
 
     /// Converts requests overdue past their grant deadline into tracker
@@ -354,35 +361,33 @@ impl FleetController {
 
     /// Computes the acquisition command for `view` at `now`.
     ///
-    /// [`FleetPolicy::ReactiveSpot`] reproduces the legacy top-up (all
-    /// spot, pool 0); the serving system keeps its own paper-exact path
-    /// for that policy and only consults the controller for the others.
+    /// The single-market policies ([`FleetPolicy::ReactiveSpot`] and
+    /// [`FleetPolicy::OnDemandFallback`]) share one arm: request spot from
+    /// pool 0 up to `target + spares`, counting held and pending on-demand
+    /// toward it; cancel queued spot beyond that; release the live
+    /// surplus. Only the fallback adds on-demand, for the live shortfall
+    /// against `target`. The hedged policies run the staged pipeline.
     pub fn command(&self, view: &FleetView, now: SimTime) -> FleetCommand {
         let n = view.pools.len();
         let mut cmd = FleetCommand::idle(n);
         let stages = match self.policy {
-            FleetPolicy::ReactiveSpot => {
-                let have = view.committed_spot() + view.live_ondemand;
-                let want = (view.target + view.spares).saturating_sub(have);
-                if n > 0 {
-                    cmd.spot[0] = want;
-                }
-                return cmd;
-            }
-            FleetPolicy::OnDemandFallback => {
-                // Ride spot exactly like the reactive baseline...
+            FleetPolicy::ReactiveSpot | FleetPolicy::OnDemandFallback => {
+                // Algorithm 1's delta: on-demand already held or on its
+                // way fills slots spot need not be requested for.
                 let desired = view.target + view.spares;
-                let have = view.committed_spot();
+                let ondemand = view.live_ondemand + view.pending_ondemand;
+                let have = view.committed_spot() + ondemand;
                 if n > 0 {
                     cmd.spot[0] = desired.saturating_sub(have);
                 }
-                // ...but keep *live* capacity at the target: whatever spot
-                // cannot cover right now, on-demand does. Provisioning spot
-                // is deliberately not counted — it may still be shed by a
-                // capacity drop, and the fallback's contract is live
-                // instances, not promises.
-                let live = view.live_spot() + view.live_ondemand + view.pending_ondemand;
-                cmd.ondemand = view.target.saturating_sub(live);
+                if self.policy == FleetPolicy::OnDemandFallback {
+                    // Keep *live* capacity at the target: whatever spot
+                    // cannot cover right now, on-demand does. Provisioning
+                    // spot is deliberately not counted — it may still be
+                    // shed by a capacity drop, and the fallback's contract
+                    // is live instances, not promises.
+                    cmd.ondemand = view.target.saturating_sub(view.live_spot() + ondemand);
+                }
                 // Shed the full surplus when the target shrinks or spot
                 // recovers: queued requests are cancelled first, then live
                 // instances release (idle first, on-demand before spot —
@@ -577,6 +582,102 @@ mod tests {
         let cmd = c.command(&view, SimTime::ZERO);
         assert_eq!(cmd.spot, vec![5, 0, 0]);
         assert_eq!(cmd.ondemand, 0);
+    }
+
+    #[test]
+    fn reactive_cancels_queued_spot_and_releases_the_live_surplus() {
+        // The target fell to 4: spot beyond target + spares goes, queued
+        // requests first, then the live surplus.
+        let c = ctl(FleetPolicy::ReactiveSpot, 1);
+        let view = FleetView {
+            pools: vec![PoolView {
+                live_spot: 9,
+                queued_spot: 3,
+                capacity: 12,
+                ..Default::default()
+            }],
+            target: 4,
+            spares: 2,
+            ..Default::default()
+        };
+        let cmd = c.command(&view, SimTime::ZERO);
+        assert_eq!(cmd.spot, vec![0]);
+        assert_eq!(cmd.cancel_spot, vec![3], "the whole queue is surplus");
+        assert_eq!(cmd.release, 3, "9 live against target 4 + 2 spares");
+        assert_eq!(cmd.ondemand, 0);
+    }
+
+    #[test]
+    fn held_and_pending_on_demand_count_toward_the_spot_request() {
+        // 8 on-demand held and 1 on its way fill 9 of the 14 slots
+        // (target 12 + 2 spares); 3 spot are live or provisioning. Spot is
+        // requested for the last 2 only: re-requesting the on-demand
+        // slots would buy spot that the next steer releases idle.
+        for policy in [FleetPolicy::ReactiveSpot, FleetPolicy::OnDemandFallback] {
+            let c = ctl(policy, 1);
+            let view = FleetView {
+                pools: vec![PoolView {
+                    live_spot: 2,
+                    provisioning_spot: 1,
+                    capacity: 4,
+                    ..Default::default()
+                }],
+                live_ondemand: 8,
+                pending_ondemand: 1,
+                target: 12,
+                spares: 2,
+            };
+            let cmd = c.command(&view, SimTime::ZERO);
+            assert_eq!(cmd.spot, vec![2], "{policy:?}: {cmd:?}");
+            assert_eq!(cmd.cancel_spot, vec![0], "{policy:?}");
+            assert_eq!(cmd.release, 0, "{policy:?}: 10 live of 14 desired");
+        }
+    }
+
+    #[test]
+    fn only_the_fallback_runs_the_on_demand_stage() {
+        // Same view, same spot side: the fallback differs only in buying
+        // on-demand for the live shortfall (6 − 2 spot − 3 held).
+        let view = FleetView {
+            pools: vec![pool(2, 8)],
+            live_ondemand: 3,
+            target: 6,
+            spares: 2,
+            ..Default::default()
+        };
+        let reactive = ctl(FleetPolicy::ReactiveSpot, 1).command(&view, SimTime::ZERO);
+        let fallback = ctl(FleetPolicy::OnDemandFallback, 1).command(&view, SimTime::ZERO);
+        assert_eq!(reactive.ondemand, 0, "spot-only never buys on-demand");
+        assert_eq!(fallback.ondemand, 1);
+        assert_eq!(
+            FleetCommand {
+                ondemand: 0,
+                ..fallback
+            },
+            reactive
+        );
+        assert_eq!(reactive.spot, vec![3]);
+    }
+
+    #[test]
+    fn unhedged_policies_leave_the_tracker_untouched() {
+        let now = SimTime::from_secs(10);
+        let later = SimTime::from_secs(10_000);
+        for policy in [FleetPolicy::ReactiveSpot, FleetPolicy::OnDemandFallback] {
+            let mut c = ctl(policy, 2);
+            c.note_request(0, 3, now);
+            assert_eq!(c.observe_lapse(0, now), None, "{policy:?}");
+            assert!(
+                c.sweep_overdue(later).is_empty(),
+                "{policy:?}: no deadline armed"
+            );
+            assert_eq!(c.tracker().failures(0), 0, "{policy:?}");
+        }
+        // The hedged policies keep recording both.
+        let mut c = ctl(FleetPolicy::spot_hedge(), 2);
+        c.note_request(0, 3, now);
+        assert!(c.observe_lapse(0, now).is_some());
+        assert_eq!(c.sweep_overdue(later).len(), 2, "two deadlines left");
     }
 
     #[test]
@@ -1033,7 +1134,9 @@ mod tests {
     fn backed_off_pools_are_masked_until_the_window_expires() {
         let mut c = ctl(FleetPolicy::spot_hedge(), 3);
         let now = SimTime::from_secs(100);
-        let d = c.observe_lapse(0, now);
+        let d = c
+            .observe_lapse(0, now)
+            .expect("hedged policies track lapses");
         let view = FleetView {
             pools: vec![pool(0, 8), pool(0, 8), pool(0, 8)],
             target: 4,

@@ -9,16 +9,19 @@
 //! and the [`cloudsim::CloudMarket`], observes grants and preemptions, and
 //! decides *where* and *what kind* of capacity to acquire.
 //!
-//! Five [`FleetPolicy`]s are provided:
+//! The controller is the serving system's only acquisition path: every
+//! system, under every policy, asks it what to request, cancel and
+//! release. Five [`FleetPolicy`]s are provided:
 //!
-//! * [`FleetPolicy::ReactiveSpot`] — the paper baseline: top the single
-//!   market (pool 0) back up after losses, never mix in on-demand. The
-//!   serving system's legacy acquisition path is kept *bit-exact* under
-//!   this policy.
-//! * [`FleetPolicy::OnDemandFallback`] — ride spot, but whenever live
-//!   capacity falls below the optimizer's target `N`, top up with
-//!   on-demand instances (released again once spot recovers). Availability
-//!   becomes a cost knob instead of a trace artifact.
+//! * [`FleetPolicy::ReactiveSpot`] — the paper baseline (Algorithm 1
+//!   lines 6–10): grow the single market's (pool 0's) spot fleet toward
+//!   the optimizer's target plus spares, top it back up after losses,
+//!   shed what lies beyond it, never buy on-demand.
+//! * [`FleetPolicy::OnDemandFallback`] — the same single-market arm, but
+//!   whenever live capacity falls below the optimizer's target `N`, top
+//!   up with on-demand instances (released first once spot recovers).
+//!   This is the paper's `+O` traces: availability becomes a cost knob
+//!   instead of a trace artifact.
 //! * [`FleetPolicy::SpotHedge`] — SkyServe-style: spread `target + hedge`
 //!   instances evenly across pools (capacity-capped water-filling), sizing
 //!   the hedge so that losing any *single* pool still leaves at least

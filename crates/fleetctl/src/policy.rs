@@ -3,18 +3,18 @@
 /// How the fleet controller acquires and sheds capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetPolicy {
-    /// The paper baseline (§3.2): request spot from the single market
-    /// (pool 0), top back up after losses, never mix in on-demand unless
-    /// the serving system's own `+O` mixing flag says so. The serving
-    /// system keeps its legacy acquisition path bit-exact under this
-    /// policy.
+    /// The paper's spot-only path (§3.2, Algorithm 1 lines 6-10): grow
+    /// the single market's (pool 0's) spot fleet toward the optimizer's
+    /// target plus spares, top it back up after losses, cancel queued
+    /// requests and release idle instances beyond it. Never buys
+    /// on-demand.
     #[default]
     ReactiveSpot,
-    /// Ride spot, but keep *live* capacity at the optimizer's target `N`:
-    /// whenever live spot (plus already-held on-demand) falls below the
-    /// target, request on-demand instances to cover the gap, and release
-    /// them again once spot recovers (on-demand has release priority —
-    /// the paper's Algorithm 1 line 10 rule, applied continuously).
+    /// [`FleetPolicy::ReactiveSpot`] plus on-demand: the paper's `+O`
+    /// traces. Whenever live spot plus held and pending on-demand falls
+    /// below the target, request on-demand instances to cover the gap;
+    /// they count toward the spot request, and they release first once
+    /// spot recovers (Algorithm 1 line 10's release priority).
     OnDemandFallback,
     /// SkyServe-style hedge: spread `target + hedge` spot instances across
     /// every pool (capacity-capped even spread), sizing `hedge` so that a
@@ -102,12 +102,6 @@ impl FleetPolicy {
         }
     }
 
-    /// Whether the serving system should keep its legacy (paper-exact)
-    /// acquisition path instead of consulting the controller.
-    pub fn is_reactive(&self) -> bool {
-        matches!(self, FleetPolicy::ReactiveSpot)
-    }
-
     /// The hedge's `(min_hedge, max_hedge)` bounds; `None` for the
     /// policies that do not hedge.
     pub(crate) fn hedge_bounds(&self) -> Option<(u32, u32)> {
@@ -132,9 +126,9 @@ impl FleetPolicy {
     }
 
     /// Whether this policy spreads a hedge across pools — the policies
-    /// that honor the request tracker's backoff masks and escalation
-    /// verdicts. The reactive baseline stays paper-exact and retries
-    /// blindly; the fallback already rides on-demand continuously.
+    /// that feed and honor the request tracker's deadlines, backoff masks
+    /// and escalation verdicts. The single-market policies retry blindly
+    /// at every steer; the fallback already rides on-demand continuously.
     pub fn is_hedged(&self) -> bool {
         self.hedge_bounds().is_some()
     }
@@ -147,8 +141,8 @@ mod tests {
     #[test]
     fn reactive_is_the_default() {
         assert_eq!(FleetPolicy::default(), FleetPolicy::ReactiveSpot);
-        assert!(FleetPolicy::default().is_reactive());
-        assert!(!FleetPolicy::spot_hedge().is_reactive());
+        assert!(!FleetPolicy::default().is_hedged());
+        assert!(FleetPolicy::spot_hedge().is_hedged());
     }
 
     #[test]

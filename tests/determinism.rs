@@ -728,12 +728,12 @@ fn golden_digests_are_pinned() {
     let golden = [
         (
             "replay/spotserve",
-            0xe88c_e48e_caf9_6ff1,
+            0x16cc_845d_79f9_125b,
             replay(SystemOptions::spotserve(), 99),
         ),
         (
             "replay/reparallelization",
-            0x5f9b_0920_4609_c8a1,
+            0xa3ea_c38c_8d62_58f4,
             replay(SystemOptions::reparallelization(), 99),
         ),
         (
@@ -763,7 +763,7 @@ fn golden_digests_are_pinned() {
         ),
         (
             "replay/spotserve_od_mixing",
-            0x8914_7847_22f7_2776,
+            0x46c0_8056_c194_1f41,
             replay(SystemOptions::spotserve().with_on_demand_mixing(), 99),
         ),
         (
@@ -773,7 +773,7 @@ fn golden_digests_are_pinned() {
         ),
         (
             "sharded_chaos",
-            0x0aa1_c10d_62fb_084e,
+            0xfae7_2e2e_0b5e_174a,
             sharded_chaos_canonical(1, 4, 79),
         ),
         (

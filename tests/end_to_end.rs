@@ -6,7 +6,7 @@ use simkit::SimTime;
 use spotserve::{AblationFlags, Scenario, ServingSystem, SystemOptions};
 
 mod common;
-use common::assert_audit_clean;
+use common::{assert_audit_clean, run_audited};
 
 fn short(model: ModelSpec, trace: AvailabilityTrace, rate: f64, seed: u64) -> Scenario {
     let mut s = Scenario::paper_stable(model, trace, rate, seed);
@@ -95,6 +95,35 @@ fn on_demand_mixing_reduces_tail_on_deep_dips() {
         cost_mixed > cost_spot,
         "on-demand capacity costs more: {cost_mixed} vs {cost_spot}"
     );
+}
+
+#[test]
+fn on_demand_mixing_stays_under_the_fleet_ceiling() {
+    // One on-demand rule for all three systems: no `+O` run holds more
+    // on-demand instances than the largest fleet it may target plus its
+    // spares, however long spot stays short.
+    for opts in [
+        SystemOptions::spotserve(),
+        SystemOptions::reparallelization(),
+        SystemOptions::rerouting(),
+    ] {
+        let opts = opts.with_on_demand_mixing();
+        let ceiling = opts.max_instances + opts.spare_instances;
+        let scenario =
+            Scenario::paper_stable(ModelSpec::gpt_20b(), AvailabilityTrace::paper_bs(), 0.35, 1);
+        let report = run_audited(opts.clone(), scenario);
+        let peak = report
+            .fleet_timeline
+            .iter()
+            .map(|&(_, _, od)| od)
+            .max()
+            .unwrap_or(0);
+        assert!(
+            peak <= ceiling,
+            "{:?}: held {peak} on-demand instances, ceiling {ceiling}",
+            opts.policy
+        );
+    }
 }
 
 #[test]
