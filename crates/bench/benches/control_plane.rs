@@ -3,9 +3,10 @@
 //! **`control_plane`** — Algorithm 1 at fleet ceilings of 16/64/256
 //! instances, three ways per ceiling (GPT-20B on T4):
 //!
-//! * `decide_frontier/<N>` — the frontier-backed path with the memo
-//!   defeated (a fresh `α` every call), priced by the paper's fixed-batch
-//!   estimator;
+//! * `decide_frontier/<N>` — the frontier-backed path with the memos
+//!   defeated (an `α` never asked before, every call: the decision memo
+//!   and the frontier's scan memo both miss), priced by the paper's
+//!   fixed-batch estimator;
 //! * `decide_frontier_cont/<N>` — the same under the continuous-batching
 //!   estimator, the one the serving system runs with, and so the cost of
 //!   one real single-SKU re-decision at event-churn time;
@@ -16,13 +17,18 @@
 //! Plus the joint decision and the frontier build:
 //!
 //! * `decide_multi_3sku` — `decide_multi` over g4dn/L4/A100 lanes under
-//!   the continuous estimator with a fresh `α` every call: one real
-//!   mixed-fleet re-decision. CI's perf-smoke step holds it to 10 ms;
+//!   the continuous estimator with a never-repeated `α` every call: one
+//!   real mixed-fleet re-decision. CI's perf-smoke step holds it to 10 ms;
 //! * `frontier_build/<model>` — enumerating and pricing one paper model's
 //!   frontier at the 16-instance default ceiling, plus the first
 //!   continuous-estimator scan, which prunes and floor-sorts that mode's
-//!   candidates on first use: what every fresh serving system pays once,
-//!   at its first decision.
+//!   candidates on first use: the uncached cold build;
+//! * `frontier_shared/<model>` — the same frontier fetched from the warm
+//!   process-wide table (`CandidateFrontier::shared`), plus the same
+//!   first scan: what every serving system after the first on equal
+//!   inputs pays at its first decision. CI's perf-smoke step holds
+//!   OPT-6.7B's to 100 µs, well under the cold build, so losing the
+//!   sharing fails CI.
 //!
 //! **`scheduler_hot_loop`** — the continuous engine's per-boundary work:
 //! the allocation-free SLO admission verdict at a full batch, the EDF
@@ -40,6 +46,16 @@ use simkit::{SimDuration, SimTime};
 use spotserve::{ConfigOptimizer, EngineMode};
 use workload::{Request, RequestId};
 
+/// The `i`-th rate of a memo-defeating row: `lo` plus a Weyl sequence
+/// spread evenly over `[0, 0.1024)`. Multiplying by an odd constant
+/// permutes the `u64`s and the top 53 bits keep every product of the
+/// first 2^53 calls apart, so no rate ever repeats: neither the decision
+/// memo nor the frontiers' scan memos can answer a call.
+fn fresh_alpha(lo: f64, i: u64) -> f64 {
+    let unit = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+    lo + 0.1024 * unit
+}
+
 fn bench_control_plane(c: &mut Criterion) {
     let mut g = c.benchmark_group("control_plane");
     for ceiling in [16u32, 64, 256] {
@@ -56,12 +72,13 @@ fn bench_control_plane(c: &mut Criterion) {
             b.iter(|| opt.decide(black_box(n), black_box(0.35)))
         });
         g.bench_function(BenchmarkId::new("decide_frontier", ceiling), |b| {
-            // A fresh α each call defeats the memo (and keeps evicting
-            // it), so this measures a genuine frontier-scan re-decision.
+            // A fresh α each call defeats the memos (and keeps evicting
+            // the decision memo), so this measures a genuine frontier-scan
+            // re-decision.
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
-                opt.decide(black_box(n), 0.1 + (i % 1024) as f64 * 1e-4)
+                opt.decide(black_box(n), fresh_alpha(0.1, i))
             })
         });
 
@@ -72,7 +89,7 @@ fn bench_control_plane(c: &mut Criterion) {
             let mut i = 0u64;
             b.iter(|| {
                 i += 1;
-                cont.decide(black_box(n), 0.1 + (i % 1024) as f64 * 1e-4)
+                cont.decide(black_box(n), fresh_alpha(0.1, i))
             })
         });
     }
@@ -89,21 +106,32 @@ fn bench_control_plane(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            multi.decide_multi(black_box(&avail), 0.2 + (i % 1024) as f64 * 1e-4)
+            multi.decide_multi(black_box(&avail), fresh_alpha(0.2, i))
         })
     });
 
     for model in ModelSpec::paper_models() {
         let perf = PerfModel::paper_defaults(model.clone());
         let (mem, space) = (MemoryModel::default(), ConfigSpace::default());
+        let first_scan = |f: &CandidateFrontier| {
+            f.pruned_by_floor(PricingMode::ContinuousBatching)
+                .next()
+                .map(|c| c.config)
+        };
         g.bench_function(BenchmarkId::new("frontier_build", model.name), |b| {
             b.iter(|| {
                 let f = CandidateFrontier::new(&perf, &mem, &GpuSpec::t4(), &space, 4, 16);
-                black_box(
-                    f.pruned_by_floor(PricingMode::ContinuousBatching)
-                        .next()
-                        .map(|c| c.config),
-                );
+                black_box(first_scan(&f));
+                f
+            })
+        });
+        // Warm the table first: the row times the fetch every system
+        // after the first pays.
+        let _ = CandidateFrontier::shared(&perf, &mem, &GpuSpec::t4(), &space, 4, 16);
+        g.bench_function(BenchmarkId::new("frontier_shared", model.name), |b| {
+            b.iter(|| {
+                let f = CandidateFrontier::shared(&perf, &mem, &GpuSpec::t4(), &space, 4, 16);
+                black_box(first_scan(&f));
                 f
             })
         });

@@ -34,8 +34,11 @@
 //! candidates are skipped, minimum-latency scans run in latency-floor
 //! order and stop once no remaining candidate can price lower, and small
 //! memos answer repeated queries outright: per `(lanes, availability, α)`
-//! decision, per incumbent-biased decision and per lane scan (see
-//! [`ConfigOptimizer::memo_hits`] for which of them count as hits).
+//! decision and per incumbent-biased decision (see
+//! [`ConfigOptimizer::memo_hits`] for which of them count as hits). A
+//! lane's frontier is the process-wide one for its exact inputs
+//! ([`CandidateFrontier::shared`]), so optimizers on equal inputs build it
+//! once and share its memoized minimum-latency scans.
 //! Single-SKU decisions are **bit-identical** with the fresh-enumeration
 //! reference implementations, and joint decisions with a brute-force
 //! oracle; both live with the integration tests (`tests/common/reference.rs`
@@ -45,6 +48,7 @@ use std::cell::{Cell, Ref, RefCell};
 use std::cmp::{Ordering, Reverse};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use cloudsim::{GpuSpec, InstanceType};
 use llmsim::{CostModel, MemoryModel, ModelSpec};
@@ -158,18 +162,6 @@ struct IncumbentKey {
     incumbent: (usize, ParallelConfig),
 }
 
-/// The lane-scan memo's key: lane `lane` of the lanes starting at `first`,
-/// scanned for its minimum-latency sustaining candidate within `limit`
-/// instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct LaneScanKey {
-    engine: EngineMode,
-    first: usize,
-    lane: usize,
-    limit: u32,
-    alpha_bits: u64,
-}
-
 /// A small memo of pure query results: repeated queries at the same
 /// `(N, α)` — the common case under event churn, where every pool
 /// transition re-asks the same question within one rate-tick window —
@@ -210,16 +202,19 @@ impl<K: Hash + Eq, V: Copy> Memo<K, V> {
 }
 
 /// One instance type's decision lane: its GPUs, its performance model
-/// (the per-model calibration scale on that SKU's hardware terms) and its
-/// memoized frontier, built lazily at the fleet ceiling and grown if a
-/// query ever exceeds it. The frontier is boxed, so a lane nobody decides
-/// on (a serving system's base lane) costs a pointer.
+/// (the per-model calibration scale on that SKU's hardware terms) and a
+/// handle to its frontier, fetched lazily at the fleet ceiling and
+/// re-fetched wider if a query ever exceeds it. The handle is the
+/// process-wide frontier for the lane's exact inputs
+/// ([`CandidateFrontier::shared`]): a lane nobody decides on (a serving
+/// system's base lane) costs a pointer, and lanes on equal inputs, in this
+/// optimizer or any other, share one build and its scan memo.
 #[derive(Debug, Clone)]
 struct SkuLane {
     gpu: GpuSpec,
     gpus_per_instance: u8,
     perf: PerfModel,
-    frontier: RefCell<Option<Box<CandidateFrontier>>>,
+    frontier: RefCell<Option<Arc<CandidateFrontier>>>,
 }
 
 /// The paper's Algorithm 1, parameterized by model, memory model and
@@ -255,8 +250,6 @@ pub struct ConfigOptimizer {
     memo: RefCell<Memo<MemoKey, MultiSkuDecision>>,
     /// Incumbent-biased decisions.
     incumbent_memo: RefCell<Memo<IncumbentKey, MultiSkuDecision>>,
-    /// Each lane's minimum-latency scans.
-    lane_memo: RefCell<Memo<LaneScanKey, Option<LatencyKey>>>,
     /// Lifetime count of decisions answered from the decision memo (see
     /// [`ConfigOptimizer::memo_hits`]).
     memo_hits: Cell<u64>,
@@ -292,7 +285,6 @@ impl ConfigOptimizer {
             skus: Vec::new(),
             memo: RefCell::default(),
             incumbent_memo: RefCell::default(),
-            lane_memo: RefCell::default(),
             memo_hits: Cell::new(0),
         }
     }
@@ -348,8 +340,8 @@ impl ConfigOptimizer {
     /// instead of a frontier scan: unbiased decisions (`decide`,
     /// `decide_multi`, and the unbiased decision under each
     /// `*_with_incumbent` call) and `decide_slo`. The incumbent memo and
-    /// the lane-scan memo never count, so a biased decision counts as a
-    /// hit exactly when its unbiased decision was memoized. Monotone;
+    /// the frontiers' scan memos never count, so a biased decision counts
+    /// as a hit exactly when its unbiased decision was memoized. Monotone;
     /// difference around a call to learn whether that call hit.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits.get()
@@ -416,7 +408,7 @@ impl ConfigOptimizer {
             .borrow()
             .as_ref()
             .and_then(|f| f.lookup(c).map(|cand| (f, cand)))
-            .map(|(f, cand)| f.latency(cand, &l.perf, self.pricing_mode(), alpha))
+            .map(|(f, cand)| f.latency(cand, self.pricing_mode(), alpha))
         {
             return latency;
         }
@@ -492,9 +484,11 @@ impl ConfigOptimizer {
     /// ceiling one instance at a time rebuilds logarithmically often. A
     /// wider frontier answers every query exactly as a tighter one would:
     /// each instance bucket at or below the query is the same set, and
-    /// every scan and membership test clamps to the query. Must not be
-    /// called while a [`ConfigOptimizer::frontier_ref`] borrow of the lane
-    /// is live.
+    /// every scan and membership test clamps to the query. The ceiling
+    /// asked for depends on this lane's history alone, and the shared
+    /// table keys on it, so the handle never depends on what another
+    /// optimizer fetched first. Must not be called while a
+    /// [`ConfigOptimizer::frontier_ref`] borrow of the lane is live.
     fn ensure_frontier(&self, lane: usize, needed: u32) {
         let l = &self.lanes[lane];
         let current = l
@@ -507,7 +501,7 @@ impl ConfigOptimizer {
             Some(c) => needed.max(c.saturating_mul(2)),
             None => needed.max(self.max_instances),
         };
-        let built = CandidateFrontier::new(
+        let shared = CandidateFrontier::shared(
             &l.perf,
             &self.mem,
             &l.gpu,
@@ -515,7 +509,7 @@ impl ConfigOptimizer {
             l.gpus_per_instance,
             build_at,
         );
-        *l.frontier.borrow_mut() = Some(Box::new(built));
+        *l.frontier.borrow_mut() = Some(shared);
     }
 
     /// Lane `lane`'s live frontier (must be
@@ -572,7 +566,7 @@ impl ConfigOptimizer {
         {
             let fr = self.frontier_ref(BASE);
             for cand in fr.pruned_at(ceiling, mode) {
-                let l = fr.latency(cand, self.perf(), mode, alpha);
+                let l = fr.latency(cand, mode, alpha);
                 if l > slo {
                     continue;
                 }
@@ -801,9 +795,11 @@ impl ConfigOptimizer {
     }
 
     /// Lane `lane`'s minimum-key sustaining candidate within `limit`
-    /// instances, behind the lane-scan memo. The lane's frontier must
-    /// cover `limit`. A lane scanned on its own cannot stop early on
-    /// another lane's better result; that costs work, never the answer.
+    /// instances: its frontier's memoized scan
+    /// ([`CandidateFrontier::min_latency`]) with the lane index attached.
+    /// The lane's frontier must cover `limit`. A lane scanned on its own
+    /// cannot stop early on another lane's better result; that costs work,
+    /// never the answer.
     fn lane_min_latency(
         &self,
         first: usize,
@@ -811,26 +807,9 @@ impl ConfigOptimizer {
         limit: u32,
         alpha: f64,
     ) -> Option<LatencyKey> {
-        let key = LaneScanKey {
-            engine: self.engine,
-            first,
-            lane,
-            limit,
-            alpha_bits: alpha.to_bits(),
-        };
-        if let Some(best) = self.lane_memo.borrow().get(&key) {
-            return best;
-        }
-        let best = min_latency_sustaining(
-            &self.frontier_ref(first + lane),
-            lane,
-            limit,
-            self.pricing_mode(),
-            &self.lanes[first + lane].perf,
-            alpha,
-        );
-        self.lane_memo.borrow_mut().insert(key, best);
-        best
+        self.frontier_ref(first + lane)
+            .min_latency(self.pricing_mode(), limit, alpha)
+            .map(|(l, instances, config)| (l, instances, lane, config))
     }
 
     /// The maximum-`(φ, Reverse((lane, config)))` candidate within each
@@ -865,42 +844,6 @@ impl ConfigOptimizer {
 /// Algorithm 1's latency selection key: `(l_req, instances, lane,
 /// canonical config)`, minimized.
 type LatencyKey = (SimDuration, u32, usize, ParallelConfig);
-
-/// Lane `lane`'s minimum-key sustaining candidate within `n` instances,
-/// or `None` when nothing there sustains `alpha`. Bit-identical to a
-/// minimum over the sustaining subset of a fresh enumeration: keys are
-/// unique (the config is part of the key), so the scan order cannot
-/// matter; pruning only skips candidates that lose every key comparison;
-/// and the scan runs in floor order and stops at the first floor above
-/// the best latency, past which every candidate prices strictly higher.
-fn min_latency_sustaining(
-    fr: &CandidateFrontier,
-    lane: usize,
-    n: u32,
-    mode: PricingMode,
-    perf: &PerfModel,
-    alpha: f64,
-) -> Option<LatencyKey> {
-    let mut best: Option<LatencyKey> = None;
-    for cand in fr.pruned_by_floor(mode) {
-        if best.is_some_and(|(l, ..)| cand.floor(mode) > l) {
-            break;
-        }
-        if cand.instances > n || cand.throughput(mode) < alpha {
-            continue;
-        }
-        let key = (
-            fr.latency(cand, perf, mode, alpha),
-            cand.instances,
-            lane,
-            cand.config,
-        );
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
-        }
-    }
-    best
-}
 
 #[cfg(test)]
 mod tests {

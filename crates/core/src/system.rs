@@ -17,7 +17,7 @@
 //!   requests reroute and recompute; new pipelines cold-start.
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cloudsim::{
     AvailabilityTrace, CloudConfig, CloudEvent, CloudMarket, ColdStorage, InstanceId, InstanceKind,
@@ -306,7 +306,12 @@ pub struct ServingSystem {
 
     // Accounting.
     outstanding: usize,
-    arrivals_seen: Vec<SimTime>,
+    /// Arrival instants the rate estimator can still read, oldest first:
+    /// each arrival drops those before the estimator's window.
+    recent_arrivals: VecDeque<SimTime>,
+    /// Whether any request has arrived: until one has, the estimate is
+    /// the scenario's initial rate; after, a lull reads 0 req/s.
+    seen_arrival: bool,
     slo_rejections: Vec<Request>,
     latency: LatencyReport,
     config_changes: Vec<ConfigChange>,
@@ -442,7 +447,8 @@ impl ServingSystem {
             lanes,
             pool_caps: OnceCell::new(),
             outstanding: scenario.requests.len(),
-            arrivals_seen: Vec::new(),
+            recent_arrivals: VecDeque::new(),
+            seen_arrival: false,
             slo_rejections: Vec::new(),
             latency: LatencyReport::new(name),
             config_changes: Vec::new(),
@@ -587,19 +593,35 @@ impl ServingSystem {
         self.fleet_timeline.push((self.now, spot, od));
     }
 
+    /// The start of the rate estimator's window: four rate ticks back.
+    fn rate_window_start(&self) -> SimTime {
+        let window = self.opts.rate_tick;
+        SimTime::from_micros(self.now.as_micros().saturating_sub(window.as_micros() * 4))
+    }
+
+    /// Records an arrival at `at` for the rate estimator, dropping the
+    /// instants no later estimate can read (the window only moves on).
+    fn note_arrival(&mut self, at: SimTime) {
+        let lo = self.rate_window_start();
+        while self.recent_arrivals.front().is_some_and(|&t| t < lo) {
+            self.recent_arrivals.pop_front();
+        }
+        self.recent_arrivals.push_back(at);
+        self.seen_arrival = true;
+    }
+
     /// Estimated arrival rate over the last rate-tick window (§3.2).
     fn rate_estimate(&self) -> f64 {
-        let window = self.opts.rate_tick;
-        let lo = SimTime::from_micros(self.now.as_micros().saturating_sub(window.as_micros() * 4));
+        if self.now == SimTime::ZERO || !self.seen_arrival {
+            return self.scenario.initial_rate;
+        }
+        let lo = self.rate_window_start();
         let recent = self
-            .arrivals_seen
+            .recent_arrivals
             .iter()
             .rev()
             .take_while(|&&t| t >= lo)
             .count();
-        if self.now == SimTime::ZERO || self.arrivals_seen.is_empty() {
-            return self.scenario.initial_rate;
-        }
         let span = self.now.saturating_since(lo).as_secs_f64().max(1.0);
         recent as f64 / span
     }
@@ -839,7 +861,7 @@ impl ServingSystem {
         match ev {
             Ev::Arrival(i) => {
                 let req = self.scenario.requests[i];
-                self.arrivals_seen.push(req.arrival);
+                self.note_arrival(req.arrival);
                 self.pending.push_back(req);
                 self.dispatch_all();
             }
@@ -2585,6 +2607,51 @@ mod tests {
         assert_eq!(sys.lanes.pool_lane, [0, 0]);
         let report = sys.run();
         assert_eq!(report.unfinished, 0);
+    }
+
+    #[test]
+    fn rate_estimate_reads_its_window_alone_and_zero_after_a_lull() {
+        let scenario = Scenario::with_requests(
+            ModelSpec::opt_6_7b(),
+            AvailabilityTrace::constant(6),
+            Vec::new(),
+            0.7,
+            3,
+        );
+        let mut sys = ServingSystem::new(SystemOptions::spotserve(), scenario);
+        let window = sys.opts.rate_tick * 4;
+        let arrive = |sys: &mut ServingSystem, secs: u64| {
+            sys.now = SimTime::from_secs(secs);
+            sys.note_arrival(sys.now);
+        };
+        sys.now = SimTime::from_secs(5);
+        assert_eq!(sys.rate_estimate(), 0.7, "no arrival yet: the initial rate");
+        arrive(&mut sys, 10);
+        arrive(&mut sys, 20);
+        sys.now = SimTime::from_secs(30);
+        assert_eq!(sys.rate_estimate(), 2.0 / 30.0);
+        // A lull longer than the window reads 0, not the initial rate.
+        sys.now = SimTime::from_secs(1000);
+        assert_eq!(sys.rate_estimate(), 0.0);
+        arrive(&mut sys, 1000);
+        assert_eq!(
+            sys.recent_arrivals.len(),
+            1,
+            "the lull's arrivals are dropped"
+        );
+        assert_eq!(sys.rate_estimate(), 1.0 / window.as_secs_f64());
+        // A steady stream keeps one window of instants, however long.
+        for secs in 1001..5000 {
+            arrive(&mut sys, secs);
+        }
+        assert_eq!(
+            sys.recent_arrivals.len() as u64,
+            window.as_micros() / 1_000_000 + 1
+        );
+        assert_eq!(
+            sys.rate_estimate(),
+            (window.as_micros() / 1_000_000 + 1) as f64 / window.as_secs_f64()
+        );
     }
 
     #[test]

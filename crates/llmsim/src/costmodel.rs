@@ -114,6 +114,8 @@ impl SeqWork {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
+    // Every field has an accessor, and `parallelism`'s shared frontier
+    // table keys on each of them: a new field needs both.
     gpu: GpuSpec,
     net: NetFabric,
     gpus_per_instance: u8,
@@ -232,6 +234,17 @@ impl CostModel {
     /// GPUs per instance this model assumes.
     pub fn gpus_per_instance(&self) -> u8 {
         self.gpus_per_instance
+    }
+
+    /// The hardware-utilization knobs in use.
+    pub fn efficiency(&self) -> &Efficiency {
+        &self.eff
+    }
+
+    /// The multiplicative calibration factor on every latency (see
+    /// [`CostModel::with_scale`]).
+    pub fn latency_scale(&self) -> f64 {
+        self.latency_scale
     }
 
     /// Compute-efficiency saturation at `tokens` tokens in flight.

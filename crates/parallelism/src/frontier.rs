@@ -17,8 +17,8 @@
 //!   data degree, so the tables are computed once per `(P, M)` mesh into
 //!   flat arrays every candidate of the mesh indexes, and `l_exe` once per
 //!   `(P, M, B)`; `l_req(C, α)` ([`CandidateFrontier::latency`]) then runs
-//!   the shared [`PerfModel`] kernels over the cached components,
-//!   bit-identical to fresh pricing;
+//!   the [`PerfModel`] kernels of the model the frontier was priced with
+//!   over the cached components, bit-identical to fresh pricing;
 //! * **Pareto-prune** — candidates dominated at equal instance cost
 //!   (throughput no higher, latency no lower *for every* `α`, and losing
 //!   every tie-break) can never be chosen by any of Algorithm 1's
@@ -28,8 +28,16 @@
 //! * **order by latency floor** — each candidate carries an `α`-free lower
 //!   bound on its `l_req` ([`Candidate::floor`]), and the survivors of
 //!   pruning are also indexed in floor order, so a minimum-latency scan
-//!   stops at the first candidate whose floor exceeds the best latency
-//!   found ([`CandidateFrontier::pruned_by_floor`]).
+//!   ([`CandidateFrontier::min_latency`]) stops at the first candidate
+//!   whose floor exceeds the best latency found;
+//! * **share across the process** — a frontier and its scans are pure
+//!   functions of its inputs, so [`CandidateFrontier::shared`] hands out
+//!   one immutable [`Arc`] per exact input set from a bounded process-wide
+//!   table, and each frontier memoizes its minimum-latency scans per
+//!   `(pricing mode, instance limit, α)`. Every optimizer on equal inputs
+//!   (the systems of an experiment grid, the shards of one run, on any
+//!   thread) builds the space once and scans each query once.
+//!   [`CandidateFrontier::new`] stays the uncached cold build.
 //!
 //! The domination test is deliberately conservative: it only fires on
 //! component-wise orderings that imply `l_req(y, α) ≤ l_req(x, α)` for all
@@ -42,20 +50,31 @@
 //! enumeration. That contract is pinned by the equivalence property test
 //! in `tests/optimizer_properties.rs`.
 
-use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use cloudsim::GpuSpec;
-use llmsim::MemoryModel;
+use cloudsim::{GpuSpec, NetFabric};
+use llmsim::{Efficiency, MemoryModel, ModelSpec};
 use simkit::SimDuration;
 
 use crate::config::ParallelConfig;
 use crate::enumerate::{enumerate_configs, ConfigSpace};
 use crate::perf::PerfModel;
 
+/// Frontiers the process-wide table holds before it is cleared wholesale.
+const TABLE_CAP: usize = 64;
+
+/// Minimum-latency scans one frontier's memo holds before it is cleared
+/// wholesale.
+const SCAN_MEMO_CAP: usize = 4096;
+
+/// The process-wide frontier table behind [`CandidateFrontier::shared`].
+static TABLE: LazyLock<Mutex<HashMap<FrontierKey, Arc<CandidateFrontier>>>> =
+    LazyLock::new(Mutex::default);
+
 /// Which engine's estimator prices candidates — the frontier caches both
 /// so an optimizer can switch engines without re-enumerating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PricingMode {
     /// The paper's fixed-batch formulas (`φ`, Eq. 1 `l_req`).
     FixedBatch,
@@ -112,7 +131,9 @@ impl Candidate {
 }
 
 /// The enumerated, priced and pruned candidate set for one
-/// `(model, space, gpu, mem)` at a fleet ceiling. See the module docs.
+/// `(model, space, gpu, mem)` at a fleet ceiling, with the estimator it
+/// was priced with and a memo of its minimum-latency scans. See the module
+/// docs.
 ///
 /// # Example
 ///
@@ -123,14 +144,8 @@ impl Candidate {
 ///
 /// let model = ModelSpec::gpt_20b();
 /// let perf = PerfModel::paper_defaults(model.clone());
-/// let f = CandidateFrontier::new(
-///     &perf,
-///     &MemoryModel::default(),
-///     &GpuSpec::t4(),
-///     &ConfigSpace::default(),
-///     4,
-///     16,
-/// );
+/// let (mem, space) = (MemoryModel::default(), ConfigSpace::default());
+/// let f = CandidateFrontier::shared(&perf, &mem, &GpuSpec::t4(), &space, 4, 16);
 /// // GPT-20B needs 12 GPUs = 3 instances: nothing fits at 2.
 /// assert!(f.feasible_at(2).is_empty());
 /// assert!(!f.feasible_at(3).is_empty());
@@ -138,12 +153,20 @@ impl Candidate {
 /// let c = f.pruned_at(16, PricingMode::FixedBatch).next().unwrap();
 /// assert_eq!(c.throughput(PricingMode::FixedBatch), perf.throughput(&c.config));
 /// assert_eq!(
-///     f.latency(c, &perf, PricingMode::FixedBatch, 0.2),
+///     f.latency(c, PricingMode::FixedBatch, 0.2),
 ///     perf.request_latency(&c.config, 0.2)
 /// );
+/// // Equal inputs share one frontier, and its scans.
+/// let again = CandidateFrontier::shared(&perf, &mem, &GpuSpec::t4(), &space, 4, 16);
+/// assert!(std::sync::Arc::ptr_eq(&f, &again));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CandidateFrontier {
+    /// The estimator every candidate was priced with; [`latency`] and the
+    /// scans price with it too, so no caller can mix models.
+    ///
+    /// [`latency`]: CandidateFrontier::latency
+    perf: PerfModel,
     gpus_per_instance: u8,
     /// Fleet ceiling (instances) this frontier was enumerated at.
     ceiling: u32,
@@ -159,8 +182,146 @@ pub struct CandidateFrontier {
     steady: Vec<SimDuration>,
     /// Each pricing mode's pruned index, built on first use: a system
     /// prices with one engine only.
-    fixed: OnceCell<ModeIndex>,
-    cont: OnceCell<ModeIndex>,
+    fixed: OnceLock<ModeIndex>,
+    cont: OnceLock<ModeIndex>,
+    /// Minimum-latency scans answered so far: each winner's latency and
+    /// candidate index (see [`CandidateFrontier::min_latency`]).
+    scans: Mutex<HashMap<ScanKey, Option<(SimDuration, u32)>>>,
+}
+
+/// A minimum-latency scan's inputs, `α` by its IEEE-754 bits (the memo
+/// must never conflate rates that price differently).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ScanKey {
+    mode: PricingMode,
+    limit: u32,
+    alpha_bits: u64,
+}
+
+/// Every input of [`CandidateFrontier::new`], compared exactly: names by
+/// content, integers by value and floats by bit pattern, each struct
+/// destructured field by field so a new field cannot be left out
+/// silently. The variable-length space lists carry their lengths, so two
+/// different input sets never encode alike.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct FrontierKey {
+    /// The model's, the cost model's GPU's and the frontier GPU's names.
+    names: [&'static str; 3],
+    words: Vec<u64>,
+}
+
+impl FrontierKey {
+    fn new(
+        perf: &PerfModel,
+        mem: &MemoryModel,
+        gpu: &GpuSpec,
+        space: &ConfigSpace,
+        gpus_per_instance: u8,
+        ceiling: u32,
+    ) -> Self {
+        let ModelSpec {
+            name,
+            num_layers,
+            hidden_size,
+            num_heads,
+            ffn_hidden,
+            gated_ffn,
+            vocab_size,
+            max_seq_len,
+            bytes_per_param,
+            bytes_per_kv,
+        } = *perf.model();
+        let cost = perf.cost_model();
+        let (s_in, s_out) = perf.sequence_shape();
+        let NetFabric {
+            intra_bw,
+            inter_bw,
+            intra_latency,
+            inter_latency,
+        } = *cost.net();
+        let Efficiency {
+            compute_fraction,
+            compute_half_tokens,
+            mem_fraction,
+            kv_read_penalty,
+            host_overhead,
+        } = *cost.efficiency();
+        let MemoryModel {
+            max_batch,
+            provisioned_seq_len,
+            activation_coeff,
+            migration_buffer,
+            framework_reserve,
+        } = *mem;
+        let ConfigSpace {
+            batch_sizes,
+            tensor_degrees,
+            max_pipeline,
+            max_data,
+        } = space;
+        let mut words = vec![
+            num_layers.into(),
+            hidden_size.into(),
+            num_heads.into(),
+            ffn_hidden.into(),
+            gated_ffn.into(),
+            vocab_size.into(),
+            max_seq_len.into(),
+            bytes_per_param.into(),
+            bytes_per_kv.into(),
+            intra_bw.to_bits(),
+            inter_bw.to_bits(),
+            intra_latency.as_micros(),
+            inter_latency.as_micros(),
+            cost.gpus_per_instance().into(),
+            compute_fraction.to_bits(),
+            compute_half_tokens.to_bits(),
+            mem_fraction.to_bits(),
+            kv_read_penalty.to_bits(),
+            host_overhead.to_bits(),
+            cost.latency_scale().to_bits(),
+            s_in.into(),
+            s_out.into(),
+            max_batch.into(),
+            provisioned_seq_len.into(),
+            activation_coeff.to_bits(),
+            migration_buffer,
+            framework_reserve,
+            (*max_pipeline).into(),
+            (*max_data).into(),
+            gpus_per_instance.into(),
+            ceiling.into(),
+        ];
+        words.extend(gpu_words(cost.gpu()));
+        words.extend(gpu_words(gpu));
+        for list in [batch_sizes, tensor_degrees] {
+            words.push(list.len() as u64);
+            words.extend(list.iter().map(|&x| u64::from(x)));
+        }
+        FrontierKey {
+            names: [name, cost.gpu().name, gpu.name],
+            words,
+        }
+    }
+}
+
+/// A GPU's numeric fields (its name is keyed separately).
+fn gpu_words(gpu: &GpuSpec) -> [u64; 3] {
+    let GpuSpec {
+        name: _,
+        memory_bytes,
+        peak_flops,
+        mem_bandwidth,
+    } = *gpu;
+    [memory_bytes, peak_flops.to_bits(), mem_bandwidth.to_bits()]
+}
+
+/// Locks a cache of pure results. Every update under the lock is one
+/// `HashMap` insert or clear, each of which leaves the map valid, so a
+/// lock poisoned by a panicking holder still guards correct answers and
+/// is used as is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The candidates surviving one pricing mode's pruning.
@@ -279,15 +440,66 @@ impl CandidateFrontier {
         candidates.sort_by_key(|a| (a.instances, a.config));
         let cum = cumulative(candidates.iter().map(|c| c.instances), ceiling_instances);
         CandidateFrontier {
+            perf: perf.clone(),
             gpus_per_instance,
             ceiling: ceiling_instances,
             candidates,
             cum,
             slot,
             steady,
-            fixed: OnceCell::new(),
-            cont: OnceCell::new(),
+            fixed: OnceLock::new(),
+            cont: OnceLock::new(),
+            scans: Mutex::default(),
         }
+    }
+
+    /// The process-wide frontier for exactly these inputs: the handle
+    /// every earlier call with an equal input set got, or a fresh
+    /// [`CandidateFrontier::new`] build that later calls share. Inputs are
+    /// equal only when every field is, floats by bit pattern (the fleet
+    /// ceiling too, so a handle never depends on what another caller built
+    /// first). The handle's scans are memoized across all its holders.
+    ///
+    /// The table holds at most 64 frontiers and is cleared wholesale when
+    /// full; handles already handed out stay valid. Each frontier's scan
+    /// memo holds at most 4,096 entries of 40 bytes, also cleared
+    /// wholesale. The worst case is 64 frontiers (56 bytes per candidate
+    /// plus indices: about 15–60 KB for a paper model at a 16-instance
+    /// ceiling, about 250 KB for OPT-6.7B's 3,652 candidates at 256) plus
+    /// about 21 MB of scan memos (64 × 8,192 hash slots of 41 bytes).
+    /// Lookups hold the table's lock, builds never: two threads may build
+    /// the same inputs at once, and the later insert replaces an equal
+    /// value.
+    ///
+    /// # Panics
+    ///
+    /// As [`CandidateFrontier::new`].
+    pub fn shared(
+        perf: &PerfModel,
+        mem: &MemoryModel,
+        gpu: &GpuSpec,
+        space: &ConfigSpace,
+        gpus_per_instance: u8,
+        ceiling_instances: u32,
+    ) -> Arc<Self> {
+        let key = FrontierKey::new(perf, mem, gpu, space, gpus_per_instance, ceiling_instances);
+        if let Some(f) = lock(&TABLE).get(&key) {
+            return Arc::clone(f);
+        }
+        let built = Arc::new(CandidateFrontier::new(
+            perf,
+            mem,
+            gpu,
+            space,
+            gpus_per_instance,
+            ceiling_instances,
+        ));
+        let mut table = lock(&TABLE);
+        if table.len() >= TABLE_CAP {
+            table.clear();
+        }
+        table.insert(key, Arc::clone(&built));
+        built
     }
 
     /// The fleet ceiling (instances) this frontier covers.
@@ -315,24 +527,19 @@ impl CandidateFrontier {
         self.index(mode).pruned.len()
     }
 
-    /// `l_req(C, α)` of `cand` under `mode`, via the shared [`PerfModel`]
-    /// kernels over the cached components — bit-identical to fresh
-    /// pricing. `cand` must come from this frontier (its continuous
-    /// tables live here).
-    pub fn latency(
-        &self,
-        cand: &Candidate,
-        perf: &PerfModel,
-        mode: PricingMode,
-        alpha: f64,
-    ) -> SimDuration {
+    /// `l_req(C, α)` of `cand` under `mode`, via the [`PerfModel`]
+    /// kernels of this frontier's estimator over the cached components —
+    /// bit-identical to fresh pricing. `cand` must come from this frontier
+    /// (its continuous tables live here).
+    pub fn latency(&self, cand: &Candidate, mode: PricingMode, alpha: f64) -> SimDuration {
         match mode {
             PricingMode::FixedBatch => {
-                perf.request_latency_with_exec(&cand.config, cand.l_exe, alpha)
+                self.perf
+                    .request_latency_with_exec(&cand.config, cand.l_exe, alpha)
             }
             PricingMode::ContinuousBatching => {
                 let (slot, steady) = self.tables(cand);
-                perf.request_latency_continuous_with(
+                self.perf.request_latency_continuous_with(
                     &cand.config,
                     alpha,
                     |b| slot[b as usize - 1],
@@ -398,6 +605,71 @@ impl CandidateFrontier {
             .binary_search_by(|cand| (cand.instances, cand.config).cmp(&(inst, *c)))
             .ok()
             .map(|i| &self.candidates[i])
+    }
+
+    /// Algorithm 1's minimum `(l_req, instances, config)` under `mode`
+    /// over the candidates needing at most `limit` instances whose `φ`
+    /// sustains `alpha`, or `None` when none does. Bit-identical to a
+    /// minimum over the sustaining subset of a fresh enumeration: keys are
+    /// unique (the config is part of them), so the scan order cannot
+    /// matter; pruning only skips candidates that lose every key
+    /// comparison; and the scan runs in floor order and stops at the first
+    /// floor above the best latency, past which every candidate prices
+    /// strictly higher.
+    ///
+    /// Memoized per `(mode, limit, α bits)` for every holder of this
+    /// frontier (see [`CandidateFrontier::shared`] for the bound). The
+    /// memo's lock is never held while scanning.
+    pub fn min_latency(
+        &self,
+        mode: PricingMode,
+        limit: u32,
+        alpha: f64,
+    ) -> Option<(SimDuration, u32, ParallelConfig)> {
+        let key = ScanKey {
+            mode,
+            limit,
+            alpha_bits: alpha.to_bits(),
+        };
+        let memoized = lock(&self.scans).get(&key).copied();
+        let best = memoized.unwrap_or_else(|| {
+            let best = self.scan_min_latency(mode, limit, alpha);
+            let mut scans = lock(&self.scans);
+            if scans.len() >= SCAN_MEMO_CAP {
+                scans.clear();
+            }
+            scans.insert(key, best);
+            best
+        });
+        best.map(|(l, i)| {
+            let c = &self.candidates[i as usize];
+            (l, c.instances, c.config)
+        })
+    }
+
+    /// [`CandidateFrontier::min_latency`]'s scan, without the memo: the
+    /// winner's latency and candidate index.
+    fn scan_min_latency(
+        &self,
+        mode: PricingMode,
+        limit: u32,
+        alpha: f64,
+    ) -> Option<(SimDuration, u32)> {
+        let mut best: Option<((SimDuration, u32, ParallelConfig), u32)> = None;
+        for &i in &self.index(mode).by_floor {
+            let cand = &self.candidates[i as usize];
+            if best.is_some_and(|((l, ..), _)| cand.floor(mode) > l) {
+                break;
+            }
+            if cand.instances > limit || cand.throughput(mode) < alpha {
+                continue;
+            }
+            let key = (self.latency(cand, mode, alpha), cand.instances, cand.config);
+            if best.is_none_or(|(b, _)| key < b) {
+                best = Some((key, i));
+            }
+        }
+        best.map(|((l, ..), i)| (l, i))
     }
 
     /// `mode`'s pruned index, built on first use.
@@ -588,12 +860,12 @@ mod tests {
                 );
                 for alpha in [0.0, 0.1, 0.35, 1.0, 3.0] {
                     assert_eq!(
-                        f.latency(cand, &perf, PricingMode::FixedBatch, alpha),
+                        f.latency(cand, PricingMode::FixedBatch, alpha),
                         perf.request_latency(c, alpha),
                         "{name}: {c} fixed @ {alpha}"
                     );
                     assert_eq!(
-                        f.latency(cand, &perf, PricingMode::ContinuousBatching, alpha),
+                        f.latency(cand, PricingMode::ContinuousBatching, alpha),
                         perf.request_latency_continuous(c, alpha),
                         "{name}: {c} continuous @ {alpha}"
                     );
@@ -607,13 +879,13 @@ mod tests {
         // From the empty engine (α = 0) through saturation (ρ ≥ 1 prices
         // at MAX), no candidate ever prices below its floor.
         let fractions = [0.0, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0, 2.0];
-        for (name, perf, f) in model_sku_frontiers(16) {
+        for (name, _, f) in model_sku_frontiers(16) {
             for cand in f.feasible_at(16) {
                 for mode in MODES {
                     let floor = cand.floor(mode);
                     for frac in fractions {
                         let alpha = cand.throughput(mode) * frac;
-                        let l = f.latency(cand, &perf, mode, alpha);
+                        let l = f.latency(cand, mode, alpha);
                         assert!(
                             floor <= l,
                             "{name}: {} {mode:?} floor {floor} above l_req {l} at α = {alpha}",
@@ -652,18 +924,18 @@ mod tests {
         // over the pruned set equals the best over the full feasible set,
         // under both estimators — the domination contract, checked
         // exhaustively at a small ceiling.
-        let (perf, f) = frontier(ModelSpec::gpt_20b(), 10);
+        let (_, f) = frontier(ModelSpec::gpt_20b(), 10);
         for mode in [PricingMode::FixedBatch, PricingMode::ContinuousBatching] {
             for n in [3u32, 5, 8, 10] {
                 for alpha in [0.0, 0.05, 0.2, 0.35, 0.6, 1.5] {
                     let best_full = f
                         .feasible_at(n)
                         .iter()
-                        .map(|c| (f.latency(c, &perf, mode, alpha), c.instances, c.config))
+                        .map(|c| (f.latency(c, mode, alpha), c.instances, c.config))
                         .min();
                     let best_pruned = f
                         .pruned_at(n, mode)
-                        .map(|c| (f.latency(c, &perf, mode, alpha), c.instances, c.config))
+                        .map(|c| (f.latency(c, mode, alpha), c.instances, c.config))
                         .min();
                     assert_eq!(best_full, best_pruned, "latency {mode:?} n={n} α={alpha}");
                     let phi_full = f
@@ -679,6 +951,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn min_latency_is_the_minimum_over_every_sustaining_candidate() {
+        // The floor-ordered, pruned, memoized scan against a brute-force
+        // minimum over the full feasible set, each query twice (the second
+        // a memo hit), from the empty engine to beyond every candidate.
+        for (name, _, f) in model_sku_frontiers(12) {
+            for mode in MODES {
+                for limit in [0u32, 3, 5, 8, 12, 20] {
+                    for alpha in [0.0, 0.05, 0.2, 0.35, 0.6, 1.5, 1e4] {
+                        let brute = f
+                            .feasible_at(limit)
+                            .iter()
+                            .filter(|c| c.throughput(mode) >= alpha)
+                            .map(|c| (f.latency(c, mode, alpha), c.instances, c.config))
+                            .min();
+                        for pass in ["fresh", "memo hit"] {
+                            assert_eq!(
+                                f.min_latency(mode, limit, alpha),
+                                brute,
+                                "{name} {mode:?} limit {limit} α={alpha} ({pass})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_memo_is_bounded_and_transparent() {
+        let (_, f) = frontier(ModelSpec::gpt_20b(), 16);
+        let mode = PricingMode::ContinuousBatching;
+        let pinned = f.min_latency(mode, 10, 0.35);
+        for i in 0..(SCAN_MEMO_CAP as u32 + 10) {
+            let _ = f.min_latency(mode, 10, 0.05 + f64::from(i) * 1e-5);
+            assert!(lock(&f.scans).len() <= SCAN_MEMO_CAP);
+        }
+        assert_eq!(f.min_latency(mode, 10, 0.35), pinned);
     }
 
     #[test]

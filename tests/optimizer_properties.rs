@@ -735,6 +735,179 @@ fn multi_memo_contract(biased: bool) {
     assert!(hits > 40, "only {hits} hits");
 }
 
+// ---- Optimizers sharing frontiers ----------------------------------------
+
+/// One query of the sharing test: a base-lane query `(n, α, incumbent)`,
+/// or a joint one over g4dn/L4/A100 lanes at availability `avail`.
+#[derive(Debug, Clone, Copy)]
+enum SharedQuery {
+    Base(u32, f64, Option<ParallelConfig>),
+    Joint([u32; 3], f64),
+}
+
+/// A [`SharedQuery`]'s answer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SharedAnswer {
+    Base(OptimizerDecision),
+    Joint(MultiSkuDecision),
+}
+
+/// An optimizer of the sharing test: GPT-20B at [`MULTI_CEILING`] under
+/// `engine`, deciding on its base lane or, when `joint`, over
+/// g4dn/L4/A100 lanes. The g4dn lane's inputs equal the base lane's, so
+/// every optimizer of the test shares that frontier, under both engines.
+fn sharing_optimizer(joint: bool, engine: EngineMode) -> ConfigOptimizer {
+    let opt = ConfigOptimizer::paper_defaults(ModelSpec::gpt_20b(), MULTI_CEILING)
+        .with_engine_mode(engine);
+    if joint {
+        opt.with_sku(InstanceType::g4dn_12xlarge())
+            .with_sku(InstanceType::l4())
+            .with_sku(InstanceType::a100())
+    } else {
+        opt
+    }
+}
+
+fn ask(opt: &ConfigOptimizer, q: SharedQuery) -> SharedAnswer {
+    match q {
+        SharedQuery::Base(n, alpha, inc) => {
+            SharedAnswer::Base(opt.decide_with_incumbent(n, alpha, inc))
+        }
+        SharedQuery::Joint(avail, alpha) => SharedAnswer::Joint(opt.decide_multi(&avail, alpha)),
+    }
+}
+
+/// The queries of the sharing test and their answers under each engine
+/// (the fresh-enumeration reference or the brute-force oracle): rates
+/// and fleets repeat across both kinds and both engines, so scans of
+/// equal `(limit, α)` meet in the shared frontiers under either pricing
+/// mode.
+struct SharedPool {
+    base: Vec<SharedQuery>,
+    joint: Vec<SharedQuery>,
+    /// `answers[engine][kind][i]`.
+    answers: [[Vec<SharedAnswer>; 2]; 2],
+}
+
+const SHARING_ENGINES: [EngineMode; 2] = [EngineMode::FixedBatch, EngineMode::ContinuousBatching];
+
+impl SharedPool {
+    fn new() -> Self {
+        let mut draw = Draw(23);
+        let alphas = [0.0, 0.05, 0.2, 0.35, 0.6, 1e4];
+        let incumbents = sharing_optimizer(false, EngineMode::FixedBatch).feasible(MULTI_CEILING);
+        let base: Vec<SharedQuery> = (0..12)
+            .map(|_| {
+                let n = [0u32, 3, 5, 8, 12][draw.below(5)];
+                let alpha = alphas[draw.below(alphas.len())];
+                let inc = (draw.below(3) > 0).then(|| incumbents[draw.below(incumbents.len())]);
+                SharedQuery::Base(n, alpha, inc)
+            })
+            .collect();
+        let joint: Vec<SharedQuery> = (0..8)
+            .map(|_| {
+                let avail = [
+                    [0u32, 3, 5, 8, 12][draw.below(5)],
+                    draw.below(3) as u32 * 4,
+                    draw.below(2) as u32 * 2,
+                ];
+                SharedQuery::Joint(avail, alphas[draw.below(alphas.len())])
+            })
+            .collect();
+        let answers = SHARING_ENGINES.map(|engine| {
+            let opt = sharing_optimizer(true, engine);
+            [&base, &joint].map(|queries| {
+                queries
+                    .iter()
+                    .map(|&q| match q {
+                        SharedQuery::Base(n, alpha, inc) => {
+                            SharedAnswer::Base(decide_with_incumbent_reference(&opt, n, alpha, inc))
+                        }
+                        SharedQuery::Joint(avail, alpha) => {
+                            SharedAnswer::Joint(decide_multi_oracle(&opt, engine, &avail, alpha))
+                        }
+                    })
+                    .collect()
+            })
+        });
+        SharedPool {
+            base,
+            joint,
+            answers,
+        }
+    }
+
+    /// `steps` queries over one optimizer per (kind, engine) and `copies`
+    /// copies of each, interleaved by `draw`: every answer is checked,
+    /// and then each optimizer's `memo_hits()` against a lone optimizer
+    /// replaying its queries.
+    fn drive(&self, copies: usize, steps: usize, draw: &mut Draw, who: &str) {
+        let slots: Vec<(usize, usize)> = (0..2)
+            .flat_map(|engine| (0..2).map(move |kind| (engine, kind)))
+            .flat_map(|slot| std::iter::repeat_n(slot, copies))
+            .collect();
+        let opts: Vec<ConfigOptimizer> = slots
+            .iter()
+            .map(|&(engine, kind)| sharing_optimizer(kind == 1, SHARING_ENGINES[engine]))
+            .collect();
+        let mut logs: Vec<Vec<usize>> = vec![Vec::new(); opts.len()];
+        for step in 0..steps {
+            let k = draw.below(opts.len());
+            let (engine, kind) = slots[k];
+            let queries = [&self.base, &self.joint][kind];
+            let i = draw.below(queries.len());
+            logs[k].push(i);
+            assert_eq!(
+                ask(&opts[k], queries[i]),
+                self.answers[engine][kind][i],
+                "{who} step {step}: optimizer {k}, {:?} {:?}",
+                SHARING_ENGINES[engine],
+                queries[i]
+            );
+        }
+        for (k, log) in logs.iter().enumerate() {
+            let (engine, kind) = slots[k];
+            let lone = sharing_optimizer(kind == 1, SHARING_ENGINES[engine]);
+            for &i in log {
+                let q = [&self.base, &self.joint][kind][i];
+                assert_eq!(
+                    ask(&lone, q),
+                    self.answers[engine][kind][i],
+                    "{who}: lone {q:?}"
+                );
+            }
+            assert_eq!(
+                opts[k].memo_hits(),
+                lone.memo_hits(),
+                "{who}: optimizer {k} hits as a lone optimizer does"
+            );
+        }
+    }
+}
+
+/// Optimizers on equal inputs share one frontier per lane and its scan
+/// memo, across both engines and both decision kinds, and on several
+/// threads at once. None of that may change an answer or a memo-hit
+/// count: eight interleaved optimizers, then four threads released
+/// together by a barrier to decide concurrently, each answer against the
+/// reference or the brute-force oracle, each optimizer's `memo_hits()`
+/// against a lone optimizer's.
+#[test]
+fn optimizers_sharing_inputs_decide_as_the_reference() {
+    let pool = SharedPool::new();
+    pool.drive(2, 200, &mut Draw(31), "interleaved");
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (pool, start) = (&pool, &start);
+            scope.spawn(move || {
+                start.wait();
+                pool.drive(1, 60, &mut Draw(100 + t), &format!("thread {t}"));
+            });
+        }
+    });
+}
+
 // ---- SLO-aware admission properties -----------------------------------
 
 fn perf() -> PerfModel {
