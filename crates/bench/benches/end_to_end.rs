@@ -82,8 +82,7 @@ fn bench_engine_comparison(c: &mut Criterion) {
             1.5,
             1,
         );
-        let mut report =
-            ServingSystem::new(SystemOptions::spotserve().with_engine(engine), sc).run();
+        let report = ServingSystem::new(SystemOptions::spotserve().with_engine(engine), sc).run();
         let p = report.latency.percentiles();
         let thr = p.count as f64 / report.finished_at.as_micros() as f64 * 1e6;
         println!(

@@ -15,7 +15,7 @@ fn main() {
             println!("\n--- {} @ {} req/s on {} ---", model.name, rate, tname);
             let mut p99s = Vec::new();
             for (sname, opts) in paper_systems() {
-                let mut report = run_cell(opts, &model, &trace, mixing, rate, seed);
+                let report = run_cell(opts, &model, &trace, mixing, rate, seed);
                 let p = report.latency.percentiles();
                 println!(
                     "{:<18} {}  (unfinished={}, preemptions={})",

@@ -24,7 +24,7 @@ fn main() {
     let mut spot_avg: Vec<f64> = Vec::new();
     for (sname, opts) in paper_systems() {
         for (tname, trace, mixing) in paper_traces() {
-            let mut report = run_cell(opts.clone(), &model, &trace, mixing, rate, seed);
+            let report = run_cell(opts.clone(), &model, &trace, mixing, rate, seed);
             let p = report.latency.percentiles();
             let cpt = report.cost().usd_per_token.unwrap_or(f64::NAN);
             println!(
@@ -43,7 +43,7 @@ fn main() {
     println!("\n--- On-demand-only frontier (no preemptions, fixed fleet) ---");
     let mut od_points: Vec<(u32, f64, f64)> = Vec::new();
     for k in [8u32, 7, 6, 5, 4, 3] {
-        let mut report = run_cell(
+        let report = run_cell(
             SystemOptions::on_demand_only(k),
             &model,
             &cloudsim::AvailabilityTrace::constant(0),

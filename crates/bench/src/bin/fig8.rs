@@ -54,7 +54,7 @@ fn main() {
             let opts = opts.with_on_demand_mixing();
             let scenario =
                 Scenario::with_requests(model.clone(), trace.clone(), requests.clone(), 0.35, 11);
-            let mut report = ServingSystem::new(opts, scenario).run();
+            let report = ServingSystem::new(opts, scenario).run();
             let p = report.latency.percentiles();
             // (e)(f) latency statistics.
             println!("{:<18} {}", sname, latency_row(&p));

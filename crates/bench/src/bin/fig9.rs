@@ -19,7 +19,7 @@ fn main() {
         let mut base: Option<(f64, f64)> = None;
         for (vname, flags) in ablation_ladder() {
             let opts = SystemOptions::spotserve().with_ablation(flags);
-            let mut report = run_cell(opts, &model, &trace, false, 0.35, 1);
+            let report = run_cell(opts, &model, &trace, false, 0.35, 1);
             let p = report.latency.percentiles();
             let (b99, bavg) = *base.get_or_insert((p.p99, p.mean));
             println!(
@@ -81,7 +81,7 @@ fn main() {
         let mut base: Option<(f64, f64)> = None;
         for (vname, flags) in single {
             let opts = SystemOptions::spotserve().with_ablation(flags);
-            let mut report = run_cell(opts, &model, &trace, false, 0.35, 1);
+            let report = run_cell(opts, &model, &trace, false, 0.35, 1);
             let p = report.latency.percentiles();
             let (b99, bavg) = *base.get_or_insert((p.p99, p.mean));
             println!(

@@ -20,7 +20,7 @@
 //!     1.5,   // requests/second
 //!     42,    // seed
 //! );
-//! let mut report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
+//! let report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
 //! let p = report.latency.percentiles();
 //! assert!(p.count > 0, "requests were served");
 //! ```

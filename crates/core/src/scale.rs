@@ -104,18 +104,15 @@ impl ShardedSystem {
                     .collect(),
             )
         });
-        let mut latencies = Sampler::new();
+        let mut latencies: Sampler = shards
+            .iter()
+            .flat_map(|rep| rep.latency.outcomes())
+            .map(|o| o.latency().as_secs_f64())
+            .collect();
         let mut total_cost_usd = 0.0;
         let mut completed = 0;
         let mut unfinished = 0;
         for rep in &shards {
-            let shard_latencies: Sampler = rep
-                .latency
-                .outcomes()
-                .iter()
-                .map(|o| o.latency().as_secs_f64())
-                .collect();
-            latencies.merge(&shard_latencies);
             total_cost_usd += rep.cost_usd;
             completed += rep.latency.completed();
             unfinished += rep.unfinished;

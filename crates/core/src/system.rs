@@ -2446,7 +2446,7 @@ mod tests {
     fn serves_everything_on_a_stable_fleet() {
         let scenario = small_scenario(AvailabilityTrace::constant(6), 1.0, 7);
         let total = scenario.requests.len();
-        let mut report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
+        let report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
         assert_eq!(report.unfinished, 0);
         assert_eq!(report.latency.percentiles().count, total);
         assert!(report.cost_usd > 0.0);
@@ -2500,7 +2500,7 @@ mod tests {
             SystemOptions::reparallelization(),
         ] {
             let scenario = small_scenario(trace.clone(), 1.2, 17);
-            let mut report = ServingSystem::new(opts, scenario).run();
+            let report = ServingSystem::new(opts, scenario).run();
             assert_eq!(report.unfinished, 0);
             p99.push(report.latency.percentiles().p99);
         }
@@ -2516,7 +2516,7 @@ mod tests {
     fn deterministic_runs() {
         let run = || {
             let scenario = small_scenario(AvailabilityTrace::paper_bs(), 1.0, 23);
-            let mut r = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
+            let r = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
             (
                 r.latency.percentiles().mean,
                 r.cost_usd,
@@ -2575,7 +2575,7 @@ mod tests {
         let run = || {
             let opts = SystemOptions::spotserve()
                 .with_fleet_policy(fleetctl::FleetPolicy::cost_aware_hedge());
-            let mut r = ServingSystem::new(opts, mixed_sku_scenario(43)).run();
+            let r = ServingSystem::new(opts, mixed_sku_scenario(43)).run();
             (
                 r.latency.percentiles().mean,
                 r.cost_usd.to_bits(),

@@ -24,7 +24,6 @@ use crate::request::RequestOutcome;
 #[derive(Debug, Clone)]
 pub struct LatencyReport {
     name: String,
-    latencies: Sampler,
     outcomes: Vec<RequestOutcome>,
     tokens_generated: u64,
 }
@@ -34,7 +33,6 @@ impl LatencyReport {
     pub fn new(name: impl Into<String>) -> Self {
         LatencyReport {
             name: name.into(),
-            latencies: Sampler::new(),
             outcomes: Vec::new(),
             tokens_generated: 0,
         }
@@ -47,7 +45,6 @@ impl LatencyReport {
 
     /// Records one completed request.
     pub fn record(&mut self, outcome: RequestOutcome) {
-        self.latencies.record(outcome.latency().as_secs_f64());
         self.tokens_generated += outcome.request.s_out as u64;
         self.outcomes.push(outcome);
     }
@@ -63,9 +60,14 @@ impl LatencyReport {
         self.tokens_generated
     }
 
-    /// Latency percentiles in seconds (Figure 6 format).
-    pub fn percentiles(&mut self) -> Percentiles {
-        self.latencies.percentiles()
+    /// Latency percentiles in seconds (Figure 6 format), summarized from
+    /// the outcomes in completion order.
+    pub fn percentiles(&self) -> Percentiles {
+        self.outcomes
+            .iter()
+            .map(|o| o.latency().as_secs_f64())
+            .collect::<Sampler>()
+            .percentiles()
     }
 
     /// Per-request `(arrival, latency_secs)` pairs in completion order

@@ -25,7 +25,7 @@ fn main() {
         ("Rerouting", SystemOptions::rerouting()),
     ] {
         let scenario = Scenario::paper_stable(model.clone(), trace.clone(), 0.35, 7);
-        let mut report = ServingSystem::new(opts, scenario).run();
+        let report = ServingSystem::new(opts, scenario).run();
         let p = report.latency.percentiles();
         println!(
             "{:<20} {:>8.1} {:>8.1} {:>8.2} {:>10} {:>12}",

@@ -22,7 +22,7 @@ fn main() {
         scenario.requests.len()
     );
 
-    let mut report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
+    let report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
 
     let p = report.latency.percentiles();
     println!("completed: {} (unfinished {})", p.count, report.unfinished);

@@ -38,7 +38,7 @@ fn continuous_throughput_at_least_fixed_on_stable_workload() {
         for engine in [EngineMode::ContinuousBatching, EngineMode::FixedBatch] {
             let scenario = Scenario::paper_stable(model.clone(), trace.clone(), rate, 1);
             let total = scenario.requests.len();
-            let mut report = run(SystemOptions::spotserve().with_engine(engine), scenario);
+            let report = run(SystemOptions::spotserve().with_engine(engine), scenario);
             assert_eq!(report.unfinished, 0, "{}: {engine:?}", model.name);
             let p = report.latency.percentiles();
             assert_eq!(p.count, total);
@@ -76,7 +76,7 @@ fn long_tail_outputs_are_not_hostage_to_the_batch() {
             7,
         );
         let total = scenario.requests.len();
-        let mut report = run(SystemOptions::spotserve().with_engine(engine), scenario);
+        let report = run(SystemOptions::spotserve().with_engine(engine), scenario);
         assert_eq!(report.unfinished, 0, "{engine:?}");
         assert_eq!(report.latency.percentiles().count, total);
         means.push(report.latency.percentiles().mean);

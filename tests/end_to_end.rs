@@ -24,7 +24,7 @@ fn spotserve_beats_baselines_on_volatile_trace() {
         SystemOptions::rerouting(),
     ] {
         let scenario = Scenario::paper_stable(ModelSpec::gpt_20b(), trace.clone(), 0.35, 1);
-        let mut report = ServingSystem::new(opts, scenario).run();
+        let report = ServingSystem::new(opts, scenario).run();
         assert_eq!(report.unfinished, 0);
         p99.push(report.latency.percentiles().p99);
     }
@@ -51,7 +51,7 @@ fn whole_pipeline_is_deterministic() {
             0.35,
             99,
         );
-        let mut report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
+        let report = ServingSystem::new(SystemOptions::spotserve(), scenario).run();
         let p = report.latency.percentiles();
         (
             p.count,
@@ -82,7 +82,7 @@ fn on_demand_mixing_reduces_tail_on_deep_dips() {
             SystemOptions::spotserve()
         };
         let scenario = Scenario::paper_stable(ModelSpec::llama_30b(), trace.clone(), 0.2, 3);
-        let mut report = ServingSystem::new(opts, scenario).run();
+        let report = ServingSystem::new(opts, scenario).run();
         (report.latency.percentiles().p99, report.cost_usd)
     };
     let (p99_spot, cost_spot) = run(false);
