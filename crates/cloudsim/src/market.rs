@@ -234,11 +234,6 @@ impl CloudMarket {
         self.pools.len()
     }
 
-    /// The human-readable name of `pool`.
-    pub fn pool_name(&self, pool: PoolId) -> &str {
-        &self.names[pool.0 as usize]
-    }
-
     /// Read-only view of one pool's provider.
     pub fn pool(&self, pool: PoolId) -> &CloudSim {
         &self.pools[pool.0 as usize]
@@ -319,17 +314,6 @@ impl CloudMarket {
     }
 
     // ---- Legacy (pool-0) surface -----------------------------------
-
-    /// Requests `n` spot instances from pool 0 (the legacy single-market
-    /// surface; pool-aware callers use [`CloudMarket::request_spot_in`]).
-    pub fn request_spot(&mut self, now: SimTime, n: u32) {
-        self.request_spot_in(now, PoolId(0), n);
-    }
-
-    /// Prewarms `n` spot instances in pool 0.
-    pub fn prewarm_spot(&mut self, n: u32) -> Vec<InstanceId> {
-        self.prewarm_spot_in(PoolId(0), n)
-    }
 
     /// Prewarms `n` on-demand instances (granted by pool 0; on-demand
     /// capacity is pool-agnostic).
@@ -462,7 +446,7 @@ mod tests {
         let mut sim = CloudSim::new(CloudConfig::default(), trace.clone(), 99);
         let mut market = CloudMarket::single(CloudConfig::default(), trace, 99);
         sim.request_spot(SimTime::ZERO, 10);
-        market.request_spot(SimTime::ZERO, 10);
+        market.request_spot_in(SimTime::ZERO, PoolId(0), 10);
         sim.request_on_demand(SimTime::from_secs(5), 2);
         market.request_on_demand(SimTime::from_secs(5), 2);
         assert_eq!(drain_sim(&mut sim), drain_market(&mut market));
@@ -544,7 +528,7 @@ mod tests {
     #[test]
     fn breakdown_splits_spot_from_on_demand() {
         let mut m = CloudMarket::single(CloudConfig::default(), AvailabilityTrace::constant(1), 7);
-        let spot = m.prewarm_spot(1);
+        let spot = m.prewarm_spot_in(PoolId(0), 1);
         let od = m.prewarm_on_demand(1);
         let end = SimTime::from_secs(3600);
         m.release(end, spot[0]);

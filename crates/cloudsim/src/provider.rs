@@ -128,7 +128,7 @@ impl CloudSim {
     /// Creates a provider replaying `trace`, with randomness derived from
     /// `seed` (victim selection on capacity drops).
     pub fn new(cfg: CloudConfig, trace: AvailabilityTrace, seed: u64) -> Self {
-        CloudSim::for_pool(cfg, trace, seed, crate::PoolId(0))
+        CloudSim::for_pool_faulted(cfg, trace, seed, crate::PoolId(0), None, None)
     }
 
     /// Creates the provider for one pool of a multi-pool market: pool 0 is
@@ -136,35 +136,16 @@ impl CloudSim {
     /// sequence); pool `i > 0` draws from its own random stream and
     /// allocates ids in its own namespace
     /// ([`POOL_ID_STRIDE`](crate::POOL_ID_STRIDE)).
-    pub fn for_pool(
-        cfg: CloudConfig,
-        trace: AvailabilityTrace,
-        seed: u64,
-        pool: crate::PoolId,
-    ) -> Self {
-        CloudSim::for_pool_priced(cfg, trace, seed, pool, None)
-    }
-
-    /// [`CloudSim::for_pool`] with a spot-price process. `None` and
-    /// [`PriceModel::Constant`] keep the constant-price machinery (no path,
-    /// no extra random draws, no extra events) — byte-identical to the
-    /// pre-dynamics provider; a dynamic model pre-draws its path from the
-    /// pool's own `"price"` stream and installs it into billing.
-    pub fn for_pool_priced(
-        cfg: CloudConfig,
-        trace: AvailabilityTrace,
-        seed: u64,
-        pool: crate::PoolId,
-        price: Option<&PriceModel>,
-    ) -> Self {
-        CloudSim::for_pool_faulted(cfg, trace, seed, pool, price, None)
-    }
-
-    /// [`CloudSim::for_pool_priced`] with a fault-injection spec. `None`
-    /// builds no plan and draws nothing — byte-identical to the pre-chaos
-    /// provider; a spec pre-draws its unannounced-kill schedule from the
-    /// pool's own `"faults"` stream (see [`crate::faults`]) and arms the
-    /// notice-loss / grant-lapse / degraded-link channels.
+    ///
+    /// `price`: `None` and [`PriceModel::Constant`] keep the constant-price
+    /// machinery (no path, no extra random draws, no extra events); a
+    /// dynamic model pre-draws its path from the pool's own `"price"`
+    /// stream and installs it into billing.
+    ///
+    /// `faults`: `None` builds no plan and draws nothing; a spec pre-draws
+    /// its unannounced-kill schedule from the pool's own `"faults"` stream
+    /// (see [`crate::faults`]) and arms the notice-loss / grant-lapse /
+    /// degraded-link channels.
     pub fn for_pool_faulted(
         cfg: CloudConfig,
         trace: AvailabilityTrace,
@@ -858,12 +839,13 @@ mod tests {
         // `Constant` must not perturb a single draw, event, or cent.
         let run = |price: Option<&PriceModel>| {
             let trace = AvailabilityTrace::paper_bs();
-            let mut cloud = CloudSim::for_pool_priced(
+            let mut cloud = CloudSim::for_pool_faulted(
                 CloudConfig::default(),
                 trace,
                 99,
                 crate::PoolId(0),
                 price,
+                None,
             );
             cloud.request_spot(SimTime::ZERO, 10);
             let evs: Vec<String> = drain(&mut cloud)
@@ -885,12 +867,13 @@ mod tests {
             (SimTime::ZERO, 2.0),
             (SimTime::from_secs(1840), 6.0),
         ]));
-        let mut cloud = CloudSim::for_pool_priced(
+        let mut cloud = CloudSim::for_pool_faulted(
             CloudConfig::default(),
             AvailabilityTrace::constant(1),
             7,
             crate::PoolId(0),
             Some(&model),
+            None,
         );
         assert_eq!(cloud.spot_price_at(SimTime::ZERO), 2.0);
         assert_eq!(cloud.spot_price_at(SimTime::from_secs(2000)), 6.0);
@@ -913,12 +896,13 @@ mod tests {
             (SimTime::ZERO, 2.0),
             (SimTime::from_secs(600), 6.3),
         ]));
-        let mut cloud = CloudSim::for_pool_priced(
+        let mut cloud = CloudSim::for_pool_faulted(
             CloudConfig::default(),
             AvailabilityTrace::constant(2),
             5,
             crate::PoolId(3),
             Some(&model),
+            None,
         );
         let evs = drain(&mut cloud);
         assert_eq!(
@@ -949,12 +933,13 @@ mod tests {
             floor: 5.0, // floored far above the mean: permanent "spike"
             kill_coupling: 1e9,
         });
-        let mut cloud = CloudSim::for_pool_priced(
+        let mut cloud = CloudSim::for_pool_faulted(
             CloudConfig::default(),
             AvailabilityTrace::constant(4),
             7,
             crate::PoolId(0),
             Some(&model),
+            None,
         );
         cloud.request_spot(SimTime::ZERO, 2);
         let evs = drain(&mut cloud);
@@ -984,37 +969,6 @@ mod tests {
             None,
             Some(spec),
         )
-    }
-
-    #[test]
-    fn faults_off_is_bit_exact_with_no_plan() {
-        // Passing `None` faults must not perturb a single draw, event, or
-        // cent relative to the pre-chaos constructor.
-        let run = |chaos: bool| {
-            let trace = AvailabilityTrace::paper_bs();
-            let mut cloud = if chaos {
-                CloudSim::for_pool_faulted(
-                    CloudConfig::default(),
-                    trace,
-                    99,
-                    crate::PoolId(0),
-                    None,
-                    None,
-                )
-            } else {
-                CloudSim::new(CloudConfig::default(), trace, 99)
-            };
-            cloud.request_spot(SimTime::ZERO, 10);
-            let evs: Vec<String> = drain(&mut cloud)
-                .iter()
-                .map(|(t, e)| format!("{t} {e:?}"))
-                .collect();
-            (
-                evs,
-                cloud.meter().total_usd(SimTime::from_secs(1200)).to_bits(),
-            )
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -1147,12 +1101,13 @@ mod tests {
     fn priced_replay_is_deterministic() {
         let run = || {
             let model = PriceModel::Ou(crate::price::OuParams::around(1.9));
-            let mut cloud = CloudSim::for_pool_priced(
+            let mut cloud = CloudSim::for_pool_faulted(
                 CloudConfig::default(),
                 AvailabilityTrace::paper_as(),
                 11,
                 crate::PoolId(2),
                 Some(&model),
+                None,
             );
             cloud.request_spot(SimTime::ZERO, 8);
             let evs = drain(&mut cloud);

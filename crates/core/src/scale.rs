@@ -71,11 +71,6 @@ impl ShardedSystem {
         self
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Runs every shard to completion and merges the results in shard
     /// order.
     pub fn run(self) -> ScaleReport {

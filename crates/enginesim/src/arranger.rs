@@ -9,13 +9,12 @@
 //! * **acquisition** — *minimize* early stopping: keep serving with the
 //!   current configuration until the new instance finishes initializing
 //!   (`S_t = argmin { l_exe(S) ≥ T⁺ }`), since migration happens *after*
-//!   the acquisition completes;
+//!   the acquisition completes. The serving loop does this itself: it
+//!   re-plans only when a granted instance's initialization is done;
 //! * in both cases recovery must not hurt: if migrating the cache costs
 //!   more than recomputing the committed tokens, plain rerouting wins.
 
 use simkit::{SimDuration, SimTime};
-
-use crate::batch::BatchRun;
 
 /// The instant at which a preempted engine must stop decoding so that
 /// context migration (estimated at `migration_estimate`, plus a safety
@@ -47,22 +46,6 @@ pub fn preemption_stop_time(
     now + decode_window
 }
 
-/// Under an acquisition notification, the earliest instant at which it is
-/// worth interrupting the running batch: not before the new instance is
-/// ready at `ready_at` (the migration can only start then), and not
-/// mid-iteration — the next token boundary after `ready_at`.
-pub fn acquisition_defer_until(batch: &BatchRun, ready_at: SimTime) -> SimTime {
-    if batch.finished_at(ready_at) {
-        return batch.finish_time();
-    }
-    let committed = batch.committed_iters_at(ready_at);
-    // The boundary of the next token not yet produced at `ready_at`.
-    match batch.time_of_iter(committed + 1) {
-        Some(t) => t,
-        None => batch.finish_time(),
-    }
-}
-
 /// Whether migrating the cache context beats recomputation: the paper's
 /// guard `T_mig < l_exe(S_t | C_t)` — recomputing the committed tokens
 /// (initial phase + `committed` decode iterations) must cost more than the
@@ -83,6 +66,7 @@ pub fn recovery_worthwhile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchRun;
     use llmsim::ModelSpec;
     use parallelism::{ParallelConfig, PerfModel};
     use workload::{Request, RequestId};
@@ -139,22 +123,6 @@ mod tests {
         let long = b.committed_iters_at(stop_long);
         assert!(long > short, "{short} vs {long}");
         assert!(long < b.total_iters(), "batch must still be in flight");
-    }
-
-    #[test]
-    fn acquisition_waits_for_ready_then_token_boundary() {
-        let b = batch();
-        let ready = b.time_of_iter(10).unwrap() + SimDuration::from_millis(1);
-        let defer = acquisition_defer_until(&b, ready);
-        assert!(defer >= ready);
-        assert_eq!(b.committed_iters_at(defer), 11, "stops at next boundary");
-    }
-
-    #[test]
-    fn acquisition_on_finished_batch_is_finish_time() {
-        let b = batch();
-        let after = b.finish_time() + SimDuration::from_secs(5);
-        assert_eq!(acquisition_defer_until(&b, after), b.finish_time());
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! own committed count); the monolithic [`BatchRun`] form is kept for the
 //! fixed-batch baseline.
 
-use parallelism::ParallelConfig;
 use simkit::SimTime;
-use workload::RequestId;
 
 use crate::batch::BatchRun;
 use crate::scheduler::IterationScheduler;
@@ -128,63 +126,16 @@ impl ContextDaemon {
             .unwrap_or(0);
         batch.max(sched)
     }
-
-    /// Per-request committed output tokens at `t` — the token-exact
-    /// inventory a heterogeneous in-flight set checkpoints through a
-    /// migration. A monolithic batch reports its uniform progress for
-    /// every member.
-    pub fn committed_per_request_at(&self, t: SimTime) -> Vec<(RequestId, u32)> {
-        if let Some(s) = &self.sched {
-            return s.committed_per_request_at(t);
-        }
-        if let Some(b) = &self.batch {
-            let c = b.committed_iters_at(t);
-            return b
-                .requests()
-                .iter()
-                .map(|r| (r.id, c.min(r.s_out)))
-                .collect();
-        }
-        Vec::new()
-    }
-
-    /// Re-registers the resident batch as resumed at `now` from its current
-    /// progress under a (possibly different) configuration — the mechanics
-    /// of stateful inference recovery. Returns the committed token count
-    /// carried over, or `None` if idle or the batch already finished.
-    pub fn rebase(
-        &mut self,
-        now: SimTime,
-        cfg: &ParallelConfig,
-        perf: &parallelism::PerfModel,
-    ) -> Option<u32> {
-        let batch = self.batch.take()?;
-        let committed = batch.committed_iters_at(now);
-        if committed >= batch.total_iters() {
-            // Finished: nothing to carry.
-            self.batch = Some(batch);
-            return None;
-        }
-        let reqs = batch.requests().to_vec();
-        let resumed = if committed == 0 {
-            BatchRun::start(reqs, cfg, now, perf)
-        } else {
-            BatchRun::resume(reqs, cfg, now, perf, committed)
-        };
-        self.batch = Some(resumed);
-        Some(committed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llmsim::ModelSpec;
-    use parallelism::PerfModel;
-    use simkit::SimDuration;
+    use parallelism::{ParallelConfig, PerfModel};
     use workload::{Request, RequestId};
 
-    fn setup() -> (ContextDaemon, BatchRun, PerfModel, ParallelConfig) {
+    fn setup() -> (ContextDaemon, BatchRun) {
         let model = ModelSpec::opt_6_7b();
         let perf = PerfModel::paper_defaults(model.clone());
         let cfg = ParallelConfig::new(1, 1, 4, 8);
@@ -192,12 +143,7 @@ mod tests {
             .map(|i| Request::new(RequestId(i), SimTime::ZERO, 512, 128))
             .collect();
         let run = BatchRun::start(reqs, &cfg, SimTime::ZERO, &perf);
-        (
-            ContextDaemon::new(model.kv_bytes_per_token()),
-            run,
-            perf,
-            cfg,
-        )
+        (ContextDaemon::new(model.kv_bytes_per_token()), run)
     }
 
     #[test]
@@ -214,48 +160,6 @@ mod tests {
         assert_eq!(daemon.batch(), Some(&run));
         assert_eq!(daemon.detach(), Some(run));
         assert_eq!(daemon.batch(), None);
-    }
-
-    #[test]
-    fn rebase_preserves_progress() {
-        let (mut daemon, run, perf, _) = setup();
-        let halfway = run.time_of_iter(64).unwrap() + SimDuration::from_micros(1);
-        daemon.attach(run);
-        // Resume under a different configuration (e.g. after migration).
-        let new_cfg = ParallelConfig::new(1, 2, 2, 8);
-        let carried = daemon.rebase(halfway, &new_cfg, &perf);
-        assert_eq!(carried, Some(64));
-        let b = daemon.batch().unwrap();
-        assert_eq!(b.resumed_from(), 64);
-        assert_eq!(b.committed_iters_at(halfway), 64);
-        assert!(b.finish_time() > halfway);
-    }
-
-    #[test]
-    fn rebase_before_any_token_restarts() {
-        let (mut daemon, run, perf, cfg) = setup();
-        daemon.attach(run);
-        let carried = daemon.rebase(SimTime::from_micros(10), &cfg, &perf);
-        assert_eq!(carried, Some(0));
-        assert_eq!(daemon.batch().unwrap().resumed_from(), 0);
-    }
-
-    #[test]
-    fn rebase_finished_batch_is_none() {
-        let (mut daemon, run, perf, cfg) = setup();
-        let end = run.finish_time();
-        daemon.attach(run);
-        assert_eq!(daemon.rebase(end, &cfg, &perf), None);
-    }
-
-    #[test]
-    fn batch_reports_uniform_per_request_progress() {
-        let (mut daemon, run, ..) = setup();
-        let halfway = run.time_of_iter(64).unwrap();
-        daemon.attach(run);
-        let per = daemon.committed_per_request_at(halfway);
-        assert_eq!(per.len(), 4);
-        assert!(per.iter().all(|(_, c)| *c == 64));
     }
 
     #[test]
@@ -280,8 +184,6 @@ mod tests {
         let b = sched.next_event().unwrap();
         sched.advance(b, &mut pending, &perf);
         daemon.attach_scheduler(sched);
-        let per = daemon.committed_per_request_at(b);
-        assert_eq!(per, vec![(RequestId(1), 16)]);
         assert_eq!(daemon.committed_iters_at(b), 16);
         assert_eq!(
             daemon.cache_bytes_at(b),

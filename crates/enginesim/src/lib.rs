@@ -51,7 +51,7 @@ pub mod daemon;
 pub mod queue;
 pub mod scheduler;
 
-pub use arranger::{acquisition_defer_until, preemption_stop_time, recovery_worthwhile};
+pub use arranger::{preemption_stop_time, recovery_worthwhile};
 pub use batch::BatchRun;
 pub use daemon::ContextDaemon;
 pub use queue::{AdmissionQueue, PendingQueue};

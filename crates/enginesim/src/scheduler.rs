@@ -478,34 +478,14 @@ impl IterationScheduler {
         self
     }
 
-    /// Like [`IterationScheduler::resume`], but applies this scheduler's
+    /// Like [`IterationScheduler::restore`], but applies this scheduler's
     /// own admission rule to an arbitrarily large checkpoint (§3.3
     /// footnote 2 — the new configuration may hold fewer concurrent
-    /// requests): deepest-progress records are kept up to the batch
-    /// capacity and KV budget, the rest come back as bare requests for
-    /// recomputation via the queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records` contains a finished record.
-    pub fn resume_within_budget(
-        records: Vec<RequestRun>,
-        cfg: ParallelConfig,
-        kv_bytes_per_token: u64,
-        kv_budget_bytes: u64,
-        now: SimTime,
-        perf: &PerfModel,
-    ) -> (Self, Vec<Request>) {
-        IterationScheduler::new(cfg, kv_bytes_per_token, kv_budget_bytes)
-            .restore_within_budget(records, now, perf)
-    }
-
-    /// The chunk-aware form of [`IterationScheduler::resume_within_budget`]
-    /// (see [`IterationScheduler::restore`]). Deepest-progress records —
-    /// committed output tokens first, then cached prefill chunks — are
-    /// kept within the capacity and KV budget; the rest come back as bare
-    /// requests for recomputation. SLO admission is *not* re-applied: the
-    /// records were admitted before the migration.
+    /// requests). Deepest-progress records — committed output tokens
+    /// first, then cached prefill chunks — are kept within the capacity
+    /// and KV budget; the rest come back as bare requests for
+    /// recomputation via the queue. SLO admission is *not* re-applied:
+    /// the records were admitted before the migration.
     ///
     /// # Panics
     ///

@@ -69,11 +69,6 @@ impl MigrationPlan {
     pub fn total_bytes_from_storage(&self) -> u64 {
         self.transfers.total_storage_bytes()
     }
-
-    /// Whether the plan respects `u_max` on every GPU.
-    pub fn respects_buffer_limit(&self, u_max: u64) -> bool {
-        self.peak_buffer_growth <= u_max
-    }
 }
 
 /// Runs Algorithm 2 on `task`.
