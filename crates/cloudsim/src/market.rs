@@ -369,28 +369,52 @@ impl CloudMarket {
         }
     }
 
-    /// Timestamp of the next deliverable event across all pools.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.pools.iter_mut().filter_map(CloudSim::peek_time).min()
+    /// Timestamp of the market's next event across all pools (see
+    /// [`CloudSim::next_time`]); processes nothing.
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        self.pools.iter_mut().filter_map(CloudSim::next_time).min()
     }
 
-    /// Pops the next deliverable event: earliest timestamp wins, ties
-    /// break toward the lowest pool index (deterministic merge).
+    /// Steps the pool whose next event is earliest, ties to the lowest
+    /// pool index (see [`CloudSim::step`]): returns the event it hands
+    /// out, or `None` when it only processed an internal event or no pool
+    /// has anything left to do.
+    pub fn step(&mut self) -> Option<(SimTime, CloudEvent)> {
+        let i = self.earliest_pool()?;
+        self.step_pool(i)
+    }
+
+    /// Steps until an event is delivered, and returns it (`None` once no
+    /// pool has anything left to do): earliest timestamp first, ties
+    /// toward the lowest pool index (deterministic merge).
     pub fn pop_next(&mut self) -> Option<(SimTime, CloudEvent)> {
+        while let Some(i) = self.earliest_pool() {
+            if let Some(ev) = self.step_pool(i) {
+                return Some(ev);
+            }
+        }
+        None
+    }
+
+    /// The pool whose next event is earliest, ties to the lowest index.
+    fn earliest_pool(&mut self) -> Option<usize> {
         let mut best: Option<(SimTime, usize)> = None;
-        for i in 0..self.pools.len() {
-            if let Some(t) = self.pools[i].peek_time() {
+        for (i, pool) in self.pools.iter_mut().enumerate() {
+            if let Some(t) = pool.next_time() {
                 if best.is_none_or(|(bt, _)| t < bt) {
                     best = Some((t, i));
                 }
             }
         }
-        let (_, i) = best?;
-        let popped = self.pools[i].pop_next();
-        if let Some((t, ev)) = &popped {
+        best.map(|(_, i)| i)
+    }
+
+    fn step_pool(&mut self, i: usize) -> Option<(SimTime, CloudEvent)> {
+        let stepped = self.pools[i].step();
+        if let Some((t, ev)) = &stepped {
             self.note_event(*t, ev);
         }
-        popped
+        stepped
     }
 
     // ---- Billing ---------------------------------------------------

@@ -79,9 +79,14 @@ enum Internal {
 
 /// Deterministic simulation of the spot/on-demand lease lifecycle.
 ///
-/// See the [crate-level example](crate) for basic usage. The typical loop
-/// interleaves [`CloudSim::peek_time`] with command calls; all commands
-/// must be issued at times `>=` every event already popped.
+/// See the [crate-level example](crate) for basic usage. The cloud is one
+/// event source on the caller's clock: [`CloudSim::next_time`] reads when
+/// its next event is due without processing anything, and
+/// [`CloudSim::step`] advances it by exactly one event, so every command
+/// sees the capacity and leases in force at its own instant. Commands
+/// must be issued at times `>=` the last step's;
+/// [`CloudSim::pop_next`] steps until an event is delivered, for callers
+/// that drive the cloud alone.
 #[derive(Debug, Clone)]
 pub struct CloudSim {
     cfg: CloudConfig,
@@ -592,37 +597,46 @@ impl CloudSim {
         }
     }
 
-    /// Queues a deliverable event in time order (after any already
-    /// queued at the same instant).
+    /// Queues a deliverable event. Deliveries land at the instant of the
+    /// internal event being processed, and [`CloudSim::step`] hands out
+    /// every queued event before it processes another, so the queue only
+    /// ever holds one instant and an append keeps it in order.
     fn deliver(&mut self, t: SimTime, ev: CloudEvent) {
-        let at = self.out.partition_point(|&(u, _)| u <= t);
-        self.out.insert(at, (t, ev));
+        self.out.push_back((t, ev));
     }
 
-    /// Timestamp of the next deliverable event, if any.
-    ///
-    /// Processes internal events until one is deliverable. An internal
-    /// event earlier than the next deliverable one — scheduled by a
-    /// command issued after that one was produced — is processed first,
-    /// so the cloud's clock never runs backwards.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.started = true;
-        loop {
-            let next_internal = self.internal.peek_time();
-            if let Some(&(t, _)) = self.out.front() {
-                if next_internal.is_none_or(|i| i >= t) {
-                    return Some(t);
-                }
-            }
-            let (t, ev) = self.internal.pop()?;
-            self.process_internal(t, ev);
+    /// Timestamp of the cloud's next event: the events already produced
+    /// at the current instant if any wait, else the earliest live internal
+    /// event. Processes nothing (only cancelled heap entries are dropped).
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        match self.out.front() {
+            Some(&(t, _)) => Some(t),
+            None => self.internal.peek_time(),
         }
     }
 
-    /// Pops the next deliverable event, advancing internal machinery.
-    pub fn pop_next(&mut self) -> Option<(SimTime, CloudEvent)> {
-        self.peek_time()?;
+    /// Advances the cloud by one event: hands out the oldest event already
+    /// produced or, when none waits, processes exactly one internal event
+    /// and hands out the first event it produced. `None` when that internal
+    /// event produced nothing, or when nothing is pending at all.
+    pub fn step(&mut self) -> Option<(SimTime, CloudEvent)> {
+        self.started = true;
+        if self.out.is_empty() {
+            let (t, ev) = self.internal.pop()?;
+            self.process_internal(t, ev);
+        }
         self.out.pop_front()
+    }
+
+    /// Steps until an event is delivered, and returns it (`None` once the
+    /// cloud has nothing left to do).
+    pub fn pop_next(&mut self) -> Option<(SimTime, CloudEvent)> {
+        while self.next_time().is_some() {
+            if let Some(ev) = self.step() {
+                return Some(ev);
+            }
+        }
+        None
     }
 }
 
@@ -725,21 +739,49 @@ mod tests {
     }
 
     #[test]
-    fn a_command_after_a_lookahead_still_pops_in_time_order() {
-        // Peeking materializes the capacity drop at t=500 (two notices)
-        // early. An on-demand request issued at t=300 afterwards grants
-        // at t=340, so it must pop before the notices.
+    fn a_command_sees_the_capacity_in_force_at_its_own_time() {
+        // Capacity rises from 0 to 2 at t=500. A spot request issued at
+        // t=300 must queue against the capacity of t=300, not the rise:
+        // it provisions at the rise and grants one delay later.
+        let trace =
+            AvailabilityTrace::from_steps(vec![(SimTime::ZERO, 0), (SimTime::from_secs(500), 2)]);
+        let mut cloud = sim(trace);
+        let now = SimTime::from_secs(300);
+        while cloud.next_time().is_some_and(|t| t <= now) {
+            assert_eq!(cloud.step(), None, "nothing is deliverable by t=300");
+        }
+        cloud.request_spot(now, 1);
+        let evs = drain(&mut cloud);
+        assert_eq!(evs.len(), 1, "{evs:?}");
+        assert_eq!(evs[0].0, SimTime::from_secs(540));
+        assert!(matches!(evs[0].1, CloudEvent::SpotGranted { .. }));
+    }
+
+    #[test]
+    fn next_time_processes_nothing() {
         let trace =
             AvailabilityTrace::from_steps(vec![(SimTime::ZERO, 2), (SimTime::from_secs(500), 0)]);
         let mut cloud = sim(trace);
-        cloud.request_spot(SimTime::ZERO, 2);
-        cloud.pop_next().expect("grant");
-        cloud.pop_next().expect("grant");
-        assert_eq!(cloud.peek_time(), Some(SimTime::from_secs(500)));
-        cloud.request_on_demand(SimTime::from_secs(300), 1);
-        let times: Vec<SimTime> = drain(&mut cloud).into_iter().map(|(t, _)| t).collect();
-        let secs = [340, 500, 500, 530, 530].map(SimTime::from_secs);
-        assert_eq!(times, secs, "the cloud clock never runs backwards");
+        cloud.prewarm_spot(2);
+        assert_eq!(cloud.next_time(), Some(SimTime::ZERO), "the t=0 step");
+        assert_eq!(cloud.step(), None, "the t=0 step delivers nothing");
+        let drop = SimTime::from_secs(500);
+        assert_eq!(cloud.next_time(), Some(drop));
+        assert_eq!(cloud.next_time(), Some(drop));
+        assert_eq!(cloud.current_capacity(), 2, "the drop is not applied yet");
+        assert!(cloud.fleet().all(|i| i.kill_at.is_none()), "no victim yet");
+        // One step applies the drop and hands out its first notice; the
+        // second waits at the same instant.
+        let notice = |ev| matches!(ev, Some((t, CloudEvent::PreemptionNotice { .. })) if t == drop);
+        assert!(notice(cloud.step()));
+        assert_eq!(cloud.current_capacity(), 0);
+        assert_eq!(cloud.next_time(), Some(drop));
+        assert!(notice(cloud.step()));
+        assert_eq!(
+            cloud.next_time(),
+            Some(SimTime::from_secs(530)),
+            "the kills"
+        );
     }
 
     #[test]

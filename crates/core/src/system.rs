@@ -647,21 +647,24 @@ impl ServingSystem {
         let mut events = 0;
         while self.outstanding > 0 {
             let next_internal = self.events.peek_time();
-            let next_cloud = self.cloud.peek_time();
+            let next_cloud = self.cloud.next_time();
             let Some(next) = next_internal.into_iter().chain(next_cloud).min() else {
                 break;
             };
             if next > hard_stop {
                 break;
             }
-            self.now = next;
-            events += 1;
-            // Internal events win ties with the cloud.
+            // The serving loop's own events win ties with the cloud; a
+            // cloud step that only processes a market event delivers
+            // nothing and leaves the clock where it is.
             if next_internal == Some(next) {
                 let (_, ev) = self.events.pop().expect("peeked");
+                self.now = next;
+                events += 1;
                 self.on_event(ev);
-            } else {
-                let (_, ev) = self.cloud.pop_next().expect("peeked");
+            } else if let Some((_, ev)) = self.cloud.step() {
+                self.now = next;
+                events += 1;
                 self.on_cloud_event(ev);
             }
         }

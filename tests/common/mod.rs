@@ -31,12 +31,14 @@ pub fn assert_audit_clean(report: &RunReport, expected: usize) {
         .assert_clean();
 }
 
-/// Runs `scenario` under `opts` and audits the report against the
-/// scenario's request count (see [`assert_audit_clean`]).
+/// Runs `scenario` under `opts` with telemetry recorded, and audits the
+/// report against the scenario's request count with its stream attached,
+/// so the stream checks (lease lifecycle, monotone progress) run too (see
+/// [`assert_audit_clean`]). Telemetry never changes the canonical bytes.
 #[allow(dead_code)] // each suite compiles this module separately
 pub fn run_audited(opts: SystemOptions, scenario: Scenario) -> RunReport {
     let expected = scenario.requests.len();
-    let report = ServingSystem::new(opts, scenario).run();
+    let report = ServingSystem::new(opts.with_telemetry(), scenario).run();
     assert_audit_clean(&report, expected);
     report
 }

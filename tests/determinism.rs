@@ -16,13 +16,8 @@ use spotserve::{EngineMode, RunReport, ScaleReport, Scenario, ServingSystem, Sys
 mod common;
 use common::{assert_audit_clean, canonical, run_audited};
 
-/// Runs the gate scenario: GPT-20B on the `paper_bs` trace, 600 s of
-/// arrivals. The audit leaves out the telemetry stream: on this trace the
-/// cloud picks a capacity drop's victim when the drop is first peeked,
-/// ahead of its time, so a lease the system releases in between still
-/// receives the notice and the stream trips the `lease-lifecycle` check
-/// ("notice for dead instance"), a known finding.
-fn run_gate(opts: SystemOptions, seed: u64) -> RunReport {
+/// The gate scenario: GPT-20B on the `paper_bs` trace, 600 s of arrivals.
+fn gate_scenario(seed: u64) -> Scenario {
     let mut scenario = Scenario::paper_stable(
         ModelSpec::gpt_20b(),
         AvailabilityTrace::paper_bs(),
@@ -32,12 +27,13 @@ fn run_gate(opts: SystemOptions, seed: u64) -> RunReport {
     scenario
         .requests
         .retain(|r| r.arrival < SimTime::from_secs(600));
-    let expected = scenario.requests.len();
-    let mut report = ServingSystem::new(opts, scenario).run();
-    let stream = report.telemetry.take();
-    assert_audit_clean(&report, expected);
-    report.telemetry = stream;
-    report
+    scenario
+}
+
+/// Runs the gate scenario with telemetry recorded and audits it with the
+/// stream attached.
+fn run_gate(opts: SystemOptions, seed: u64) -> RunReport {
+    run_audited(opts, gate_scenario(seed))
 }
 
 fn replay(opts: SystemOptions, seed: u64) -> String {
@@ -518,15 +514,18 @@ fn telemetry_does_not_perturb_canonical_bytes() {
     // telemetry spine enabled renders the exact same canonical bytes as
     // the same run with the no-op recorder. (The stream itself is
     // deliberately outside the canonical form — it has its own digest.)
-    let off = replay(SystemOptions::spotserve(), 61);
-    let on = replay(SystemOptions::spotserve().with_telemetry(), 61);
+    let off = ServingSystem::new(SystemOptions::spotserve(), gate_scenario(61)).run();
+    let on = run_gate(SystemOptions::spotserve(), 61);
+    assert!(off.telemetry.is_none(), "the baseline records nothing");
+    assert!(on.telemetry.is_some(), "the gate run records its stream");
+    let (off, on) = (canonical(&off), canonical(&on));
     assert!(!off.is_empty());
     assert_eq!(off, on, "telemetry may never change the canonical output");
 }
 
 /// The telemetry-on JSONL rendering of the gate scenario.
 fn replay_jsonl(seed: u64) -> String {
-    run_gate(SystemOptions::spotserve().with_telemetry(), seed)
+    run_gate(SystemOptions::spotserve(), seed)
         .telemetry
         .expect("run built with telemetry")
         .to_jsonl()
@@ -627,9 +626,7 @@ fn replay_chaos(seed: u64) -> (String, String) {
     scenario
         .requests
         .retain(|r| r.arrival < SimTime::from_secs(420));
-    let opts = SystemOptions::spotserve()
-        .with_fleet_policy(FleetPolicy::spot_hedge())
-        .with_telemetry();
+    let opts = SystemOptions::spotserve().with_fleet_policy(FleetPolicy::spot_hedge());
     let mut report = run_audited(opts, scenario);
     let jsonl = report
         .telemetry
@@ -728,12 +725,12 @@ fn golden_digests_are_pinned() {
     let golden = [
         (
             "replay/spotserve",
-            0x16cc_845d_79f9_125b,
+            0x0ae0_3f64_be11_fe2b,
             replay(SystemOptions::spotserve(), 99),
         ),
         (
             "replay/reparallelization",
-            0xa3ea_c38c_8d62_58f4,
+            0x44e9_7994_2469_7e75,
             replay(SystemOptions::reparallelization(), 99),
         ),
         (
@@ -743,12 +740,12 @@ fn golden_digests_are_pinned() {
         ),
         (
             "multi_pool/spot_hedge",
-            0xc196_4ec3_11d8_3662,
+            0x244e_6d43_0c10_0eba,
             replay_multi_pool(29),
         ),
         (
             "mixed_sku/cost_aware_hedge",
-            0x5e74_b6ab_95ab_de31,
+            0xbfac_4e1b_2ca7_a165,
             replay_mixed_sku(31),
         ),
         (
@@ -758,12 +755,12 @@ fn golden_digests_are_pinned() {
         ),
         (
             "chaos/spot_hedge",
-            0xb940_a042_f33c_9d44,
+            0xbe20_f8cb_5fdc_4007,
             replay_chaos(73).0,
         ),
         (
             "replay/spotserve_od_mixing",
-            0x46c0_8056_c194_1f41,
+            0x2fd0_ebea_e1c5_deec,
             replay(SystemOptions::spotserve().with_on_demand_mixing(), 99),
         ),
         (
@@ -773,12 +770,12 @@ fn golden_digests_are_pinned() {
         ),
         (
             "sharded_chaos",
-            0xfae7_2e2e_0b5e_174a,
+            0x32d9_a573_1a40_a281,
             sharded_chaos_canonical(1, 4, 79),
         ),
         (
             "mixed_churn/cost_per_token",
-            0x3be8_5bb0_e7a0_b8b1,
+            0x890d_ef07_e814_d02c,
             replay_mixed_churn(13),
         ),
     ];

@@ -6,7 +6,7 @@ use simkit::SimTime;
 use spotserve::{AblationFlags, Scenario, ServingSystem, SystemOptions};
 
 mod common;
-use common::{assert_audit_clean, run_audited};
+use common::run_audited;
 
 fn short(model: ModelSpec, trace: AvailabilityTrace, rate: f64, seed: u64) -> Scenario {
     let mut s = Scenario::paper_stable(model, trace, rate, seed);
@@ -135,7 +135,7 @@ fn every_request_is_accounted_for_exactly_once() {
     ] {
         let scenario = short(ModelSpec::opt_6_7b(), AvailabilityTrace::paper_bs(), 1.5, 5);
         let total = scenario.requests.len();
-        let report = ServingSystem::new(opts.clone(), scenario).run();
+        let report = run_audited(opts.clone(), scenario);
         let mut ids: Vec<u64> = report
             .latency
             .outcomes()
@@ -157,7 +157,6 @@ fn every_request_is_accounted_for_exactly_once() {
             "{:?}: conservation of requests",
             opts.policy
         );
-        assert_audit_clean(&report, total);
     }
 }
 
@@ -185,9 +184,8 @@ fn full_ablation_is_still_correct_just_slower() {
         13,
     );
     let total = scenario.requests.len();
-    let plain = ServingSystem::new(SystemOptions::spotserve().with_ablation(flags), scenario).run();
+    let plain = run_audited(SystemOptions::spotserve().with_ablation(flags), scenario);
     assert_eq!(plain.latency.outcomes().len() + plain.unfinished, total);
-    assert_audit_clean(&plain, total);
 }
 
 #[test]
