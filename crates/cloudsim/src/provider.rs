@@ -82,11 +82,10 @@ enum Internal {
 /// See the [crate-level example](crate) for basic usage. The cloud is one
 /// event source on the caller's clock: [`CloudSim::next_time`] reads when
 /// its next event is due without processing anything, and
-/// [`CloudSim::step`] advances it by exactly one event, so every command
-/// sees the capacity and leases in force at its own instant. Commands
-/// must be issued at times `>=` the last step's;
-/// [`CloudSim::pop_next`] steps until an event is delivered, for callers
-/// that drive the cloud alone.
+/// [`CloudSim::step`] advances it by one event, so a command sees the
+/// capacity and leases in force at its own instant. Commands must be
+/// issued at times `>=` the last step's. [`CloudSim::pop_next`] steps
+/// until an event is delivered, for callers that drive the cloud alone.
 #[derive(Debug, Clone)]
 pub struct CloudSim {
     cfg: CloudConfig,

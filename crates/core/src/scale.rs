@@ -191,8 +191,8 @@ pub struct ScaleReport {
     pub shards: Vec<RunReport>,
     /// The run's single epoch (see [`EpochRecord`]).
     pub epochs: Vec<EpochRecord>,
-    /// Request latencies merged across shards (exact quantiles — the
-    /// merged sampler holds every shard's samples).
+    /// Request latencies merged across shards (exact quantiles over every
+    /// shard's samples, collected in shard order).
     pub latency: Percentiles,
     /// Fleet-wide spend, summed in shard order.
     pub total_cost_usd: f64,
