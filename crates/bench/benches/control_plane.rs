@@ -31,9 +31,20 @@
 //!   sharing fails CI.
 //!
 //! **`scheduler_hot_loop`** — the continuous engine's per-boundary work:
-//! the allocation-free SLO admission verdict at a full batch, the EDF
-//! re-sort skip (`PendingQueue` dirty flag vs a bare `VecDeque`), and a
-//! best-effort admit/advance drive over reused segment buffers.
+//!
+//! * `slo_verdict_full_batch` — the SLO admission verdict against a full
+//!   batch, for a candidate whose worst pass no earlier call asked, so the
+//!   scheduler's cached projection price never answers and every call
+//!   prices one;
+//! * `slo_verdict_repeat` — the same verdict asked again for one
+//!   candidate against unchanged residents: the cached path;
+//! * `edf_admit_vecdeque_resort` / `edf_admit_dirty_skip` — the EDF
+//!   re-sort at a boundary (a bare `VecDeque` vs `PendingQueue`'s dirty
+//!   flag). Both re-scan an unchanged 64-deep deferring queue of one
+//!   shape, so every verdict after the first reads the cached projection
+//!   price: they time the scan and the sort, not the pricing;
+//! * `best_effort_drive_to_idle` — a best-effort admit/advance drive over
+//!   reused segment buffers.
 
 use std::collections::VecDeque;
 
@@ -149,10 +160,12 @@ fn bench_scheduler_hot_loop(c: &mut Criterion) {
     let kvbpt = model.kv_bytes_per_token();
     let mut g = c.benchmark_group("scheduler_hot_loop");
 
-    // The admission verdict against a full batch of deadline carriers —
-    // priced from the incrementally maintained resident entries through
-    // the reused scratch buffer (the pre-PR path rebuilt both vectors per
-    // verdict).
+    // The admission verdict against a full batch of deadline carriers,
+    // priced from the incrementally maintained resident entries. Each
+    // call's candidate asks for one more output token than the last (the
+    // shim stops at 100,000 calls), so its worst pass never repeats and
+    // the cached projection price cannot answer; the repeat row asks one
+    // candidate again and again, which the cache answers after one call.
     let cfg = ParallelConfig::new(1, 1, 4, 8);
     let mut sched = IterationScheduler::new(cfg, kvbpt, u64::MAX);
     let mut seed: VecDeque<Request> = (0..8)
@@ -160,8 +173,16 @@ fn bench_scheduler_hot_loop(c: &mut Criterion) {
         .collect();
     sched.admit(&mut seed, SimTime::ZERO, &perf);
     assert_eq!(sched.in_flight(), 8);
-    let candidate = req(99, 512, 128).with_slo(SimDuration::from_secs(5000));
     g.bench_function("slo_verdict_full_batch", |b| {
+        let mut s_out = 128;
+        b.iter(|| {
+            s_out += 1;
+            let candidate = req(99, 512, s_out).with_slo(SimDuration::from_secs(1 << 30));
+            sched.slo_verdict(black_box(&candidate), SimTime::ZERO, &perf)
+        })
+    });
+    let candidate = req(99, 512, 128).with_slo(SimDuration::from_secs(5000));
+    g.bench_function("slo_verdict_repeat", |b| {
         b.iter(|| sched.slo_verdict(black_box(&candidate), SimTime::ZERO, &perf))
     });
 

@@ -24,8 +24,8 @@ use cloudsim::{
     InstanceType, PoolId, PoolSpec,
 };
 use enginesim::{
-    preemption_stop_time, recovery_worthwhile, BatchRun, ContextDaemon, EngineCounters,
-    IterationScheduler, PendingQueue, RequestRun,
+    preemption_stop_time, recovery_worthwhile, AdmissionVerdict, BatchRun, ContextDaemon,
+    EngineCounters, IterationScheduler, PendingQueue, RequestRun,
 };
 use kmatch::SkuCaps;
 use llmsim::ModelSpec;
@@ -58,7 +58,8 @@ pub struct Scenario {
     /// one pool per spec (its own trace, grant delay, and spot price)
     /// behind a [`CloudMarket`] arbiter, and `trace` is unused.
     pub pools: Vec<PoolSpec>,
-    /// The request stream (arrival-sorted).
+    /// The request stream. Requests fire in arrival order, those due at
+    /// one instant in list order; every generator lists them sorted.
     pub requests: Vec<Request>,
     /// Cloud tunables (grace period, grant delays, instance type).
     pub cloud: CloudConfig,
@@ -124,7 +125,6 @@ impl Scenario {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    Arrival(usize),
     /// Fixed-batch engine: a run-to-completion batch finished.
     BatchDone {
         pipeline: u64,
@@ -320,7 +320,6 @@ pub struct ServingSystem {
     faults: u32,
     lapses: u32,
     grants: u32,
-    arrivals_end: SimTime,
     /// Control-plane telemetry recorder (decisions, transitions, fleet
     /// commands, rollups). Disabled unless [`SystemOptions::telemetry`];
     /// disabled it is one branch per emit point.
@@ -411,11 +410,6 @@ impl ServingSystem {
             Policy::Rerouting => "Rerouting",
             Policy::OnDemandOnly { .. } => "OnDemand",
         };
-        let arrivals_end = scenario
-            .requests
-            .last()
-            .map(|r| r.arrival)
-            .unwrap_or(SimTime::ZERO);
         let telemetry = if opts.telemetry {
             Recorder::enabled()
         } else {
@@ -457,7 +451,6 @@ impl ServingSystem {
             faults: 0,
             lapses: 0,
             grants: 0,
-            arrivals_end,
             telemetry,
             retired_counters: EngineCounters::default(),
             scenario,
@@ -636,17 +629,29 @@ impl ServingSystem {
     pub(crate) fn run_counted(mut self) -> (RunReport, u64) {
         // Warm start, the arrival stream, and the first rate tick.
         self.bootstrap();
-        for (i, r) in self.scenario.requests.iter().enumerate() {
-            self.events.schedule(r.arrival, Ev::Arrival(i));
+        // Arrivals fire beside the event heap, in arrival order (a stable
+        // sort keeps requests due at one instant in list order), from
+        // positions reserved as if every one had been scheduled here, so
+        // ties with queued events resolve as if they sat in the heap.
+        let requests = &mut self.scenario.requests;
+        if !requests.is_sorted_by_key(|r| r.arrival) {
+            requests.sort_by_key(|r| r.arrival);
         }
+        let slots = self.events.reserve(requests.len());
+        let mut fired = 0;
         self.events
             .schedule(SimTime::ZERO + self.opts.rate_tick, Ev::RateTick);
         // Step until every request settles, the event horizon empties, or
         // the drain cap passes.
-        let hard_stop = self.arrivals_end + self.opts.drain_cap;
+        let last_arrival = requests.last().map_or(SimTime::ZERO, |r| r.arrival);
+        let hard_stop = last_arrival + self.opts.drain_cap;
         let mut events = 0;
         while self.outstanding > 0 {
-            let next_internal = self.events.peek_time();
+            // The next arrival fires first exactly when it would have
+            // popped first from a heap holding every arrival.
+            let arrival = self.scenario.requests.get(fired).map(|r| r.arrival);
+            let arrival = arrival.filter(|&at| self.events.precedes(slots, fired, at));
+            let next_internal = arrival.or_else(|| self.events.peek_time());
             let next_cloud = self.cloud.next_time();
             let Some(next) = next_internal.into_iter().chain(next_cloud).min() else {
                 break;
@@ -658,10 +663,15 @@ impl ServingSystem {
             // cloud step that only processes a market event delivers
             // nothing and leaves the clock where it is.
             if next_internal == Some(next) {
-                let (_, ev) = self.events.pop().expect("peeked");
                 self.now = next;
                 events += 1;
-                self.on_event(ev);
+                if arrival.is_some() {
+                    self.on_arrival(fired);
+                    fired += 1;
+                } else {
+                    let (_, ev) = self.events.pop().expect("peeked");
+                    self.on_event(ev);
+                }
             } else if let Some((_, ev)) = self.cloud.step() {
                 self.now = next;
                 events += 1;
@@ -860,14 +870,15 @@ impl ServingSystem {
         self.steer_fleet();
     }
 
+    fn on_arrival(&mut self, i: usize) {
+        let req = self.scenario.requests[i];
+        self.note_arrival(req.arrival);
+        self.pending.push_back(req);
+        self.dispatch_all();
+    }
+
     fn on_event(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrival(i) => {
-                let req = self.scenario.requests[i];
-                self.note_arrival(req.arrival);
-                self.pending.push_back(req);
-                self.dispatch_all();
-            }
             Ev::BatchDone { pipeline } => {
                 if let Some(idx) = self.pipelines.iter().position(|s| s.id == pipeline) {
                     self.finish_batch(idx);
@@ -1025,7 +1036,7 @@ impl ServingSystem {
         // decoding undisturbed. A request that fits *nowhere* ends the
         // scan: that is capacity head-blocking, unchanged from before.
         let perf = serving_perf(&self.optimizer, &self.lanes);
-        let mut target: Option<(usize, Request)> = None;
+        let mut target: Option<usize> = None;
         for r in self.pending.iter() {
             let mut fits_somewhere = false;
             let mut best: Option<(SimTime, usize)> = None;
@@ -1040,7 +1051,7 @@ impl ServingSystem {
                     continue;
                 }
                 fits_somewhere = true;
-                if !sched.can_admit(r, now, perf) {
+                if sched.slo_verdict(r, now, perf) != AdmissionVerdict::Admit {
                     continue; // SLO-deferred on this pipeline
                 }
                 if let Some(t) = sched.next_boundary_after(now) {
@@ -1050,17 +1061,17 @@ impl ServingSystem {
                 }
             }
             if let Some((_, pi)) = best {
-                target = Some((pi, *r));
+                target = Some(pi);
                 break;
             }
             if !fits_somewhere {
                 break;
             }
         }
-        if let Some((pi, r)) = target {
+        if let Some(pi) = target {
             let id = self.pipelines[pi].id;
             let sched = self.pipelines[pi].daemon.scheduler_mut().expect("matched");
-            if let Some(new_end) = sched.interrupt_for_admission(now, &r, perf) {
+            if let Some(new_end) = sched.truncate_for_admission(now) {
                 if let Some(key) = self.pipelines[pi].batch_key.take() {
                     self.events.cancel(key);
                 }

@@ -53,6 +53,16 @@
 //! FIFO-with-skip, so the tightest deadline claims the next free slot.
 //! Deadline-free workloads take the legacy FIFO path untouched —
 //! byte-identical to the pre-EDF engine.
+//!
+//! The projection's per-pass price is a function of the residents' worst
+//! passes, the candidate's worst pass, the configuration and the perf
+//! model alone, so the scheduler prices it once: it keeps its last
+//! answer, keyed on the candidate's worst pass and the perf model, and
+//! drops it wherever the residents' entries or the configuration change
+//! (debug builds re-price every cached answer and compare). A caller
+//! whose own scan has just cleared a candidate truncates the segment for
+//! it with [`IterationScheduler::truncate_for_admission`] instead of
+//! asking again through [`IterationScheduler::interrupt_for_admission`].
 
 use std::cell::RefCell;
 
@@ -214,14 +224,14 @@ impl RequestRun {
     }
 }
 
-/// A reusable [`SeqWork`] pricing buffer. Scratch space, not scheduler
-/// state: equality-transparent so two schedulers with identical in-flight
-/// work compare equal whatever their buffers last priced, and interior
-/// mutability so `&self` verdict queries can reuse it too.
+/// Scratch space, not scheduler state: a reusable pricing buffer or the
+/// last price it produced, behind interior mutability so `&self` verdict
+/// queries can use it too, and equality-transparent so two schedulers
+/// with identical in-flight work compare equal whatever it last held.
 #[derive(Debug, Clone, Default)]
-struct SeqScratch(RefCell<Vec<SeqWork>>);
+struct Scratch<T>(RefCell<T>);
 
-impl PartialEq for SeqScratch {
+impl<T> PartialEq for Scratch<T> {
     fn eq(&self, _: &Self) -> bool {
         true
     }
@@ -315,10 +325,13 @@ pub struct IterationScheduler {
     /// `running` (`None` for best-effort residents) — maintained alongside
     /// `slo_worst`.
     slo_deadlines: Vec<Option<(SimTime, u64)>>,
-    /// Reused mixed-pass buffer for admission verdicts.
-    verdict_scratch: SeqScratch,
-    /// Reused mixed-pass buffer for segment pricing.
-    segment_scratch: SeqScratch,
+    /// The admission projection's last per-pass price, keyed on the
+    /// candidate's worst pass and the perf model. The price is a function
+    /// of `slo_worst`, that key and `cfg`, so every change to `slo_worst`
+    /// or `cfg` clears it.
+    projection: Scratch<Option<(SeqWork, PerfModel, SimDuration)>>,
+    /// Reused mixed-pass buffer for segment and projection pricing.
+    pass_scratch: Scratch<Vec<SeqWork>>,
     /// Cumulative admission/retire tallies for telemetry rollups (a few
     /// integer bumps per boundary; never read on the scheduling path).
     counters: EngineCounters,
@@ -385,8 +398,8 @@ impl IterationScheduler {
             rejected: Vec::new(),
             slo_worst: Vec::new(),
             slo_deadlines: Vec::new(),
-            verdict_scratch: SeqScratch::default(),
-            segment_scratch: SeqScratch::default(),
+            projection: Scratch::default(),
+            pass_scratch: Scratch::default(),
             counters: EngineCounters::default(),
         }
     }
@@ -544,6 +557,7 @@ impl IterationScheduler {
             "mesh changes must go through freeze/resume"
         );
         self.cfg = cfg;
+        self.forget_projection();
     }
 
     /// Requests currently in flight.
@@ -642,6 +656,7 @@ impl IterationScheduler {
         let (worst, deadline) = Self::slo_entry(r, self.chunk);
         self.slo_worst.push(worst);
         self.slo_deadlines.push(deadline);
+        self.forget_projection();
     }
 
     /// Recomputes every resident's pricing entry in place (no allocation:
@@ -657,6 +672,13 @@ impl IterationScheduler {
             self.slo_worst.push(worst);
             self.slo_deadlines.push(deadline);
         }
+        self.forget_projection();
+    }
+
+    /// Drops the cached projection price: the residents' entries or the
+    /// configuration it was priced from changed.
+    fn forget_projection(&mut self) {
+        *self.projection.0.get_mut() = None;
     }
 
     /// Debug-build guard: the incrementally maintained entries must equal
@@ -723,13 +745,10 @@ impl IterationScheduler {
         // Same contract as admission itself: the projection arithmetic
         // below assumes at least one output token.
         assert!(r.s_out > 0, "generation must produce tokens");
-        let t_worst = {
-            let mut worst_seqs = self.verdict_scratch.0.borrow_mut();
-            worst_seqs.clear();
-            worst_seqs.extend_from_slice(&self.slo_worst);
-            worst_seqs.push(Self::worst_pass_work(r.s_in, r.s_out, true, self.chunk));
-            perf.mixed_iteration_time(&self.cfg, &worst_seqs)
-        };
+        let t_worst = self.projected_pass_time(
+            Self::worst_pass_work(r.s_in, r.s_out, true, self.chunk),
+            perf,
+        );
         let chunk = self.chunk.min(r.s_in).max(1);
         if let Some(deadline) = r.deadline {
             let rem = Self::remaining_iters(&RequestRun::fresh(*r), chunk);
@@ -759,6 +778,37 @@ impl IterationScheduler {
             }
         }
         AdmissionVerdict::Admit
+    }
+
+    /// The projection's per-pass bound: one mixed pass in which every
+    /// resident and the candidate contribute their worst work. Priced once
+    /// per candidate worst pass and perf model between changes to the
+    /// residents' entries or the configuration, which clear the cache;
+    /// debug builds re-price every cached answer.
+    fn projected_pass_time(&self, candidate: SeqWork, perf: &PerfModel) -> SimDuration {
+        let mut projection = self.projection.0.borrow_mut();
+        if let Some((key, model, t)) = &*projection {
+            if *key == candidate && model == perf {
+                #[cfg(debug_assertions)]
+                {
+                    let mut fresh = self.slo_worst.clone();
+                    fresh.push(candidate);
+                    assert_eq!(
+                        perf.mixed_iteration_time(&self.cfg, &fresh),
+                        *t,
+                        "stale projection price"
+                    );
+                }
+                return *t;
+            }
+        }
+        let mut seqs = self.pass_scratch.0.borrow_mut();
+        seqs.clear();
+        seqs.extend_from_slice(&self.slo_worst);
+        seqs.push(candidate);
+        let t = perf.mixed_iteration_time(&self.cfg, &seqs);
+        *projection = Some((candidate, perf.clone(), t));
+        t
     }
 
     /// Admits from `pending` at an iteration boundary, then (re)starts the
@@ -937,6 +987,16 @@ impl IterationScheduler {
         if !self.can_admit(head, now, perf) {
             return None;
         }
+        self.truncate_for_admission(now)
+    }
+
+    /// The truncate-only half of
+    /// [`IterationScheduler::interrupt_for_admission`], for a caller whose
+    /// own scan has just found, at `now`, a request this scheduler
+    /// [admits](Self::can_admit): ends the running segment at the first
+    /// boundary after `now`. Returns the new segment end, `None` when the
+    /// segment already ends there or sooner or none runs.
+    pub fn truncate_for_admission(&mut self, now: SimTime) -> Option<SimTime> {
         let seg = self.segment.as_mut()?;
         let next = seg.elapsed_iters(now) + 1;
         if next >= seg.iters {
@@ -961,6 +1021,7 @@ impl IterationScheduler {
         }
         self.slo_worst.clear();
         self.slo_deadlines.clear();
+        self.forget_projection();
         std::mem::take(&mut self.running)
     }
 
@@ -1028,7 +1089,7 @@ impl IterationScheduler {
         debug_assert!(!self.running.is_empty());
         // Segment pricing runs at every boundary: reuse one scratch buffer
         // across segments instead of allocating fresh `Vec<SeqWork>`s.
-        let mut seqs = self.segment_scratch.0.borrow_mut();
+        let mut seqs = self.pass_scratch.0.borrow_mut();
         if self.chunk != u32::MAX
             && self
                 .running
@@ -1611,6 +1672,113 @@ mod tests {
         assert_eq!(s.running()[0].request().id, RequestId(2), "front admitted");
         let rest: Vec<Request> = q.iter().copied().collect();
         assert_eq!(rest, vec![q0[1], q0[2]], "remainder order untouched");
+    }
+
+    /// Asserts that `s` answers like a scheduler rebuilt from its records
+    /// at every verdict edge: for each probed candidate shape and perf
+    /// model, the earliest deadlines at which the rebuilt scheduler stops
+    /// rejecting and starts admitting (found by bisection, the verdict
+    /// being monotone in the deadline), and the microsecond before each.
+    /// A projection priced from stale residents, another configuration or
+    /// another perf model moves an edge and fails here. The probes start
+    /// and end on the same shape and model, so a cache entry surviving
+    /// from the last check is asked first.
+    fn assert_verdicts_match_rebuilt(s: &IterationScheduler, now: SimTime, perfs: &[PerfModel]) {
+        let shapes = [(512, 128), (96, 24), (1024, 48)];
+        let order = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 0), (2, 1), (0, 0)];
+        // Reject, Defer, Admit: the order the deadline loosens in.
+        let rank = |v: AdmissionVerdict| match v {
+            AdmissionVerdict::Reject => 0,
+            AdmissionVerdict::Defer => 1,
+            AdmissionVerdict::Admit => 2,
+        };
+        let mut edges = 0;
+        for (shape, model) in order {
+            let (s_in, s_out) = shapes[shape];
+            let perf = &perfs[model];
+            let rebuilt = IterationScheduler::new(*s.config(), kvbpt(), u64::MAX)
+                .with_prefill_chunk(s.prefill_chunk())
+                .restore(s.running().to_vec(), now, perf);
+            let ask = |sched: &IterationScheduler, deadline: u64| {
+                let mut r = req(900, s_in, s_out);
+                r.deadline = Some(SimTime::from_micros(deadline));
+                sched.slo_verdict(&r, now, perf)
+            };
+            for edge in [AdmissionVerdict::Defer, AdmissionVerdict::Admit] {
+                let (mut lo, mut hi) = (now.as_micros(), now.as_micros() + 10_000_000_000);
+                if rank(ask(&rebuilt, lo)) >= rank(edge) || rank(ask(&rebuilt, hi)) < rank(edge) {
+                    continue;
+                }
+                edges += 1;
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if rank(ask(&rebuilt, mid)) >= rank(edge) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                for deadline in [lo, hi] {
+                    assert_eq!(
+                        ask(s, deadline),
+                        ask(&rebuilt, deadline),
+                        "shape {shape}, model {model}, deadline {deadline} µs at {now}"
+                    );
+                }
+            }
+        }
+        assert!(edges >= order.len(), "every probe finds its admit edge");
+    }
+
+    #[test]
+    fn cached_projections_answer_like_a_rebuilt_scheduler() {
+        let perfs = [perf(), PerfModel::paper_defaults(ModelSpec::gpt_20b())];
+        let p = &perfs[0];
+        for chunk in [None, Some(256)] {
+            // Deadline carriers in mixed shapes, so admission prices every
+            // candidate and residents retire at different boundaries; more
+            // queued than the batch holds, so scans end on capacity right
+            // after a seat.
+            let shapes = [(512, 128), (512, 16), (256, 40), (512, 128)];
+            let mut q: VecDeque<Request> = (0..11)
+                .map(|i| {
+                    let (s_in, s_out) = shapes[i as usize % 4];
+                    deadline_req(i, s_in, s_out, 3000)
+                })
+                .collect();
+            let mut s = sched().with_prefill_chunk(chunk);
+            s.admit(&mut q, SimTime::ZERO, p);
+            assert_eq!(s.in_flight(), 8);
+            assert_verdicts_match_rebuilt(&s, SimTime::ZERO, &perfs);
+            let mut now = SimTime::ZERO;
+            for step in 0..6 {
+                now = s.next_event().expect("work in flight");
+                s.advance(now, &mut q, p);
+                assert_verdicts_match_rebuilt(&s, now, &perfs);
+                if step == 1 {
+                    s.set_config(ParallelConfig::new(1, 1, 4, 12));
+                    assert_verdicts_match_rebuilt(&s, now, &perfs);
+                    q.extend((20..26).map(|i| deadline_req(i, 512, 128, 3000)));
+                }
+            }
+            // Freeze mid-segment, then restore under a budget that keeps
+            // only part of the checkpoint.
+            let mid = SimTime::from_micros(now.as_micros() + 1);
+            let frozen = s.freeze(mid);
+            assert_verdicts_match_rebuilt(&s, mid, &perfs);
+            let budget = 3 * (512 + 128) * kvbpt();
+            let (mut s, dropped) = IterationScheduler::new(cfg(), kvbpt(), budget)
+                .with_prefill_chunk(chunk)
+                .restore_within_budget(frozen, mid, p);
+            assert!(!dropped.is_empty() && !s.is_idle());
+            assert_verdicts_match_rebuilt(&s, mid, &perfs);
+            let mut q: VecDeque<Request> = dropped.into_iter().collect();
+            for _ in 0..3 {
+                let Some(t) = s.next_event() else { break };
+                s.advance(t, &mut q, p);
+                assert_verdicts_match_rebuilt(&s, t, &perfs);
+            }
+        }
     }
 
     #[test]

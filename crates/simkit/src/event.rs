@@ -15,6 +15,12 @@ use crate::time::SimTime;
 /// Entries can be cancelled lazily via the [`EventKey`] returned by
 /// [`EventQueue::schedule`].
 ///
+/// Events known up front need not sit in the heap at all:
+/// [`EventQueue::reserve`] holds scheduling positions for them, and
+/// [`EventQueue::precedes`] tells the caller when the next one is due
+/// ahead of every queued event, so the heap keeps only live events and
+/// every tie resolves as if the stream had been scheduled when reserved.
+///
 /// # Example
 ///
 /// ```
@@ -47,6 +53,14 @@ pub struct EventQueue<E> {
 /// Handle identifying a scheduled event, used for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventKey(u64);
+
+/// A block of consecutive scheduling positions held by
+/// [`EventQueue::reserve`] for events the caller keeps outside the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reservation {
+    first: u64,
+    len: usize,
+}
 
 #[derive(Debug, Clone)]
 struct Entry<E> {
@@ -135,6 +149,45 @@ impl<E> EventQueue<E> {
         EventKey(seq)
     }
 
+    /// Reserves the next `n` scheduling positions for events the caller
+    /// keeps outside the heap: a stream known up front, such as a
+    /// workload's arrivals, which would otherwise sit in the heap and
+    /// deepen every pop.
+    ///
+    /// Slot `i` orders against queued events exactly as the `i`-th of `n`
+    /// events scheduled now would: after every event already scheduled,
+    /// before every event scheduled later, and at one instant in slot
+    /// order. The positions never pop, never count as live, and cannot be
+    /// cancelled; the caller fires a slot itself once
+    /// [`EventQueue::precedes`] says it is due first.
+    pub fn reserve(&mut self, n: usize) -> Reservation {
+        let first = self.next_seq;
+        self.next_seq += n as u64;
+        if self.heap.is_empty() {
+            // Nothing queued: the tombstones may start past the block.
+            self.compact();
+        } else {
+            for seq in first..self.next_seq {
+                self.mark_dead(seq);
+            }
+        }
+        Reservation { first, len: n }
+    }
+
+    /// Whether slot `slot` of `reserved`, due at `time`, comes before the
+    /// earliest live queued event: whether it would pop next had it been
+    /// scheduled when reserved. True when nothing is queued.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is outside the reservation.
+    pub fn precedes(&mut self, reserved: Reservation, slot: usize, time: SimTime) -> bool {
+        assert!(slot < reserved.len, "slot {slot} outside the reservation");
+        let seq = reserved.first + slot as u64;
+        self.peek_live()
+            .is_none_or(|top| (time, seq) < (top.time, top.seq))
+    }
+
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event had not yet fired or been cancelled;
@@ -168,14 +221,19 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest live event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.peek_live().map(|entry| entry.time)
+    }
+
+    /// The earliest live entry, dropping cancelled ones off the top.
+    fn peek_live(&mut self) -> Option<&Entry<E>> {
         while let Some(entry) = self.heap.peek() {
             if self.is_dead(entry.seq) {
                 self.heap.pop();
             } else {
-                return Some(entry.time);
+                break;
             }
         }
-        None
+        self.heap.peek()
     }
 
     /// Number of live (scheduled, not fired, not cancelled) events.
@@ -284,6 +342,173 @@ mod tests {
         assert_eq!(q.peek_time(), Some(t(101)));
         assert_eq!(q.pop(), Some((t(101), 2)));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Drains `q` merged with a reserved stream whose slot `i` is due at
+    /// `due[i]` (firing in stable time order, labelled `1000 + i`), the
+    /// way a caller firing a stream beside the heap does. `react` sees
+    /// every firing and may schedule more events.
+    fn drain_merged(
+        q: &mut EventQueue<u32>,
+        r: Reservation,
+        due: &[SimTime],
+        mut react: impl FnMut(&mut EventQueue<u32>, SimTime, u32),
+    ) -> Vec<(SimTime, u32)> {
+        let mut order: Vec<usize> = (0..due.len()).collect();
+        order.sort_by_key(|&i| due[i]);
+        let mut next = order.into_iter().peekable();
+        let mut out = Vec::new();
+        loop {
+            let fired = match next.peek() {
+                Some(&i) if q.precedes(r, i, due[i]) => {
+                    next.next();
+                    (due[i], 1000 + i as u32)
+                }
+                _ => match q.pop() {
+                    Some(ev) => ev,
+                    None => break,
+                },
+            };
+            react(q, fired.0, fired.1);
+            out.push(fired);
+        }
+        assert!(next.peek().is_none(), "an empty queue lets every slot fire");
+        out
+    }
+
+    /// The same drain with the stream scheduled into the heap when the
+    /// reservation was made: the order a reservation must reproduce.
+    fn drain_scheduled(
+        q: &mut EventQueue<u32>,
+        mut react: impl FnMut(&mut EventQueue<u32>, SimTime, u32),
+    ) -> Vec<(SimTime, u32)> {
+        let mut out = Vec::new();
+        while let Some(fired) = q.pop() {
+            react(q, fired.0, fired.1);
+            out.push(fired);
+        }
+        out
+    }
+
+    /// A follow-up rule both drains share: every third firing schedules
+    /// an event at its own instant (a tie with whatever is still due
+    /// then) and every fifth one a second later.
+    fn follow_up(q: &mut EventQueue<u32>, at: SimTime, label: u32) {
+        if label < 5000 && label.is_multiple_of(3) {
+            q.schedule(at, 5000 + label);
+        }
+        if label < 5000 && label.is_multiple_of(5) {
+            q.schedule(at + SimDuration::from_secs(1), 6000 + label);
+        }
+    }
+
+    #[test]
+    fn reserved_slots_order_exactly_as_if_scheduled_when_reserved() {
+        // Instants drawn from three seconds, so slots tie with events
+        // scheduled before the reservation (those pop first) and after it
+        // (those pop later), and with each other (slot order).
+        let mut rng = crate::SimRng::new(7).stream("reserve");
+        for _ in 0..200 {
+            let mut draw = || t(1 + rng.below(3));
+            let before: Vec<SimTime> = (0..4).map(|_| draw()).collect();
+            let due: Vec<SimTime> = (0..6).map(|_| draw()).collect();
+            let after: Vec<SimTime> = (0..4).map(|_| draw()).collect();
+            let (mut merged, mut reference) = (EventQueue::new(), EventQueue::new());
+            for (i, &at) in before.iter().enumerate() {
+                merged.schedule(at, i as u32);
+                reference.schedule(at, i as u32);
+            }
+            let cancelled = [merged.schedule(t(2), 4000), reference.schedule(t(2), 4000)];
+            let r = merged.reserve(due.len());
+            for (i, &at) in due.iter().enumerate() {
+                reference.schedule(at, 1000 + i as u32);
+            }
+            for (i, &at) in after.iter().enumerate() {
+                merged.schedule(at, 100 + i as u32);
+                reference.schedule(at, 100 + i as u32);
+            }
+            assert!(merged.cancel(cancelled[0]) && reference.cancel(cancelled[1]));
+            assert_eq!(
+                drain_merged(&mut merged, r, &due, follow_up),
+                drain_scheduled(&mut reference, follow_up)
+            );
+        }
+    }
+
+    #[test]
+    fn reserved_slots_keep_their_order_across_compaction() {
+        let mut merged = EventQueue::new();
+        let mut reference = EventQueue::new();
+        // Drain once so both queues have compacted their tombstones.
+        for q in [&mut merged, &mut reference] {
+            q.schedule(t(1), 0);
+            assert_eq!(q.pop(), Some((t(1), 0)));
+        }
+        // Reserved on an empty heap, then tied from both sides.
+        let due = [t(3), t(2), t(3), t(4)];
+        let r = merged.reserve(due.len());
+        for (i, &at) in due.iter().enumerate() {
+            reference.schedule(at, 1000 + i as u32);
+        }
+        for q in [&mut merged, &mut reference] {
+            q.schedule(t(2), 1);
+            q.schedule(t(3), 2);
+        }
+        // Event 2 empties the merged heap, which compacts its tombstones
+        // while slot 3 is still due; the event it schedules ties with
+        // slot 3 and, scheduled later, fires after it.
+        let follow = |q: &mut EventQueue<u32>, _: SimTime, label: u32| {
+            if label == 2 {
+                q.schedule(t(4), 3);
+            }
+        };
+        let got = drain_merged(&mut merged, r, &due, |q, at, label| {
+            if label == 2 {
+                assert!(q.is_empty() && q.dead.is_empty(), "drained and compacted");
+            }
+            follow(q, at, label);
+        });
+        assert_eq!(got, drain_scheduled(&mut reference, follow));
+        assert_eq!(
+            got.iter().map(|&(_, l)| l).collect::<Vec<_>>(),
+            vec![1001, 1, 1000, 1002, 2, 1003, 3]
+        );
+    }
+
+    #[test]
+    fn reserved_positions_never_pop_and_cannot_be_cancelled() {
+        let mut q = EventQueue::new();
+        q.schedule(t(1), 'a');
+        let busy = q.reserve(3); // reserved beside a queued event
+        q.schedule(t(2), 'b');
+        for slot in 0..3 {
+            assert!(!q.cancel(EventKey(busy.first + slot)), "slot {slot}");
+        }
+        assert_eq!(q.len(), 2, "reserved positions are not live events");
+        assert_eq!(q.pop(), Some((t(1), 'a')));
+        assert_eq!(q.pop(), Some((t(2), 'b')));
+        assert_eq!(q.pop(), None);
+        let idle = q.reserve(2); // reserved on an empty heap
+        assert!(!q.cancel(EventKey(idle.first)));
+        assert!(!q.cancel(EventKey(idle.first + 1)));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert!(q.precedes(idle, 1, t(9)), "nothing queued: the slot is due");
+        q.schedule(t(9), 'c');
+        assert!(!q.precedes(busy, 0, t(10)));
+        assert!(
+            q.precedes(idle, 0, t(9)),
+            "reserved before 'c' was scheduled"
+        );
+        assert_eq!((busy.len, idle.len), (3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the reservation")]
+    fn precedes_rejects_a_slot_past_the_reservation() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let r = q.reserve(2);
+        q.precedes(r, 2, t(1));
     }
 
     #[test]

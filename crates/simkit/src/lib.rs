@@ -6,7 +6,9 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulated time
 //!   with saturating arithmetic and human-readable formatting,
 //! * [`EventQueue`] — a deterministic future-event list (ties broken by
-//!   insertion order, never by hash or pointer identity),
+//!   insertion order, never by hash or pointer identity), whose
+//!   [`Reservation`]s let a stream known up front fire beside the heap in
+//!   the order it would have popped from it,
 //! * [`run_shards`] — a deterministic fork/join helper, the substrate of
 //!   the parallel simulation core,
 //! * [`SimRng`] — named, independently-seeded random streams derived from a
@@ -34,7 +36,7 @@ pub mod rng;
 pub mod shard;
 pub mod time;
 
-pub use event::EventQueue;
+pub use event::{EventQueue, Reservation};
 pub use metrics::{OnlineStats, Percentiles, Sampler};
 pub use rng::SimRng;
 pub use shard::run_shards;

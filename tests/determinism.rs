@@ -11,10 +11,12 @@
 use cloudsim::AvailabilityTrace;
 use llmsim::ModelSpec;
 use simkit::SimTime;
-use spotserve::{EngineMode, RunReport, ScaleReport, Scenario, ServingSystem, SystemOptions};
+use spotserve::{
+    EngineMode, InvariantAuditor, RunReport, ScaleReport, Scenario, ServingSystem, SystemOptions,
+};
 
 mod common;
-use common::{assert_audit_clean, canonical, run_audited};
+use common::{canonical, run_audited};
 
 /// The gate scenario: GPT-20B on the `paper_bs` trace, 600 s of arrivals.
 fn gate_scenario(seed: u64) -> Scenario {
@@ -432,12 +434,58 @@ fn cached_optimizer_replays_byte_identical_at_a_large_ceiling() {
     assert_eq!(a, b, "cached-optimizer replays must be byte-identical");
 }
 
-/// Audits every shard of a sharded run against the requests it was sent:
-/// shard `i` of `n` gets every `n`-th request, starting at request `i`.
+#[test]
+fn requests_listed_out_of_arrival_order_replay_as_if_sorted() {
+    // Every generator lists requests in arrival order, so only this run
+    // takes the arrival stream's sort: shuffled at distinct instants, the
+    // list must replay byte-identical to its sorted form. The earliest
+    // request is listed last and the drain cap is short, so the drain
+    // deadline must come from the latest arrival, not the last listed.
+    let mut sorted = gate_scenario(61);
+    sorted.requests.dedup_by_key(|r| r.arrival);
+    let mut shuffled = sorted.clone();
+    simkit::SimRng::new(61)
+        .stream("shuffle")
+        .shuffle(&mut shuffled.requests[1..]);
+    shuffled.requests.rotate_left(1);
+    assert!(!shuffled.requests.is_sorted_by_key(|r| r.arrival));
+    let mut opts = SystemOptions::spotserve();
+    opts.drain_cap = simkit::SimDuration::from_secs(120);
+    let a = canonical(&run_audited(opts.clone(), sorted));
+    let b = canonical(&run_audited(opts, shuffled));
+    assert_eq!(a, b, "list order may never change a replay");
+}
+
+/// Audits every shard of a sharded run against the requests it was sent
+/// (shard `i` of `n` gets every `n`-th request, starting at request `i`),
+/// each with its own telemetry stream attached: the merged stream is split
+/// back by each record's shard tag, so the stream checks run per shard and
+/// none is skipped.
 fn assert_shards_audit_clean(report: &ScaleReport, total: usize) {
+    use telemetry::{Record, TelemetryStream};
+
     let n = report.shards.len();
-    for (i, shard) in report.shards.iter().enumerate() {
-        assert_audit_clean(shard, (total + n - 1 - i) / n);
+    let merged = report
+        .telemetry
+        .as_ref()
+        .expect("sharded gates record telemetry");
+    let mut streams: Vec<Vec<Record>> = vec![Vec::new(); n];
+    for r in merged.records() {
+        streams[r.shard as usize].push(Record {
+            time: r.time,
+            seq: r.seq,
+            event: r.event,
+        });
+    }
+    for (i, (shard, records)) in report.shards.iter().zip(streams).enumerate() {
+        assert!(!records.is_empty(), "shard {i} recorded nothing");
+        let mut shard = shard.clone();
+        shard.telemetry = Some(TelemetryStream::from_sources(vec![records]));
+        let audit = InvariantAuditor::new()
+            .with_expected_requests((total + n - 1 - i) / n)
+            .audit(&shard);
+        audit.assert_clean();
+        assert!(audit.skipped.is_empty(), "shard {i}: {audit}");
     }
 }
 
@@ -480,9 +528,13 @@ fn sharded_canonical(threads: usize, shards: usize, seed: u64) -> String {
         .requests
         .retain(|r| r.arrival < SimTime::from_secs(420));
     let total = scenario.requests.len();
-    let report = ShardedSystem::new(SystemOptions::spotserve(), scenario, shards)
-        .with_threads(threads)
-        .run();
+    let report = ShardedSystem::new(
+        SystemOptions::spotserve().with_telemetry(),
+        scenario,
+        shards,
+    )
+    .with_threads(threads)
+    .run();
     assert_shards_audit_clean(&report, total);
     let mut out = String::new();
     report.canonical_into(&mut out);
@@ -689,9 +741,13 @@ fn sharded_chaos_canonical(threads: usize, shards: usize, seed: u64) -> String {
         .requests
         .retain(|r| r.arrival < SimTime::from_secs(420));
     let total = scenario.requests.len();
-    let report = ShardedSystem::new(SystemOptions::spotserve(), scenario, shards)
-        .with_threads(threads)
-        .run();
+    let report = ShardedSystem::new(
+        SystemOptions::spotserve().with_telemetry(),
+        scenario,
+        shards,
+    )
+    .with_threads(threads)
+    .run();
     assert_shards_audit_clean(&report, total);
     let mut out = String::new();
     report.canonical_into(&mut out);
