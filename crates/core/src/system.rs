@@ -30,8 +30,8 @@ use enginesim::{
 use kmatch::SkuCaps;
 use llmsim::ModelSpec;
 use migration::{
-    evaluate_plan, plan_migration, transferable_fraction, triage, DeviceAssignment, MigrationPlan,
-    MigrationTask, PlannerOptions, TriageTier,
+    compute_transfers, evaluate_plan, plan_migration, transferable_fraction, triage,
+    DeviceAssignment, MigrationTask, MigrationTimeline, PlannerOptions, TriageTier,
 };
 use parallelism::{ParallelConfig, PerfModel};
 use simkit::event::EventKey;
@@ -780,21 +780,20 @@ impl ServingSystem {
                 (d > 0).then(|| ParallelConfig::new(d, p, m, b))
             }
             _ => {
-                if self.opts.ablation.no_controller {
-                    // The controller is frozen at the bootstrap choice: the
-                    // shape never adapts; data parallelism degrades when the
-                    // fleet cannot hold it and restores afterwards.
-                    if let Some(frz) = self.frozen_config {
-                        let per = ParallelConfig::new(1, frz.pipeline, frz.tensor, frz.batch)
-                            .instances_needed(self.gpus_per_instance());
-                        let d = (n / per).min(frz.data);
-                        return (d > 0)
-                            .then(|| ParallelConfig::new(d, frz.pipeline, frz.tensor, frz.batch));
-                    }
-                    suggested
-                } else {
-                    suggested
+                // The ablated controller is frozen at the bootstrap choice:
+                // the shape never adapts; data parallelism degrades when the
+                // fleet cannot hold it and restores afterwards.
+                if let Some(frz) = self
+                    .frozen_config
+                    .filter(|_| self.opts.ablation.no_controller)
+                {
+                    let per = ParallelConfig::new(1, frz.pipeline, frz.tensor, frz.batch)
+                        .instances_needed(self.gpus_per_instance());
+                    let d = (n / per).min(frz.data);
+                    return (d > 0)
+                        .then(|| ParallelConfig::new(d, frz.pipeline, frz.tensor, frz.batch));
                 }
+                suggested
             }
         }
     }
@@ -1647,6 +1646,8 @@ impl ServingSystem {
     /// Rough migration-time estimate for JIT arrangement (recomputed
     /// exactly at commit time). Accounts for any active degraded-link
     /// window: a slowed transfer needs the decode loop to stop earlier.
+    /// Only `T_mig` is read, and the transfer set prices it without
+    /// ordering the layers.
     fn estimate_migration(&self, target: Option<ParallelConfig>) -> SimDuration {
         let Some(cfg) = target else {
             return SimDuration::ZERO;
@@ -1656,33 +1657,24 @@ impl ServingSystem {
         if usable.len() < needed {
             return SimDuration::ZERO;
         }
-        let (plan, _, _) = self.build_plan(cfg, &usable, SimTime::MAX);
-        let tl = evaluate_plan(
-            &plan,
+        let (task, _) = self.migration_task(cfg, &usable);
+        let total = compute_transfers(&task).migration_time(
             decided_perf(&self.optimizer, &self.lanes)
                 .cost_model()
                 .net(),
             &self.scenario.storage,
         );
-        Self::stretch(tl.total, self.link_factor(&usable))
+        Self::stretch(total, self.link_factor(&usable))
     }
 
-    /// Builds the migration task + plan toward `cfg` on `instances`,
-    /// triaging the checkpoint when the `deadline` cannot fit the full
-    /// plan (§4.2 fault tolerance, graded by the transferable-data
-    /// fraction — see [`migration::triage`]). Returns the plan, the
-    /// device-map outcome, and the triage decision the commit must apply
-    /// to carried requests.
-    fn build_plan(
+    /// Maps devices toward `cfg` on `instances` and describes the
+    /// migration that placement implies, carrying every pipeline's cache
+    /// (none when the interruption arranger is ablated).
+    fn migration_task(
         &self,
         cfg: ParallelConfig,
         instances: &[InstanceId],
-        deadline: SimTime,
-    ) -> (
-        MigrationPlan,
-        crate::devicemap::DeviceMapOutcome,
-        CheckpointTriage,
-    ) {
+    ) -> (MigrationTask, crate::devicemap::DeviceMapOutcome) {
         let stateful = !self.opts.ablation.no_interruption_arranger;
         let cache_bytes: Vec<u64> = self
             .pipelines
@@ -1735,12 +1727,7 @@ impl ServingSystem {
             !self.opts.ablation.no_device_mapper,
             Some(&table),
         );
-        let planner_opts = PlannerOptions {
-            memory_optimized: !self.opts.ablation.no_migration_planner,
-            progressive: !self.opts.ablation.no_migration_planner,
-            ..PlannerOptions::default()
-        };
-        let mut task = MigrationTask {
+        let task = MigrationTask {
             model: self.scenario.model.clone(),
             old_config: self.context_shape.unwrap_or(cfg),
             new_config: cfg,
@@ -1749,28 +1736,50 @@ impl ServingSystem {
             cache_bytes_per_pipeline: cache_bytes,
             pipeline_inheritance: outcome.inheritance.clone(),
         };
+        (task, outcome)
+    }
+
+    /// Plans the migration toward `cfg` on `instances`, triaging the
+    /// checkpoint when the `deadline` cannot fit the full plan (§4.2 fault
+    /// tolerance, graded by the transferable-data fraction — see
+    /// [`migration::triage`]). Returns the timeline of the plan to
+    /// migrate, the device-map outcome, and the triage decision the commit
+    /// must apply to carried requests. The weights-only floor and the
+    /// Restart plan come from the full plan's own transfer set.
+    fn build_plan(
+        &self,
+        cfg: ParallelConfig,
+        instances: &[InstanceId],
+        deadline: SimTime,
+    ) -> (
+        MigrationTimeline,
+        crate::devicemap::DeviceMapOutcome,
+        CheckpointTriage,
+    ) {
+        let (mut task, outcome) = self.migration_task(cfg, instances);
+        let planner_opts = PlannerOptions {
+            memory_optimized: !self.opts.ablation.no_migration_planner,
+            progressive: !self.opts.ablation.no_migration_planner,
+            ..PlannerOptions::default()
+        };
         let net = decided_perf(&self.optimizer, &self.lanes)
             .cost_model()
             .net();
+        let storage = &self.scenario.storage;
         let plan = plan_migration(&task, &planner_opts);
-        let tl = evaluate_plan(&plan, net, &self.scenario.storage);
+        let tl = evaluate_plan(&plan, net, storage);
         // A chaos degraded-link window stretches the transfer: triage
         // against the *effective* timeline, so a mid-grace slowdown
         // downgrades the tier instead of blowing the deadline.
         let factor = self.link_factor(instances);
         if self.now + Self::stretch(tl.total, factor) <= deadline {
-            return (plan, outcome, CheckpointTriage::full());
+            return (tl, outcome, CheckpointTriage::full());
         }
         // Grace too short for the full checkpoint: grade what the budget
         // *can* move against the weights-only floor and triage — full
         // migration, partial checkpoint, or restart (§4.2, refined by the
         // ≥80% / 30–80% / <30% transferable-fraction rule).
-        let full_cache = task.cache_bytes_per_pipeline.clone();
-        let full_inherit = task.pipeline_inheritance.clone();
-        task.cache_bytes_per_pipeline = vec![0; full_cache.len()];
-        task.pipeline_inheritance = vec![None; cfg.data as usize];
-        let zero_plan = plan_migration(&task, &planner_opts);
-        let t_zero = evaluate_plan(&zero_plan, net, &self.scenario.storage).total;
+        let t_zero = tl.weights_only_total();
         let budget = deadline.saturating_since(self.now);
         let fraction = transferable_fraction(
             budget,
@@ -1798,23 +1807,25 @@ impl ServingSystem {
             // Nearly everything fits: accept the small overrun and move
             // the complete checkpoint (the fault path re-plans if the
             // kill truly lands first).
-            TriageTier::Full => (plan, outcome, tri),
+            TriageTier::Full => (tl, outcome, tri),
             // Move the deepest `fraction` of each pipeline's cache;
             // inheritance survives, shallow requests recompute.
             TriageTier::Partial => {
-                task.cache_bytes_per_pipeline = full_cache
-                    .iter()
-                    .map(|&b| (b as f64 * fraction) as u64)
-                    .collect();
-                task.pipeline_inheritance = full_inherit;
+                for bytes in &mut task.cache_bytes_per_pipeline {
+                    *bytes = (*bytes as f64 * fraction) as u64;
+                }
                 let plan = plan_migration(&task, &planner_opts);
-                (plan, outcome, tri)
+                (evaluate_plan(&plan, net, storage), outcome, tri)
             }
             // Not worth the budget: weights only, all context abandoned.
             TriageTier::Restart => {
                 let mut outcome = outcome;
                 outcome.inheritance = vec![None; cfg.data as usize];
-                (zero_plan, outcome, tri)
+                (
+                    evaluate_plan(&plan.weights_only(), net, storage),
+                    outcome,
+                    tri,
+                )
             }
         }
     }
@@ -1901,12 +1912,8 @@ impl ServingSystem {
         match self.opts.policy {
             Policy::SpotServe => {
                 let usable = self.placement_instances();
-                let (plan, outcome, tri) =
+                let (tl, outcome, tri) =
                     self.build_plan(cfg, &usable, deadline.unwrap_or(SimTime::MAX));
-                let net = *decided_perf(&self.optimizer, &self.lanes)
-                    .cost_model()
-                    .net();
-                let tl = evaluate_plan(&plan, &net, &self.scenario.storage);
                 // Stage step for progressive overlap: one stage's share of
                 // a prefill pass (the incoming mesh's SKU sets the pace).
                 let perf = decided_perf(&self.optimizer, &self.lanes);

@@ -60,9 +60,9 @@
 //! answer, keyed on the candidate's worst pass and the perf model, and
 //! drops it wherever the residents' entries or the configuration change
 //! (debug builds re-price every cached answer and compare). A caller
-//! whose own scan has just cleared a candidate truncates the segment for
-//! it with [`IterationScheduler::truncate_for_admission`] instead of
-//! asking again through [`IterationScheduler::interrupt_for_admission`].
+//! whose own scan has just cleared a candidate with
+//! [`IterationScheduler::can_admit`] truncates the segment for it with
+//! [`IterationScheduler::truncate_for_admission`].
 
 use std::cell::RefCell;
 
@@ -974,28 +974,13 @@ impl IterationScheduler {
         retired
     }
 
-    /// An arrival landed at `now` while a segment is running: if `head`
-    /// could join at the next boundary, truncate the segment there so the
-    /// boundary event fires early. Returns the new (earlier) segment end
-    /// when the caller must reschedule, `None` when nothing changed.
-    pub fn interrupt_for_admission(
-        &mut self,
-        now: SimTime,
-        head: &Request,
-        perf: &PerfModel,
-    ) -> Option<SimTime> {
-        if !self.can_admit(head, now, perf) {
-            return None;
-        }
-        self.truncate_for_admission(now)
-    }
-
-    /// The truncate-only half of
-    /// [`IterationScheduler::interrupt_for_admission`], for a caller whose
-    /// own scan has just found, at `now`, a request this scheduler
+    /// An arrival landed at `now` while a segment is running, and the
+    /// caller's scan found it a request this scheduler
     /// [admits](Self::can_admit): ends the running segment at the first
-    /// boundary after `now`. Returns the new segment end, `None` when the
-    /// segment already ends there or sooner or none runs.
+    /// boundary after `now`, so the boundary event fires early and the
+    /// request joins there. Returns the new segment end when the caller
+    /// must reschedule, `None` when the segment already ends there or
+    /// sooner or none runs.
     pub fn truncate_for_admission(&mut self, now: SimTime) -> Option<SimTime> {
         let seg = self.segment.as_mut()?;
         let next = seg.elapsed_iters(now) + 1;
@@ -1335,8 +1320,15 @@ mod tests {
         let seg = s.segment.unwrap();
         let arrival_t = seg.boundary(2) + SimDuration::from_micros(1);
         let newcomer = req(1, 512, 128);
-        let new_end = s.interrupt_for_admission(arrival_t, &newcomer, &p).unwrap();
+        assert!(s.can_admit(&newcomer, arrival_t, &p));
+        let new_end = s.truncate_for_admission(arrival_t).unwrap();
         assert_eq!(new_end, seg.boundary(3), "next boundary after arrival");
+        assert_eq!(s.next_event(), Some(new_end), "segment truncated");
+        assert_eq!(
+            s.truncate_for_admission(arrival_t),
+            None,
+            "already ends there"
+        );
         assert!(new_end < old_end);
         // At the new boundary the newcomer joins and the survivor keeps
         // its 3 committed tokens.
@@ -1350,7 +1342,9 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_without_room_is_ignored() {
+    fn arrival_without_room_is_not_admitted() {
+        // A full batch refuses the arrival, so the caller leaves the
+        // segment to end where it was scheduled.
         let p = perf();
         let small = ParallelConfig::new(1, 1, 4, 1);
         let mut s = IterationScheduler::new(small, kvbpt(), u64::MAX);
@@ -1358,7 +1352,7 @@ mod tests {
         s.admit(&mut pending, SimTime::ZERO, &p);
         let end = s.next_event().unwrap();
         let t = s.segment.unwrap().boundary(1) + SimDuration::from_micros(1);
-        assert_eq!(s.interrupt_for_admission(t, &req(1, 512, 128), &p), None);
+        assert!(!s.can_admit(&req(1, 512, 128), t, &p));
         assert_eq!(s.next_event(), Some(end), "segment untouched");
     }
 
@@ -1479,7 +1473,8 @@ mod tests {
         }
         let arrival = SimTime::from_micros(t.as_micros() + 1);
         let newcomer = req(1, 1024, 8);
-        let new_end = s.interrupt_for_admission(arrival, &newcomer, &p).unwrap();
+        assert!(s.can_admit(&newcomer, arrival, &p));
+        let new_end = s.truncate_for_admission(arrival).unwrap();
         let mut q2: VecDeque<Request> = vec![newcomer].into_iter().collect();
         s.advance(new_end, &mut q2, &p);
         assert_eq!(s.in_flight(), 2);

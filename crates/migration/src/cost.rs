@@ -1,12 +1,10 @@
 //! Evaluating a migration plan against the network and storage models.
 
-use std::collections::BTreeMap;
-
 use cloudsim::{ColdStorage, InstanceId, NetFabric};
 use simkit::SimDuration;
 
 use crate::planner::{MigrationPlan, PlanStep};
-use crate::transfers::{Transfer, TransferSource};
+use crate::transfers::{Transfer, TransferSet, TransferSource};
 
 /// When each part of the migration completes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,56 +36,112 @@ impl MigrationTimeline {
             .max()
             .unwrap_or(self.total)
     }
+
+    /// `T_mig` of this plan's [weights-only](MigrationPlan::weights_only)
+    /// form: every step but the cache step, which
+    /// [`plan_migration`](crate::plan_migration) puts first.
+    pub fn weights_only_total(&self) -> SimDuration {
+        self.total - self.cache_done
+    }
+}
+
+/// One instance's bytes in a step: out of and into its NIC, over its
+/// local bus, and in from storage.
+#[derive(Debug, Clone, Copy)]
+struct InstanceBytes {
+    instance: InstanceId,
+    nic_out: u64,
+    nic_in: u64,
+    local: u64,
+    storage: u64,
+}
+
+/// The row of `instance` in a step's `tally`, added on first use.
+fn row(tally: &mut Vec<InstanceBytes>, instance: InstanceId) -> &mut InstanceBytes {
+    let at = match tally.iter().position(|r| r.instance == instance) {
+        Some(at) => at,
+        None => {
+            tally.push(InstanceBytes {
+                instance,
+                nic_out: 0,
+                nic_in: 0,
+                local: 0,
+                storage: 0,
+            });
+            tally.len() - 1
+        }
+    };
+    &mut tally[at]
 }
 
 /// Computes how long one batch of transfers takes: every instance moves its
 /// in/out bytes over its NIC in parallel, intra-instance flows use the local
 /// bus, and storage loads stream per instance concurrently with the network.
-fn step_time(transfers: &[Transfer], net: &NetFabric, storage: &ColdStorage) -> SimDuration {
+/// Any same-instance flow, even of zero bytes, pays the local bus latency
+/// when no flow crosses instances.
+///
+/// `tally` is scratch, one row per instance the step touches. Bandwidths
+/// are positive, so each resource's slowest instance is the one with the
+/// most bytes.
+fn step_time(
+    transfers: &[Transfer],
+    net: &NetFabric,
+    storage: &ColdStorage,
+    tally: &mut Vec<InstanceBytes>,
+) -> SimDuration {
     if transfers.is_empty() {
         return SimDuration::ZERO;
     }
-    let mut nic_out: BTreeMap<InstanceId, u64> = BTreeMap::new();
-    let mut nic_in: BTreeMap<InstanceId, u64> = BTreeMap::new();
-    let mut local: BTreeMap<InstanceId, u64> = BTreeMap::new();
-    let mut storage_in: BTreeMap<InstanceId, u64> = BTreeMap::new();
-    let mut any_inter = false;
+    tally.clear();
+    let (mut any_inter, mut any_local) = (false, false);
     for t in transfers {
         match t.source {
             TransferSource::Gpu(src) if src.instance == t.dest.instance => {
-                *local.entry(src.instance).or_insert(0) += t.bytes;
+                any_local = true;
+                row(tally, src.instance).local += t.bytes;
             }
             TransferSource::Gpu(src) => {
                 any_inter = true;
-                *nic_out.entry(src.instance).or_insert(0) += t.bytes;
-                *nic_in.entry(t.dest.instance).or_insert(0) += t.bytes;
+                row(tally, src.instance).nic_out += t.bytes;
+                row(tally, t.dest.instance).nic_in += t.bytes;
             }
             TransferSource::Storage => {
-                *storage_in.entry(t.dest.instance).or_insert(0) += t.bytes;
+                row(tally, t.dest.instance).storage += t.bytes;
             }
         }
     }
-    let nic_secs = nic_out
-        .values()
-        .chain(nic_in.values())
-        .map(|&b| b as f64 / net.inter_bw)
-        .fold(0.0f64, f64::max);
-    let local_secs = local
-        .values()
-        .map(|&b| b as f64 / net.intra_bw)
-        .fold(0.0f64, f64::max);
-    let storage_secs = storage_in
-        .values()
-        .map(|&b| b as f64 / storage.per_instance_bandwidth)
-        .fold(0.0f64, f64::max);
+    let (mut nic, mut local, mut store) = (0u64, 0u64, 0u64);
+    for r in tally.iter() {
+        nic = nic.max(r.nic_out).max(r.nic_in);
+        local = local.max(r.local);
+        store = store.max(r.storage);
+    }
+    let nic_secs = nic as f64 / net.inter_bw;
+    let local_secs = local as f64 / net.intra_bw;
+    let storage_secs = store as f64 / storage.per_instance_bandwidth;
     let latency = if any_inter {
         net.inter_latency
-    } else if !local.is_empty() {
+    } else if any_local {
         net.intra_latency
     } else {
         SimDuration::ZERO
     };
     latency + SimDuration::from_secs_f64(nic_secs.max(local_secs).max(storage_secs))
+}
+
+impl TransferSet {
+    /// `T_mig` of every plan over these transfers: the cache step plus
+    /// each layer's step. [`evaluate_plan`]'s total sums the same steps in
+    /// the plan's order, in whole microseconds, so the two are equal
+    /// without ordering the layers.
+    pub fn migration_time(&self, net: &NetFabric, storage: &ColdStorage) -> SimDuration {
+        let mut tally = Vec::new();
+        let mut total = step_time(&self.cache, net, storage, &mut tally);
+        for layer in &self.layers {
+            total += step_time(&layer.transfers, net, storage, &mut tally);
+        }
+        total
+    }
 }
 
 /// Walks `plan` step by step and produces its timeline.
@@ -116,15 +170,16 @@ pub fn evaluate_plan(
     let mut t = SimDuration::ZERO;
     let mut cache_done = SimDuration::ZERO;
     let mut stage_ready = vec![SimDuration::MAX; plan.new_stages as usize];
+    let mut tally = Vec::new();
     for step in &plan.steps {
         match step {
             PlanStep::MigrateCache => {
-                t += step_time(&plan.transfers.cache, net, storage);
+                t += step_time(&plan.transfers.cache, net, storage, &mut tally);
                 cache_done = t;
             }
             PlanStep::MigrateLayer(layer) => {
                 let xfers = &plan.transfers.layers[*layer as usize].transfers;
-                t += step_time(xfers, net, storage);
+                t += step_time(xfers, net, storage, &mut tally);
             }
             PlanStep::StartStage(p) => {
                 stage_ready[*p as usize] = t;

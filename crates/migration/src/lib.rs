@@ -15,7 +15,8 @@
 //!   so front pipeline stages resume serving while the tail still migrates;
 //! * [`cost`] evaluates a plan against the network model, yielding per-stage
 //!   ready times, the total migration time `T_mig`, and the peak
-//!   communication-buffer growth per GPU.
+//!   communication-buffer growth per GPU; `T_mig` alone needs no order, so
+//!   a [`TransferSet`] prices it without planning.
 //!
 //! # Example
 //!
@@ -42,5 +43,5 @@ pub mod triage;
 pub use cost::{evaluate_plan, MigrationTimeline};
 pub use planner::{plan_migration, MigrationPlan, PlanStep, PlannerOptions};
 pub use task::{DeviceAssignment, MigrationTask};
-pub use transfers::{LayerTransfers, Transfer, TransferSource};
+pub use transfers::{compute_transfers, LayerTransfers, Transfer, TransferSet, TransferSource};
 pub use triage::{transferable_fraction, triage, TriageTier, FULL_THRESHOLD, PARTIAL_THRESHOLD};

@@ -69,6 +69,18 @@ impl MigrationPlan {
     pub fn total_bytes_from_storage(&self) -> u64 {
         self.transfers.total_storage_bytes()
     }
+
+    /// The plan of the same task with every cache zeroed and no pipeline
+    /// inheriting: the weights-only plan a restart migrates. Weight
+    /// transfers and [`TransferSet::layer_deltas`] read neither cache
+    /// bytes nor inheritance, so it is this plan with its cache section
+    /// dropped; its total is
+    /// [`MigrationTimeline::weights_only_total`](crate::MigrationTimeline::weights_only_total).
+    pub fn weights_only(mut self) -> MigrationPlan {
+        self.transfers.cache.clear();
+        self.transfers.cache_lost_bytes = 0;
+        self
+    }
 }
 
 /// Runs Algorithm 2 on `task`.

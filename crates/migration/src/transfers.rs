@@ -143,26 +143,50 @@ impl Interval {
     }
 }
 
-/// What one mesh position holds: the layers of its stage, and the same
-/// shard interval of each.
-struct Holding {
-    layers: Range<u32>,
-    shard: Interval,
+/// `len` parts in `den` of `total` bytes, rounded down. The product fits
+/// `u64` for every model and cache size served; `u128` takes the rest.
+fn piece_bytes(len: u64, total: u64, den: u64) -> u64 {
+    match len.checked_mul(total) {
+        Some(product) => product / den,
+        None => (len as u128 * total as u128 / den as u128) as u64,
+    }
 }
 
-impl Holding {
-    /// Position `pos` of a mesh of `stages` stages over `layers_n` layers,
-    /// its shard of width `unit`.
-    fn new(layers_n: u32, stages: u32, pos: MeshPosition, unit: u32) -> Holding {
-        Holding {
-            layers: stage_layers(layers_n, stages, pos.stage),
-            shard: Interval::shard(pos.shard, unit),
-        }
+/// Each stage's layer range and each layer's stage, for one mesh depth.
+struct Stages {
+    ranges: Vec<Range<u32>>,
+    of_layer: Vec<u32>,
+}
+
+impl Stages {
+    fn new(layers_n: u32, stages: u32) -> Stages {
+        let ranges: Vec<Range<u32>> = (0..stages)
+            .map(|p| stage_layers(layers_n, stages, p))
+            .collect();
+        let of_layer = ranges
+            .iter()
+            .enumerate()
+            .flat_map(|(p, r)| r.clone().map(move |_| p as u32))
+            .collect();
+        Stages { ranges, of_layer }
     }
 
-    /// The interval of `layer` held, if any.
-    fn of(&self, layer: u32) -> Option<Interval> {
-        self.layers.contains(&layer).then_some(self.shard)
+    /// `layers` cut where these stages part it, each run with the stage
+    /// holding it. Every layer of a run sits in the same stage here, so a
+    /// position of the other mesh misses, frees and sources the same
+    /// pieces on each of them.
+    fn runs(&self, layers: Range<u32>) -> impl Iterator<Item = (u32, Range<u32>)> + '_ {
+        let mut start = layers.start;
+        std::iter::from_fn(move || {
+            if start >= layers.end {
+                return None;
+            }
+            let stage = self.of_layer[start as usize];
+            let end = self.ranges[stage as usize].end.min(layers.end);
+            let run = start..end;
+            start = end;
+            Some((stage, run))
+        })
     }
 }
 
@@ -217,7 +241,9 @@ impl PositionTable {
 ///
 /// Both assignments are inverted once, over one dense index of every GPU
 /// involved; send loads and per-layer deltas live in per-GPU arrays, and
-/// [`TransferSet::layer_deltas`] is built from them at the end.
+/// [`TransferSet::layer_deltas`] is built from them at the end. Weights
+/// and freed bytes are worked out once per run of layers within one stage
+/// of the other mesh, and each layer of the run takes the same pieces.
 pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
     let model = &task.model;
     let layers_n = model.num_layers;
@@ -227,6 +253,8 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
     let layer_bytes = model.layer_bytes();
     let old_cfg = task.old_config;
     let new_cfg = task.new_config;
+    let old_stages = Stages::new(layers_n, old_cfg.pipeline);
+    let new_stages = Stages::new(layers_n, new_cfg.pipeline);
 
     // One dense index over every GPU of either assignment, and both
     // assignments inverted onto it (first position wins, as in
@@ -249,11 +277,20 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
     for &(g, pos) in &new_by_gpu {
         new_pos_of[index(g)] = Some(pos);
     }
-    // Old holders by position, and each layer's old stage.
+    // Old holders by position, and the candidate sources of each (old
+    // stage, old shard): its holders in pipeline order, at
+    // `sources[bounds[i]..bounds[i + 1]]` for `i = stage · m_old + shard`.
     let holders = PositionTable::new(&task.old_assignment, index);
-    let old_stage_of: Vec<u32> = (0..old_cfg.pipeline)
-        .flat_map(|p| stage_layers(layers_n, old_cfg.pipeline, p).map(move |_| p))
-        .collect();
+    let mut sources: Vec<usize> = Vec::new();
+    let mut bounds = vec![0];
+    for stage in 0..old_cfg.pipeline {
+        for k in 0..m_old {
+            sources.extend(
+                (0..old_cfg.data).filter_map(|d| holders.get(MeshPosition::new(d, stage, k))),
+            );
+            bounds.push(sources.len());
+        }
+    }
 
     // Bytes each source GPU has been asked to send so far (load balancing),
     // and per GPU and layer the net resident-memory change; `touched`
@@ -261,10 +298,6 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
     let mut send_load = vec![0u64; gpus.len()];
     let mut deltas = vec![0i64; gpus.len() * layers];
     let mut touched = vec![false; gpus.len()];
-
-    let piece_bytes = |iv: Interval, total: u64| -> u64 {
-        ((iv.len() as u128 * total as u128) / den as u128) as u64
-    };
 
     // ---- Weights ----------------------------------------------------
     let mut layer_xfers: Vec<LayerTransfers> = (0..layers_n)
@@ -274,32 +307,54 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
         })
         .collect();
 
+    // The (old shard, bytes) pieces one destination misses on every layer
+    // of a run.
+    let mut pieces: Vec<(u32, u64)> = Vec::new();
     for (new_pos, dest) in task.new_assignment.iter() {
         let di = index(dest);
         let need_iv = Interval::shard(new_pos.shard, m_old);
-        // What the destination already holds.
-        let held = old_pos_of[di].map(|p| Holding::new(layers_n, old_cfg.pipeline, p, m_new));
-        for layer in stage_layers(layers_n, new_cfg.pipeline, new_pos.stage) {
-            for miss in need_iv.subtract(held.as_ref().and_then(|h| h.of(layer))) {
-                // Split by old shard boundaries and source each piece.
+        let new_layers = new_stages.ranges[new_pos.stage as usize].clone();
+        for (stage, run) in old_stages.runs(new_layers) {
+            // What the destination already holds: its old shard of every
+            // layer of its old stage.
+            let held = old_pos_of[di]
+                .filter(|p| p.stage == stage)
+                .map(|p| Interval::shard(p.shard, m_new));
+            // Split what is missing by old shard boundaries.
+            pieces.clear();
+            for miss in need_iv.subtract(held) {
                 for k in miss.shards(m_new) {
                     let piece = miss.intersect(Interval::shard(k, m_new));
-                    let bytes = piece_bytes(piece, layer_bytes);
-                    if bytes == 0 {
-                        continue;
+                    let bytes = piece_bytes(piece.len(), layer_bytes, den);
+                    if bytes > 0 {
+                        pieces.push((k, bytes));
                     }
+                }
+            }
+            if pieces.is_empty() {
+                continue;
+            }
+            let run_bytes: i64 = pieces.iter().map(|&(_, b)| b as i64).sum();
+            touched[di] = true;
+            for layer in run {
+                for &(k, bytes) in &pieces {
                     // Candidate sources: any old pipeline's holder of
-                    // (stage_of(layer), shard k) that is still assigned.
-                    // Prefer same-instance sources, then the least-loaded.
-                    let stage = old_stage_of[layer as usize];
-                    let source = (0..old_cfg.data)
-                        .filter_map(|d| holders.get(MeshPosition::new(d, stage, k)))
-                        .filter(|&gi| gpus[gi] != dest)
-                        .min_by_key(|&gi| {
-                            (gpus[gi].instance != dest.instance, send_load[gi], gpus[gi])
-                        });
-                    let source = match source {
-                        Some(gi) => {
+                    // (stage, shard k) that is still assigned. Prefer
+                    // same-instance sources, then the least-loaded (GPU
+                    // indices follow GPU order).
+                    let i = (stage * m_old + k) as usize;
+                    let mut best: Option<(bool, u64, usize)> = None;
+                    for &gi in &sources[bounds[i]..bounds[i + 1]] {
+                        if gi == di {
+                            continue;
+                        }
+                        let key = (gpus[gi].instance != dest.instance, send_load[gi], gi);
+                        if best.is_none_or(|b| key < b) {
+                            best = Some(key);
+                        }
+                    }
+                    let source = match best {
+                        Some((_, _, gi)) => {
                             send_load[gi] += bytes;
                             TransferSource::Gpu(gpus[gi])
                         }
@@ -310,9 +365,8 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
                         dest,
                         bytes,
                     });
-                    deltas[di * layers + layer as usize] += bytes as i64;
-                    touched[di] = true;
                 }
+                deltas[di * layers + layer as usize] += run_bytes;
             }
         }
     }
@@ -322,16 +376,19 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
     for (old_pos, gpu) in task.old_assignment.iter() {
         let gi = index(gpu);
         let held_iv = Interval::shard(old_pos.shard, m_new);
-        let kept_in = new_pos_of[gi].map(|np| Holding::new(layers_n, new_cfg.pipeline, np, m_old));
-        for layer in stage_layers(layers_n, old_cfg.pipeline, old_pos.stage) {
-            let kept = kept_in
-                .as_ref()
-                .and_then(|h| h.of(layer))
-                .map_or(0, |iv| held_iv.intersect(iv).len());
+        let old_layers = old_stages.ranges[old_pos.stage as usize].clone();
+        for (stage, run) in new_stages.runs(old_layers) {
+            let kept = new_pos_of[gi]
+                .filter(|np| np.stage == stage)
+                .map_or(0, |np| {
+                    held_iv.intersect(Interval::shard(np.shard, m_old)).len()
+                });
             let freed = held_iv.len() - kept;
             if freed > 0 {
-                let bytes = ((freed as u128 * layer_bytes as u128) / den as u128) as i64;
-                deltas[gi * layers + layer as usize] -= bytes;
+                let bytes = piece_bytes(freed, layer_bytes, den) as i64;
+                for layer in run {
+                    deltas[gi * layers + layer as usize] -= bytes;
+                }
                 touched[gi] = true;
             }
         }
@@ -353,24 +410,28 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
         let per_layer = total / layers_n as u64;
         let mut lost = false;
         let mut pipeline_cache = Vec::new();
+        // The transfers of one layer of a run: the same on each of them.
+        let mut run_cache = Vec::new();
         for new_pos in new_cfg.positions().filter(|p| p.pipeline == d_new as u32) {
             let Some(dest) = task.new_assignment.gpu_at(new_pos) else {
                 lost = true;
                 continue;
             };
             let need_iv = Interval::shard(new_pos.shard, m_old);
-            let held = old_pos_of[index(dest)]
-                .filter(|p| p.pipeline == d_old)
-                .map(|p| Holding::new(layers_n, old_cfg.pipeline, p, m_new));
-            for layer in stage_layers(layers_n, new_cfg.pipeline, new_pos.stage) {
-                for miss in need_iv.subtract(held.as_ref().and_then(|h| h.of(layer))) {
+            let held_at = old_pos_of[index(dest)].filter(|p| p.pipeline == d_old);
+            let new_layers = new_stages.ranges[new_pos.stage as usize].clone();
+            for (stage, run) in old_stages.runs(new_layers) {
+                let held = held_at
+                    .filter(|p| p.stage == stage)
+                    .map(|p| Interval::shard(p.shard, m_new));
+                run_cache.clear();
+                for miss in need_iv.subtract(held) {
                     for k in miss.shards(m_new) {
                         let piece = miss.intersect(Interval::shard(k, m_new));
-                        let bytes = piece_bytes(piece, per_layer);
-                        let stage = old_stage_of[layer as usize];
+                        let bytes = piece_bytes(piece.len(), per_layer, den);
                         // Cache exists only on the inherited pipeline.
                         match holders.get(MeshPosition::new(d_old, stage, k)) {
-                            Some(src) if gpus[src] != dest => pipeline_cache.push(Transfer {
+                            Some(src) if gpus[src] != dest => run_cache.push(Transfer {
                                 source: TransferSource::Gpu(gpus[src]),
                                 dest,
                                 bytes,
@@ -379,6 +440,9 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
                             None => lost = true,
                         }
                     }
+                }
+                for _ in run {
+                    pipeline_cache.extend_from_slice(&run_cache);
                 }
             }
         }
@@ -439,6 +503,16 @@ mod tests {
             cache_bytes_per_pipeline: vec![0],
             pipeline_inheritance: vec![Some(0)],
         }
+    }
+
+    #[test]
+    fn piece_bytes_is_exact_past_u64_products() {
+        assert_eq!(piece_bytes(3, 1000, 8), 375);
+        let total = u64::MAX / 2;
+        // 4 · total overflows u64; four eighths of it do not.
+        assert_eq!(piece_bytes(4, total, 8), total / 2);
+        let exact = (3 * total as u128 / 7) as u64;
+        assert_eq!(piece_bytes(3, total, 7), exact);
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //!
 //! The fraction interpolates between the two plan costs the serving
 //! system can already evaluate: `t_zero` (a weights-only plan, cache
-//! zeroed) and `t_full` (the complete plan). Everything here is pure
+//! zeroed) and `t_full` (the complete plan). Both come from the complete
+//! plan's timeline: `t_zero` is its total without the cache step
+//! ([`MigrationTimeline::weights_only_total`](crate::MigrationTimeline::weights_only_total)),
+//! and the weights-only plan itself is
+//! [`MigrationPlan::weights_only`](crate::MigrationPlan::weights_only).
+//! Everything here is pure
 //! arithmetic over those costs, which keeps the tier decision trivially
 //! deterministic and property-testable; the serving system owns applying
 //! the tier to a concrete [`MigrationTask`](crate::MigrationTask).

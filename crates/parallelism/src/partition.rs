@@ -120,9 +120,17 @@ impl PositionContext {
         }
         let common_layers = (hi - lo) as u64;
         let (num, den) = shard_overlap(self.shard, self.tensor, other.shard, other.tensor);
-        // layer_bytes ≤ ~2^31, num/den ≤ 1, common_layers ≤ ~2^7: fits u64
-        // comfortably via u128 intermediate.
-        ((common_layers as u128 * layer_bytes as u128 * num as u128) / den as u128) as u64
+        // layer_bytes ≤ ~2^31, num ≤ 64, common_layers ≤ ~2^7: the product
+        // fits u64 for every model served; u128 takes the rest.
+        match common_layers
+            .checked_mul(layer_bytes)
+            .and_then(|b| b.checked_mul(num))
+        {
+            Some(product) => product / den,
+            None => {
+                ((common_layers as u128 * layer_bytes as u128 * num as u128) / den as u128) as u64
+            }
+        }
     }
 
     /// Bytes of this context's own weights, with each full layer weighing
@@ -213,6 +221,20 @@ mod tests {
         // Against stage 2' (layers 8..12) there is no layer overlap.
         let v2 = PositionContext::new(12, 3, 2, 1, 0);
         assert_eq!(u1.weight_overlap_bytes(&v2, 1000), 0);
+    }
+
+    #[test]
+    fn overlap_past_u64_products_stays_exact() {
+        // 32 common layers × 2/16 of a layer: the product 64 · layer_bytes
+        // overflows u64, the overlap itself does not.
+        let eighth = PositionContext::new(32, 1, 0, 8, 0);
+        let half = PositionContext::new(32, 1, 0, 2, 0);
+        let layer_bytes = u64::MAX / 4;
+        assert_eq!(
+            eighth.weight_overlap_bytes(&half, layer_bytes),
+            4 * layer_bytes
+        );
+        assert_eq!(eighth.weight_overlap_bytes(&half, 1000), 4000);
     }
 
     #[test]

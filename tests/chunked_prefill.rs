@@ -36,9 +36,10 @@ fn scheduler(chunk: Option<u32>) -> IterationScheduler {
 }
 
 /// Commit times of every output token of `victim`, measured by walking all
-/// iteration boundaries of a scheduler run. The long request arrives at
-/// `arrival` and is injected via the mid-segment interrupt path, exactly as
-/// the serving system does it.
+/// iteration boundaries of a scheduler run. The long request arrives mid
+/// segment and is injected as the serving system's dispatch does it: once
+/// the scheduler admits it, the running segment is truncated to the next
+/// boundary.
 fn victim_token_times(chunk: Option<u32>, victim: Request, long: Request) -> Vec<SimTime> {
     let p = perf();
     let mut s = scheduler(chunk);
@@ -51,12 +52,14 @@ fn victim_token_times(chunk: Option<u32>, victim: Request, long: Request) -> Vec
     let mut t = SimTime::ZERO;
     while s.next_event().is_some() {
         // Inject the long request once the victim has a few tokens,
-        // exactly as the serving system does: queue it and truncate the
-        // running segment to the next boundary.
+        // exactly as the serving system does: queue it and, when the
+        // scheduler admits it, truncate the running segment to the next
+        // boundary.
         if !injected && last_seen >= 3 {
             let arrival = SimTime::from_micros(t.as_micros() + 1);
             pending.push_back(long);
-            s.interrupt_for_admission(arrival, &long, &p);
+            assert!(s.can_admit(&long, arrival, &p), "the long request fits");
+            s.truncate_for_admission(arrival);
             injected = true;
             continue; // segment end may have moved
         }

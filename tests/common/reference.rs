@@ -1,21 +1,25 @@
 //! The device mapper and the Algorithm 2 planner as they were before the
 //! per-call tables and dense per-GPU arrays: every edge re-scans the old
 //! assignment, every cell builds its own inner matrix, and the planner
-//! keeps its state in `BTreeMap`s keyed by GPU. They are kept verbatim as
+//! keeps its state in `BTreeMap`s keyed by GPU; the plan evaluator as it
+//! was before its flat per-instance tally. They are kept verbatim as
 //! oracles: `placement_equivalence.rs` checks that the production
-//! implementations return bit-identical outcomes and plans. The candidate
+//! implementations return bit-identical outcomes, plans and timelines. The candidate
 //! frontier's oracle is [`frontier`], held to the production frontier by
 //! `frontier_equivalence.rs`, and Algorithm 1's is [`optimizer`], held to
 //! `ConfigOptimizer` by `optimizer_properties.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cloudsim::{GpuRef, InstanceId};
+use cloudsim::{ColdStorage, GpuRef, InstanceId, NetFabric};
 use kmatch::{max_weight_assignment, WeightMatrix};
 use llmsim::ModelSpec;
 use migration::transfers::{LayerTransfers, Transfer, TransferSet, TransferSource};
-use migration::{DeviceAssignment, MigrationPlan, MigrationTask, PlanStep, PlannerOptions};
+use migration::{
+    DeviceAssignment, MigrationPlan, MigrationTask, MigrationTimeline, PlanStep, PlannerOptions,
+};
 use parallelism::{stage_layers, MeshPosition, ParallelConfig, PositionContext};
+use simkit::SimDuration;
 use spotserve::devicemap::{DeviceMapOutcome, OldState, SkuTable};
 
 // ---- Device mapper (§3.3) -------------------------------------------
@@ -574,6 +578,100 @@ fn memopt_order_reference(transfers: &TransferSet, layers_n: u32, u_max: u64) ->
         order.push(layer);
     }
     order
+}
+
+// ---- Migration cost ------------------------------------------------
+
+/// Computes how long one batch of transfers takes: every instance moves its
+/// in/out bytes over its NIC in parallel, intra-instance flows use the local
+/// bus, and storage loads stream per instance concurrently with the network.
+fn step_time_reference(
+    transfers: &[Transfer],
+    net: &NetFabric,
+    storage: &ColdStorage,
+) -> SimDuration {
+    if transfers.is_empty() {
+        return SimDuration::ZERO;
+    }
+    let mut nic_out: BTreeMap<InstanceId, u64> = BTreeMap::new();
+    let mut nic_in: BTreeMap<InstanceId, u64> = BTreeMap::new();
+    let mut local: BTreeMap<InstanceId, u64> = BTreeMap::new();
+    let mut storage_in: BTreeMap<InstanceId, u64> = BTreeMap::new();
+    let mut any_inter = false;
+    for t in transfers {
+        match t.source {
+            TransferSource::Gpu(src) if src.instance == t.dest.instance => {
+                *local.entry(src.instance).or_insert(0) += t.bytes;
+            }
+            TransferSource::Gpu(src) => {
+                any_inter = true;
+                *nic_out.entry(src.instance).or_insert(0) += t.bytes;
+                *nic_in.entry(t.dest.instance).or_insert(0) += t.bytes;
+            }
+            TransferSource::Storage => {
+                *storage_in.entry(t.dest.instance).or_insert(0) += t.bytes;
+            }
+        }
+    }
+    let nic_secs = nic_out
+        .values()
+        .chain(nic_in.values())
+        .map(|&b| b as f64 / net.inter_bw)
+        .fold(0.0f64, f64::max);
+    let local_secs = local
+        .values()
+        .map(|&b| b as f64 / net.intra_bw)
+        .fold(0.0f64, f64::max);
+    let storage_secs = storage_in
+        .values()
+        .map(|&b| b as f64 / storage.per_instance_bandwidth)
+        .fold(0.0f64, f64::max);
+    let latency = if any_inter {
+        net.inter_latency
+    } else if !local.is_empty() {
+        net.intra_latency
+    } else {
+        SimDuration::ZERO
+    };
+    latency + SimDuration::from_secs_f64(nic_secs.max(local_secs).max(storage_secs))
+}
+
+/// Walks `plan` step by step and produces its timeline.
+pub fn evaluate_plan_reference(
+    plan: &MigrationPlan,
+    net: &NetFabric,
+    storage: &ColdStorage,
+) -> MigrationTimeline {
+    let mut t = SimDuration::ZERO;
+    let mut cache_done = SimDuration::ZERO;
+    let mut stage_ready = vec![SimDuration::MAX; plan.new_stages as usize];
+    for step in &plan.steps {
+        match step {
+            PlanStep::MigrateCache => {
+                t += step_time_reference(&plan.transfers.cache, net, storage);
+                cache_done = t;
+            }
+            PlanStep::MigrateLayer(layer) => {
+                let xfers = &plan.transfers.layers[*layer as usize].transfers;
+                t += step_time_reference(xfers, net, storage);
+            }
+            PlanStep::StartStage(p) => {
+                stage_ready[*p as usize] = t;
+            }
+        }
+    }
+    for ready in &mut stage_ready {
+        if *ready == SimDuration::MAX {
+            *ready = t;
+        }
+    }
+    MigrationTimeline {
+        cache_done,
+        stage_ready,
+        total: t,
+        network_bytes: plan.transfers.total_network_bytes(),
+        storage_bytes: plan.transfers.total_storage_bytes(),
+    }
 }
 
 // ---- Candidate frontier (Algorithm 1's search space) -----------------

@@ -7,21 +7,28 @@
 //! old mesh at all), a new mesh that shrinks or grows D, a fleet mixing
 //! context-holding, fresh and spare instances, an `SkuTable` of 1–3 SKUs
 //! whose memory requirement can forbid a SKU, and zero, full or
-//! Partial-scaled caches. Every field of every `DeviceMapOutcome`,
-//! `TransferSet` and `MigrationPlan` must be bit-identical. A last
-//! property holds `DeviceAssignment`'s per-instance counts to a scan of
-//! its bindings.
+//! Partial-scaled caches (and, for the timelines, caches so small that
+//! their pieces weigh zero bytes). Every field of every
+//! `DeviceMapOutcome`, `TransferSet`, `MigrationPlan` and
+//! `MigrationTimeline` must be bit-identical, the order-free
+//! `TransferSet::migration_time` must equal the evaluated total, and the
+//! weights-only plan and floor triage derives from a plan must equal the
+//! plan of the zeroed task. A last property holds `DeviceAssignment`'s
+//! per-instance counts to a scan of its bindings.
 
 mod common;
 
-use cloudsim::{GpuRef, InstanceId};
+use cloudsim::{ColdStorage, GpuRef, InstanceId, NetFabric};
 use common::reference::{
-    compute_transfers_reference, map_devices_with_skus_reference, plan_migration_reference,
+    compute_transfers_reference, evaluate_plan_reference, map_devices_with_skus_reference,
+    plan_migration_reference,
 };
 use kmatch::SkuCaps;
 use llmsim::{MemoryModel, ModelSpec};
-use migration::transfers::{compute_transfers, TransferSet};
-use migration::{plan_migration, DeviceAssignment, MigrationTask, PlannerOptions};
+use migration::transfers::{compute_transfers, Transfer, TransferSet, TransferSource};
+use migration::{
+    evaluate_plan, plan_migration, DeviceAssignment, MigrationPlan, MigrationTask, PlannerOptions,
+};
 use parallelism::{MeshPosition, ParallelConfig};
 use proptest::prelude::*;
 use spotserve::devicemap::{map_devices_with_skus, DeviceMapOutcome, OldState, SkuTable};
@@ -107,7 +114,8 @@ struct Case {
 
 impl Case {
     /// `cache_mode`: 0 = no cache, 1 = full caches, 2 = the full caches
-    /// scaled by a Partial-triage fraction.
+    /// scaled by a Partial-triage fraction, 3 = caches under 64 bytes per
+    /// layer, whose pieces mostly weigh zero bytes.
     fn draw(model: usize, gpi: u8, skus: usize, cache_mode: usize, seed: u64) -> Case {
         let mut r = Draw(seed);
         let model = ModelSpec::paper_models()[model].clone();
@@ -158,10 +166,12 @@ impl Case {
             .map(|_| (1 << 20) + r.below(1 << 32))
             .collect();
         let fraction = 0.3 + 0.5 * (r.below(1000) as f64 / 1000.0);
+        let tiny = 64 * model.num_layers as u64;
         let cache_bytes_per_pipeline = match cache_mode {
             0 => vec![0; full.len()],
             1 => full,
-            _ => full.iter().map(|&b| (b as f64 * fraction) as u64).collect(),
+            2 => full.iter().map(|&b| (b as f64 * fraction) as u64).collect(),
+            _ => full.iter().map(|&b| 1 + b % tiny).collect(),
         };
         let old = if r.chance(15) {
             OldState::default()
@@ -272,6 +282,53 @@ fn same_transfers(a: &TransferSet, b: &TransferSet) -> Result<(), TestCaseError>
     Ok(())
 }
 
+fn same_plans(a: &MigrationPlan, b: &MigrationPlan) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&a.steps, &b.steps);
+    prop_assert_eq!(&a.layer_order, &b.layer_order);
+    prop_assert_eq!(a.peak_buffer_growth, b.peak_buffer_growth);
+    prop_assert_eq!(a.new_stages, b.new_stages);
+    same_transfers(&a.transfers, &b.transfers)
+}
+
+/// Planner option sets: the defaults, each ablation (the
+/// `-MigrationPlanner` ablation migrates layers in index order, all at
+/// once), and tight buffers that defer layers to the greedy completion.
+fn planner_options(options: usize) -> PlannerOptions {
+    let defaults = PlannerOptions::default();
+    match options {
+        0 => defaults,
+        1 => PlannerOptions {
+            memory_optimized: false,
+            ..defaults
+        },
+        2 => PlannerOptions {
+            progressive: false,
+            ..defaults
+        },
+        3 => PlannerOptions {
+            memory_optimized: false,
+            progressive: false,
+            ..defaults
+        },
+        4 => PlannerOptions {
+            u_max: 64 << 20,
+            ..defaults
+        },
+        _ => PlannerOptions {
+            u_max: 0,
+            ..defaults
+        },
+    }
+}
+
+/// The network fabrics the serving system plans over, one per SKU.
+const NETS: [NetFabric; 4] = [
+    NetFabric::g4dn_default(),
+    NetFabric::pcie_l4(),
+    NetFabric::nvlink_a100(),
+    NetFabric::nvlink_h100(),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -321,23 +378,116 @@ proptest! {
         let case = Case::draw(model, gpi, skus, cache_mode, seed);
         let outcome = case.map_with(true, map_devices_with_skus_reference);
         let task = case.task(&outcome, seed % 3 == 0, seed % 5 != 0);
-        let defaults = PlannerOptions::default();
-        let opts = match options {
-            0 => defaults,
-            1 => PlannerOptions { memory_optimized: false, ..defaults },
-            2 => PlannerOptions { progressive: false, ..defaults },
-            3 => PlannerOptions { memory_optimized: false, progressive: false, ..defaults },
-            // A tight buffer defers layers to the greedy completion.
-            4 => PlannerOptions { u_max: 64 << 20, ..defaults },
-            _ => PlannerOptions { u_max: 0, ..defaults },
-        };
+        let opts = planner_options(options);
         let fast = plan_migration(&task, &opts);
         let slow = plan_migration_reference(&task, &opts);
-        prop_assert_eq!(&fast.steps, &slow.steps);
-        prop_assert_eq!(&fast.layer_order, &slow.layer_order);
-        prop_assert_eq!(fast.peak_buffer_growth, slow.peak_buffer_growth);
-        prop_assert_eq!(fast.new_stages, slow.new_stages);
-        same_transfers(&fast.transfers, &slow.transfers)?;
+        same_plans(&fast, &slow)?;
+    }
+
+    /// `evaluate_plan` equals the reference evaluator field by field, and
+    /// the order-free `migration_time` equals its total, under every
+    /// planner option set and fabric.
+    #[test]
+    fn timelines_equal_the_reference_and_the_order_free_total(
+        model in 0usize..3,
+        gpi in prop::sample::select(vec![4u8, 8]),
+        skus in 0usize..4,
+        cache_mode in 0usize..4,
+        variant in 0usize..24,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Six planner option sets on each of four fabrics.
+        let (options, net) = (variant % 6, variant / 6);
+        let case = Case::draw(model, gpi, skus, cache_mode, seed);
+        let outcome = case.map_with(true, map_devices_with_skus_reference);
+        let task = case.task(&outcome, seed % 3 == 0, seed % 5 != 0);
+        let plan = plan_migration_reference(&task, &planner_options(options));
+        let (net, storage) = (NETS[net], ColdStorage::default());
+        let tl = evaluate_plan(&plan, &net, &storage);
+        prop_assert_eq!(&tl, &evaluate_plan_reference(&plan, &net, &storage));
+        prop_assert_eq!(plan.transfers.migration_time(&net, &storage), tl.total);
+        prop_assert_eq!(compute_transfers(&task).migration_time(&net, &storage), tl.total);
+    }
+
+    /// Triage's weights-only plan and floor, derived from the full plan,
+    /// equal the reference plan of the zeroed task (no cache, no
+    /// inheritance) and its timeline, field by field.
+    #[test]
+    fn weights_only_plans_equal_the_zeroed_task_plan(
+        model in 0usize..3,
+        gpi in prop::sample::select(vec![4u8, 8]),
+        skus in 0usize..4,
+        cache_mode in 1usize..4,
+        variant in 0usize..24,
+        seed in 0u64..u64::MAX,
+    ) {
+        // Six planner option sets on each of four fabrics.
+        let (options, net) = (variant % 6, variant / 6);
+        let case = Case::draw(model, gpi, skus, cache_mode, seed);
+        let outcome = case.map_with(true, map_devices_with_skus_reference);
+        let task = case.task(&outcome, seed % 3 == 0, true);
+        let opts = planner_options(options);
+        let zeroed = MigrationTask {
+            cache_bytes_per_pipeline: vec![0; task.cache_bytes_per_pipeline.len()],
+            pipeline_inheritance: vec![None; task.pipeline_inheritance.len()],
+            ..task.clone()
+        };
+        let zero_plan = plan_migration_reference(&zeroed, &opts);
+        let (net, storage) = (NETS[net], ColdStorage::default());
+        let zero_tl = evaluate_plan_reference(&zero_plan, &net, &storage);
+
+        let plan = plan_migration(&task, &opts);
+        let floor = evaluate_plan(&plan, &net, &storage).weights_only_total();
+        prop_assert_eq!(floor, zero_tl.total);
+        let weights_only = plan.weights_only();
+        same_plans(&weights_only, &zero_plan)?;
+        prop_assert_eq!(&evaluate_plan(&weights_only, &net, &storage), &zero_tl);
+    }
+}
+
+/// A step's latency follows its flows, not their bytes: a zero-byte
+/// same-instance flow pays the local bus latency, a zero-byte flow across
+/// instances the NIC's, and a storage load none.
+#[test]
+fn zero_byte_flows_still_pay_their_latency() {
+    let gpu = |i: u64, s: u8| GpuRef::new(InstanceId(i), s);
+    let cfg = ParallelConfig::new(1, 1, 2, 8);
+    let task = MigrationTask::fresh_start(&ModelSpec::opt_6_7b(), cfg, &[(InstanceId(0), 2)]);
+    let mut plan = plan_migration(&task, &PlannerOptions::default());
+    let (net, storage) = (NetFabric::g4dn_default(), ColdStorage::default());
+    let flow = |source, dest| Transfer {
+        source,
+        dest,
+        bytes: 0,
+    };
+    let cases = [
+        (
+            vec![flow(TransferSource::Gpu(gpu(0, 0)), gpu(0, 1))],
+            net.intra_latency,
+        ),
+        (
+            vec![flow(TransferSource::Gpu(gpu(0, 0)), gpu(1, 0))],
+            net.inter_latency,
+        ),
+        (
+            vec![
+                flow(TransferSource::Gpu(gpu(0, 0)), gpu(0, 1)),
+                flow(TransferSource::Gpu(gpu(0, 1)), gpu(1, 1)),
+            ],
+            net.inter_latency,
+        ),
+        (
+            vec![flow(TransferSource::Storage, gpu(0, 0))],
+            simkit::SimDuration::ZERO,
+        ),
+    ];
+    for (cache, latency) in cases {
+        plan.transfers.cache = cache;
+        let tl = evaluate_plan(&plan, &net, &storage);
+        assert_eq!(tl, evaluate_plan_reference(&plan, &net, &storage));
+        assert_eq!(tl.cache_done, latency, "{:?}", plan.transfers.cache);
+        assert_eq!(plan.transfers.migration_time(&net, &storage), tl.total);
+        assert_eq!(tl.weights_only_total(), tl.total - latency);
     }
 }
 
@@ -448,4 +598,28 @@ fn case_draws_reach_every_regime() {
         seen, [true; 8],
         "regimes: reuse, forbidden, cache lost, cache moved, storage, shrink, grow, deferred"
     );
+}
+
+/// Tiny caches reach zero-byte cache flows, within an instance and across
+/// instances, so the timeline properties see both.
+#[test]
+fn tiny_caches_reach_zero_byte_flows() {
+    let mut seen = [false; 2];
+    for seed in 0..256u64 {
+        let case = Case::draw(
+            (seed % 3) as usize,
+            [4, 8][(seed / 3 % 2) as usize],
+            (seed % 4) as usize,
+            3,
+            seed,
+        );
+        let outcome = case.map_with(true, map_devices_with_skus);
+        let transfers = compute_transfers(&case.task(&outcome, false, true));
+        for flow in transfers.cache.iter().filter(|f| f.bytes == 0) {
+            if let TransferSource::Gpu(src) = flow.source {
+                seen[usize::from(src.instance != flow.dest.instance)] = true;
+            }
+        }
+    }
+    assert_eq!(seen, [true; 2], "zero-byte flows: same instance, across");
 }
