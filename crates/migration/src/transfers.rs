@@ -143,13 +143,9 @@ impl Interval {
     }
 }
 
-/// `len` parts in `den` of `total` bytes, rounded down. The product fits
-/// `u64` for every model and cache size served; `u128` takes the rest.
+/// `len` parts in `den` of `total` bytes, rounded down.
 fn piece_bytes(len: u64, total: u64, den: u64) -> u64 {
-    match len.checked_mul(total) {
-        Some(product) => product / den,
-        None => (len as u128 * total as u128 / den as u128) as u64,
-    }
+    ((len as u128 * total as u128) / den as u128) as u64
 }
 
 /// Each stage's layer range and each layer's stage, for one mesh depth.

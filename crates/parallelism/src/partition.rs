@@ -120,17 +120,9 @@ impl PositionContext {
         }
         let common_layers = (hi - lo) as u64;
         let (num, den) = shard_overlap(self.shard, self.tensor, other.shard, other.tensor);
-        // layer_bytes ≤ ~2^31, num ≤ 64, common_layers ≤ ~2^7: the product
-        // fits u64 for every model served; u128 takes the rest.
-        match common_layers
-            .checked_mul(layer_bytes)
-            .and_then(|b| b.checked_mul(num))
-        {
-            Some(product) => product / den,
-            None => {
-                ((common_layers as u128 * layer_bytes as u128 * num as u128) / den as u128) as u64
-            }
-        }
+        // layer_bytes ≤ ~2^31, num/den ≤ 1, common_layers ≤ ~2^7: fits u64
+        // comfortably via u128 intermediate.
+        ((common_layers as u128 * layer_bytes as u128 * num as u128) / den as u128) as u64
     }
 
     /// Bytes of this context's own weights, with each full layer weighing

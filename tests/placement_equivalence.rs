@@ -337,7 +337,7 @@ proptest! {
         model in 0usize..3,
         gpi in prop::sample::select(vec![4u8, 8]),
         skus in 0usize..4,
-        cache_mode in 0usize..3,
+        cache_mode in 0usize..4,
         use_km in prop::sample::select(vec![true, true, true, false]),
         seed in 0u64..u64::MAX,
     ) {
@@ -354,7 +354,7 @@ proptest! {
         model in 0usize..3,
         gpi in prop::sample::select(vec![4u8, 8]),
         skus in 0usize..4,
-        cache_mode in 0usize..3,
+        cache_mode in 0usize..4,
         shape in 0usize..4,
         seed in 0u64..u64::MAX,
     ) {
@@ -371,7 +371,7 @@ proptest! {
         model in 0usize..3,
         gpi in prop::sample::select(vec![4u8, 8]),
         skus in 0usize..4,
-        cache_mode in 0usize..3,
+        cache_mode in 0usize..4,
         options in 0usize..6,
         seed in 0u64..u64::MAX,
     ) {
