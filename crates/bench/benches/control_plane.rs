@@ -42,7 +42,8 @@
 //!   re-sort at a boundary (a bare `VecDeque` vs `PendingQueue`'s dirty
 //!   flag). Both re-scan an unchanged 64-deep deferring queue of one
 //!   shape, so every verdict after the first reads the cached projection
-//!   price: they time the scan and the sort, not the pricing;
+//!   price and the prompt length's cached solo floor: they time the scan
+//!   and the sort, not the pricing;
 //! * `best_effort_drive_to_idle` — a best-effort admit/advance drive over
 //!   reused segment buffers.
 

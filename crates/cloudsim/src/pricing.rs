@@ -1,5 +1,6 @@
 //! Billing: metering instance-time and converting it to dollars.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use simkit::{SimDuration, SimTime};
@@ -16,7 +17,9 @@ use crate::instance::{InstanceId, InstanceKind, InstanceType};
 /// [`PriceModel`](crate::PriceModel)), the meter holds the price *path* —
 /// a step function — and integrates each spot lease over it exactly, so
 /// the bill reflects the price actually paid during every segment of the
-/// lease, not a constant. Without a path (the default), the arithmetic is
+/// lease, not a constant. An open lease's bill, asked again and again as
+/// the run's cost rollups are, resumes its walk over the path where the
+/// last query stopped. Without a path (the default), the arithmetic is
 /// the original fixed-price expression, bit-for-bit.
 ///
 /// # Example
@@ -36,7 +39,7 @@ pub struct BillingMeter {
     // Ordered map: `total_usd` sums open leases in iteration order, and
     // float addition is not associative — a hash map would make the total
     // differ by an ulp between identically-seeded runs.
-    open: BTreeMap<InstanceId, (InstanceKind, SimTime)>,
+    open: BTreeMap<InstanceId, OpenLease>,
     closed_usd: f64,
     // Per-kind attribution is accumulated *separately* from `closed_usd`
     // rather than derived by summing the two kinds: float addition is not
@@ -50,6 +53,20 @@ pub struct BillingMeter {
     // price never moves and spot bills at the instance type's list price
     // through the exact legacy expression.
     spot_path: Vec<(SimTime, f64)>,
+}
+
+/// One open lease, and how far its spot bill has been summed.
+#[derive(Debug, Clone)]
+struct OpenLease {
+    kind: InstanceKind,
+    start: SimTime,
+    /// Where the walk over the price path stopped at the last query: the
+    /// index of the first step not yet completed, and the lease's spend
+    /// over the completed steps before it. A query adds only the steps
+    /// completed since, then the partial last one: the additions of a walk
+    /// from the lease start, in its order, so every bill is bit-identical
+    /// to one. Unused without a path.
+    walked: Cell<(usize, f64)>,
 }
 
 impl BillingMeter {
@@ -101,16 +118,22 @@ impl BillingMeter {
     ///
     /// Panics if the instance already has an open lease — leases never nest.
     pub fn lease_started(&mut self, id: InstanceId, kind: InstanceKind, at: SimTime) {
-        let prev = self.open.insert(id, (kind, at));
+        let lease = OpenLease {
+            kind,
+            start: at,
+            walked: Cell::new((self.first_step(at), 0.0)),
+        };
+        let prev = self.open.insert(id, lease);
         assert!(prev.is_none(), "{id} already has an open lease");
     }
 
     /// Records the end of a lease (release or preemption). Unknown ids are
     /// ignored so callers do not need to track double-release corner cases.
     pub fn lease_ended(&mut self, id: InstanceId, at: SimTime) {
-        if let Some((kind, start)) = self.open.remove(&id) {
+        if let Some(lease) = self.open.remove(&id) {
+            let (kind, start) = (lease.kind, lease.start);
             let dur = at.saturating_since(start);
-            let usd = self.lease_usd(kind, start, at);
+            let usd = self.lease_usd(&lease, at);
             self.closed_usd += usd;
             match kind {
                 InstanceKind::Spot => self.closed_usd_spot += usd,
@@ -128,34 +151,51 @@ impl BillingMeter {
         self.instance_type.price_per_hour(kind) * dur.as_secs_f64() / 3600.0
     }
 
-    /// Spend of one lease over `[start, end)`. On-demand leases and spot
+    /// The index of the price step in force at `start`: the last one at
+    /// or before it (the path starts at t=0, so any lease start is
+    /// covered).
+    fn first_step(&self, start: SimTime) -> usize {
+        self.spot_path
+            .partition_point(|&(t, _)| t <= start)
+            .saturating_sub(1)
+    }
+
+    /// Spend of `lease` over `[start, end)`. On-demand leases and spot
     /// leases without a price path take the legacy fixed-price expression
-    /// (bit-for-bit); spot leases with a path integrate it segment by
-    /// segment.
-    fn lease_usd(&self, kind: InstanceKind, start: SimTime, end: SimTime) -> f64 {
+    /// (bit-for-bit); spot leases with a path integrate it step by step,
+    /// resuming the walk where the last query left it when `end` is no
+    /// earlier than that query's completed steps, and from the lease start
+    /// otherwise.
+    fn lease_usd(&self, lease: &OpenLease, end: SimTime) -> f64 {
+        let (kind, start) = (lease.kind, lease.start);
         if kind == InstanceKind::OnDemand || self.spot_path.is_empty() {
             return self.cost_of(kind, end.saturating_since(start));
         }
-        let mut usd = 0.0;
-        // First step at or before `start` (the path starts at t=0, so any
-        // lease start is covered).
-        let first = self
-            .spot_path
-            .partition_point(|&(t, _)| t <= start)
-            .saturating_sub(1);
-        for (i, &(seg_start, price)) in self.spot_path.iter().enumerate().skip(first) {
-            if seg_start >= end {
-                break;
-            }
-            let seg_end = self
-                .spot_path
-                .get(i + 1)
-                .map(|&(t, _)| t.min(end))
-                .unwrap_or(end);
+        let path = &self.spot_path;
+        let first = self.first_step(start);
+        let (mut i, mut usd) = lease.walked.get();
+        // Step `i - 1` ended at `path[i].0`: a query before that instant
+        // must not count it.
+        if i > first && path[i].0 > end {
+            (i, usd) = (first, 0.0);
+        }
+        // Completed steps: each ends at the next step's start, at or
+        // before `end`.
+        while i + 1 < path.len() && path[i + 1].0 <= end {
+            let (seg_start, price) = path[i];
+            let seg_end = path[i + 1].0;
             let from = if seg_start > start { seg_start } else { start };
             if seg_end > from {
                 usd += price * seg_end.saturating_since(from).as_secs_f64() / 3600.0;
             }
+            i += 1;
+        }
+        lease.walked.set((i, usd));
+        // The step in force at `end`, up to `end`.
+        let (seg_start, price) = path[i];
+        let from = if seg_start > start { seg_start } else { start };
+        if seg_start < end && end > from {
+            usd += price * end.saturating_since(from).as_secs_f64() / 3600.0;
         }
         usd
     }
@@ -165,7 +205,7 @@ impl BillingMeter {
         let open: f64 = self
             .open
             .values()
-            .map(|&(kind, start)| self.lease_usd(kind, start, now))
+            .map(|lease| self.lease_usd(lease, now))
             .sum();
         self.closed_usd + open
     }
@@ -182,8 +222,8 @@ impl BillingMeter {
         let open: f64 = self
             .open
             .values()
-            .filter(|&&(k, _)| k == kind)
-            .map(|&(k, start)| self.lease_usd(k, start, now))
+            .filter(|lease| lease.kind == kind)
+            .map(|lease| self.lease_usd(lease, now))
             .sum();
         closed + open
     }
@@ -323,6 +363,87 @@ mod tests {
         let mut m = meter();
         m.lease_started(InstanceId(1), InstanceKind::Spot, SimTime::ZERO);
         m.set_spot_path(vec![(SimTime::ZERO, 1.0)]);
+    }
+
+    /// A spot lease's bill as every query walked it before open leases
+    /// resumed their walks: from the lease start, step by step.
+    fn walk_from_lease_start(path: &[(SimTime, f64)], start: SimTime, end: SimTime) -> f64 {
+        let mut usd = 0.0;
+        let first = path.partition_point(|&(t, _)| t <= start).saturating_sub(1);
+        for (i, &(seg_start, price)) in path.iter().enumerate().skip(first) {
+            if seg_start >= end {
+                break;
+            }
+            let seg_end = path.get(i + 1).map(|&(t, _)| t.min(end)).unwrap_or(end);
+            let from = if seg_start > start { seg_start } else { start };
+            if seg_end > from {
+                usd += price * seg_end.saturating_since(from).as_secs_f64() / 3600.0;
+            }
+        }
+        usd
+    }
+
+    #[test]
+    fn resumed_walks_bill_like_walks_from_the_lease_start() {
+        for seed in 0..64 {
+            let mut rng = simkit::SimRng::new(seed);
+            // One-minute steps with the odd longer gap, as an OU path has.
+            let mut path = vec![(SimTime::ZERO, 1.0 + rng.f64())];
+            for _ in 0..rng.range_inclusive(0, 120) {
+                let last = path.last().unwrap().0.as_micros();
+                let gap = 60_000_000 * rng.range_inclusive(1, 3) - rng.below(2);
+                path.push((SimTime::from_micros(last + gap), 0.5 + 3.0 * rng.f64()));
+            }
+            let horizon = path.last().unwrap().0.as_micros() + 120_000_000;
+            let mut m = meter();
+            m.set_spot_path(path.clone());
+            // Queries land anywhere, on step boundaries, on lease starts,
+            // twice at one instant, and sometimes before the last one.
+            let mut open: BTreeMap<InstanceId, SimTime> = BTreeMap::new();
+            let (mut closed, mut now) = (0.0, SimTime::ZERO);
+            for q in 0..200u64 {
+                let boundary = path[rng.below(path.len() as u64) as usize].0;
+                now = match rng.below(6) {
+                    0 => boundary,
+                    1 => SimTime::from_micros(rng.below(horizon)),
+                    2 => now,
+                    3 => {
+                        SimTime::from_micros(now.as_micros().saturating_sub(rng.below(600_000_000)))
+                    }
+                    _ => SimTime::from_micros(
+                        (now.as_micros() + rng.below(300_000_000)).min(horizon),
+                    ),
+                };
+                match rng.below(4) {
+                    0 => {
+                        m.lease_started(InstanceId(q), InstanceKind::Spot, now);
+                        open.insert(InstanceId(q), now);
+                    }
+                    1 if !open.is_empty() => {
+                        let id = *open
+                            .keys()
+                            .nth(rng.below(open.len() as u64) as usize)
+                            .unwrap();
+                        let start = open.remove(&id).unwrap();
+                        let end = now.max(start);
+                        m.lease_ended(id, end);
+                        closed += walk_from_lease_start(&path, start, end);
+                    }
+                    _ => {}
+                }
+                let open_usd: f64 = open
+                    .values()
+                    .map(|&start| walk_from_lease_start(&path, start, now))
+                    .sum();
+                let want = (closed + open_usd).to_bits();
+                assert_eq!(m.total_usd(now).to_bits(), want, "seed {seed}, query {q}");
+                assert_eq!(
+                    m.usd_of_kind(InstanceKind::Spot, now).to_bits(),
+                    want,
+                    "seed {seed}, query {q}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -54,15 +54,33 @@
 //! Deadline-free workloads take the legacy FIFO path untouched —
 //! byte-identical to the pre-EDF engine.
 //!
-//! The projection's per-pass price is a function of the residents' worst
-//! passes, the candidate's worst pass, the configuration and the perf
-//! model alone, so the scheduler prices it once: it keeps its last
-//! answer, keyed on the candidate's worst pass and the perf model, and
-//! drops it wherever the residents' entries or the configuration change
-//! (debug builds re-price every cached answer and compare). A caller
-//! whose own scan has just cleared a candidate with
+//! A caller whose own scan has just cleared a candidate with
 //! [`IterationScheduler::can_admit`] truncates the segment for it with
 //! [`IterationScheduler::truncate_for_admission`].
+//!
+//! # Pricing
+//!
+//! Every pass the scheduler prices — segment passes, chunk passes,
+//! admission projections and solo floors — goes through one boxed
+//! [`llmsim::PassPricer`] for its mesh, which derives the mesh's terms
+//! once and tables the terms fixed by a pass's total new tokens. The
+//! pricer remembers the perf model it was built from and is rebuilt when a
+//! call brings one that compares unequal (clones of one model compare by
+//! a shared id, without reading fields). Two prices are remembered beside
+//! it:
+//!
+//! * the projection's per-pass price, a function of the residents' worst
+//!   passes, the candidate's worst pass, the mesh and the perf model
+//!   alone: the last answer is kept, keyed on the candidate's worst pass,
+//!   and dropped wherever the residents' entries or the configuration
+//!   change;
+//! * the solo floor's two passes (the lightest chunk and the first
+//!   decode), which depend only on the prompt length, the chunk size, the
+//!   mesh and the perf model: priced once per prompt length.
+//!
+//! Every answer equals [`parallelism::PerfModel::mixed_iteration_time`]
+//! of the same pass bit for bit; debug builds re-price each one, cached
+//! or not, and compare.
 
 use std::cell::RefCell;
 
@@ -70,7 +88,7 @@ use parallelism::{ParallelConfig, PerfModel};
 use simkit::{SimDuration, SimTime};
 use workload::{Request, RequestId};
 
-use llmsim::SeqWork;
+use llmsim::{PassPricer, SeqWork};
 
 use crate::queue::AdmissionQueue;
 
@@ -224,16 +242,152 @@ impl RequestRun {
     }
 }
 
-/// Scratch space, not scheduler state: a reusable pricing buffer or the
-/// last price it produced, behind interior mutability so `&self` verdict
-/// queries can use it too, and equality-transparent so two schedulers
-/// with identical in-flight work compare equal whatever it last held.
+/// Scratch space, not scheduler state: the pricer and the prices it
+/// remembers, behind interior mutability so `&self` verdict queries can
+/// use it too, and equality-transparent so two schedulers with identical
+/// in-flight work compare equal whatever it last held.
 #[derive(Debug, Clone, Default)]
 struct Scratch<T>(RefCell<T>);
 
 impl<T> PartialEq for Scratch<T> {
     fn eq(&self, _: &Self) -> bool {
         true
+    }
+}
+
+/// Distinct prompt lengths whose solo floors a [`Pricer`] remembers; it
+/// forgets them all when one more arrives.
+const FLOOR_SLOTS: usize = 16;
+
+/// Everything a scheduler prices passes with: one [`PassPricer`] for its
+/// mesh under the perf model it was built from, and the prices that depend
+/// on nothing else the scheduler changes. Boxed, so the scheduler stays
+/// small. Every answer equals [`PerfModel::mixed_iteration_time`] of the
+/// same pass, which debug builds check on each one, cached or not.
+#[derive(Debug, Clone)]
+struct Pricer {
+    /// The perf model `pass` was built from: a call with a model that
+    /// compares unequal builds a new pricer.
+    perf: PerfModel,
+    pass: PassPricer,
+    /// Reused mixed-pass buffer for segment and projection pricing.
+    seqs: Vec<SeqWork>,
+    /// The admission projection's last per-pass price, keyed on the
+    /// candidate's worst pass. The price is a function of that key, the
+    /// residents' worst passes, the mesh and the perf model, so every
+    /// change to the residents' entries or the configuration clears it.
+    projection: Option<(SeqWork, SimDuration)>,
+    /// Per prompt length, the solo floor's two passes: the lightest
+    /// prefill chunk and the lightest decode. Both depend only on the
+    /// prompt length, the chunk size, the mesh and the perf model.
+    floors: Vec<(u32, SimDuration, SimDuration)>,
+}
+
+impl Pricer {
+    /// The pricer in `slot`, first built (or rebuilt) when it is missing
+    /// or was built from a perf model other than `perf`.
+    #[inline]
+    fn for_perf<'a>(
+        slot: &'a mut Option<Box<Pricer>>,
+        perf: &PerfModel,
+        cfg: &ParallelConfig,
+    ) -> &'a mut Pricer {
+        if slot.as_ref().is_none_or(|p| p.perf != *perf) {
+            *slot = Some(Pricer::build(perf, cfg));
+        }
+        slot.as_mut().expect("built above")
+    }
+
+    /// A fresh pricer, out of line: it is built once per scheduler (or
+    /// per new perf model), while the check before it runs on every pass.
+    #[cold]
+    fn build(perf: &PerfModel, cfg: &ParallelConfig) -> Box<Pricer> {
+        Box::new(Pricer {
+            perf: perf.clone(),
+            pass: perf.pass_pricer(cfg),
+            seqs: Vec::new(),
+            projection: None,
+            floors: Vec::new(),
+        })
+    }
+
+    /// Prices the pass in the buffer.
+    fn price_seqs(&mut self, cfg: &ParallelConfig) -> SimDuration {
+        let t = self.pass.price(&self.seqs);
+        self.debug_check(cfg, &self.seqs, t);
+        t
+    }
+
+    /// Prices a single-sequence pass.
+    fn price_one(&mut self, cfg: &ParallelConfig, work: SeqWork) -> SimDuration {
+        let t = self.pass.price(std::slice::from_ref(&work));
+        self.debug_check(cfg, &[work], t);
+        t
+    }
+
+    /// Debug-build guard: `t` must be the cost model's own price of
+    /// `seqs`.
+    fn debug_check(&self, cfg: &ParallelConfig, seqs: &[SeqWork], t: SimDuration) {
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                self.perf.mixed_iteration_time(cfg, seqs),
+                t,
+                "pricer answer differs from the cost model on {seqs:?}"
+            );
+        }
+    }
+
+    /// The projection's per-pass bound: one mixed pass in which every
+    /// resident (`residents`, their worst passes) and the candidate
+    /// contribute their worst work, priced once per candidate worst pass
+    /// between changes to the residents or the configuration.
+    fn projection(
+        &mut self,
+        cfg: &ParallelConfig,
+        residents: &[SeqWork],
+        candidate: SeqWork,
+    ) -> SimDuration {
+        if let Some((key, t)) = self.projection {
+            if key == candidate {
+                if cfg!(debug_assertions) {
+                    let mut fresh = residents.to_vec();
+                    fresh.push(candidate);
+                    self.debug_check(cfg, &fresh, t);
+                }
+                return t;
+            }
+        }
+        self.seqs.clear();
+        self.seqs.extend_from_slice(residents);
+        self.seqs.push(candidate);
+        let t = self.price_seqs(cfg);
+        self.projection = Some((candidate, t));
+        t
+    }
+
+    /// The solo floor's two passes for an `s_in`-token prompt split into
+    /// chunks of `chunk` tokens: the first chunk (the lightest) and the
+    /// first decode (the shortest context), priced once per prompt length.
+    fn solo_floor(
+        &mut self,
+        cfg: &ParallelConfig,
+        s_in: u32,
+        chunk: u32,
+    ) -> (SimDuration, SimDuration) {
+        let best_chunk = SeqWork::prefill_chunk(0, chunk);
+        let best_decode = SeqWork::decode(s_in + 1);
+        if let Some(&(_, c, d)) = self.floors.iter().find(|f| f.0 == s_in) {
+            self.debug_check(cfg, &[best_chunk], c);
+            self.debug_check(cfg, &[best_decode], d);
+            return (c, d);
+        }
+        if self.floors.len() == FLOOR_SLOTS {
+            self.floors.clear();
+        }
+        let c = self.price_one(cfg, best_chunk);
+        let d = self.price_one(cfg, best_decode);
+        self.floors.push((s_in, c, d));
+        (c, d)
     }
 }
 
@@ -325,13 +479,10 @@ pub struct IterationScheduler {
     /// `running` (`None` for best-effort residents) — maintained alongside
     /// `slo_worst`.
     slo_deadlines: Vec<Option<(SimTime, u64)>>,
-    /// The admission projection's last per-pass price, keyed on the
-    /// candidate's worst pass and the perf model. The price is a function
-    /// of `slo_worst`, that key and `cfg`, so every change to `slo_worst`
-    /// or `cfg` clears it.
-    projection: Scratch<Option<(SeqWork, PerfModel, SimDuration)>>,
-    /// Reused mixed-pass buffer for segment and projection pricing.
-    pass_scratch: Scratch<Vec<SeqWork>>,
+    /// Prices every pass: segments, chunks, projections and solo floors.
+    /// Built at the first pass priced, and again when a call brings
+    /// another perf model or the chunk size changes.
+    pricer: Scratch<Option<Box<Pricer>>>,
     /// Cumulative admission/retire tallies for telemetry rollups (a few
     /// integer bumps per boundary; never read on the scheduling path).
     counters: EngineCounters,
@@ -398,8 +549,7 @@ impl IterationScheduler {
             rejected: Vec::new(),
             slo_worst: Vec::new(),
             slo_deadlines: Vec::new(),
-            projection: Scratch::default(),
-            pass_scratch: Scratch::default(),
+            pricer: Scratch::default(),
             counters: EngineCounters::default(),
         }
     }
@@ -429,6 +579,8 @@ impl IterationScheduler {
             "chunk size cannot change with work in flight"
         );
         self.chunk = chunk.unwrap_or(u32::MAX);
+        // The solo floors it remembers were priced for the old chunk.
+        *self.pricer.0.get_mut() = None;
         self
     }
 
@@ -678,7 +830,9 @@ impl IterationScheduler {
     /// Drops the cached projection price: the residents' entries or the
     /// configuration it was priced from changed.
     fn forget_projection(&mut self) {
-        *self.projection.0.get_mut() = None;
+        if let Some(pricer) = self.pricer.0.get_mut() {
+            pricer.projection = None;
+        }
     }
 
     /// Debug-build guard: the incrementally maintained entries must equal
@@ -736,8 +890,8 @@ impl IterationScheduler {
     }
 
     /// [`IterationScheduler::slo_verdict`] against the incrementally
-    /// maintained per-resident entries, pricing through the reused
-    /// scratch buffer — no allocation per verdict.
+    /// maintained per-resident entries, priced through the scheduler's
+    /// pricer — no allocation per verdict.
     fn slo_verdict_inner(&self, r: &Request, now: SimTime, perf: &PerfModel) -> AdmissionVerdict {
         if r.deadline.is_none() && !self.residents_carry_deadlines() {
             return AdmissionVerdict::Admit;
@@ -745,9 +899,12 @@ impl IterationScheduler {
         // Same contract as admission itself: the projection arithmetic
         // below assumes at least one output token.
         assert!(r.s_out > 0, "generation must produce tokens");
-        let t_worst = self.projected_pass_time(
+        let mut slot = self.pricer.0.borrow_mut();
+        let pricer = Pricer::for_perf(&mut slot, perf, &self.cfg);
+        let t_worst = pricer.projection(
+            &self.cfg,
+            &self.slo_worst,
             Self::worst_pass_work(r.s_in, r.s_out, true, self.chunk),
-            perf,
         );
         let chunk = self.chunk.min(r.s_in).max(1);
         if let Some(deadline) = r.deadline {
@@ -760,10 +917,7 @@ impl IterationScheduler {
                 // monotone in context, so this underestimates the real solo
                 // time — a request it cannot rule out merely defers.
                 let chunks = (r.s_in.div_ceil(chunk) as u64).max(1);
-                let best_chunk =
-                    perf.mixed_iteration_time(&self.cfg, &[SeqWork::prefill_chunk(0, chunk)]);
-                let best_decode =
-                    perf.mixed_iteration_time(&self.cfg, &[SeqWork::decode(r.s_in + 1)]);
+                let (best_chunk, best_decode) = pricer.solo_floor(&self.cfg, r.s_in, chunk);
                 let solo_floor = now + best_chunk * chunks + best_decode * (r.s_out - 1) as u64;
                 return if solo_floor > deadline {
                     AdmissionVerdict::Reject
@@ -778,37 +932,6 @@ impl IterationScheduler {
             }
         }
         AdmissionVerdict::Admit
-    }
-
-    /// The projection's per-pass bound: one mixed pass in which every
-    /// resident and the candidate contribute their worst work. Priced once
-    /// per candidate worst pass and perf model between changes to the
-    /// residents' entries or the configuration, which clear the cache;
-    /// debug builds re-price every cached answer.
-    fn projected_pass_time(&self, candidate: SeqWork, perf: &PerfModel) -> SimDuration {
-        let mut projection = self.projection.0.borrow_mut();
-        if let Some((key, model, t)) = &*projection {
-            if *key == candidate && model == perf {
-                #[cfg(debug_assertions)]
-                {
-                    let mut fresh = self.slo_worst.clone();
-                    fresh.push(candidate);
-                    assert_eq!(
-                        perf.mixed_iteration_time(&self.cfg, &fresh),
-                        *t,
-                        "stale projection price"
-                    );
-                }
-                return *t;
-            }
-        }
-        let mut seqs = self.pass_scratch.0.borrow_mut();
-        seqs.clear();
-        seqs.extend_from_slice(&self.slo_worst);
-        seqs.push(candidate);
-        let t = perf.mixed_iteration_time(&self.cfg, &seqs);
-        *projection = Some((candidate, perf.clone(), t));
-        t
     }
 
     /// Admits from `pending` at an iteration boundary, then (re)starts the
@@ -1072,25 +1195,26 @@ impl IterationScheduler {
     /// never engages at all.
     fn start_segment(&mut self, now: SimTime, perf: &PerfModel) {
         debug_assert!(!self.running.is_empty());
-        // Segment pricing runs at every boundary: reuse one scratch buffer
-        // across segments instead of allocating fresh `Vec<SeqWork>`s.
-        let mut seqs = self.pass_scratch.0.borrow_mut();
-        if self.chunk != u32::MAX
+        // Segment pricing runs at every boundary: reuse the pricer's
+        // buffer across segments instead of allocating `Vec<SeqWork>`s.
+        let pricer = Pricer::for_perf(self.pricer.0.get_mut(), perf, &self.cfg);
+        let chunk = self.chunk;
+        if chunk != u32::MAX
             && self
                 .running
                 .iter()
-                .any(|r| r.request.s_in - r.prefilled > self.chunk)
+                .any(|r| r.request.s_in - r.prefilled > chunk)
         {
-            seqs.clear();
-            seqs.extend(self.running.iter().map(|r| {
+            pricer.seqs.clear();
+            pricer.seqs.extend(self.running.iter().map(|r| {
                 if r.needs_prefill() {
                     let left = r.request.s_in - r.prefilled;
-                    SeqWork::prefill_chunk(r.prefilled, left.min(self.chunk))
+                    SeqWork::prefill_chunk(r.prefilled, left.min(chunk))
                 } else {
                     SeqWork::decode(r.request.s_in + r.committed)
                 }
             }));
-            let pass = perf.mixed_iteration_time(&self.cfg, &seqs);
+            let pass = pricer.price_seqs(&self.cfg);
             self.segment = Some(Segment {
                 start: now,
                 first_boundary: now + pass,
@@ -1109,12 +1233,14 @@ impl IterationScheduler {
         let mid_ctx = |r: &RequestRun| {
             (r.request.s_in + r.committed + k / 2).min(r.request.s_in + r.request.s_out)
         };
-        seqs.clear();
-        seqs.extend(self.running.iter().map(|r| SeqWork::decode(mid_ctx(r))));
-        let iter_time = perf.mixed_iteration_time(&self.cfg, &seqs);
+        pricer.seqs.clear();
+        pricer
+            .seqs
+            .extend(self.running.iter().map(|r| SeqWork::decode(mid_ctx(r))));
+        let iter_time = pricer.price_seqs(&self.cfg);
         let first_iter = if self.running.iter().any(RequestRun::needs_prefill) {
-            seqs.clear();
-            seqs.extend(self.running.iter().map(|r| {
+            pricer.seqs.clear();
+            pricer.seqs.extend(self.running.iter().map(|r| {
                 if r.needs_prefill() {
                     // The whole remaining prompt in one pass (a record
                     // checkpointed mid-chunk resumes only the tokens it
@@ -1127,7 +1253,7 @@ impl IterationScheduler {
                     SeqWork::decode(mid_ctx(r))
                 }
             }));
-            perf.mixed_iteration_time(&self.cfg, &seqs)
+            pricer.price_seqs(&self.cfg)
         } else {
             iter_time
         };
@@ -1674,13 +1800,28 @@ mod tests {
     /// model, the earliest deadlines at which the rebuilt scheduler stops
     /// rejecting and starts admitting (found by bisection, the verdict
     /// being monotone in the deadline), and the microsecond before each.
-    /// A projection priced from stale residents, another configuration or
-    /// another perf model moves an edge and fails here. The probes start
-    /// and end on the same shape and model, so a cache entry surviving
-    /// from the last check is asked first.
+    /// A projection or solo floor priced from stale residents, another
+    /// configuration or another perf model moves an edge and fails here.
+    /// The probes vary the prompt length, pass between `perfs[0]` and
+    /// `perfs[1]` (equal models built separately) and `perfs[2]` (another
+    /// model), and start and end on the same shape and model, so prices
+    /// surviving from the last check are asked first.
     fn assert_verdicts_match_rebuilt(s: &IterationScheduler, now: SimTime, perfs: &[PerfModel]) {
-        let shapes = [(512, 128), (96, 24), (1024, 48)];
-        let order = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 0), (2, 1), (0, 0)];
+        let shapes = [(512, 128), (96, 24), (1024, 48), (300, 64), (768, 16)];
+        let order = [
+            (0, 0),
+            (0, 1),
+            (1, 1),
+            (1, 0),
+            (2, 2),
+            (2, 0),
+            (3, 1),
+            (3, 2),
+            (4, 0),
+            (4, 1),
+            (1, 2),
+            (0, 0),
+        ];
         // Reject, Defer, Admit: the order the deadline loosens in.
         let rank = |v: AdmissionVerdict| match v {
             AdmissionVerdict::Reject => 0,
@@ -1722,12 +1863,18 @@ mod tests {
                 }
             }
         }
-        assert!(edges >= order.len(), "every probe finds its admit edge");
+        assert_eq!(edges, 2 * order.len(), "every probe finds both edges");
     }
 
     #[test]
     fn cached_projections_answer_like_a_rebuilt_scheduler() {
-        let perfs = [perf(), PerfModel::paper_defaults(ModelSpec::gpt_20b())];
+        let perfs = [
+            perf(),
+            perf(),
+            PerfModel::paper_defaults(ModelSpec::gpt_20b()),
+        ];
+        assert_eq!(perfs[0], perfs[1], "built separately, equal");
+        assert_ne!(perfs[0], perfs[2]);
         let p = &perfs[0];
         for chunk in [None, Some(256)] {
             // Deadline carriers in mixed shapes, so admission prices every

@@ -1,5 +1,35 @@
 //! Analytical iteration-latency model (the stand-in for the paper's
 //! offline profiler, §5).
+//!
+//! # The forward-pass formula
+//!
+//! One forward pass of `T` new tokens over an `L`-layer model on a mesh
+//! of `P` stages of `M` tensor shards costs
+//!
+//! ```text
+//! t = scale · ( L · (max(compute, memory) + all-reduces)
+//!               + hops + unembedding + host overhead )
+//! ```
+//!
+//! rounded to the microsecond, and its terms fall into three parts:
+//!
+//! 1. **Mesh terms**, fixed by the cost model, the model and `P×M`: the
+//!    weight-shard bytes each layer streams, the achieved memory
+//!    bandwidth, the time to stream the unembedding shard, and the dense
+//!    FLOPs per token per layer.
+//! 2. **Token terms**, fixed by `T`: the compute efficiency
+//!    `f·T / (T + T½)` and with it the effective FLOP rate, the
+//!    unembedding (its streaming time or its GEMM, whichever is longer),
+//!    the two ring all-reduces per layer when `M > 1`, and the `P − 1`
+//!    stage hops when `P > 1`, both carrying `T·h·4` activation bytes.
+//! 3. **Pass terms**: the pass's per-layer FLOPs, grouped by distinct
+//!    context, and its context sum, which set each layer's compute time
+//!    and its KV-cache reads.
+//!
+//! [`CostModel::forward_time`] and [`CostModel::mixed_forward_time`] run
+//! all three parts on every call. A [`PassPricer`] derives the mesh terms
+//! once and keeps the token terms of recent totals in a table, and runs
+//! the same code for each part, so its answers are the same bits.
 
 use cloudsim::{GpuSpec, InstanceType, NetFabric};
 use simkit::SimDuration;
@@ -247,14 +277,30 @@ impl CostModel {
         self.latency_scale
     }
 
-    /// Compute-efficiency saturation at `tokens` tokens in flight.
-    fn compute_eff(&self, tokens: f64) -> f64 {
-        self.eff.compute_fraction * tokens / (tokens + self.eff.compute_half_tokens)
-    }
-
-    /// Whether an `m`-way tensor-parallel group spans instances.
-    fn tp_spans_instances(&self, m: u32) -> bool {
-        m > self.gpus_per_instance as u32
+    /// The terms of the forward-pass formula fixed by this cost model,
+    /// `model` and the `P×M` mesh: the first of its three parts.
+    fn mesh_terms(&self, model: &ModelSpec, p: u32, m: u32) -> MeshTerms {
+        let m_f = m as f64;
+        let eff_bw = self.gpu.mem_bandwidth * self.eff.mem_fraction;
+        // Unembedding (logits projection) streams the V×h matrix once per
+        // pass on the last stage's shard group.
+        let unembed_bytes =
+            model.vocab_size as f64 * model.hidden_size as f64 * model.bytes_per_param as f64 / m_f;
+        MeshTerms {
+            p,
+            m,
+            net: self.net,
+            spans_instances: m > self.gpus_per_instance as u32,
+            m_f,
+            model: model.clone(),
+            dense_flops: model.flops_per_token_per_layer(),
+            peak_flops: self.gpu.peak_flops,
+            eff: self.eff,
+            eff_bw,
+            weight_bytes: model.layer_bytes() as f64 / m_f,
+            unembed_mem_t: unembed_bytes / eff_bw,
+            latency_scale: self.latency_scale,
+        }
     }
 
     /// Latency of one full forward pass (all `L` layers) for a batch of `b`
@@ -281,11 +327,15 @@ impl CostModel {
         // prefill/decode pricing on the optimizer's hot loop. The
         // `mixed_reduces_to_uniform_bit_exactly` test pins it equal to
         // `mixed_forward_time` over `b` identical sequences.
-        let tokens_total = (b * tokens_per_seq) as f64;
-        let flops_per_layer = tokens_total
-            * (model.flops_per_token_per_layer() + model.attn_flops_per_token_per_layer(ctx));
+        let mesh = self.mesh_terms(model, p, m);
+        let tokens = b * tokens_per_seq;
+        let flops_per_layer = tokens as f64 * mesh.flops_per_token(ctx);
         let kv_ctx_total = (b as f64) * (ctx as f64);
-        self.assemble_forward_time(model, p, m, tokens_total, flops_per_layer, kv_ctx_total)
+        mesh.pass_time(
+            &mesh.token_terms(tokens as u64),
+            flops_per_layer,
+            kv_ctx_total,
+        )
     }
 
     /// Latency of one full forward pass over a *mixed* batch: each sequence
@@ -295,7 +345,8 @@ impl CostModel {
     ///
     /// For a uniform batch this reduces bit-exactly to
     /// [`CostModel::forward_time`] (per-context terms are grouped before
-    /// any floating-point multiply).
+    /// any floating-point multiply). A [`PassPricer`] prices the same
+    /// passes to the same microsecond, faster when one mesh prices many.
     ///
     /// # Panics
     ///
@@ -309,107 +360,13 @@ impl CostModel {
         seqs: &[SeqWork],
     ) -> SimDuration {
         assert!(p > 0 && m > 0 && !seqs.is_empty(), "degenerate forward");
-
-        // Integer pre-aggregation keeps the uniform case bit-identical to
-        // the closed-form uniform formula: new tokens are grouped by
-        // context length and context lengths are summed exactly before any
-        // float multiply.
-        let mut total_tokens: u64 = 0;
-        let mut total_ctx: u64 = 0;
-        for s in seqs {
-            assert!(s.new_tokens > 0, "degenerate forward");
-            total_tokens += s.new_tokens as u64;
-            total_ctx += s.ctx as u64;
-        }
-        let tokens_total = total_tokens as f64;
-
-        // Per-layer compute: dense projections + context attention, one
-        // term per distinct context length. Groups form in first-seen
-        // order with exact integer token sums — the same order and sums a
-        // scratch `Vec<(ctx, tokens)>` would produce, so the f64
-        // accumulation is bit-identical to the old buffered grouping — but
-        // without allocating: the first sequence at each context owns the
-        // group and re-scans the tail for its members. This sits on the
-        // continuous engine's per-iteration hot path, where in-flight sets
-        // are small and the rescan is cheaper than a heap allocation.
-        let mut flops_per_layer = 0.0;
-        for (i, s) in seqs.iter().enumerate() {
-            if seqs[..i].iter().any(|prev| prev.ctx == s.ctx) {
-                continue; // group already accumulated at its first member
-            }
-            let mut group_tokens: u64 = s.new_tokens as u64;
-            for later in &seqs[i + 1..] {
-                if later.ctx == s.ctx {
-                    group_tokens += later.new_tokens as u64;
-                }
-            }
-            flops_per_layer += group_tokens as f64
-                * (model.flops_per_token_per_layer() + model.attn_flops_per_token_per_layer(s.ctx));
-        }
-        self.assemble_forward_time(model, p, m, tokens_total, flops_per_layer, total_ctx as f64)
-    }
-
-    /// The shared tail of the forward-pass model, past per-sequence
-    /// aggregation: `tokens_total` new tokens, `flops_per_layer` compute,
-    /// and `kv_ctx_total` total attention-context tokens read.
-    fn assemble_forward_time(
-        &self,
-        model: &ModelSpec,
-        p: u32,
-        m: u32,
-        tokens_total: f64,
-        flops_per_layer: f64,
-        kv_ctx_total: f64,
-    ) -> SimDuration {
-        let layers = model.num_layers as f64;
-        let eff_flops = self.gpu.peak_flops * self.compute_eff(tokens_total);
-        let compute_t = flops_per_layer / (m as f64 * eff_flops);
-
-        // Per-layer memory: stream the weight shard once per forward pass,
-        // plus KV-cache reads for attention (each sequence reads its own
-        // context).
-        let eff_bw = self.gpu.mem_bandwidth * self.eff.mem_fraction;
-        let weight_bytes = model.layer_bytes() as f64 / m as f64;
-        let kv_bytes_layer = kv_ctx_total
-            * 2.0
-            * model.hidden_size as f64
-            * model.bytes_per_kv as f64
-            * self.eff.kv_read_penalty
-            / m as f64;
-        let mem_t = (weight_bytes + kv_bytes_layer) / eff_bw;
-
-        let layer_t = compute_t.max(mem_t);
-
-        // Unembedding (logits projection): stream the V×h matrix and run
-        // the GEMM once per forward pass on the last stage's shard group.
-        let unembed_bytes =
-            model.vocab_size as f64 * model.hidden_size as f64 * model.bytes_per_param as f64
-                / m as f64;
-        let unembed_flops = 2.0 * tokens_total * model.vocab_size as f64 * model.hidden_size as f64;
-        let unembed_t = (unembed_bytes / eff_bw).max(unembed_flops / (m as f64 * eff_flops));
-
-        // Tensor parallelism: two ring all-reduces per layer over the
-        // activation tensor (fp32).
-        let act_bytes = (tokens_total * model.hidden_size as f64 * 4.0) as u64;
-        let ar = if m > 1 {
-            self.net
-                .all_reduce_time(act_bytes, m, self.tp_spans_instances(m))
-                .as_secs_f64()
-                * 2.0
-        } else {
-            0.0
-        };
-
-        // Pipeline parallelism: p−1 cross-stage activation hops
-        // (stages are placed on distinct instances in the common case).
-        let p2p = if p > 1 {
-            self.net.p2p_time(act_bytes, false).as_secs_f64() * (p - 1) as f64
-        } else {
-            0.0
-        };
-
-        let total = layers * (layer_t + ar) + p2p + unembed_t + self.eff.host_overhead;
-        SimDuration::from_secs_f64(total * self.latency_scale)
+        let mesh = self.mesh_terms(model, p, m);
+        let work = mesh.pass_work(seqs);
+        mesh.pass_time(
+            &mesh.token_terms(work.tokens),
+            work.flops_per_layer,
+            work.ctx as f64,
+        )
     }
 
     /// Latency of the initial (prefill) phase over `s_in` input tokens.
@@ -454,6 +411,241 @@ impl CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel::t4_cluster()
+    }
+}
+
+/// The first part of the forward-pass formula: every term fixed by the
+/// cost model, the model and the `P×M` mesh.
+#[derive(Debug, Clone)]
+struct MeshTerms {
+    p: u32,
+    m: u32,
+    net: NetFabric,
+    /// Whether the `m`-way tensor-parallel group spans instances.
+    spans_instances: bool,
+    m_f: f64,
+    model: ModelSpec,
+    /// Dense-projection FLOPs per token per layer.
+    dense_flops: f64,
+    peak_flops: f64,
+    eff: Efficiency,
+    /// Achieved memory bandwidth, bytes/s.
+    eff_bw: f64,
+    /// Weight-shard bytes streamed per layer per pass.
+    weight_bytes: f64,
+    /// Time to stream the unembedding shard.
+    unembed_mem_t: f64,
+    latency_scale: f64,
+}
+
+/// The second part: the terms fixed by a pass's total new tokens.
+#[derive(Debug, Clone, Copy, Default)]
+struct TokenTerms {
+    /// `M` × the effective FLOP rate at this many tokens in flight.
+    compute_den: f64,
+    unembed_t: f64,
+    /// The two ring all-reduces per layer (tensor parallelism).
+    all_reduce: f64,
+    /// The `P − 1` cross-stage activation hops (pipeline parallelism).
+    hops: f64,
+}
+
+/// The third part's input: a pass's own new tokens, per-layer FLOPs and
+/// attention-context sum.
+struct PassWork {
+    tokens: u64,
+    flops_per_layer: f64,
+    ctx: u64,
+}
+
+impl MeshTerms {
+    /// Dense plus attention FLOPs of one token over one layer at context
+    /// `ctx`.
+    fn flops_per_token(&self, ctx: u32) -> f64 {
+        self.dense_flops + self.model.attn_flops_per_token_per_layer(ctx)
+    }
+
+    /// Sums a mixed pass's work (`seqs` is not empty). Context lengths and
+    /// new tokens are summed exactly in integers, and FLOPs are grouped per
+    /// distinct context before any float multiply, so a uniform batch
+    /// prices bit-exactly as [`CostModel::forward_time`].
+    fn pass_work(&self, seqs: &[SeqWork]) -> PassWork {
+        let first_ctx = seqs[0].ctx;
+        let mut tokens: u64 = 0;
+        let mut ctx: u64 = 0;
+        let mut one_context = true;
+        for s in seqs {
+            assert!(s.new_tokens > 0, "degenerate forward");
+            tokens += s.new_tokens as u64;
+            ctx += s.ctx as u64;
+            one_context &= s.ctx == first_ctx;
+        }
+        // A single context is a single group: two in three passes of a
+        // churning SLO run are solo passes, projections of one request
+        // shape, or segments of members admitted together.
+        let flops_per_layer = if one_context {
+            tokens as f64 * self.flops_per_token(first_ctx)
+        } else {
+            self.grouped_flops(seqs)
+        };
+        PassWork {
+            tokens,
+            flops_per_layer,
+            ctx,
+        }
+    }
+
+    /// Per-layer FLOPs summed over groups of equal context, in the order
+    /// each context is first seen, each group's new tokens summed exactly.
+    /// Without allocating: the first sequence at each context owns the
+    /// group and scans the tail for its members, marking them counted,
+    /// which on the small in-flight sets of the continuous engine is
+    /// cheaper than a scratch buffer.
+    fn grouped_flops(&self, seqs: &[SeqWork]) -> f64 {
+        let mut flops_per_layer = 0.0;
+        // Bit `j` marks sequence `j` as counted in an earlier group; past
+        // the 64th, a sequence scans back for an earlier member instead.
+        let mut counted: u64 = 0;
+        for (i, s) in seqs.iter().enumerate() {
+            let grouped = match 1u64.checked_shl(i as u32) {
+                Some(bit) => counted & bit != 0,
+                None => seqs[..i].iter().any(|prev| prev.ctx == s.ctx),
+            };
+            if grouped {
+                continue; // accumulated with its group's first member
+            }
+            let mut group_tokens: u64 = s.new_tokens as u64;
+            for (j, later) in seqs.iter().enumerate().skip(i + 1) {
+                if later.ctx == s.ctx {
+                    group_tokens += later.new_tokens as u64;
+                    counted |= 1u64.checked_shl(j as u32).unwrap_or(0);
+                }
+            }
+            flops_per_layer += group_tokens as f64 * self.flops_per_token(s.ctx);
+        }
+        flops_per_layer
+    }
+
+    /// The second part: compute efficiency saturates with the tokens in
+    /// flight, the unembedding GEMM runs once per new token, and the
+    /// all-reduces and stage hops carry the pass's fp32 activations.
+    fn token_terms(&self, tokens: u64) -> TokenTerms {
+        let t = tokens as f64;
+        let eff_flops =
+            self.peak_flops * (self.eff.compute_fraction * t / (t + self.eff.compute_half_tokens));
+        let compute_den = self.m_f * eff_flops;
+        let (vocab, hidden) = (self.model.vocab_size as f64, self.model.hidden_size as f64);
+        let unembed_flops = 2.0 * t * vocab * hidden;
+        let act_bytes = (t * hidden * 4.0) as u64;
+        TokenTerms {
+            compute_den,
+            unembed_t: self.unembed_mem_t.max(unembed_flops / compute_den),
+            all_reduce: if self.m > 1 {
+                self.net
+                    .all_reduce_time(act_bytes, self.m, self.spans_instances)
+                    .as_secs_f64()
+                    * 2.0
+            } else {
+                0.0
+            },
+            // Stages sit on distinct instances in the common case.
+            hops: if self.p > 1 {
+                self.net.p2p_time(act_bytes, false).as_secs_f64() * (self.p - 1) as f64
+            } else {
+                0.0
+            },
+        }
+    }
+
+    /// The third part, and the whole formula: each layer is bound by its
+    /// compute or by streaming its weight shard plus the KV-cache reads
+    /// (each sequence reads its own context), then pays its all-reduces;
+    /// the stage hops, the unembedding and the host overhead are paid once.
+    fn pass_time(&self, tok: &TokenTerms, flops_per_layer: f64, kv_ctx_total: f64) -> SimDuration {
+        let compute_t = flops_per_layer / tok.compute_den;
+        let kv_bytes_layer = kv_ctx_total
+            * 2.0
+            * self.model.hidden_size as f64
+            * self.model.bytes_per_kv as f64
+            * self.eff.kv_read_penalty
+            / self.m_f;
+        let mem_t = (self.weight_bytes + kv_bytes_layer) / self.eff_bw;
+        let layer_t = compute_t.max(mem_t);
+        let total = self.model.num_layers as f64 * (layer_t + tok.all_reduce)
+            + tok.hops
+            + tok.unembed_t
+            + self.eff.host_overhead;
+        SimDuration::from_secs_f64(total * self.latency_scale)
+    }
+}
+
+/// Slots in a [`PassPricer`]'s token table.
+const TOKEN_SLOTS: usize = 64;
+
+/// Prices forward passes on one `P×M` mesh, bit-identical to
+/// [`CostModel::mixed_forward_time`].
+///
+/// It runs the same three parts of the formula. The mesh terms are
+/// derived once, at construction; the terms fixed by a pass's total new
+/// tokens sit in a 64-slot table, direct-mapped by a multiplicative hash
+/// of the total (a colliding total replaces the slot), so a pricer that
+/// sees the same few totals again and again derives them once; only the
+/// pass's own FLOPs and context sum are summed on every call.
+///
+/// # Example
+///
+/// ```
+/// use llmsim::{calibration, ModelSpec, PassPricer, SeqWork};
+///
+/// let model = ModelSpec::gpt_20b();
+/// let cost = calibration::calibrated_cost_model(&model);
+/// let mut pricer = PassPricer::new(&cost, &model, 3, 4);
+/// let pass = [SeqWork::prefill(512), SeqWork::decode(600), SeqWork::decode(601)];
+/// assert_eq!(pricer.price(&pass), cost.mixed_forward_time(&model, 3, 4, &pass));
+/// ```
+#[derive(Debug, Clone)]
+pub struct PassPricer {
+    mesh: MeshTerms,
+    /// `(total new tokens, its terms)`; a total of 0 marks an empty slot
+    /// (no pass carries zero tokens).
+    tokens: [(u64, TokenTerms); TOKEN_SLOTS],
+}
+
+impl PassPricer {
+    /// A pricer for `model` under `cost` on a mesh of `p` stages of `m`
+    /// tensor shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `m` is zero.
+    pub fn new(cost: &CostModel, model: &ModelSpec, p: u32, m: u32) -> Self {
+        assert!(p > 0 && m > 0, "degenerate forward");
+        PassPricer {
+            mesh: cost.mesh_terms(model, p, m),
+            tokens: [(0, TokenTerms::default()); TOKEN_SLOTS],
+        }
+    }
+
+    /// The latency of one forward pass over `seqs`: exactly
+    /// [`CostModel::mixed_forward_time`] on this pricer's mesh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seqs` is empty or any sequence contributes zero new
+    /// tokens.
+    pub fn price(&mut self, seqs: &[SeqWork]) -> SimDuration {
+        assert!(!seqs.is_empty(), "degenerate forward");
+        let work = self.mesh.pass_work(seqs);
+        // Fibonacci hashing: the top bits of the product spread decode
+        // totals (1, 2, 3, ...) and prefill totals (512 + k) over
+        // different slots, where `tokens % 64` would collide them.
+        let slot = (work.tokens.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        let entry = &mut self.tokens[slot];
+        if entry.0 != work.tokens {
+            *entry = (work.tokens, self.mesh.token_terms(work.tokens));
+        }
+        self.mesh
+            .pass_time(&entry.1, work.flops_per_layer, work.ctx as f64)
     }
 }
 
@@ -614,7 +806,7 @@ mod tests {
     /// the allocation-free rewrite, kept verbatim as the equivalence
     /// reference: group by first-seen context into a scratch buffer with
     /// exact integer token sums, then accumulate f64 terms in group order
-    /// and price through the shared tail.
+    /// and price through the monolithic tail below.
     fn mixed_forward_time_buffered_reference(
         c: &CostModel,
         model: &ModelSpec,
@@ -639,7 +831,8 @@ mod tests {
             flops_per_layer += *t as f64
                 * (model.flops_per_token_per_layer() + model.attn_flops_per_token_per_layer(*ctx));
         }
-        c.assemble_forward_time(
+        assemble_forward_time_reference(
+            c,
             model,
             p,
             m,
@@ -647,6 +840,56 @@ mod tests {
             flops_per_layer,
             total_ctx as f64,
         )
+    }
+
+    /// The forward-pass tail as one function, as it stood before the
+    /// formula was split into mesh, token and pass terms, kept verbatim:
+    /// the split must reproduce it bit for bit.
+    fn assemble_forward_time_reference(
+        c: &CostModel,
+        model: &ModelSpec,
+        p: u32,
+        m: u32,
+        tokens_total: f64,
+        flops_per_layer: f64,
+        kv_ctx_total: f64,
+    ) -> SimDuration {
+        let layers = model.num_layers as f64;
+        let compute_eff =
+            c.eff.compute_fraction * tokens_total / (tokens_total + c.eff.compute_half_tokens);
+        let eff_flops = c.gpu.peak_flops * compute_eff;
+        let compute_t = flops_per_layer / (m as f64 * eff_flops);
+        let eff_bw = c.gpu.mem_bandwidth * c.eff.mem_fraction;
+        let weight_bytes = model.layer_bytes() as f64 / m as f64;
+        let kv_bytes_layer = kv_ctx_total
+            * 2.0
+            * model.hidden_size as f64
+            * model.bytes_per_kv as f64
+            * c.eff.kv_read_penalty
+            / m as f64;
+        let mem_t = (weight_bytes + kv_bytes_layer) / eff_bw;
+        let layer_t = compute_t.max(mem_t);
+        let unembed_bytes =
+            model.vocab_size as f64 * model.hidden_size as f64 * model.bytes_per_param as f64
+                / m as f64;
+        let unembed_flops = 2.0 * tokens_total * model.vocab_size as f64 * model.hidden_size as f64;
+        let unembed_t = (unembed_bytes / eff_bw).max(unembed_flops / (m as f64 * eff_flops));
+        let act_bytes = (tokens_total * model.hidden_size as f64 * 4.0) as u64;
+        let ar = if m > 1 {
+            c.net
+                .all_reduce_time(act_bytes, m, m > c.gpus_per_instance as u32)
+                .as_secs_f64()
+                * 2.0
+        } else {
+            0.0
+        };
+        let p2p = if p > 1 {
+            c.net.p2p_time(act_bytes, false).as_secs_f64() * (p - 1) as f64
+        } else {
+            0.0
+        };
+        let total = layers * (layer_t + ar) + p2p + unembed_t + c.eff.host_overhead;
+        SimDuration::from_secs_f64(total * c.latency_scale)
     }
 
     #[test]
@@ -707,6 +950,64 @@ mod tests {
         assert!(chunked >= whole, "{chunked} vs {whole}");
         // And the degenerate single chunk is the monolithic prefill.
         assert_eq!(SeqWork::prefill_chunk(0, 512), SeqWork::prefill(512));
+    }
+
+    /// A random pass: 1–64 sequences drawn from a pool of `distinct`
+    /// contexts (so contexts repeat), each a decode, a whole prefill or a
+    /// prefill chunk.
+    fn random_pass(rng: &mut simkit::SimRng, distinct: u64) -> Vec<SeqWork> {
+        let contexts: Vec<u32> = (0..distinct)
+            .map(|_| rng.range_inclusive(1, 2048) as u32)
+            .collect();
+        (0..rng.range_inclusive(1, 64))
+            .map(|_| {
+                let ctx = contexts[rng.below(distinct) as usize];
+                match rng.below(3) {
+                    0 => SeqWork::decode(ctx),
+                    1 => SeqWork::prefill(ctx),
+                    _ => {
+                        let new = rng.range_inclusive(1, ctx as u64) as u32;
+                        SeqWork::prefill_chunk(ctx - new, new)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// A pricer answers every pass exactly as `mixed_forward_time` and
+        /// the monolithic formula it was split from, on every paper model
+        /// and SKU, at P=1, at M=1 and with M spanning instances, over
+        /// more distinct token totals than its table holds.
+        #[test]
+        fn pass_pricer_is_bit_identical_to_mixed_forward_time(seed in 0u64..u64::MAX) {
+            let mut rng = simkit::SimRng::new(seed);
+            for model in ModelSpec::paper_models() {
+                let scale = crate::calibration::calibration_scale(&model);
+                for ty in [InstanceType::t4(), InstanceType::l4(), InstanceType::a100()] {
+                    let cost = CostModel::for_instance_type(&ty).with_scale(scale);
+                    let g = ty.gpus_per_instance as u32;
+                    for (p, m) in [(1, g), (4, 1), (2, 2 * g)] {
+                        let mut pricer = PassPricer::new(&cost, &model, p, m);
+                        let mut totals = std::collections::BTreeSet::new();
+                        for _ in 0..100 {
+                            let distinct = rng.range_inclusive(1, 64);
+                            let seqs = random_pass(&mut rng, distinct);
+                            totals.insert(seqs.iter().map(|s| s.new_tokens as u64).sum::<u64>());
+                            let want = cost.mixed_forward_time(&model, p, m, &seqs);
+                            proptest::prop_assert_eq!(pricer.price(&seqs), want);
+                            proptest::prop_assert_eq!(
+                                mixed_forward_time_buffered_reference(&cost, &model, p, m, &seqs),
+                                want
+                            );
+                        }
+                        proptest::prop_assert!(totals.len() > TOKEN_SLOTS, "the table must evict");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

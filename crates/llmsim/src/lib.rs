@@ -34,6 +34,6 @@ pub mod costmodel;
 pub mod memory;
 pub mod spec;
 
-pub use costmodel::{CostModel, Efficiency, SeqWork};
+pub use costmodel::{CostModel, Efficiency, PassPricer, SeqWork};
 pub use memory::MemoryModel;
 pub use spec::ModelSpec;

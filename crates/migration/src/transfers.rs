@@ -425,14 +425,19 @@ pub fn compute_transfers(task: &MigrationTask) -> TransferSet {
                     for k in miss.shards(m_new) {
                         let piece = miss.intersect(Interval::shard(k, m_new));
                         let bytes = piece_bytes(piece.len(), per_layer, den);
-                        // Cache exists only on the inherited pipeline.
+                        // Cache exists only on the inherited pipeline. A
+                        // piece that rounds to zero bytes moves nothing, so
+                        // it is no transfer (the weights loop skips them
+                        // too), though its holder must still be alive.
                         match holders.get(MeshPosition::new(d_old, stage, k)) {
-                            Some(src) if gpus[src] != dest => run_cache.push(Transfer {
-                                source: TransferSource::Gpu(gpus[src]),
-                                dest,
-                                bytes,
-                            }),
-                            Some(_) => {} // already resident
+                            Some(src) if gpus[src] != dest && bytes > 0 => {
+                                run_cache.push(Transfer {
+                                    source: TransferSource::Gpu(gpus[src]),
+                                    dest,
+                                    bytes,
+                                })
+                            }
+                            Some(_) => {} // already resident, or empty
                             None => lost = true,
                         }
                     }

@@ -6,7 +6,10 @@
 //! calibrated cost model; the scheduling-delay component uses a standard
 //! multi-server queueing heuristic, mirroring the paper's offline profiler.
 
-use llmsim::{CostModel, ModelSpec, SeqWork};
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use llmsim::{CostModel, ModelSpec, PassPricer, SeqWork};
 use simkit::SimDuration;
 
 use crate::config::ParallelConfig;
@@ -25,12 +28,50 @@ use crate::config::ParallelConfig;
 /// let phi = perf.throughput(&c);
 /// assert!(phi > 0.35, "paper: this config sustains the 0.35 req/s workload");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct PerfModel {
+    /// Drawn once in [`PerfModel::new`] and shared by every clone. No
+    /// field changes after `new`, so equal ids mean equal models, and
+    /// equality compares fields only between separately built ones.
+    id: u64,
     model: ModelSpec,
     cost: CostModel,
     s_in: u32,
     s_out: u32,
+}
+
+/// The next [`PerfModel`] construction id. Taken with `Relaxed`: an id
+/// publishes no other data, and `fetch_add` alone keeps ids unique.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+impl PartialEq for PerfModel {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id || self.fields_eq(other)
+    }
+}
+
+impl PerfModel {
+    /// Field-by-field equality, for models built separately.
+    fn fields_eq(&self, other: &Self) -> bool {
+        self.model == other.model
+            && self.cost == other.cost
+            && self.s_in == other.s_in
+            && self.s_out == other.s_out
+    }
+}
+
+// By hand, to leave out the id: it depends on construction order, which
+// threads may interleave, and the printed model must not.
+impl fmt::Debug for PerfModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PerfModel")
+            .field("model", &self.model)
+            .field("cost", &self.cost)
+            .field("s_in", &self.s_in)
+            .field("s_out", &self.s_out)
+            .finish()
+    }
 }
 
 impl PerfModel {
@@ -42,6 +83,7 @@ impl PerfModel {
     pub fn new(model: ModelSpec, cost: CostModel, s_in: u32, s_out: u32) -> Self {
         assert!(s_out > 0, "generation must produce tokens");
         PerfModel {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             model,
             cost,
             s_in,
@@ -102,6 +144,13 @@ impl PerfModel {
     pub fn mixed_iteration_time(&self, c: &ParallelConfig, seqs: &[SeqWork]) -> SimDuration {
         self.cost
             .mixed_forward_time(&self.model, c.pipeline, c.tensor, seqs)
+    }
+
+    /// A [`PassPricer`] for `c`'s mesh: it prices every pass exactly as
+    /// [`PerfModel::mixed_iteration_time`] under any configuration of the
+    /// same `P×M`, deriving the mesh's terms once.
+    pub fn pass_pricer(&self, c: &ParallelConfig) -> PassPricer {
+        PassPricer::new(&self.cost, &self.model, c.pipeline, c.tensor)
     }
 
     /// Peak serving throughput `φ(C)` in requests/second: `D·B` requests
@@ -411,6 +460,18 @@ pub(crate) mod tests {
             }
         }
         assert!(checked > 1000, "only {checked} evaluations");
+    }
+
+    #[test]
+    fn equality_compares_the_id_then_the_fields() {
+        let a = perf(ModelSpec::opt_6_7b());
+        let b = perf(ModelSpec::opt_6_7b());
+        assert_eq!(a, a.clone());
+        assert_eq!(a, b, "equal fields, built separately");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "the id is not printed");
+        assert_ne!(a, perf(ModelSpec::gpt_20b()));
+        let shorter = PerfModel::new(ModelSpec::opt_6_7b(), a.cost_model().clone(), 512, 64);
+        assert_ne!(a, shorter);
     }
 
     #[test]

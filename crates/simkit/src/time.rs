@@ -106,6 +106,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
         SimDuration((s * 1e6).round() as u64)
@@ -137,14 +138,19 @@ impl SimDuration {
     }
 }
 
+// The operators below are inlined across crates: their overflow checks
+// are cold branches, and the serving loop's deadline projections run them
+// once per resident per admission verdict.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -159,12 +165,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -185,6 +193,7 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }

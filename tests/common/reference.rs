@@ -440,17 +440,20 @@ pub fn compute_transfers_reference(task: &MigrationTask) -> TransferSet {
                         let stage = (0..old_cfg.pipeline)
                             .find(|&p| stage_layers(layers_n, old_cfg.pipeline, p).contains(&layer))
                             .expect("layer belongs to a stage");
-                        // Cache exists only on the inherited pipeline.
+                        // Cache exists only on the inherited pipeline; a
+                        // zero-byte piece is no transfer.
                         match task
                             .old_assignment
                             .gpu_at(MeshPosition::new(d_old, stage, k))
                         {
-                            Some(src) if src != dest => pipeline_cache.push(Transfer {
-                                source: TransferSource::Gpu(src),
-                                dest,
-                                bytes,
-                            }),
-                            Some(_) => {} // already resident
+                            Some(src) if src != dest && bytes > 0 => {
+                                pipeline_cache.push(Transfer {
+                                    source: TransferSource::Gpu(src),
+                                    dest,
+                                    bytes,
+                                })
+                            }
+                            Some(_) => {} // already resident, or empty
                             None => lost = true,
                         }
                     }

@@ -600,11 +600,14 @@ fn case_draws_reach_every_regime() {
     );
 }
 
-/// Tiny caches reach zero-byte cache flows, within an instance and across
-/// instances, so the timeline properties see both.
+/// Tiny caches split into pieces that round to zero bytes, within an
+/// instance and across instances. Such a piece moves nothing, so it is no
+/// transfer: every cache transfer carries bytes, in the kernel and the
+/// reference, and the same task with its caches scaled up moves the
+/// skipped pieces as well, losing the same pipelines' caches.
 #[test]
-fn tiny_caches_reach_zero_byte_flows() {
-    let mut seen = [false; 2];
+fn tiny_caches_yield_no_zero_byte_cache_transfers() {
+    let mut skipped = [false; 2];
     for seed in 0..256u64 {
         let case = Case::draw(
             (seed % 3) as usize,
@@ -614,12 +617,34 @@ fn tiny_caches_reach_zero_byte_flows() {
             seed,
         );
         let outcome = case.map_with(true, map_devices_with_skus);
-        let transfers = compute_transfers(&case.task(&outcome, false, true));
-        for flow in transfers.cache.iter().filter(|f| f.bytes == 0) {
-            if let TransferSource::Gpu(src) = flow.source {
-                seen[usize::from(src.instance != flow.dest.instance)] = true;
+        let task = case.task(&outcome, false, true);
+        let tiny = compute_transfers(&task);
+        let reference = compute_transfers_reference(&task);
+        assert!(
+            tiny.cache
+                .iter()
+                .chain(&reference.cache)
+                .all(|f| f.bytes > 0),
+            "seed {seed}: a zero-byte cache transfer"
+        );
+        let mut big = task.clone();
+        for bytes in &mut big.cache_bytes_per_pipeline {
+            *bytes <<= 20;
+        }
+        let scaled = compute_transfers(&big);
+        assert_eq!(scaled.cache_lost_bytes, tiny.cache_lost_bytes << 20);
+        for flow in &scaled.cache {
+            let kept = tiny
+                .cache
+                .iter()
+                .any(|f| f.source == flow.source && f.dest == flow.dest);
+            if let (false, TransferSource::Gpu(src)) = (kept, flow.source) {
+                skipped[usize::from(src.instance != flow.dest.instance)] = true;
             }
         }
     }
-    assert_eq!(seen, [true; 2], "zero-byte flows: same instance, across");
+    assert_eq!(
+        skipped, [true; 2],
+        "skipped zero-byte pieces: same instance, across"
+    );
 }
