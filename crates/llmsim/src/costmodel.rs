@@ -470,60 +470,36 @@ impl MeshTerms {
     /// distinct context before any float multiply, so a uniform batch
     /// prices bit-exactly as [`CostModel::forward_time`].
     fn pass_work(&self, seqs: &[SeqWork]) -> PassWork {
-        let first_ctx = seqs[0].ctx;
         let mut tokens: u64 = 0;
         let mut ctx: u64 = 0;
-        let mut one_context = true;
         for s in seqs {
             assert!(s.new_tokens > 0, "degenerate forward");
             tokens += s.new_tokens as u64;
             ctx += s.ctx as u64;
-            one_context &= s.ctx == first_ctx;
         }
-        // A single context is a single group: two in three passes of a
-        // churning SLO run are solo passes, projections of one request
-        // shape, or segments of members admitted together.
-        let flops_per_layer = if one_context {
-            tokens as f64 * self.flops_per_token(first_ctx)
-        } else {
-            self.grouped_flops(seqs)
-        };
+        // Groups form in first-seen order with exact integer token sums,
+        // without allocating: the first sequence at each context owns the
+        // group and re-scans the tail for its members. On the continuous
+        // engine's small in-flight sets the rescan is cheaper than a
+        // scratch buffer.
+        let mut flops_per_layer = 0.0;
+        for (i, s) in seqs.iter().enumerate() {
+            if seqs[..i].iter().any(|prev| prev.ctx == s.ctx) {
+                continue; // group already accumulated at its first member
+            }
+            let mut group_tokens: u64 = s.new_tokens as u64;
+            for later in &seqs[i + 1..] {
+                if later.ctx == s.ctx {
+                    group_tokens += later.new_tokens as u64;
+                }
+            }
+            flops_per_layer += group_tokens as f64 * self.flops_per_token(s.ctx);
+        }
         PassWork {
             tokens,
             flops_per_layer,
             ctx,
         }
-    }
-
-    /// Per-layer FLOPs summed over groups of equal context, in the order
-    /// each context is first seen, each group's new tokens summed exactly.
-    /// Without allocating: the first sequence at each context owns the
-    /// group and scans the tail for its members, marking them counted,
-    /// which on the small in-flight sets of the continuous engine is
-    /// cheaper than a scratch buffer.
-    fn grouped_flops(&self, seqs: &[SeqWork]) -> f64 {
-        let mut flops_per_layer = 0.0;
-        // Bit `j` marks sequence `j` as counted in an earlier group; past
-        // the 64th, a sequence scans back for an earlier member instead.
-        let mut counted: u64 = 0;
-        for (i, s) in seqs.iter().enumerate() {
-            let grouped = match 1u64.checked_shl(i as u32) {
-                Some(bit) => counted & bit != 0,
-                None => seqs[..i].iter().any(|prev| prev.ctx == s.ctx),
-            };
-            if grouped {
-                continue; // accumulated with its group's first member
-            }
-            let mut group_tokens: u64 = s.new_tokens as u64;
-            for (j, later) in seqs.iter().enumerate().skip(i + 1) {
-                if later.ctx == s.ctx {
-                    group_tokens += later.new_tokens as u64;
-                    counted |= 1u64.checked_shl(j as u32).unwrap_or(0);
-                }
-            }
-            flops_per_layer += group_tokens as f64 * self.flops_per_token(s.ctx);
-        }
-        flops_per_layer
     }
 
     /// The second part: compute efficiency saturates with the tokens in
