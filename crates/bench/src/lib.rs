@@ -439,7 +439,7 @@ mod tests {
     fn price_ladder_and_spike_scenario_are_well_formed() {
         let ladder = price_policy_ladder();
         assert_eq!(ladder.len(), 3);
-        assert!(matches!(ladder[2].1, FleetPolicy::CostPerToken { .. }));
+        assert!(matches!(ladder[2].1, FleetPolicy::CostPerToken));
         let s = price_spike_scenario(1);
         assert_eq!(s.pools.len(), 2);
         let spiky = s.pools[0].price.as_ref().expect("spiky pool is priced");

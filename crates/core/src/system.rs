@@ -509,6 +509,15 @@ impl ServingSystem {
         avail
     }
 
+    /// Every GPU of `instances`, instance by instance.
+    fn gpus_of(&self, instances: &[InstanceId]) -> Vec<cloudsim::GpuRef> {
+        let gpi = self.gpus_per_instance();
+        instances
+            .iter()
+            .flat_map(|&i| (0..gpi).map(move |s| cloudsim::GpuRef::new(i, s)))
+            .collect()
+    }
+
     /// Instances a new mesh may be placed on: the decided lane's usable
     /// instances (the serving mesh stays single-SKU).
     fn placement_instances(&self) -> Vec<InstanceId> {
@@ -800,18 +809,13 @@ impl ServingSystem {
 
     fn on_cloud_event(&mut self, ev: CloudEvent) {
         match ev {
-            CloudEvent::SpotGranted { id } => {
+            CloudEvent::SpotGranted { id } | CloudEvent::OnDemandGranted { id } => {
                 self.grants += 1;
-                // Retire the oldest outstanding request deadline for this
-                // pool and reset its failure streak.
-                self.fleet.observe_grant(PoolId::of_instance(id).0 as usize);
-                let done = self.now + self.opts.engine_launch;
-                self.initializing.insert(id, done);
-                self.events.schedule(done, Ev::InitDone { id });
-                self.sample_fleet();
-            }
-            CloudEvent::OnDemandGranted { id } => {
-                self.grants += 1;
+                if matches!(ev, CloudEvent::SpotGranted { .. }) {
+                    // Retire the oldest outstanding request deadline for
+                    // this pool and reset its failure streak.
+                    self.fleet.observe_grant(PoolId::of_instance(id).0 as usize);
+                }
                 let done = self.now + self.opts.engine_launch;
                 self.initializing.insert(id, done);
                 self.events.schedule(done, Ev::InitDone { id });
@@ -823,29 +827,23 @@ impl ServingSystem {
                 self.on_preemption_notice(id, kill_at);
                 self.sample_fleet();
             }
-            CloudEvent::Preempted { id } => {
+            CloudEvent::Preempted { id } | CloudEvent::InstanceFailed { id } => {
+                // `InstanceFailed` is an unannounced death: a chaos kill,
+                // or a preemption whose notice the harness swallowed. No
+                // grace window ever existed — the context on this
+                // instance is gone, so take the §4.2 fault path
+                // immediately with whatever survived.
+                let unannounced = matches!(ev, CloudEvent::InstanceFailed { .. });
+                if unannounced {
+                    self.faults += 1;
+                }
                 // Feed the per-pool churn estimator (sizes the hedge).
                 self.fleet
                     .observe_kill(PoolId::of_instance(id).0 as usize, self.now);
                 self.ready.remove(&id);
                 self.initializing.remove(&id);
                 self.noticed.remove(&id);
-                self.on_instance_gone(id, false);
-                self.sample_fleet();
-            }
-            CloudEvent::InstanceFailed { id } => {
-                // An unannounced death: a chaos kill, or a preemption
-                // whose notice the harness swallowed. No grace window
-                // ever existed — the context on this instance is gone,
-                // so take the §4.2 fault path immediately with whatever
-                // survived.
-                self.faults += 1;
-                self.fleet
-                    .observe_kill(PoolId::of_instance(id).0 as usize, self.now);
-                self.ready.remove(&id);
-                self.initializing.remove(&id);
-                self.noticed.remove(&id);
-                self.on_instance_gone(id, true);
+                self.on_instance_gone(id, unannounced);
                 self.sample_fleet();
             }
             CloudEvent::RequestLapsed { pool, .. } => {
@@ -904,7 +902,7 @@ impl ServingSystem {
             }
             Ev::TransitionDone { epoch } => {
                 if epoch == self.epoch {
-                    self.complete_transition();
+                    self.dispatch_all();
                 }
             }
             Ev::PipelineReady { pipeline } => {
@@ -1459,11 +1457,8 @@ impl ServingSystem {
         if matches!(self.opts.policy, Policy::OnDemandOnly { .. }) {
             return;
         }
-        if let FleetPolicy::CostPerToken {
-            parity_permille, ..
-        } = self.opts.fleet_policy
-        {
-            self.feed_price_pressure(parity_permille);
+        if self.opts.fleet_policy == FleetPolicy::CostPerToken {
+            self.feed_price_pressure();
         }
         // Safety net for grants that vanished without even a lapse event:
         // overdue request deadlines convert to failures before the
@@ -1520,7 +1515,7 @@ impl ServingSystem {
     /// past parity it landed (one kill's worth per threshold-to-2×-parity
     /// span, clamped). On clouds where preemption probability correlates
     /// with price, this widens the hedge before the notices arrive.
-    fn feed_price_pressure(&mut self, parity_permille: u32) {
+    fn feed_price_pressure(&mut self) {
         let n = self.cloud.pool_count();
         if self.last_spot_cents.len() != n {
             // First consultation: baseline at the SKU list price, so a
@@ -1544,7 +1539,7 @@ impl ServingSystem {
             if od_cents == 0 {
                 continue;
             }
-            let parity = f64::from(parity_permille) / 1000.0;
+            let parity = f64::from(fleetctl::PARITY_PERMILLE) / 1000.0;
             let ratio = f64::from(cents) / f64::from(od_cents);
             if ratio >= parity {
                 let weight = ((ratio - parity) / parity.max(1e-9)).clamp(0.0, 1.0);
@@ -2180,27 +2175,14 @@ impl ServingSystem {
                         pause_us: pause.as_micros(),
                     },
                 );
-                let usable = self.placement_instances();
-                let gpus: Vec<cloudsim::GpuRef> = usable
-                    .iter()
-                    .flat_map(|&i| {
-                        (0..self.gpus_per_instance()).map(move |s| cloudsim::GpuRef::new(i, s))
-                    })
-                    .collect();
-                let assignment = DeviceAssignment::contiguous(&cfg, &gpus);
-                self.adopt_config_with_carry(
-                    cfg,
-                    assignment,
-                    pause,
-                    0,
-                    self.scenario.model.param_bytes(),
-                    vec![None; cfg.data as usize],
-                );
+                self.adopt_config(cfg, pause, 0, self.scenario.model.param_bytes());
             }
             Policy::Rerouting => unreachable!("rerouting does not use global transitions"),
         }
     }
 
+    /// Adopts `cfg` with nothing carried, on a contiguous assignment over
+    /// the placement instances.
     fn adopt_config(
         &mut self,
         cfg: ParallelConfig,
@@ -2208,11 +2190,7 @@ impl ServingSystem {
         migrated: u64,
         reloaded: u64,
     ) {
-        let usable = self.placement_instances();
-        let gpus: Vec<cloudsim::GpuRef> = usable
-            .iter()
-            .flat_map(|&i| (0..self.gpus_per_instance()).map(move |s| cloudsim::GpuRef::new(i, s)))
-            .collect();
+        let gpus = self.gpus_of(&self.placement_instances());
         let assignment = DeviceAssignment::contiguous(&cfg, &gpus);
         self.adopt_config_with_carry(
             cfg,
@@ -2343,10 +2321,6 @@ impl ServingSystem {
         self.steer_fleet();
     }
 
-    fn complete_transition(&mut self) {
-        self.dispatch_all();
-    }
-
     // ---- Rerouting specifics -----------------------------------------
 
     fn index_rerouting_instances(&mut self) {
@@ -2408,12 +2382,7 @@ impl ServingSystem {
                     .scenario
                     .storage
                     .load_time(self.scenario.model.param_bytes(), per);
-            let gpus: Vec<cloudsim::GpuRef> = chosen
-                .iter()
-                .flat_map(|&i| {
-                    (0..self.gpus_per_instance()).map(move |s| cloudsim::GpuRef::new(i, s))
-                })
-                .collect();
+            let gpus = self.gpus_of(&chosen);
             let id = self.next_pipeline_id;
             self.next_pipeline_id += 1;
             // Extend the assignment with this pipeline's positions, using

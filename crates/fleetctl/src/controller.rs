@@ -2,10 +2,10 @@
 
 use cloudsim::InstanceType;
 use simkit::{SimDuration, SimTime};
-use telemetry::{TelemetryEvent, TelemetrySink};
+use telemetry::{Recorder, TelemetryEvent};
 
 use crate::estimator::PreemptionEstimator;
-use crate::policy::FleetPolicy;
+use crate::policy::{FleetPolicy, MAX_HEDGE, MIN_HEDGE, PARITY_PERMILLE};
 use crate::spread;
 use crate::tracker::{RequestTracker, RetryDecision};
 
@@ -85,13 +85,13 @@ impl PoolView {
         self.live_spot + self.provisioning_spot + self.queued_spot
     }
 
-    /// Whether the pool's spot price has reached `parity_permille`/1000
+    /// Whether the pool's spot price has reached [`PARITY_PERMILLE`]/1000
     /// of its on-demand price. A pool with no price card on file
     /// (on-demand price 0) never has.
-    fn past_parity(&self, parity_permille: u32) -> bool {
+    fn past_parity(&self) -> bool {
         self.caps.ondemand_cents_per_hour > 0
             && u64::from(self.caps.spot_cents_per_hour) * 1000
-                >= u64::from(parity_permille) * u64::from(self.caps.ondemand_cents_per_hour)
+                >= u64::from(PARITY_PERMILLE) * u64::from(self.caps.ondemand_cents_per_hour)
     }
 }
 
@@ -223,28 +223,7 @@ impl FleetController {
     /// A controller for `n_pools` pools under `policy`. `grant_delay` is
     /// the replacement latency the churn hedge must cover; the estimator
     /// window defaults to ten grant delays (a few minutes of memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` is a [`FleetPolicy::SpotHedge`] with
-    /// `min_hedge > max_hedge` — failing fast at construction instead of
-    /// deep inside the simulation loop.
     pub fn new(policy: FleetPolicy, n_pools: usize, grant_delay: SimDuration) -> Self {
-        if let Some((min_hedge, max_hedge)) = policy.hedge_bounds() {
-            assert!(
-                min_hedge <= max_hedge,
-                "SpotHedge bounds are inverted: min_hedge {min_hedge} > max_hedge {max_hedge}"
-            );
-        }
-        if let FleetPolicy::CostPerToken {
-            parity_permille, ..
-        } = policy
-        {
-            assert!(
-                parity_permille > 0,
-                "a zero parity threshold masks every pool unconditionally"
-            );
-        }
         let window = SimDuration::from_micros((grant_delay.as_micros()).max(1) * 10);
         FleetController {
             policy,
@@ -329,15 +308,15 @@ impl FleetController {
     /// The hedge size for `target` over pools with capacities `caps`:
     /// large enough that losing the single biggest even-spread share still
     /// leaves `target` live, inflated to the churn estimate (expected
-    /// kills over one grant delay), clamped to the policy's bounds. Zero
-    /// for non-hedge policies.
+    /// kills over one grant delay), clamped to
+    /// [`MIN_HEDGE`]..=[`MAX_HEDGE`]. Zero for non-hedge policies.
     pub fn hedge(&self, target: u32, caps: &[u32], now: SimTime) -> u32 {
-        let Some((min_hedge, max_hedge)) = self.policy.hedge_bounds() else {
+        if !self.policy.is_hedged() {
             return 0;
-        };
+        }
         let churn = self.estimator.expected_kills(now, self.grant_delay).ceil() as u32;
         let zone_floor = Self::zone_safe_hedge(target, caps);
-        zone_floor.max(churn).clamp(min_hedge, max_hedge)
+        zone_floor.max(churn).clamp(MIN_HEDGE, MAX_HEDGE)
     }
 
     /// The smallest `h` such that spreading `target + h` evenly over
@@ -370,64 +349,37 @@ impl FleetController {
     pub fn command(&self, view: &FleetView, now: SimTime) -> FleetCommand {
         let n = view.pools.len();
         let mut cmd = FleetCommand::idle(n);
-        let stages = match self.policy {
-            FleetPolicy::ReactiveSpot | FleetPolicy::OnDemandFallback => {
-                // Algorithm 1's delta: on-demand already held or on its
-                // way fills slots spot need not be requested for.
-                let desired = view.target + view.spares;
-                let ondemand = view.live_ondemand + view.pending_ondemand;
-                let have = view.committed_spot() + ondemand;
-                if n > 0 {
-                    cmd.spot[0] = desired.saturating_sub(have);
-                }
-                if self.policy == FleetPolicy::OnDemandFallback {
-                    // Keep *live* capacity at the target: whatever spot
-                    // cannot cover right now, on-demand does. Provisioning
-                    // spot is deliberately not counted — it may still be
-                    // shed by a capacity drop, and the fallback's contract
-                    // is live instances, not promises.
-                    cmd.ondemand = view.target.saturating_sub(view.live_spot() + ondemand);
-                }
-                // Shed the full surplus when the target shrinks or spot
-                // recovers: queued requests are cancelled first, then live
-                // instances release (idle first, on-demand before spot —
-                // the executor's release priority).
-                let mut cancel = have.saturating_sub(desired);
-                for (i, pool) in view.pools.iter().enumerate() {
-                    let k = cancel.min(pool.queued_spot);
-                    cmd.cancel_spot[i] = k;
-                    cancel -= k;
-                }
-                cmd.release = (view.live_spot() + view.live_ondemand).saturating_sub(desired);
-                return cmd;
+        if !self.policy.is_hedged() {
+            // Algorithm 1's delta: on-demand already held or on its way
+            // fills slots spot need not be requested for.
+            let desired = view.target + view.spares;
+            let ondemand = view.live_ondemand + view.pending_ondemand;
+            let have = view.committed_spot() + ondemand;
+            if n > 0 {
+                cmd.spot[0] = desired.saturating_sub(have);
             }
-            FleetPolicy::SpotHedge {
-                ondemand_backstop, ..
-            } => HedgeStages {
-                cost_aware: false,
-                parity_permille: None,
-                backstop: ondemand_backstop,
-            },
-            FleetPolicy::CostAwareHedge {
-                ondemand_backstop, ..
-            } => HedgeStages {
-                cost_aware: true,
-                parity_permille: None,
-                backstop: ondemand_backstop,
-            },
-            // On-demand always bridges what the below-parity pools cannot
-            // reach — including the everything-spiked case, where the
-            // whole target rides guaranteed capacity until spot prices
-            // come back down.
-            FleetPolicy::CostPerToken {
-                parity_permille, ..
-            } => HedgeStages {
-                cost_aware: true,
-                parity_permille: Some(parity_permille),
-                backstop: true,
-            },
-        };
-        self.hedge_into(&mut cmd, view, now, stages);
+            if self.policy == FleetPolicy::OnDemandFallback {
+                // Keep *live* capacity at the target: whatever spot cannot
+                // cover right now, on-demand does. Provisioning spot is
+                // deliberately not counted — it may still be shed by a
+                // capacity drop, and the fallback's contract is live
+                // instances, not promises.
+                cmd.ondemand = view.target.saturating_sub(view.live_spot() + ondemand);
+            }
+            // Shed the full surplus when the target shrinks or spot
+            // recovers: queued requests are cancelled first, then live
+            // instances release (idle first, on-demand before spot — the
+            // executor's release priority).
+            let mut cancel = have.saturating_sub(desired);
+            for (i, pool) in view.pools.iter().enumerate() {
+                let k = cancel.min(pool.queued_spot);
+                cmd.cancel_spot[i] = k;
+                cancel -= k;
+            }
+            cmd.release = (view.live_spot() + view.live_ondemand).saturating_sub(desired);
+            return cmd;
+        }
+        self.hedge_into(&mut cmd, view, now);
         // Escalation: a pool that failed K consecutive times no longer
         // earns the spread's patience. Bridge the live gap with
         // guaranteed capacity — routed to the cheapest capable pool —
@@ -446,25 +398,23 @@ impl FleetController {
     /// that may not receive spot, size the hedge, spread the target plus
     /// spares plus hedge over the rest, backstop the shortfall with
     /// on-demand, and route that on-demand.
-    fn hedge_into(
-        &self,
-        cmd: &mut FleetCommand,
-        view: &FleetView,
-        now: SimTime,
-        stages: HedgeStages,
-    ) {
+    fn hedge_into(&self, cmd: &mut FleetCommand, view: &FleetView, now: SimTime) {
+        // Every hedge but the price-blind `SpotHedge` is cost-aware: it
+        // masks pools whose SKU cannot host the model, spreads by spot
+        // price, and routes the backstop to the cheapest capable pool.
+        let cost_aware = self.policy != FleetPolicy::SpotHedge;
         // Mask: a pool contributes no capacity and receives no requests
         // while it is backed off after lapsed grants, when its SKU cannot
         // host the model (cost-aware), or when its spot price has spiked
-        // to on-demand parity — preemptible capacity that buys tokens no
-        // cheaper than guaranteed capacity would.
+        // to on-demand parity (`CostPerToken`) — preemptible capacity
+        // that buys tokens no cheaper than guaranteed capacity would.
         let caps: Vec<u32> = view
             .pools
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                let masked = (stages.cost_aware && !p.caps.fits_model)
-                    || stages.parity_permille.is_some_and(|pm| p.past_parity(pm))
+                let masked = (cost_aware && !p.caps.fits_model)
+                    || (self.policy == FleetPolicy::CostPerToken && p.past_parity())
                     || self.tracker.is_backed_off(i, now);
                 if masked {
                     0
@@ -478,7 +428,7 @@ impl FleetController {
         // Spread: even, or price-ordered — the same share *multiset* as
         // the even spread (so one-outage survivability is unchanged), with
         // the remainder shares biased toward cheap spot pools.
-        let alloc = if stages.cost_aware {
+        let alloc = if cost_aware {
             spread_by_price(desired_total, &caps, |i| {
                 view.pools[i].caps.spot_cents_per_hour
             })
@@ -490,52 +440,37 @@ impl FleetController {
             cmd.spot[i] = want.saturating_sub(have);
             cmd.cancel_spot[i] = have.saturating_sub(want).min(pool.queued_spot);
         }
-        if stages.backstop {
-            // Even the hedged spread cannot reach the target: bridge the
-            // rest with on-demand — in the cheapest capable pool (its SKU,
-            // its bill) when cost-aware, else in pool 0.
-            let spot_reachable: u32 = alloc.iter().sum();
-            cmd.ondemand = view
-                .target
-                .saturating_sub(spot_reachable + view.live_ondemand + view.pending_ondemand);
-            if stages.cost_aware {
-                cmd.ondemand_pool = view.cheapest_capable();
-            }
+        // Even the hedged spread cannot reach the target: bridge the rest
+        // with on-demand — in the cheapest capable pool (its SKU, its
+        // bill) when cost-aware, else in pool 0. Under `CostPerToken` this
+        // includes the everything-spiked case, where the whole target
+        // rides guaranteed capacity until spot prices come back down.
+        let spot_reachable: u32 = alloc.iter().sum();
+        cmd.ondemand = view
+            .target
+            .saturating_sub(spot_reachable + view.live_ondemand + view.pending_ondemand);
+        if cost_aware {
+            cmd.ondemand_pool = view.cheapest_capable();
         }
         let live = view.live_spot() + view.live_ondemand;
         cmd.release = live.saturating_sub(desired_total);
     }
 
     /// [`FleetController::command`], recording a
-    /// [`TelemetryEvent::FleetCommand`] into `sink` when the command is
-    /// not a noop. With [`telemetry::NoopSink`] this monomorphizes to
-    /// exactly `command` — the event is never even constructed.
-    pub fn command_traced<S: TelemetrySink>(
+    /// [`TelemetryEvent::FleetCommand`] into `recorder` when it is enabled
+    /// and the command is not a noop.
+    pub fn command_traced(
         &self,
         view: &FleetView,
         now: SimTime,
-        sink: &mut S,
+        recorder: &mut Recorder,
     ) -> FleetCommand {
         let cmd = self.command(view, now);
-        if S::ACTIVE && !cmd.is_noop() {
-            sink.record(now, cmd.telemetry_event());
+        if recorder.is_enabled() && !cmd.is_noop() {
+            recorder.emit(now, cmd.telemetry_event());
         }
         cmd
     }
-}
-
-/// Which stages of the hedged pipeline a policy switches on (see
-/// [`FleetController::command`]).
-#[derive(Debug, Clone, Copy)]
-struct HedgeStages {
-    /// Mask pools whose SKU cannot host the model, spread by spot price,
-    /// and route the on-demand backstop to the cheapest capable pool.
-    cost_aware: bool,
-    /// Mask pools whose spot price reached this share (permille) of their
-    /// on-demand price.
-    parity_permille: Option<u32>,
-    /// Bridge with on-demand whatever the spread cannot reach.
-    backstop: bool,
 }
 
 /// [`spread`] with the pools visited cheapest-first: permute capacities by
@@ -741,19 +676,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bounds are inverted")]
-    fn inverted_hedge_bounds_fail_fast_at_construction() {
-        ctl(
-            FleetPolicy::SpotHedge {
-                min_hedge: 8,
-                max_hedge: 2,
-                ondemand_backstop: true,
-            },
-            2,
-        );
-    }
-
-    #[test]
     fn fallback_does_not_double_request_while_od_pending() {
         let c = ctl(FleetPolicy::OnDemandFallback, 1);
         let view = FleetView {
@@ -778,7 +700,7 @@ mod tests {
         let cmd = c.command(&view, SimTime::ZERO);
         let total: u32 = cmd.spot.iter().sum();
         let worst = cmd.spot.iter().copied().max().unwrap();
-        assert!(total > 4, "target plus at least min_hedge");
+        assert!(total > 4, "target plus at least MIN_HEDGE");
         assert!(
             total - worst >= 4,
             "losing the biggest share {worst} of {cmd:?} must keep target"
@@ -825,13 +747,13 @@ mod tests {
         }
         let churny = c.hedge(4, &caps, SimTime::from_secs(60));
         assert!(churny > calm, "observed kills must grow the hedge");
-        assert!(churny <= 8, "max_hedge caps the inflation");
+        assert!(churny <= MAX_HEDGE, "MAX_HEDGE caps the inflation");
     }
 
     #[test]
     fn zone_floor_is_zero_with_a_single_pool() {
         let c = ctl(FleetPolicy::spot_hedge(), 1);
-        // One pool: no spread can survive losing it; only min_hedge/churn
+        // One pool: no spread can survive losing it; only MIN_HEDGE/churn
         // apply.
         assert_eq!(c.hedge(4, &[8], SimTime::ZERO), 1);
     }
@@ -1082,25 +1004,11 @@ mod tests {
             spiked > calm,
             "pressure must widen the hedge: {spiked} vs {calm}"
         );
-        assert!(spiked <= 8, "max_hedge still caps it");
-    }
-
-    #[test]
-    #[should_panic(expected = "zero parity threshold")]
-    fn zero_parity_threshold_fails_fast() {
-        ctl(
-            FleetPolicy::CostPerToken {
-                min_hedge: 1,
-                max_hedge: 8,
-                parity_permille: 0,
-            },
-            2,
-        );
+        assert!(spiked <= MAX_HEDGE, "MAX_HEDGE still caps it");
     }
 
     #[test]
     fn command_traced_records_non_noop_commands_only() {
-        use telemetry::Recorder;
         let c = ctl(FleetPolicy::OnDemandFallback, 1);
         let mut rec = Recorder::enabled();
         // Satisfied fleet: noop, nothing recorded.
@@ -1123,9 +1031,13 @@ mod tests {
         assert_eq!(cmd, c.command(&short, SimTime::from_secs(9)));
         assert_eq!(rec.records().len(), 1);
         assert_eq!(rec.records()[0].event, cmd.telemetry_event());
-        // The noop sink compiles the emission away entirely.
-        let via_noop = c.command_traced(&short, SimTime::from_secs(9), &mut telemetry::NoopSink);
-        assert_eq!(via_noop, cmd);
+        // A disabled recorder captures nothing and changes no command.
+        let mut off = Recorder::disabled();
+        assert_eq!(
+            c.command_traced(&short, SimTime::from_secs(9), &mut off),
+            cmd
+        );
+        assert!(off.is_empty());
     }
 
     // ---- Chaos recovery: backoff masks and escalation ----------------

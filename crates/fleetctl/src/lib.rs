@@ -48,7 +48,7 @@ pub mod tracker;
 
 pub use controller::{FleetCommand, FleetController, FleetView, PoolCaps, PoolView};
 pub use estimator::PreemptionEstimator;
-pub use policy::FleetPolicy;
+pub use policy::{FleetPolicy, MAX_HEDGE, MIN_HEDGE, PARITY_PERMILLE};
 pub use tracker::{RequestTracker, RetryDecision};
 
 /// Spreads `total` instances across pools by capacity-capped round-robin

@@ -19,110 +19,61 @@ pub enum FleetPolicy {
     /// SkyServe-style hedge: spread `target + hedge` spot instances across
     /// every pool (capacity-capped even spread), sizing `hedge` so that a
     /// full single-pool outage still leaves `target` live instances, and
-    /// inflating it when the preemption-rate estimator observes churn.
-    SpotHedge {
-        /// Floor on the hedge (extra instances beyond target), applied
-        /// even when the estimator sees no churn and one pool could
-        /// absorb everything.
-        min_hedge: u32,
-        /// Ceiling on the hedge: over-provisioning is a cost knob, and
-        /// this caps what churn can inflate it to.
-        max_hedge: u32,
-        /// Also fall back to on-demand when even the hedged spread cannot
-        /// reach `target` (every pool short on capacity at once).
-        ondemand_backstop: bool,
-    },
+    /// inflating it when the preemption-rate estimator observes churn,
+    /// within [`MIN_HEDGE`]..=[`MAX_HEDGE`]. On-demand bridges whatever
+    /// the hedged spread cannot reach (every pool short at once).
+    SpotHedge,
     /// [`FleetPolicy::SpotHedge`] for heterogeneous fleets: pools whose
     /// SKU cannot host the model are excluded outright, the hedged spread
     /// biases its remainder toward the cheapest spot pools (same share
     /// multiset as the even spread, so one-outage survivability is
     /// unchanged), and the on-demand backstop lands in the *cheapest
     /// capable* pool's SKU instead of pool 0's.
-    CostAwareHedge {
-        /// Floor on the hedge, as in [`FleetPolicy::SpotHedge`].
-        min_hedge: u32,
-        /// Ceiling on the hedge, as in [`FleetPolicy::SpotHedge`].
-        max_hedge: u32,
-        /// Bridge to on-demand (in the cheapest capable pool) when the
-        /// hedged spread cannot reach `target`.
-        ondemand_backstop: bool,
-    },
+    CostAwareHedge,
     /// [`FleetPolicy::CostAwareHedge`] optimizing $ per token under
     /// *dynamic* spot prices: pools whose current spot price has spiked
-    /// to at or past `parity_permille`/1000 of their on-demand price are
+    /// to at or past [`PARITY_PERMILLE`]/1000 of their on-demand price are
     /// masked out of the spot spread entirely — preemptible capacity at
     /// on-demand parity buys nothing but risk — and on-demand (in the
     /// cheapest capable pool) bridges whatever the cheap pools cannot
     /// reach. Price spikes also feed the preemption estimator as an
     /// anticipatory kill signal, widening the hedge *before* the
     /// price-correlated kills land.
-    CostPerToken {
-        /// Floor on the hedge, as in [`FleetPolicy::SpotHedge`].
-        min_hedge: u32,
-        /// Ceiling on the hedge, as in [`FleetPolicy::SpotHedge`].
-        max_hedge: u32,
-        /// Spot/on-demand parity threshold, in permille: spot at or above
-        /// `parity_permille`/1000 of on-demand masks the pool. `900`
-        /// means "stop riding spot once it costs 90% of guaranteed
-        /// capacity".
-        parity_permille: u32,
-    },
+    CostPerToken,
 }
 
+/// Floor on the hedge (extra instances beyond target), applied even when
+/// the estimator sees no churn and one pool could absorb everything.
+pub const MIN_HEDGE: u32 = 1;
+
+/// Ceiling on the hedge: over-provisioning is a cost knob, and this caps
+/// what churn can inflate it to.
+pub const MAX_HEDGE: u32 = 8;
+
+/// [`FleetPolicy::CostPerToken`]'s spot/on-demand parity threshold, in
+/// permille: spot at or above `PARITY_PERMILLE`/1000 of on-demand masks
+/// the pool. `900` means "stop riding spot once it costs 90% of
+/// guaranteed capacity".
+pub const PARITY_PERMILLE: u32 = 900;
+
+// The hedge bounds are ordered, and the parity threshold neither masks
+// every pool (0) nor waits past on-demand parity (1000).
+const _: () = assert!(MIN_HEDGE <= MAX_HEDGE && 0 < PARITY_PERMILLE && PARITY_PERMILLE < 1000);
+
 impl FleetPolicy {
-    /// The default [`FleetPolicy::SpotHedge`] tuning: hedge between 1 and
-    /// 8 instances, on-demand backstop enabled.
+    /// [`FleetPolicy::SpotHedge`].
     pub fn spot_hedge() -> Self {
-        FleetPolicy::SpotHedge {
-            min_hedge: 1,
-            max_hedge: 8,
-            ondemand_backstop: true,
-        }
+        FleetPolicy::SpotHedge
     }
 
-    /// The default [`FleetPolicy::CostAwareHedge`] tuning: the
-    /// [`FleetPolicy::spot_hedge`] bounds, with the backstop routed by
-    /// price.
+    /// [`FleetPolicy::CostAwareHedge`].
     pub fn cost_aware_hedge() -> Self {
-        FleetPolicy::CostAwareHedge {
-            min_hedge: 1,
-            max_hedge: 8,
-            ondemand_backstop: true,
-        }
+        FleetPolicy::CostAwareHedge
     }
 
-    /// The default [`FleetPolicy::CostPerToken`] tuning: the
-    /// [`FleetPolicy::spot_hedge`] bounds with a 90% price-parity
-    /// threshold.
+    /// [`FleetPolicy::CostPerToken`].
     pub fn cost_per_token() -> Self {
-        FleetPolicy::CostPerToken {
-            min_hedge: 1,
-            max_hedge: 8,
-            parity_permille: 900,
-        }
-    }
-
-    /// The hedge's `(min_hedge, max_hedge)` bounds; `None` for the
-    /// policies that do not hedge.
-    pub(crate) fn hedge_bounds(&self) -> Option<(u32, u32)> {
-        match *self {
-            FleetPolicy::SpotHedge {
-                min_hedge,
-                max_hedge,
-                ..
-            }
-            | FleetPolicy::CostAwareHedge {
-                min_hedge,
-                max_hedge,
-                ..
-            }
-            | FleetPolicy::CostPerToken {
-                min_hedge,
-                max_hedge,
-                ..
-            } => Some((min_hedge, max_hedge)),
-            FleetPolicy::ReactiveSpot | FleetPolicy::OnDemandFallback => None,
-        }
+        FleetPolicy::CostPerToken
     }
 
     /// Whether this policy spreads a hedge across pools — the policies
@@ -130,7 +81,10 @@ impl FleetPolicy {
     /// and escalation verdicts. The single-market policies retry blindly
     /// at every steer; the fallback already rides on-demand continuously.
     pub fn is_hedged(&self) -> bool {
-        self.hedge_bounds().is_some()
+        matches!(
+            self,
+            FleetPolicy::SpotHedge | FleetPolicy::CostAwareHedge | FleetPolicy::CostPerToken
+        )
     }
 }
 
@@ -143,36 +97,5 @@ mod tests {
         assert_eq!(FleetPolicy::default(), FleetPolicy::ReactiveSpot);
         assert!(!FleetPolicy::default().is_hedged());
         assert!(FleetPolicy::spot_hedge().is_hedged());
-    }
-
-    #[test]
-    fn cost_per_token_defaults_stop_short_of_parity() {
-        let FleetPolicy::CostPerToken {
-            min_hedge,
-            max_hedge,
-            parity_permille,
-        } = FleetPolicy::cost_per_token()
-        else {
-            panic!("cost_per_token() must build a CostPerToken");
-        };
-        assert!(min_hedge <= max_hedge);
-        assert!(
-            parity_permille < 1000,
-            "the default must bail out strictly below on-demand parity"
-        );
-    }
-
-    #[test]
-    fn hedge_defaults_are_bounded() {
-        let FleetPolicy::SpotHedge {
-            min_hedge,
-            max_hedge,
-            ondemand_backstop,
-        } = FleetPolicy::spot_hedge()
-        else {
-            panic!("spot_hedge() must build a SpotHedge");
-        };
-        assert!(min_hedge <= max_hedge);
-        assert!(ondemand_backstop);
     }
 }

@@ -237,7 +237,6 @@ impl KmScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exhaustive;
 
     #[test]
     fn one_by_one() {
@@ -288,20 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_exhaustive_on_fixed_cases() {
-        let cases = [
-            WeightMatrix::from_rows(&[vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]]),
-            WeightMatrix::from_rows(&[vec![0, 0, 0, 0], vec![0, 1, 0, 0], vec![0, 0, 0, 2]]),
-            WeightMatrix::from_fn(5, 5, |r, c| ((r * 31 + c * 17) % 13) as i64 - 6),
-        ];
-        for w in &cases {
-            let fast = max_weight_assignment(w);
-            let slow = exhaustive::best_assignment(w);
-            assert_eq!(fast.total_weight, slow.total_weight, "matrix:\n{w}");
-        }
-    }
-
-    #[test]
     fn duplicate_weights_are_fine() {
         let w = WeightMatrix::from_fn(6, 6, |_, _| 7);
         let a = max_weight_assignment(&w);
@@ -324,7 +309,6 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::exhaustive;
     use proptest::prelude::*;
 
     fn arb_matrix(max_dim: usize) -> impl Strategy<Value = WeightMatrix> {
@@ -335,13 +319,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
-        fn agrees_with_exhaustive_oracle(w in arb_matrix(6)) {
-            let fast = max_weight_assignment(&w);
-            let slow = exhaustive::best_assignment(&w);
-            prop_assert_eq!(fast.total_weight, slow.total_weight);
-        }
-
         #[test]
         fn assignment_is_valid_matching(w in arb_matrix(8)) {
             let a = max_weight_assignment(&w);

@@ -8,8 +8,7 @@
 //! minimizes migration traffic.
 //!
 //! This crate implements the O(n³) shortest-augmenting-path variant
-//! ([`max_weight_assignment`]) together with a factorial-time exhaustive
-//! oracle ([`exhaustive::best_assignment`]) used by the property tests.
+//! ([`max_weight_assignment`]).
 //!
 //! # Example
 //!
@@ -24,7 +23,6 @@
 //! assert_eq!(a.col_of_row(1), Some(0));
 //! ```
 
-pub mod exhaustive;
 pub mod hungarian;
 pub mod matrix;
 pub mod skucost;

@@ -14,8 +14,8 @@
 //! * [`SimRng`] — named, independently-seeded random streams derived from a
 //!   single master seed, so that adding a new consumer of randomness does
 //!   not perturb existing streams,
-//! * [`metrics`] — online summary statistics and exact percentile
-//!   collection used by the experiment harness.
+//! * [`metrics`] — exact percentile collection used by the experiment
+//!   harness.
 //!
 //! # Example
 //!
@@ -37,7 +37,7 @@ pub mod shard;
 pub mod time;
 
 pub use event::{EventQueue, Reservation};
-pub use metrics::{OnlineStats, Percentiles, Sampler};
+pub use metrics::{Percentiles, Sampler};
 pub use rng::SimRng;
 pub use shard::run_shards;
 pub use time::{SimDuration, SimTime};

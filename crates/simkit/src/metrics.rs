@@ -1,115 +1,9 @@
-//! Online statistics and exact percentile collection.
+//! Exact percentile collection.
 //!
 //! Experiments in this workspace report average and tail latencies
 //! (P90–P99, like the paper's Figure 6). Sample counts are small enough
 //! (thousands of requests) that exact percentiles over retained samples are
 //! both affordable and more trustworthy than sketches.
-
-/// Streaming mean/variance/min/max via Welford's algorithm.
-///
-/// # Example
-///
-/// ```
-/// use simkit::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.count(), 3);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 if fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Folds another accumulator into this one (pairwise Welford / Chan et
-    /// al. combination), as if every observation recorded into `other` had
-    /// been recorded here. Mean and variance of the merged accumulator match
-    /// a single-accumulator run over the union to floating-point roundoff.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n_a = self.n as f64;
-        let n_b = other.n as f64;
-        let n = n_a + n_b;
-        let delta = other.mean - self.mean;
-        self.mean += delta * (n_b / n);
-        self.m2 += other.m2 + delta * delta * (n_a * n_b / n);
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
 
 /// Retains all samples and answers exact quantile queries.
 ///
@@ -183,46 +77,6 @@ impl Sampler {
         Some(self.samples[rank - 1])
     }
 
-    /// Answers many quantile queries with a single sort.
-    ///
-    /// Appends one value per entry of `qs` (in `qs` order) to `out`,
-    /// each exactly what [`Sampler::quantile`] would return for that `q`.
-    /// An empty sampler appends nothing. `out` is *not* cleared, so a
-    /// caller can batch several samplers into one row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `q` is outside `[0, 1]`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use simkit::Sampler;
-    /// let mut s: Sampler = (1..=100).map(|i| i as f64).collect();
-    /// let mut row = Vec::new();
-    /// s.quantiles_into(&[0.5, 0.99, 1.0], &mut row);
-    /// assert_eq!(row, [50.0, 99.0, 100.0]);
-    /// ```
-    pub fn quantiles_into(&mut self, qs: &[f64], out: &mut Vec<f64>) {
-        for &q in qs {
-            assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        }
-        if self.samples.is_empty() {
-            return;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-            self.sorted = true;
-        }
-        let n = self.samples.len();
-        out.reserve(qs.len());
-        out.extend(qs.iter().map(|&q| {
-            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-            self.samples[rank - 1]
-        }));
-    }
-
     /// Sample mean, or `None` if empty.
     pub fn mean(&self) -> Option<f64> {
         if self.samples.is_empty() {
@@ -230,20 +84,6 @@ impl Sampler {
         } else {
             Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
         }
-    }
-
-    /// Folds another sampler's samples into this one.
-    ///
-    /// Because samplers retain every sample, a sharded-then-merged sampler
-    /// holds exactly the same multiset as a single sampler fed the union, so
-    /// every quantile is *bitwise* identical; only `mean()` (a fresh
-    /// summation in storage order) can differ by roundoff.
-    pub fn merge(&mut self, other: &Sampler) {
-        if other.samples.is_empty() {
-            return;
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
     }
 
     /// Read-only view of the raw samples (unspecified order).
@@ -326,21 +166,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
     fn sampler_quantiles_exact() {
         let mut s: Sampler = (1..=1000).map(|i| i as f64).collect();
         assert_eq!(s.quantile(0.0), Some(1.0));
@@ -360,30 +185,6 @@ mod tests {
         // Interleave: record after querying.
         s.record(0.5);
         assert_eq!(s.quantile(0.0), Some(0.5));
-    }
-
-    #[test]
-    fn quantiles_into_matches_single_queries() {
-        let mut s: Sampler = (0..997).map(|i| (i * 31 % 997) as f64).collect();
-        let qs = [0.0, 0.25, 0.5, 0.9, 0.99, 1.0];
-        let mut batch = Vec::new();
-        s.quantiles_into(&qs, &mut batch);
-        let single: Vec<f64> = qs.iter().map(|&q| s.quantile(q).unwrap()).collect();
-        assert_eq!(batch, single);
-        // Appends without clearing, and an empty sampler appends nothing.
-        s.quantiles_into(&[0.5], &mut batch);
-        assert_eq!(batch.len(), qs.len() + 1);
-        let mut empty = Sampler::new();
-        let mut out = vec![7.0];
-        empty.quantiles_into(&[0.5, 0.9], &mut out);
-        assert_eq!(out, [7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile out of range")]
-    fn quantiles_into_rejects_out_of_range() {
-        let mut s: Sampler = [1.0, 2.0].into_iter().collect();
-        s.quantiles_into(&[0.5, 1.5], &mut Vec::new());
     }
 
     #[test]

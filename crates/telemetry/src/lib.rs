@@ -5,9 +5,7 @@
 //! per-component [`Recorder`]; a finished run merges them into one
 //! [`TelemetryStream`] ordered by `(time, shard, seq)`, which renders
 //! as versioned JSONL (stable wire contract, [`STREAM_VERSION`]) and
-//! digests with [`Fnv1a`] for replay gates. [`TimeSeries`] folds the
-//! stream into rolling windows (queue depth, SLO attainment, $/token,
-//! preemption rate) for figures and the future operator console.
+//! digests with [`Fnv1a`] for replay gates.
 //!
 //! Design rules, enforced across the workspace:
 //!
@@ -20,22 +18,17 @@
 //!   schedule — so the exported stream is thread-count invariant.
 //! - **Bounded volume.** Engine state travels as epoch-granular
 //!   cumulative rollups, never per-token events.
-//! - **Zero cost when off.** [`Recorder`] is one predictable branch;
-//!   the generic [`TelemetrySink`] path with [`NoopSink`] compiles to
-//!   nothing ([`TelemetrySink::ACTIVE`]).
+//! - **Zero cost when off.** A disabled [`Recorder`] costs one
+//!   predictable branch per emit point.
 
 #![warn(missing_docs)]
 
 mod event;
 mod record;
-mod series;
-mod sink;
 mod stream;
 
 pub use event::{TelemetryEvent, TriageVerdict};
 pub use record::{Record, Recorder};
-pub use series::{TimeSeries, WindowStats};
-pub use sink::{emit, JsonlSink, NoopSink, RingSink, TelemetrySink};
 pub use stream::{Fnv1a, StreamRecord, TelemetryStream};
 
 /// Version of the JSONL wire format. Bump when the header, record key

@@ -3,7 +3,6 @@
 use simkit::SimTime;
 
 use crate::event::TelemetryEvent;
-use crate::sink::TelemetrySink;
 
 /// One captured event: when it happened and its emission order among
 /// events its recorder captured at the same instant.
@@ -26,8 +25,7 @@ pub struct Record {
 /// is `Clone + Send`, so sharded systems can carry one per shard across
 /// `run_shards` worker threads.
 ///
-/// Disabled is the default and costs one branch per emit point — event
-/// construction is skipped entirely via [`Recorder::emit_with`].
+/// Disabled is the default and costs one branch per emit point.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Recorder {
     enabled: bool,
@@ -60,23 +58,10 @@ impl Recorder {
         self.enabled
     }
 
-    /// Captures `event` at `time`. Prefer [`Recorder::emit_with`] when
-    /// building the event does any work.
+    /// Captures `event` at `time`.
     #[inline]
     pub fn emit(&mut self, time: SimTime, event: TelemetryEvent) {
         if self.enabled {
-            self.push(time, event);
-        }
-    }
-
-    /// Captures the event produced by `build` at `time`; `build` is not
-    /// called when the recorder is disabled, so emit points that gather
-    /// state (queue depths, cost breakdowns) are free when telemetry is
-    /// off.
-    #[inline]
-    pub fn emit_with(&mut self, time: SimTime, build: impl FnOnce() -> TelemetryEvent) {
-        if self.enabled {
-            let event = build();
             self.push(time, event);
         }
     }
@@ -111,24 +96,13 @@ impl Recorder {
     }
 }
 
-impl TelemetrySink for Recorder {
-    fn record(&mut self, time: SimTime, event: TelemetryEvent) {
-        self.emit(time, event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_captures_nothing_and_skips_construction() {
+    fn disabled_recorder_captures_nothing() {
         let mut r = Recorder::disabled();
-        let mut built = false;
-        r.emit_with(SimTime::ZERO, || {
-            built = true;
-            TelemetryEvent::TransitionHalt { epoch: 0 }
-        });
         r.emit(
             SimTime::from_secs(1),
             TelemetryEvent::InstanceKill {
@@ -136,7 +110,6 @@ mod tests {
                 instance: 1,
             },
         );
-        assert!(!built, "emit_with must not build when disabled");
         assert!(r.is_empty());
     }
 

@@ -131,19 +131,15 @@ impl TelemetryStream {
     /// header line carrying [`STREAM_VERSION`], then one compact
     /// integer-exact JSON object per record.
     pub fn jsonl_into(&self, out: &mut impl fmt::Write) {
-        jsonl_header_into(out);
+        writeln!(
+            out,
+            "{{\"stream\":\"spotserve.telemetry\",\"version\":{STREAM_VERSION}}}"
+        )
+        .expect("infallible fmt sink");
         let mut line = String::with_capacity(160);
         for r in &self.records {
             line.clear();
-            jsonl_record_into(
-                &mut line,
-                r.shard,
-                &Record {
-                    time: r.time,
-                    seq: r.seq,
-                    event: r.event,
-                },
-            );
+            jsonl_record_into(&mut line, r);
             out.write_str(&line).expect("infallible fmt sink");
         }
     }
@@ -207,26 +203,17 @@ impl fmt::Write for Fnv1a {
     }
 }
 
-/// Writes the JSONL stream header (line 1 of every export).
-pub(crate) fn jsonl_header_into(out: &mut impl fmt::Write) {
-    writeln!(
-        out,
-        "{{\"stream\":\"spotserve.telemetry\",\"version\":{STREAM_VERSION}}}"
-    )
-    .expect("infallible fmt sink");
-}
-
 /// Writes one record as a single JSONL line (with trailing newline).
 ///
 /// Key order is fixed; every value is an integer, a bool, or a static
 /// SKU name — nothing here formats a float, so the byte stream is
 /// exactly reproducible.
-pub(crate) fn jsonl_record_into(out: &mut String, shard: u32, r: &Record) {
+fn jsonl_record_into(out: &mut String, r: &StreamRecord) {
     write!(
         out,
         "{{\"t_us\":{},\"shard\":{},\"seq\":{},\"ev\":\"{}\"",
         r.time.as_micros(),
-        shard,
+        r.shard,
         r.seq,
         r.event.kind()
     )

@@ -7,7 +7,9 @@
 //! implementations return bit-identical outcomes, plans and timelines. The candidate
 //! frontier's oracle is [`frontier`], held to the production frontier by
 //! `frontier_equivalence.rs`, and Algorithm 1's is [`optimizer`], held to
-//! `ConfigOptimizer` by `optimizer_properties.rs`.
+//! `ConfigOptimizer` by `optimizer_properties.rs`. The Kuhn–Munkres
+//! solver's oracle is [`best_assignment_weight`], a brute force held to
+//! `kmatch::max_weight_assignment` by `substrate_invariants.rs`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -195,6 +197,36 @@ fn edge_weight_reference(
         w += old_ctx.weight_overlap_bytes(&new_ctx, cache_per_layer) as i64;
     }
     w
+}
+
+// ---- Kuhn–Munkres (§3.3) --------------------------------------------
+
+/// The best total weight of an assignment of `weights`, found by trying
+/// every injection of the smaller side into the larger. Factorial time:
+/// keep both sides under about 9.
+pub fn best_assignment_weight(weights: &WeightMatrix) -> i64 {
+    if weights.rows() > weights.cols() {
+        return best_assignment_weight(&weights.transposed());
+    }
+    let mut cols: Vec<usize> = (0..weights.cols()).collect();
+    let mut best = i64::MIN;
+    permute(&mut cols, 0, &mut |perm| {
+        best = best.max((0..weights.rows()).map(|r| weights.get(r, perm[r])).sum());
+    });
+    best
+}
+
+/// Visits every permutation of `xs[k..]` (behind the fixed `xs[..k]`).
+fn permute(xs: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
+    if k == xs.len() {
+        visit(xs);
+        return;
+    }
+    for i in k..xs.len() {
+        xs.swap(k, i);
+        permute(xs, k + 1, visit);
+        xs.swap(k, i);
+    }
 }
 
 // ---- Byte flows ------------------------------------------------------

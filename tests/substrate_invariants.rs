@@ -2,8 +2,11 @@
 //! compose (cloud ↔ billing, memory ↔ enumeration, KM ↔ device mapping,
 //! planner ↔ timeline).
 
+mod common;
+
 use cloudsim::{AvailabilityTrace, CloudConfig, CloudSim, GpuSpec, InstanceKind};
-use kmatch::{exhaustive, max_weight_assignment, WeightMatrix};
+use common::reference::best_assignment_weight;
+use kmatch::{max_weight_assignment, WeightMatrix};
 use llmsim::{calibration, MemoryModel, ModelSpec};
 use parallelism::{enumerate_configs, ConfigSpace, ParallelConfig, PerfModel};
 use proptest::prelude::*;
@@ -77,22 +80,37 @@ fn calibration_anchors_survive_composition() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+#[test]
+fn km_matches_bruteforce_on_fixed_cases() {
+    let cases = [
+        WeightMatrix::from_rows(&[vec![4, 1, 3], vec![2, 0, 5], vec![3, 2, 2]]),
+        WeightMatrix::from_rows(&[vec![0, 0, 0, 0], vec![0, 1, 0, 0], vec![0, 0, 0, 2]]),
+        WeightMatrix::from_fn(5, 5, |r, c| ((r * 31 + c * 17) % 13) as i64 - 6),
+    ];
+    for w in &cases {
+        assert_eq!(
+            max_weight_assignment(w).total_weight,
+            best_assignment_weight(w),
+            "matrix:\n{w}"
+        );
+    }
+}
 
+proptest! {
     #[test]
     fn km_equals_bruteforce_through_public_api(
         seed in 0u64..1000,
-        rows in 1usize..6,
-        cols in 1usize..6,
+        rows in 1usize..=6,
+        cols in 1usize..=6,
     ) {
         let mut rng = SimRng::new(seed).stream("w");
-        let w = WeightMatrix::from_fn(rows, cols, |_, _| rng.below(1_000) as i64);
-        prop_assert_eq!(
-            max_weight_assignment(&w).total_weight,
-            exhaustive::best_assignment(&w).total_weight
-        );
+        let w = WeightMatrix::from_fn(rows, cols, |_, _| rng.below(2_000) as i64 - 1_000);
+        prop_assert_eq!(max_weight_assignment(&w).total_weight, best_assignment_weight(&w));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn generated_traces_always_replayable(seed in 0u64..500) {
