@@ -834,6 +834,36 @@ fn golden_digests_are_pinned() {
             0x890d_ef07_e814_d02c,
             replay_mixed_churn(13),
         ),
+        (
+            "replay/spotserve_fixed_batch",
+            0x55da_c735_e7b9_178a,
+            replay(
+                SystemOptions::spotserve().with_engine(EngineMode::FixedBatch),
+                99,
+            ),
+        ),
+        (
+            "replay/reparallelization_fixed_batch",
+            0xd350_84d4_c652_d4c3,
+            replay(
+                SystemOptions::reparallelization().with_engine(EngineMode::FixedBatch),
+                99,
+            ),
+        ),
+        (
+            "replay/rerouting_fixed_batch",
+            0x9510_b9b9_ef82_a5fa,
+            replay(
+                SystemOptions::rerouting().with_engine(EngineMode::FixedBatch),
+                99,
+            ),
+        ),
+        ("chunked_slo", 0x16f7_7f44_c112_bf3e, replay_chunked_slo(17)),
+        (
+            "replay/on_demand_only",
+            0xca25_ebfc_44a7_5ab2,
+            replay(SystemOptions::on_demand_only(6), 99),
+        ),
     ];
     let moved: Vec<String> = golden
         .iter()
