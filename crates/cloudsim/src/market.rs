@@ -9,9 +9,9 @@
 //! [`CloudSim`]) and pool-addressed commands for policy-driven acquisition
 //! (see the `fleetctl` crate).
 //!
-//! Instance ids encode their pool ([`POOL_ID_STRIDE`]): pool 0 allocates
-//! the exact id sequence a bare `CloudSim` would, which is what keeps
-//! pre-multi-pool replays byte-identical.
+//! Instance ids encode their pool ([`POOL_ID_STRIDE`](crate::POOL_ID_STRIDE)):
+//! pool 0 allocates the exact id sequence a bare `CloudSim` would, which is
+//! what keeps pre-multi-pool replays byte-identical.
 //!
 //! # Example
 //!
@@ -285,8 +285,8 @@ impl CloudMarket {
     }
 
     /// The spot price in force in `pool` at `t` (USD per instance-hour).
-    /// For pools without a [`PriceModel`](crate::PriceModel) this is the
-    /// SKU's list price; for priced pools it reads the pre-drawn path.
+    /// For pools without a [`PriceModel`] this is the SKU's list price;
+    /// for priced pools it reads the pre-drawn path.
     pub fn spot_price_in(&self, pool: PoolId, t: SimTime) -> f64 {
         self.pool(pool).spot_price_at(t)
     }

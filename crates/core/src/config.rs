@@ -86,15 +86,6 @@ pub struct SystemOptions {
     pub spare_instances: u32,
     /// Ceiling on total fleet size the optimizer may target.
     pub max_instances: u32,
-    /// Safety margin subtracted from the grace period when arranging
-    /// migrations (§4.2 guards against estimate error).
-    pub migration_safety_margin: SimDuration,
-    /// Engine-process launch time on a fresh instance (excludes weight
-    /// loading, which the migration/cold-load path accounts for).
-    pub engine_launch: SimDuration,
-    /// How often the arrival-rate estimate is refreshed (§3.2 footnote:
-    /// "observing the request arrivals within a short past duration").
-    pub rate_tick: SimDuration,
     /// Keep simulating after the arrival window until the queue drains,
     /// up to this cap.
     pub drain_cap: SimDuration,
@@ -115,9 +106,6 @@ impl SystemOptions {
             fleet_policy: FleetPolicy::default(),
             spare_instances: 2,
             max_instances: 16,
-            migration_safety_margin: SimDuration::from_secs(2),
-            engine_launch: SimDuration::from_secs(10),
-            rate_tick: SimDuration::from_secs(30),
             drain_cap: SimDuration::from_secs(3600),
             telemetry: false,
         }

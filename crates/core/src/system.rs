@@ -24,8 +24,8 @@ use cloudsim::{
     InstanceType, PoolId, PoolSpec,
 };
 use enginesim::{
-    preemption_stop_time, recovery_worthwhile, AdmissionVerdict, BatchRun, ContextDaemon,
-    EngineCounters, IterationScheduler, PendingQueue, RequestRun,
+    preemption_stop_time, recovery_worthwhile, AdmissionVerdict, BatchRun, EngineCounters,
+    IterationScheduler, PendingQueue, RequestRun,
 };
 use kmatch::SkuCaps;
 use llmsim::ModelSpec;
@@ -123,15 +123,24 @@ impl Scenario {
     }
 }
 
+/// How often the arrival-rate estimate is refreshed (§3.2 footnote:
+/// "observing the request arrivals within a short past duration").
+const RATE_TICK: SimDuration = SimDuration::from_secs(30);
+
+/// Engine-process launch time on a fresh instance (excludes weight
+/// loading, which the migration and cold-load paths account for).
+const ENGINE_LAUNCH: SimDuration = SimDuration::from_secs(10);
+
+/// Safety margin subtracted from the grace period when arranging
+/// migrations (§4.2 guards against estimate error).
+const MIGRATION_SAFETY_MARGIN: SimDuration = SimDuration::from_secs(2);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    /// Fixed-batch engine: a run-to-completion batch finished.
-    BatchDone {
-        pipeline: u64,
-    },
-    /// Continuous engine: a scheduler segment reached its last iteration
-    /// boundary (retire/admit point).
-    IterBoundary {
+    /// A pipeline's engine is due: its fixed batch committed its last
+    /// token, or its scheduler reached a segment's last iteration boundary
+    /// (the retire/admit point).
+    EngineDue {
         pipeline: u64,
     },
     InitDone {
@@ -160,17 +169,49 @@ enum Carried {
     Records(Vec<RequestRun>),
 }
 
+/// The engine one pipeline runs, holding the context the paper's context
+/// daemon keeps alive across engine restarts (§3.1, §5): whose KV cache is
+/// resident and how many of its tokens are committed.
+#[derive(Debug)]
+enum Engine {
+    /// Fixed-batch engine: one batch decoding to its last token.
+    Batch(BatchRun),
+    /// Continuous engine: the iteration scheduler and its in-flight set,
+    /// each request at its own committed token.
+    Scheduler(IterationScheduler),
+}
+
+impl Engine {
+    /// Committed KV-cache bytes at `t`: under the continuous engine, the
+    /// sum of each in-flight request's own `S_in +` committed tokens.
+    fn cache_bytes_at(&self, t: SimTime, kv_bytes_per_token: u64) -> u64 {
+        match self {
+            Engine::Batch(run) => run.cache_bytes_at(t, kv_bytes_per_token),
+            Engine::Scheduler(s) => s.cache_bytes_at(t, kv_bytes_per_token),
+        }
+    }
+
+    /// Deepest committed output-token count at `t`: the batch's uniform
+    /// progress, or the furthest request's (the device mapper ranks
+    /// pipelines by decoding progress, §3.3).
+    fn committed_iters_at(&self, t: SimTime) -> u32 {
+        match self {
+            Engine::Batch(run) => run.committed_iters_at(t),
+            Engine::Scheduler(s) => s.max_committed_at(t),
+        }
+    }
+}
+
 /// One inference pipeline (a `P × M` GPU group serving batches).
 #[derive(Debug)]
 struct PipelineSlot {
-    /// Stable identifier (survives vector reshuffles).
+    /// Stable identifier (survives vector reshuffles). Rerouting keys the
+    /// assignment's pipelines by it.
     id: u64,
-    daemon: ContextDaemon,
-    /// Key of the pending engine event: the whole-batch completion
-    /// (fixed engine) or the next iteration-boundary event (continuous).
-    batch_key: Option<EventKey>,
-    /// Instances this pipeline runs on (used by Rerouting teardown).
-    instances: Vec<InstanceId>,
+    /// The resident engine; `None` while the pipeline is idle.
+    engine: Option<Engine>,
+    /// Key of the pending [`Ev::EngineDue`] event.
+    due_key: Option<EventKey>,
     /// The pipeline is cold-loading until this instant (Rerouting).
     ready_at: SimTime,
 }
@@ -278,7 +319,7 @@ pub struct ServingSystem {
     // Serving state.
     current: Option<ParallelConfig>,
     /// The configuration whose context is materialized on `assignment` —
-    /// survives serving halts (the context daemons outlive the engines).
+    /// survives serving halts (the model context outlives the engines).
     context_shape: Option<ParallelConfig>,
     assignment: DeviceAssignment,
     pipelines: Vec<PipelineSlot>,
@@ -597,8 +638,11 @@ impl ServingSystem {
 
     /// The start of the rate estimator's window: four rate ticks back.
     fn rate_window_start(&self) -> SimTime {
-        let window = self.opts.rate_tick;
-        SimTime::from_micros(self.now.as_micros().saturating_sub(window.as_micros() * 4))
+        SimTime::from_micros(
+            self.now
+                .as_micros()
+                .saturating_sub(RATE_TICK.as_micros() * 4),
+        )
     }
 
     /// Records an arrival at `at` for the rate estimator, dropping the
@@ -649,7 +693,7 @@ impl ServingSystem {
         let slots = self.events.reserve(requests.len());
         let mut fired = 0;
         self.events
-            .schedule(SimTime::ZERO + self.opts.rate_tick, Ev::RateTick);
+            .schedule(SimTime::ZERO + RATE_TICK, Ev::RateTick);
         // Step until every request settles, the event horizon empties, or
         // the drain cap passes.
         let last_arrival = requests.last().map_or(SimTime::ZERO, |r| r.arrival);
@@ -816,7 +860,7 @@ impl ServingSystem {
                     // this pool and reset its failure streak.
                     self.fleet.observe_grant(PoolId::of_instance(id).0 as usize);
                 }
-                let done = self.now + self.opts.engine_launch;
+                let done = self.now + ENGINE_LAUNCH;
                 self.initializing.insert(id, done);
                 self.events.schedule(done, Ev::InitDone { id });
                 self.sample_fleet();
@@ -876,15 +920,9 @@ impl ServingSystem {
 
     fn on_event(&mut self, ev: Ev) {
         match ev {
-            Ev::BatchDone { pipeline } => {
+            Ev::EngineDue { pipeline } => {
                 if let Some(idx) = self.pipelines.iter().position(|s| s.id == pipeline) {
-                    self.finish_batch(idx);
-                    self.dispatch_all();
-                }
-            }
-            Ev::IterBoundary { pipeline } => {
-                if let Some(idx) = self.pipelines.iter().position(|s| s.id == pipeline) {
-                    self.on_iter_boundary(idx);
+                    self.on_engine_due(idx);
                     self.dispatch_all();
                 }
             }
@@ -914,8 +952,7 @@ impl ServingSystem {
             Ev::RateTick => {
                 self.on_rate_tick();
                 if self.outstanding > 0 {
-                    self.events
-                        .schedule(self.now + self.opts.rate_tick, Ev::RateTick);
+                    self.events.schedule(self.now + RATE_TICK, Ev::RateTick);
                 }
             }
         }
@@ -948,10 +985,9 @@ impl ServingSystem {
                 break;
             }
             let slot = &self.pipelines[pi];
-            if slot.batch_key.is_some() || slot.ready_at > self.now {
+            if slot.due_key.is_some() || slot.ready_at > self.now {
                 continue;
             }
-            let id = slot.id;
             let take = (cfg.batch as usize).min(self.pending.len());
             let reqs: Vec<Request> = self.pending.drain_front(take).collect();
             let run = BatchRun::start(
@@ -960,18 +996,22 @@ impl ServingSystem {
                 self.now,
                 serving_perf(&self.optimizer, &self.lanes),
             );
-            let finish = run.finish_time();
-            let key = self.events.schedule(finish, Ev::BatchDone { pipeline: id });
-            let slot = &mut self.pipelines[pi];
-            slot.daemon.attach(run);
-            slot.batch_key = Some(key);
+            self.schedule_engine_due(pi, run.finish_time());
+            self.pipelines[pi].engine = Some(Engine::Batch(run));
         }
+    }
+
+    /// Schedules pipeline `pi`'s [`Ev::EngineDue`] event at `at`.
+    fn schedule_engine_due(&mut self, pi: usize, at: SimTime) {
+        let pipeline = self.pipelines[pi].id;
+        let key = self.events.schedule(at, Ev::EngineDue { pipeline });
+        self.pipelines[pi].due_key = Some(key);
     }
 
     /// Accounts requests dropped by SLO-aware admission on pipeline `pi`:
     /// a hopeless deadline is a terminal outcome, not a retry.
     fn drain_rejections(&mut self, pi: usize) {
-        let Some(sched) = self.pipelines[pi].daemon.scheduler_mut() else {
+        let Some(Engine::Scheduler(sched)) = &mut self.pipelines[pi].engine else {
             return;
         };
         for req in sched.take_rejected() {
@@ -990,6 +1030,7 @@ impl ServingSystem {
         let Some(cfg) = self.current else { return };
         let kv_budget = self.pipeline_kv_budget(&cfg);
         let kv_bpt = self.scenario.model.kv_bytes_per_token();
+        let chunk = self.opts.prefill_chunk;
         let now = self.now;
         // First pass: pipelines at a boundary (or idle) admit directly.
         for pi in 0..self.pipelines.len() {
@@ -999,17 +1040,13 @@ impl ServingSystem {
             if self.pipelines[pi].ready_at > self.now {
                 continue;
             }
-            let id = self.pipelines[pi].id;
-            if self.pipelines[pi].daemon.scheduler().is_none() {
-                self.pipelines[pi].daemon.attach_scheduler(
-                    IterationScheduler::new(cfg, kv_bpt, kv_budget)
-                        .with_prefill_chunk(self.opts.prefill_chunk),
-                );
-            }
-            let sched = self.pipelines[pi]
-                .daemon
-                .scheduler_mut()
-                .expect("just attached");
+            let Engine::Scheduler(sched) = self.pipelines[pi].engine.get_or_insert_with(|| {
+                Engine::Scheduler(
+                    IterationScheduler::new(cfg, kv_bpt, kv_budget).with_prefill_chunk(chunk),
+                )
+            }) else {
+                continue;
+            };
             if sched.next_event().is_none() {
                 sched.admit(
                     &mut self.pending,
@@ -1019,8 +1056,7 @@ impl ServingSystem {
                 let next = sched.next_event();
                 self.drain_rejections(pi);
                 if let Some(t) = next {
-                    let key = self.events.schedule(t, Ev::IterBoundary { pipeline: id });
-                    self.pipelines[pi].batch_key = Some(key);
+                    self.schedule_engine_due(pi, t);
                 }
             }
         }
@@ -1041,7 +1077,7 @@ impl ServingSystem {
                 if slot.ready_at > now {
                     continue;
                 }
-                let Some(sched) = slot.daemon.scheduler() else {
+                let Some(Engine::Scheduler(sched)) = &slot.engine else {
                     continue;
                 };
                 if !sched.fits(r) {
@@ -1066,80 +1102,85 @@ impl ServingSystem {
             }
         }
         if let Some(pi) = target {
-            let id = self.pipelines[pi].id;
-            let sched = self.pipelines[pi].daemon.scheduler_mut().expect("matched");
+            let Some(Engine::Scheduler(sched)) = &mut self.pipelines[pi].engine else {
+                unreachable!("the scan targets scheduler pipelines only");
+            };
             if let Some(new_end) = sched.truncate_for_admission(now) {
-                if let Some(key) = self.pipelines[pi].batch_key.take() {
+                if let Some(key) = self.pipelines[pi].due_key.take() {
                     self.events.cancel(key);
                 }
-                let key = self
-                    .events
-                    .schedule(new_end, Ev::IterBoundary { pipeline: id });
-                self.pipelines[pi].batch_key = Some(key);
+                self.schedule_engine_due(pi, new_end);
             }
         }
     }
 
-    /// Continuous engine: process one pipeline's iteration boundary —
+    /// Pipeline `pi`'s engine is due. A fixed batch finished: its requests
+    /// complete and the pipeline idles. A scheduler reached its boundary:
     /// retire finished requests, admit waiting ones, reschedule.
-    fn on_iter_boundary(&mut self, pipeline: usize) {
-        self.pipelines[pipeline].batch_key = None;
+    fn on_engine_due(&mut self, pi: usize) {
         let now = self.now;
-        let Some(sched) = self.pipelines[pipeline].daemon.scheduler_mut() else {
-            return;
-        };
-        let retired = sched.advance(
-            now,
-            &mut self.pending,
-            serving_perf(&self.optimizer, &self.lanes),
-        );
-        let next = sched.next_event();
-        self.drain_rejections(pipeline);
-        for request in retired {
+        let slot = &mut self.pipelines[pi];
+        slot.due_key = None;
+        match &mut slot.engine {
+            Some(Engine::Batch(_)) => {
+                if let Some(Engine::Batch(run)) = slot.engine.take() {
+                    self.record_finished(run.requests().iter().copied());
+                }
+            }
+            Some(Engine::Scheduler(sched)) => {
+                let retired = sched.advance(
+                    now,
+                    &mut self.pending,
+                    serving_perf(&self.optimizer, &self.lanes),
+                );
+                let next = sched.next_event();
+                self.drain_rejections(pi);
+                self.record_finished(retired);
+                if let Some(t) = next {
+                    self.schedule_engine_due(pi, t);
+                }
+            }
+            None => {}
+        }
+    }
+
+    /// Records requests whose last token committed now: the one place a
+    /// request leaves an engine finished.
+    fn record_finished(&mut self, requests: impl IntoIterator<Item = Request>) {
+        for request in requests {
             self.latency.record(workload::RequestOutcome {
                 request,
-                finished: now,
+                finished: self.now,
             });
             self.outstanding -= 1;
         }
-        if let Some(t) = next {
-            let id = self.pipelines[pipeline].id;
-            let key = self.events.schedule(t, Ev::IterBoundary { pipeline: id });
-            self.pipelines[pipeline].batch_key = Some(key);
-        }
     }
 
-    fn finish_batch(&mut self, pipeline: usize) {
-        let slot = &mut self.pipelines[pipeline];
-        slot.batch_key = None;
-        if let Some(run) = slot.daemon.detach() {
-            for req in run.requests() {
-                self.latency.record(workload::RequestOutcome {
-                    request: *req,
-                    finished: self.now,
-                });
-                self.outstanding -= 1;
-            }
+    /// Puts `requests` back at the front of the queue, in their order: the
+    /// one place an unfinished request returns to the queue, where it
+    /// recomputes whatever it had computed.
+    fn requeue_front(
+        &mut self,
+        requests: impl IntoIterator<Item = Request, IntoIter: DoubleEndedIterator>,
+    ) {
+        for req in requests.into_iter().rev() {
+            self.pending.push_front(req);
         }
     }
 
     /// Tears down a pipeline's in-flight work, requeueing its requests at
     /// the front of the queue (recomputation path: progress is lost).
-    fn requeue_pipeline(&mut self, pipeline: usize) {
-        let slot = &mut self.pipelines[pipeline];
-        if let Some(key) = slot.batch_key.take() {
+    fn requeue_pipeline(&mut self, slot: PipelineSlot) {
+        if let Some(key) = slot.due_key {
             self.events.cancel(key);
         }
-        if let Some(run) = slot.daemon.detach() {
-            for req in run.requests().iter().rev() {
-                self.pending.push_front(*req);
+        match slot.engine {
+            Some(Engine::Batch(run)) => self.requeue_front(run.requests().iter().copied()),
+            Some(Engine::Scheduler(sched)) => {
+                self.retired_counters.absorb(sched.counters());
+                self.requeue_front(sched.into_requests());
             }
-        }
-        if let Some(sched) = slot.daemon.detach_scheduler() {
-            self.retired_counters.absorb(sched.counters());
-            for req in sched.into_requests().into_iter().rev() {
-                self.pending.push_front(req);
-            }
+            None => {}
         }
     }
 
@@ -1164,6 +1205,17 @@ impl ServingSystem {
     /// old fleet is invalidated rather than left to commit stale.
     fn on_instance_gone(&mut self, id: InstanceId, unannounced: bool) {
         let involved = self.assignment.contains_instance(id);
+        // Rerouting keys the assignment's pipelines by slot id: the slots
+        // bound to this instance, read before its bindings go.
+        let touched: Vec<u64> = if involved && self.opts.policy == Policy::Rerouting {
+            self.assignment
+                .iter()
+                .filter(|(_, gpu)| gpu.instance == id)
+                .map(|(pos, _)| u64::from(pos.pipeline))
+                .collect()
+        } else {
+            Vec::new()
+        };
         self.assignment.remove_instance(id);
         if self.assignment.is_empty() {
             self.context_shape = None;
@@ -1198,21 +1250,16 @@ impl ServingSystem {
                 }
             }
             Policy::Rerouting => {
-                // Drop every pipeline touching this instance (slot
-                // membership is authoritative, not the assignment).
-                let mut touched = false;
-                for pi in 0..self.pipelines.len() {
-                    if self.pipelines[pi].instances.contains(&id) {
-                        touched = true;
-                        self.requeue_pipeline(pi);
-                        let slot_id = self.pipelines[pi].id;
-                        self.assignment.remove_pipeline(slot_id as u32);
-                        self.pipelines[pi].instances.clear();
-                        self.pipelines[pi].ready_at = SimTime::MAX;
+                // Drop every pipeline touching this instance.
+                if !touched.is_empty() {
+                    let (dropped, kept) = std::mem::take(&mut self.pipelines)
+                        .into_iter()
+                        .partition(|s| touched.contains(&s.id));
+                    self.pipelines = kept;
+                    for slot in dropped {
+                        self.assignment.remove_pipeline(slot.id as u32);
+                        self.requeue_pipeline(slot);
                     }
-                }
-                if touched {
-                    self.pipelines.retain(|s| !s.instances.is_empty());
                     self.reform_rerouting_pipelines();
                 }
                 self.steer_fleet();
@@ -1324,11 +1371,13 @@ impl ServingSystem {
         let mut counters = self.retired_counters;
         let mut residents = 0u32;
         for slot in &self.pipelines {
-            if let Some(s) = slot.daemon.scheduler() {
-                counters.absorb(s.counters());
-                residents += s.in_flight() as u32;
-            } else if let Some(run) = slot.daemon.batch() {
-                residents += run.requests().len() as u32;
+            match &slot.engine {
+                Some(Engine::Scheduler(s)) => {
+                    counters.absorb(s.counters());
+                    residents += s.in_flight() as u32;
+                }
+                Some(Engine::Batch(run)) => residents += run.requests().len() as u32,
+                None => {}
             }
         }
         self.telemetry.emit(
@@ -1601,7 +1650,7 @@ impl ServingSystem {
                 // JIT arrangement: estimate migration cost, decode until
                 // just enough grace remains (§4.1).
                 let est = self.estimate_migration(target);
-                preemption_stop_time(self.now, kill_at, est, self.opts.migration_safety_margin)
+                preemption_stop_time(self.now, kill_at, est, MIGRATION_SAFETY_MARGIN)
             }
             _ => self.now,
         };
@@ -1671,21 +1720,23 @@ impl ServingSystem {
         instances: &[InstanceId],
     ) -> (MigrationTask, crate::devicemap::DeviceMapOutcome) {
         let stateful = !self.opts.ablation.no_interruption_arranger;
+        let kv_bpt = self.scenario.model.kv_bytes_per_token();
         let cache_bytes: Vec<u64> = self
             .pipelines
             .iter()
-            .map(|s| {
-                if stateful {
-                    s.daemon.cache_bytes_at(self.now)
-                } else {
-                    0
-                }
+            .map(|s| match &s.engine {
+                Some(e) if stateful => e.cache_bytes_at(self.now, kv_bpt),
+                _ => 0,
             })
             .collect();
         let progress: Vec<u32> = self
             .pipelines
             .iter()
-            .map(|s| s.daemon.committed_iters_at(self.now))
+            .map(|s| {
+                s.engine
+                    .as_ref()
+                    .map_or(0, |e| e.committed_iters_at(self.now))
+            })
             .collect();
         let old = OldState {
             config_and_assignment: self.context_shape.map(|c| (c, self.assignment.clone())),
@@ -1851,7 +1902,7 @@ impl ServingSystem {
                 self.context_shape = Some(cfg);
                 // Running schedulers adopt the new batch capacity in place.
                 for slot in &mut self.pipelines {
-                    if let Some(s) = slot.daemon.scheduler_mut() {
+                    if let Some(Engine::Scheduler(s)) = &mut slot.engine {
                         s.set_config(cfg);
                     }
                 }
@@ -1885,11 +1936,10 @@ impl ServingSystem {
 
         let Some(cfg) = target else {
             // Nothing feasible: drop all batches and halt serving; the
-            // context daemons keep the model context resident for reuse.
-            for pi in 0..self.pipelines.len() {
-                self.requeue_pipeline(pi);
+            // model context stays resident on the assignment for reuse.
+            for slot in std::mem::take(&mut self.pipelines) {
+                self.requeue_pipeline(slot);
             }
-            self.pipelines.clear();
             self.current = None;
             self.config_changes.push(ConfigChange {
                 at: self.now,
@@ -1952,197 +2002,168 @@ impl ServingSystem {
 
                 // Freeze pipelines, preserving progress where the cache
                 // migrates (stateful recovery) and requeueing the rest.
-                let keep: Vec<bool> = outcome
-                    .inheritance
-                    .iter()
-                    .map(|inh| inh.is_some())
-                    .collect();
                 let mut carried: Vec<Option<Carried>> = vec![None; cfg.data as usize];
-                for pi in 0..self.pipelines.len() {
+                for (pi, slot) in std::mem::take(&mut self.pipelines).into_iter().enumerate() {
                     let inherit_to = outcome
                         .inheritance
                         .iter()
                         .position(|inh| *inh == Some(pi as u32));
-                    let slot = &mut self.pipelines[pi];
-                    if let Some(key) = slot.batch_key.take() {
+                    if let Some(key) = slot.due_key {
                         self.events.cancel(key);
                     }
-                    // Fixed-batch engine: a monolithic batch at uniform
-                    // progress.
-                    if let Some(run) = slot.daemon.detach() {
-                        let committed = run.committed_iters_at(self.now);
-                        let finished = run.finished_at(self.now);
-                        if finished {
-                            for req in run.requests() {
-                                self.latency.record(workload::RequestOutcome {
-                                    request: *req,
-                                    finished: self.now,
-                                });
-                                self.outstanding -= 1;
+                    match slot.engine {
+                        None => {}
+                        // Fixed-batch engine: a monolithic batch at uniform
+                        // progress.
+                        Some(Engine::Batch(run)) => {
+                            let committed = run.committed_iters_at(self.now);
+                            if run.finished_at(self.now) {
+                                self.record_finished(run.requests().iter().copied());
+                                continue;
                             }
-                            continue;
-                        }
-                        // Partial triage moved only `fraction` of the
-                        // cache: the batch resumes from the matching
-                        // (token-exact) shallower depth.
-                        let committed = match tri.tier {
-                            TriageTier::Partial => (f64::from(committed) * tri.fraction) as u32,
-                            _ => committed,
-                        };
-                        let worthwhile = recovery_worthwhile(
-                            tl.total,
-                            run.finish_time().saturating_since(run.started()),
-                            run.iter_time(),
-                            committed,
-                        );
-                        match inherit_to {
-                            Some(d_new)
-                                if keep[d_new]
-                                    && committed > 0
-                                    && worthwhile
-                                    && !self.opts.ablation.no_interruption_arranger =>
-                            {
-                                carried[d_new] =
-                                    Some(Carried::Batch(run.requests().to_vec(), committed));
-                            }
-                            _ => {
-                                for req in run.requests().iter().rev() {
-                                    self.pending.push_front(*req);
+                            // Partial triage moved only `fraction` of the
+                            // cache: the batch resumes from the matching
+                            // (token-exact) shallower depth.
+                            let committed = match tri.tier {
+                                TriageTier::Partial => (f64::from(committed) * tri.fraction) as u32,
+                                _ => committed,
+                            };
+                            let worthwhile = recovery_worthwhile(
+                                tl.total,
+                                run.finish_time().saturating_since(run.started()),
+                                run.iter_time(),
+                                committed,
+                            );
+                            match inherit_to {
+                                Some(d_new)
+                                    if committed > 0
+                                        && worthwhile
+                                        && !self.opts.ablation.no_interruption_arranger =>
+                                {
+                                    carried[d_new] =
+                                        Some(Carried::Batch(run.requests().to_vec(), committed));
                                 }
+                                _ => self.requeue_front(run.requests().iter().copied()),
                             }
                         }
-                        continue;
-                    }
-                    // Continuous engine: a heterogeneous in-flight set,
-                    // checkpointed token-exact per request.
-                    let Some(mut sched) = self.pipelines[pi].daemon.detach_scheduler() else {
-                        continue;
-                    };
-                    self.retired_counters.absorb(sched.counters());
-                    let records = sched.freeze(self.now);
-                    let mut live: Vec<RequestRun> = Vec::new();
-                    for r in records {
-                        if r.is_done() {
-                            // Last token committed exactly at the freeze.
-                            self.latency.record(workload::RequestOutcome {
-                                request: *r.request(),
-                                finished: self.now,
-                            });
-                            self.outstanding -= 1;
-                        } else {
-                            live.push(r);
-                        }
-                    }
-                    // Anything with cached tokens — committed output *or*
-                    // prefill chunks of a half-prefilled prompt — is a
-                    // checkpoint worth considering; truly fresh requests
-                    // (no KV yet) recompute via the queue.
-                    let progressed: Vec<RequestRun> = live
-                        .iter()
-                        .copied()
-                        .filter(RequestRun::has_progress)
-                        .collect();
-                    // Partial triage: the plan moves only `fraction` of
-                    // this pipeline's cache, so carry the deepest
-                    // checkpoints that fit that share (ties broken by
-                    // arrival order); the rest recompute via the queue.
-                    let progressed: Vec<RequestRun> = match tri.tier {
-                        TriageTier::Partial => {
-                            let cached = |r: &RequestRun| u64::from(r.prefilled() + r.committed());
-                            let total: u64 = progressed.iter().map(cached).sum();
-                            let budget = (total as f64 * tri.fraction) as u64;
-                            let mut order: Vec<usize> = (0..progressed.len()).collect();
-                            order.sort_by_key(|&i| (std::cmp::Reverse(cached(&progressed[i])), i));
-                            let mut keep_rec = vec![false; progressed.len()];
-                            let mut used = 0u64;
-                            for &i in &order {
-                                let c = cached(&progressed[i]);
-                                if used + c <= budget {
-                                    used += c;
-                                    keep_rec[i] = true;
+                        // Continuous engine: a heterogeneous in-flight set,
+                        // checkpointed token-exact per request.
+                        Some(Engine::Scheduler(mut sched)) => {
+                            self.retired_counters.absorb(sched.counters());
+                            let records = sched.freeze(self.now);
+                            // Last tokens committed exactly at the freeze.
+                            self.record_finished(
+                                records.iter().filter(|r| r.is_done()).map(|r| *r.request()),
+                            );
+                            let live: Vec<RequestRun> =
+                                records.into_iter().filter(|r| !r.is_done()).collect();
+                            // Anything with cached tokens — committed output *or*
+                            // prefill chunks of a half-prefilled prompt — is a
+                            // checkpoint worth considering; truly fresh requests
+                            // (no KV yet) recompute via the queue.
+                            let progressed: Vec<RequestRun> = live
+                                .iter()
+                                .copied()
+                                .filter(RequestRun::has_progress)
+                                .collect();
+                            // Partial triage: the plan moves only `fraction` of
+                            // this pipeline's cache, so carry the deepest
+                            // checkpoints that fit that share (ties broken by
+                            // arrival order); the rest recompute via the queue.
+                            let progressed: Vec<RequestRun> = match tri.tier {
+                                TriageTier::Partial => {
+                                    let cached =
+                                        |r: &RequestRun| u64::from(r.prefilled() + r.committed());
+                                    let total: u64 = progressed.iter().map(cached).sum();
+                                    let budget = (total as f64 * tri.fraction) as u64;
+                                    let mut order: Vec<usize> = (0..progressed.len()).collect();
+                                    order.sort_by_key(|&i| {
+                                        (std::cmp::Reverse(cached(&progressed[i])), i)
+                                    });
+                                    let mut keep_rec = vec![false; progressed.len()];
+                                    let mut used = 0u64;
+                                    for &i in &order {
+                                        let c = cached(&progressed[i]);
+                                        if used + c <= budget {
+                                            used += c;
+                                            keep_rec[i] = true;
+                                        }
+                                    }
+                                    progressed
+                                        .iter()
+                                        .enumerate()
+                                        .filter_map(|(i, r)| keep_rec[i].then_some(*r))
+                                        .collect()
                                 }
-                            }
-                            progressed
+                                _ => progressed,
+                            };
+                            // The paper's recovery guard, applied to the deepest
+                            // request: migrating the cache must beat recomputing
+                            // the committed tokens under the new configuration.
+                            let max_committed = progressed
                                 .iter()
-                                .enumerate()
-                                .filter_map(|(i, r)| keep_rec[i].then_some(*r))
-                                .collect()
-                        }
-                        _ => progressed,
-                    };
-                    // The paper's recovery guard, applied to the deepest
-                    // request: migrating the cache must beat recomputing
-                    // the committed tokens under the new configuration.
-                    let max_committed = progressed
-                        .iter()
-                        .map(RequestRun::committed)
-                        .max()
-                        .unwrap_or(0);
-                    let max_prefilled = progressed
-                        .iter()
-                        .map(RequestRun::prefilled)
-                        .max()
-                        .unwrap_or(0);
-                    let worthwhile = !progressed.is_empty() && {
-                        let n = progressed.len() as u32;
-                        let s_in = progressed
-                            .iter()
-                            .map(|r| r.request().s_in)
-                            .max()
-                            .expect("non-empty");
-                        let cost = decided_perf(&self.optimizer, &self.lanes).cost_model();
-                        let prefill = cost.prefill_time(
-                            &self.scenario.model,
-                            cfg.pipeline,
-                            cfg.tensor,
-                            n,
-                            s_in,
-                        );
-                        let iter = cost.decode_time(
-                            &self.scenario.model,
-                            cfg.pipeline,
-                            cfg.tensor,
-                            n,
-                            s_in + max_committed / 2,
-                        );
-                        if max_committed > 0 {
-                            recovery_worthwhile(tl.total, prefill, iter, max_committed)
-                        } else {
-                            // Only prefill chunks are cached: migrating the
-                            // partial cache must beat redoing the deepest
-                            // prefill's cached share.
-                            let redo = prefill * max_prefilled as u64 / s_in.max(1) as u64;
-                            tl.total < redo
-                        }
-                    };
-                    match inherit_to {
-                        Some(d_new)
-                            if keep[d_new]
-                                && worthwhile
-                                && !self.opts.ablation.no_interruption_arranger =>
-                        {
-                            // Carry the cached requests; fresh ones (no
-                            // KV yet) and triaged-out checkpoints
-                            // recompute via the queue.
-                            let carried_ids: BTreeSet<workload::RequestId> =
-                                progressed.iter().map(|r| r.request().id).collect();
-                            for r in live
+                                .map(RequestRun::committed)
+                                .max()
+                                .unwrap_or(0);
+                            let max_prefilled = progressed
                                 .iter()
-                                .rev()
-                                .filter(|r| !carried_ids.contains(&r.request().id))
-                            {
-                                self.pending.push_front(*r.request());
-                            }
-                            carried[d_new] = Some(Carried::Records(progressed));
-                        }
-                        _ => {
-                            for r in live.iter().rev() {
-                                self.pending.push_front(*r.request());
+                                .map(RequestRun::prefilled)
+                                .max()
+                                .unwrap_or(0);
+                            let worthwhile = !progressed.is_empty() && {
+                                let n = progressed.len() as u32;
+                                let s_in = progressed
+                                    .iter()
+                                    .map(|r| r.request().s_in)
+                                    .max()
+                                    .expect("non-empty");
+                                let cost = decided_perf(&self.optimizer, &self.lanes).cost_model();
+                                let prefill = cost.prefill_time(
+                                    &self.scenario.model,
+                                    cfg.pipeline,
+                                    cfg.tensor,
+                                    n,
+                                    s_in,
+                                );
+                                let iter = cost.decode_time(
+                                    &self.scenario.model,
+                                    cfg.pipeline,
+                                    cfg.tensor,
+                                    n,
+                                    s_in + max_committed / 2,
+                                );
+                                if max_committed > 0 {
+                                    recovery_worthwhile(tl.total, prefill, iter, max_committed)
+                                } else {
+                                    // Only prefill chunks are cached: migrating the
+                                    // partial cache must beat redoing the deepest
+                                    // prefill's cached share.
+                                    let redo = prefill * max_prefilled as u64 / s_in.max(1) as u64;
+                                    tl.total < redo
+                                }
+                            };
+                            match inherit_to {
+                                Some(d_new)
+                                    if worthwhile
+                                        && !self.opts.ablation.no_interruption_arranger =>
+                                {
+                                    // Carry the cached requests; fresh ones (no
+                                    // KV yet) and triaged-out checkpoints
+                                    // recompute via the queue.
+                                    let carried_ids: BTreeSet<workload::RequestId> =
+                                        progressed.iter().map(|r| r.request().id).collect();
+                                    self.requeue_front(
+                                        live.iter()
+                                            .map(|r| *r.request())
+                                            .filter(|r| !carried_ids.contains(&r.id)),
+                                    );
+                                    carried[d_new] = Some(Carried::Records(progressed));
+                                }
+                                _ => self.requeue_front(live.iter().map(|r| *r.request())),
                             }
                         }
                     }
                 }
-                self.pipelines.clear();
                 self.adopt_config_with_carry(
                     cfg,
                     outcome.assignment,
@@ -2154,12 +2175,11 @@ impl ServingSystem {
             }
             Policy::Reparallelization | Policy::OnDemandOnly { .. } => {
                 // Cold restart: requeue everything, reload from storage.
-                for pi in 0..self.pipelines.len() {
-                    self.requeue_pipeline(pi);
+                for slot in std::mem::take(&mut self.pipelines) {
+                    self.requeue_pipeline(slot);
                 }
-                self.pipelines.clear();
                 let instances = cfg.instances_needed(self.gpus_per_instance());
-                let pause = self.opts.engine_launch
+                let pause = ENGINE_LAUNCH
                     + self
                         .scenario
                         .storage
@@ -2201,8 +2221,7 @@ impl ServingSystem {
             vec![None; cfg.data as usize],
         );
         if matches!(self.opts.policy, Policy::Rerouting) {
-            // Track per-pipeline instances for teardown.
-            self.index_rerouting_instances();
+            self.rekey_rerouting_assignment();
         }
     }
 
@@ -2228,9 +2247,8 @@ impl ServingSystem {
                 self.next_pipeline_id += 1;
                 PipelineSlot {
                     id,
-                    daemon: ContextDaemon::new(self.scenario.model.kv_bytes_per_token()),
-                    batch_key: None,
-                    instances: Vec::new(),
+                    engine: None,
+                    due_key: None,
                     ready_at: resume_at,
                 }
             })
@@ -2245,9 +2263,7 @@ impl ServingSystem {
                     // discard the excess cache and requeue those requests
                     // for recomputation.
                     if reqs.len() > cfg.batch as usize {
-                        for req in reqs.split_off(cfg.batch as usize).into_iter().rev() {
-                            self.pending.push_front(req);
-                        }
+                        self.requeue_front(reqs.split_off(cfg.batch as usize));
                     }
                     let run = if committed == 0 {
                         BatchRun::start(
@@ -2265,11 +2281,8 @@ impl ServingSystem {
                             committed,
                         )
                     };
-                    let finish = run.finish_time();
-                    let id = self.pipelines[d].id;
-                    let key = self.events.schedule(finish, Ev::BatchDone { pipeline: id });
-                    self.pipelines[d].daemon.attach(run);
-                    self.pipelines[d].batch_key = Some(key);
+                    self.schedule_engine_due(d, run.finish_time());
+                    self.pipelines[d].engine = Some(Engine::Batch(run));
                 }
                 Some(Carried::Records(records)) => {
                     // Shrink handling for a heterogeneous set (§3.3
@@ -2288,18 +2301,12 @@ impl ServingSystem {
                         resume_at,
                         serving_perf(&self.optimizer, &self.lanes),
                     );
-                    for req in dropped.into_iter().rev() {
-                        self.pending.push_front(req);
-                    }
+                    self.requeue_front(dropped);
                     let Some(finish) = sched.next_event() else {
                         continue;
                     };
-                    let id = self.pipelines[d].id;
-                    let key = self
-                        .events
-                        .schedule(finish, Ev::IterBoundary { pipeline: id });
-                    self.pipelines[d].daemon.attach_scheduler(sched);
-                    self.pipelines[d].batch_key = Some(key);
+                    self.schedule_engine_due(d, finish);
+                    self.pipelines[d].engine = Some(Engine::Scheduler(sched));
                 }
             }
         }
@@ -2310,7 +2317,7 @@ impl ServingSystem {
             migrated_bytes: migrated,
             reloaded_bytes: reloaded,
         });
-        self.settle_until = resume_at + self.opts.rate_tick;
+        self.settle_until = resume_at + RATE_TICK;
         let epoch = self.epoch;
         self.transition = None;
         self.events
@@ -2323,26 +2330,22 @@ impl ServingSystem {
 
     // ---- Rerouting specifics -----------------------------------------
 
-    fn index_rerouting_instances(&mut self) {
-        let Some(cfg) = self.current else { return };
-        let mut rekeyed = DeviceAssignment::new();
-        for (d, slot) in self.pipelines.iter_mut().enumerate() {
-            let mut insts: Vec<InstanceId> = Vec::new();
-            for pos in cfg.positions().filter(|p| p.pipeline == d as u32) {
-                if let Some(gpu) = self.assignment.gpu_at(pos) {
-                    insts.push(gpu.instance);
-                    // Re-key into the slot-id namespace (see reform).
-                    rekeyed.insert(
-                        parallelism::MeshPosition::new(slot.id as u32, pos.stage, pos.shard),
-                        gpu,
-                    );
-                }
-            }
-            insts.sort_unstable();
-            insts.dedup();
-            slot.instances = insts;
-        }
-        self.assignment = rekeyed;
+    /// Re-keys the assignment's pipelines from data-parallel indices into
+    /// the slot-id namespace (see reform), which is how Rerouting finds a
+    /// pipeline's instances.
+    fn rekey_rerouting_assignment(&mut self) {
+        let slot_ids: Vec<u32> = self.pipelines.iter().map(|s| s.id as u32).collect();
+        self.assignment = self
+            .assignment
+            .iter()
+            .map(|(pos, gpu)| {
+                let pipeline = slot_ids[pos.pipeline as usize];
+                (
+                    parallelism::MeshPosition::new(pipeline, pos.stage, pos.shard),
+                    gpu,
+                )
+            })
+            .collect();
     }
 
     /// Forms new Rerouting pipelines from idle ready instances, cold.
@@ -2353,17 +2356,10 @@ impl ServingSystem {
         let shape = ParallelConfig::new(1, p, m, b);
         let per = shape.instances_needed(self.gpus_per_instance());
         loop {
-            // Idle: usable and in no pipeline. Every pipeline's instances
-            // hold its bindings in the assignment, so its per-instance
-            // counts answer without a scan of the slots. Counted first,
-            // since most calls find too few for a pipeline.
+            // Idle: usable and bound in no pipeline of the assignment.
+            // Counted first, since most calls find too few for a pipeline.
             let idle = |id: &&InstanceId| {
-                let in_pipeline = self.assignment.contains_instance(**id);
-                debug_assert_eq!(
-                    in_pipeline,
-                    self.pipelines.iter().any(|s| s.instances.contains(*id))
-                );
-                !self.noticed.contains_key(*id) && !in_pipeline
+                !self.noticed.contains_key(*id) && !self.assignment.contains_instance(**id)
             };
             if (self.ready.iter().filter(idle).count() as u32) < per {
                 break;
@@ -2377,7 +2373,7 @@ impl ServingSystem {
                 .collect();
             // Cold pipeline: engine relaunch + weight load for one replica.
             let ready_at = self.now
-                + self.opts.engine_launch
+                + ENGINE_LAUNCH
                 + self
                     .scenario
                     .storage
@@ -2394,9 +2390,8 @@ impl ServingSystem {
             }
             self.pipelines.push(PipelineSlot {
                 id,
-                daemon: ContextDaemon::new(self.scenario.model.kv_bytes_per_token()),
-                batch_key: None,
-                instances: chosen,
+                engine: None,
+                due_key: None,
                 ready_at,
             });
             self.events
@@ -2609,7 +2604,7 @@ mod tests {
             3,
         );
         let mut sys = ServingSystem::new(SystemOptions::spotserve(), scenario);
-        let window = sys.opts.rate_tick * 4;
+        let window = RATE_TICK * 4;
         let arrive = |sys: &mut ServingSystem, secs: u64| {
             sys.now = SimTime::from_secs(secs);
             sys.note_arrival(sys.now);

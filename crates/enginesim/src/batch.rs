@@ -1,4 +1,8 @@
 //! Token-granularity execution state of one batch on one pipeline.
+//!
+//! Under the fixed-batch engine a pipeline's engine value is at most one
+//! [`BatchRun`]: its requests' cache bytes and uniform committed progress
+//! are the context a migration reads and carries.
 
 use parallelism::{ParallelConfig, PerfModel};
 use simkit::{SimDuration, SimTime};

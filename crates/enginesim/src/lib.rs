@@ -1,12 +1,16 @@
 //! Discrete-event inference engine: iteration-level continuous batching,
-//! token-level progress, context-daemon cache accounting, and the
-//! just-in-time interruption arranger.
+//! token-level progress and cache accounting, and the just-in-time
+//! interruption arranger.
 //!
 //! The paper's engine is FasterTransformer extended with a *context daemon*
 //! (owns model + cache tensors, survives engine restarts) and an
 //! *interruption arranger* (decides how many decoding iterations to run
 //! inside a grace period, §4.1). Here the engine is simulated at token
-//! granularity, in two flavors:
+//! granularity, in two flavors, and each pipeline of the serving loop holds
+//! one engine value of the flavor the run selects. That value is the
+//! daemon's state: a migration reads its resident cache bytes and deepest
+//! committed token, then carries its work into the new pipeline or
+//! requeues it.
 //!
 //! * the **iteration-level scheduler** ([`IterationScheduler`]) — the
 //!   serving system's default engine. It manages per-request execution
@@ -47,12 +51,10 @@
 
 pub mod arranger;
 pub mod batch;
-pub mod daemon;
 pub mod queue;
 pub mod scheduler;
 
 pub use arranger::{preemption_stop_time, recovery_worthwhile};
 pub use batch::BatchRun;
-pub use daemon::ContextDaemon;
 pub use queue::{AdmissionQueue, PendingQueue};
 pub use scheduler::{AdmissionVerdict, EngineCounters, IterationScheduler, RequestRun};

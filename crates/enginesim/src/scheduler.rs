@@ -27,6 +27,11 @@
 //! migration token-exact (§4.1): freezing the scheduler at any instant
 //! yields, per request, exactly the tokens whose KV entries exist.
 //!
+//! Under the continuous engine a pipeline's engine value is its
+//! scheduler: the in-flight set's cache bytes and deepest committed token
+//! are the context a migration reads, and
+//! [`IterationScheduler::freeze`] hands over the records it carries.
+//!
 //! # Chunked prefill
 //!
 //! With [`IterationScheduler::with_prefill_chunk`], prompts are pushed
@@ -1324,8 +1329,10 @@ mod tests {
         assert_eq!(retired, vec![req(0, 512, 16)]);
         assert_eq!(s.in_flight(), 1);
         // The survivor carries its 16 committed tokens into the next
-        // segment.
+        // segment; the retired request's cache is gone.
         assert_eq!(s.running()[0].committed(), 16);
+        assert_eq!(s.max_committed_at(b1), 16);
+        assert_eq!(s.cache_bytes_at(b1, kvbpt()), (512 + 16) * kvbpt());
         let b2 = s.next_event().unwrap();
         let retired = s.advance(b2, &mut pending, &p);
         assert_eq!(retired, vec![req(1, 512, 128)]);

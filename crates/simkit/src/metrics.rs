@@ -86,11 +86,6 @@ impl Sampler {
         }
     }
 
-    /// Read-only view of the raw samples (unspecified order).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
     /// Summarizes into the percentile set the paper reports.
     pub fn percentiles(&mut self) -> Percentiles {
         Percentiles {
@@ -115,14 +110,6 @@ impl FromIterator<f64> for Sampler {
             s.record(x);
         }
         s
-    }
-}
-
-impl Extend<f64> for Sampler {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.record(x);
-        }
     }
 }
 
