@@ -53,7 +53,7 @@ use cloudsim::{GpuSpec, InstanceType};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use enginesim::{IterationScheduler, PendingQueue};
 use llmsim::{MemoryModel, ModelSpec};
-use parallelism::{CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel, PricingMode};
+use parallelism::{CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel};
 use simkit::{SimDuration, SimTime};
 use spotserve::{ConfigOptimizer, EngineMode};
 use workload::{Request, RequestId};
@@ -126,7 +126,7 @@ fn bench_control_plane(c: &mut Criterion) {
         let perf = PerfModel::paper_defaults(model.clone());
         let (mem, space) = (MemoryModel::default(), ConfigSpace::default());
         let first_scan = |f: &CandidateFrontier| {
-            f.pruned_by_floor(PricingMode::ContinuousBatching)
+            f.pruned_by_floor(EngineMode::ContinuousBatching)
                 .next()
                 .map(|c| c.config)
         };

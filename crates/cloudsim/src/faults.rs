@@ -207,15 +207,6 @@ impl FaultSpec {
             .map(|w| w.factor)
             .fold(1.0, f64::min)
     }
-
-    /// Whether any channel can actually fire.
-    pub fn is_active(&self) -> bool {
-        self.kill_rate_per_hour > 0.0
-            || self.notice_loss > 0.0
-            || self.notice_truncation > 0.0
-            || self.grant_lapse > 0.0
-            || !self.degraded.is_empty()
-    }
 }
 
 /// What the plan decides about one preemption notice.
@@ -318,7 +309,6 @@ mod tests {
     #[test]
     fn calm_spec_is_inert() {
         let spec = FaultSpec::calm();
-        assert!(!spec.is_active());
         assert_eq!(spec.bandwidth_factor_at(SimTime::from_secs(300)), 1.0);
         let plan = FaultPlan::draw(&spec, 7, PoolId(0));
         assert!(plan.kill_times().is_empty(), "no rate, no kills");
@@ -410,8 +400,11 @@ mod tests {
 
     #[test]
     fn pack_scales_every_channel_together() {
-        let off = FaultSpec::pack(0.0);
-        assert!(!off.is_active());
+        assert_eq!(
+            FaultSpec::pack(0.0),
+            FaultSpec::calm(),
+            "intensity 0 is calm"
+        );
         let half = FaultSpec::pack(0.5);
         let full = FaultSpec::pack(1.0);
         assert!(half.kill_rate_per_hour < full.kill_rate_per_hour);

@@ -39,11 +39,6 @@ impl GpuRef {
     pub fn new(instance: InstanceId, slot: u8) -> Self {
         GpuRef { instance, slot }
     }
-
-    /// Whether two GPUs share an instance (and hence the fast local fabric).
-    pub fn same_instance(&self, other: &GpuRef) -> bool {
-        self.instance == other.instance
-    }
 }
 
 impl fmt::Display for GpuRef {
@@ -207,15 +202,6 @@ mod tests {
         assert_eq!(gpus.len(), 4);
         assert!(gpus.iter().all(|g| g.instance == id));
         assert_eq!(gpus[2].slot, 2);
-    }
-
-    #[test]
-    fn same_instance_detection() {
-        let a = GpuRef::new(InstanceId(1), 0);
-        let b = GpuRef::new(InstanceId(1), 3);
-        let c = GpuRef::new(InstanceId(2), 0);
-        assert!(a.same_instance(&b));
-        assert!(!a.same_instance(&c));
     }
 
     #[test]

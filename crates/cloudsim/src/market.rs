@@ -101,11 +101,7 @@ impl CloudMarket {
     /// A single-pool market: bit-exact with `CloudSim::new(cfg, trace,
     /// seed)` (same random stream, same id sequence, same event order).
     pub fn single(cfg: CloudConfig, trace: AvailabilityTrace, seed: u64) -> Self {
-        CloudMarket {
-            pools: vec![CloudSim::new(cfg, trace, seed)],
-            names: vec!["default".to_string()],
-            telemetry: Recorder::disabled(),
-        }
+        CloudMarket::new(&cfg, &[PoolSpec::new("default", trace)], seed)
     }
 
     /// A market of `specs.len()` pools. Pool `i` inherits `base` with its

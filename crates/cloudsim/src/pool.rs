@@ -138,7 +138,7 @@ impl PoolSpec {
     ///
     /// let pool = PoolSpec::new("chaos", AvailabilityTrace::constant(4))
     ///     .with_faults(FaultSpec::pack(0.5));
-    /// assert!(pool.faults.unwrap().is_active());
+    /// assert_eq!(pool.faults, Some(FaultSpec::pack(0.5)));
     /// ```
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = Some(faults);

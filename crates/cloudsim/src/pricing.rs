@@ -48,7 +48,6 @@ pub struct BillingMeter {
     // an ulp; the total is authoritative.
     closed_usd_spot: f64,
     closed_usd_on_demand: f64,
-    closed_time: BTreeMap<&'static str, SimDuration>,
     // The spot-price path as `(time, usd_per_hour)` steps. Empty means the
     // price never moves and spot bills at the instance type's list price
     // through the exact legacy expression.
@@ -78,7 +77,6 @@ impl BillingMeter {
             closed_usd: 0.0,
             closed_usd_spot: 0.0,
             closed_usd_on_demand: 0.0,
-            closed_time: BTreeMap::new(),
             spot_path: Vec::new(),
         }
     }
@@ -131,19 +129,12 @@ impl BillingMeter {
     /// ignored so callers do not need to track double-release corner cases.
     pub fn lease_ended(&mut self, id: InstanceId, at: SimTime) {
         if let Some(lease) = self.open.remove(&id) {
-            let (kind, start) = (lease.kind, lease.start);
-            let dur = at.saturating_since(start);
             let usd = self.lease_usd(&lease, at);
             self.closed_usd += usd;
-            match kind {
+            match lease.kind {
                 InstanceKind::Spot => self.closed_usd_spot += usd,
                 InstanceKind::OnDemand => self.closed_usd_on_demand += usd,
             }
-            let key = match kind {
-                InstanceKind::Spot => "spot",
-                InstanceKind::OnDemand => "on-demand",
-            };
-            *self.closed_time.entry(key).or_insert(SimDuration::ZERO) += dur;
         }
     }
 
@@ -227,23 +218,6 @@ impl BillingMeter {
             .sum();
         closed + open
     }
-
-    /// Total closed lease time per billing kind (`"spot"` / `"on-demand"`).
-    pub fn closed_time(&self, kind: InstanceKind) -> SimDuration {
-        let key = match kind {
-            InstanceKind::Spot => "spot",
-            InstanceKind::OnDemand => "on-demand",
-        };
-        self.closed_time
-            .get(key)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Number of leases currently open.
-    pub fn open_leases(&self) -> usize {
-        self.open.len()
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +242,6 @@ mod tests {
         m.lease_started(InstanceId(1), InstanceKind::OnDemand, SimTime::ZERO);
         let half_hour = SimTime::from_secs(1800);
         assert!((m.total_usd(half_hour) - 3.9 / 2.0).abs() < 1e-9);
-        assert_eq!(m.open_leases(), 1);
     }
 
     #[test]
@@ -280,10 +253,6 @@ mod tests {
         m.lease_ended(InstanceId(1), t);
         m.lease_ended(InstanceId(2), t);
         assert!((m.total_usd(t) - (1.9 + 3.9)).abs() < 1e-9);
-        assert_eq!(
-            m.closed_time(InstanceKind::Spot),
-            SimDuration::from_secs(3600)
-        );
     }
 
     #[test]

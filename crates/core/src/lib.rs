@@ -46,7 +46,7 @@ pub use config::{AblationFlags, EngineMode, Policy, SystemOptions};
 pub use devicemap::{map_devices, map_devices_with_skus, DeviceMapOutcome, SkuTable};
 pub use fleetctl::{FleetController, FleetPolicy, PreemptionEstimator};
 pub use optimizer::{ConfigOptimizer, MultiSkuDecision, OptimizerDecision, MAX_SKU_LANES};
-pub use report::{ConfigChange, CostReport, RunReport, SkuCost};
+pub use report::{ConfigChange, CostReport, RunReport};
 pub use scale::{EpochRecord, ScaleReport, ShardedSystem};
 pub use system::{Scenario, ServingSystem};
 pub use telemetry::{

@@ -53,11 +53,9 @@ use std::sync::Arc;
 use cloudsim::{GpuSpec, InstanceType};
 use llmsim::{CostModel, MemoryModel, ModelSpec};
 use parallelism::{
-    enumerate_configs, CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel, PricingMode,
+    enumerate_configs, CandidateFrontier, ConfigSpace, EngineMode, ParallelConfig, PerfModel,
 };
 use simkit::SimDuration;
-
-use crate::config::EngineMode;
 
 /// The optimizer's verdict for one invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -389,7 +387,7 @@ impl ConfigOptimizer {
             .borrow()
             .as_ref()
             .and_then(|f| f.lookup(c))
-            .map(|cand| cand.throughput(self.pricing_mode()))
+            .map(|cand| cand.throughput(self.engine))
         {
             return phi;
         }
@@ -408,7 +406,7 @@ impl ConfigOptimizer {
             .borrow()
             .as_ref()
             .and_then(|f| f.lookup(c).map(|cand| (f, cand)))
-            .map(|(f, cand)| f.latency(cand, self.pricing_mode(), alpha))
+            .map(|(f, cand)| f.latency(cand, self.engine, alpha))
         {
             return latency;
         }
@@ -421,13 +419,6 @@ impl ConfigOptimizer {
     /// The engine mode whose estimator prices candidates.
     pub fn engine_mode(&self) -> EngineMode {
         self.engine
-    }
-
-    fn pricing_mode(&self) -> PricingMode {
-        match self.engine {
-            EngineMode::FixedBatch => PricingMode::FixedBatch,
-            EngineMode::ContinuousBatching => PricingMode::ContinuousBatching,
-        }
     }
 
     /// The paper's evaluation setup for `model` with a fleet ceiling.
@@ -559,14 +550,13 @@ impl ConfigOptimizer {
         }
         let ceiling = self.max_instances.max(n_instances);
         self.ensure_frontier(BASE, ceiling);
-        let mode = self.pricing_mode();
         // Cheapest-meeting selection key: (instances, l_req, canonical).
         let mut target_key: Option<(u32, SimDuration, ParallelConfig)> = None;
         let mut now_key: Option<(u32, SimDuration, ParallelConfig)> = None;
         {
             let fr = self.frontier_ref(BASE);
-            for cand in fr.pruned_at(ceiling, mode) {
-                let l = fr.latency(cand, mode, alpha);
+            for cand in fr.pruned_at(ceiling, self.engine) {
+                let l = fr.latency(cand, self.engine, alpha);
                 if l > slo {
                     continue;
                 }
@@ -695,7 +685,6 @@ impl ConfigOptimizer {
     /// The unbiased decision over lanes `first..first + avail.len()` (see
     /// [`ConfigOptimizer::decide_multi_with_incumbent`]), without memo.
     fn decide_fresh(&self, first: usize, avail: &[u32], alpha: f64) -> MultiSkuDecision {
-        let mode = self.pricing_mode();
         // Line 3: the minimum-(l_req, instances, lane, config) sustaining
         // candidate at each lane's ceiling. Keys are unique (the lane and
         // config are part of them), so folding the lane minima in lane
@@ -713,7 +702,7 @@ impl ConfigOptimizer {
             Some((_, _, lane, config)) => Some((lane, config)),
             // Line 5: nothing sustains anywhere — maximize throughput with
             // the instances at hand.
-            None => self.max_throughput(first, avail, mode),
+            None => self.max_throughput(first, avail),
         };
         let needed = |(lane, c): (usize, ParallelConfig)| {
             c.instances_needed(self.lanes[first + lane].gpus_per_instance)
@@ -734,7 +723,7 @@ impl ConfigOptimizer {
                     }
                 }
                 now.map(|(_, _, i, c)| (i, c))
-                    .or_else(|| self.max_throughput(first, avail, mode))
+                    .or_else(|| self.max_throughput(first, avail))
             }
         };
         // Line 6: #Instances(target) − N, with #Instances(∅) = 0.
@@ -808,27 +797,22 @@ impl ConfigOptimizer {
         alpha: f64,
     ) -> Option<LatencyKey> {
         self.frontier_ref(first + lane)
-            .min_latency(self.pricing_mode(), limit, alpha)
+            .min_latency(self.engine, limit, alpha)
             .map(|(l, instances, config)| (l, instances, lane, config))
     }
 
     /// The maximum-`(φ, Reverse((lane, config)))` candidate within each
     /// lane's availability, over the pruned frontier ranges. Every lane's
     /// frontier must cover its availability.
-    fn max_throughput(
-        &self,
-        first: usize,
-        avail: &[u32],
-        mode: PricingMode,
-    ) -> Option<(usize, ParallelConfig)> {
+    fn max_throughput(&self, first: usize, avail: &[u32]) -> Option<(usize, ParallelConfig)> {
         let mut best: Option<(f64, Reverse<(usize, ParallelConfig)>)> = None;
         for (i, &n) in avail.iter().enumerate() {
             if n == 0 {
                 continue;
             }
             let fr = self.frontier_ref(first + i);
-            for cand in fr.pruned_at(n, mode) {
-                let key = (cand.throughput(mode), Reverse((i, cand.config)));
+            for cand in fr.pruned_at(n, self.engine) {
+                let key = (cand.throughput(self.engine), Reverse((i, cand.config)));
                 let better = best.as_ref().is_none_or(|b| {
                     key.partial_cmp(b).expect("throughput is finite") == Ordering::Greater
                 });

@@ -69,19 +69,8 @@ pub struct RunReport {
     pub telemetry: Option<telemetry::TelemetryStream>,
 }
 
-/// Spend aggregated over every pool leasing one SKU.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SkuCost {
-    /// The instance-type name.
-    pub sku: &'static str,
-    /// Spot spend across this SKU's pools.
-    pub spot_usd: f64,
-    /// On-demand spend across this SKU's pools.
-    pub ondemand_usd: f64,
-}
-
 /// The consolidated cost view of a run: the authoritative total, the
-/// per-kind split, per-pool and per-SKU attribution, and the run's
+/// per-kind split, per-pool attribution, and the run's
 /// $-per-committed-token efficiency — one typed struct instead of the
 /// old scatter of ad-hoc [`RunReport`] getters.
 #[derive(Debug, Clone)]
@@ -99,28 +88,6 @@ pub struct CostReport {
     pub usd_per_token: Option<f64>,
     /// Per-pool attribution, in pool order.
     pub pools: Vec<PoolCost>,
-}
-
-impl CostReport {
-    /// Per-SKU attribution: pools leasing the same instance type merge,
-    /// in first-seen pool order.
-    pub fn by_sku(&self) -> Vec<SkuCost> {
-        let mut out: Vec<SkuCost> = Vec::new();
-        for p in &self.pools {
-            match out.iter_mut().find(|s| s.sku == p.sku) {
-                Some(s) => {
-                    s.spot_usd += p.spot_usd;
-                    s.ondemand_usd += p.ondemand_usd;
-                }
-                None => out.push(SkuCost {
-                    sku: p.sku,
-                    spot_usd: p.spot_usd,
-                    ondemand_usd: p.ondemand_usd,
-                }),
-            }
-        }
-        out
-    }
 }
 
 impl RunReport {
@@ -260,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_report_aggregates_by_sku() {
+    fn cost_report_sums_pools_by_kind() {
         use cloudsim::{PoolCost, PoolId};
         let rep = RunReport {
             latency: LatencyReport::new("x"),
@@ -305,13 +272,6 @@ mod tests {
         assert_eq!(cost.spot_usd, 9.0);
         assert_eq!(cost.ondemand_usd, 1.0);
         assert_eq!(cost.usd_per_token, None, "no tokens generated");
-        let by_sku = cost.by_sku();
-        assert_eq!(by_sku.len(), 2, "two SKUs across three pools");
-        assert_eq!(by_sku[0].sku, "g4dn.12xlarge");
-        assert_eq!(by_sku[0].spot_usd, 7.0);
-        assert_eq!(by_sku[0].ondemand_usd, 1.0);
-        assert_eq!(by_sku[1].sku, "g6.12xlarge");
-        assert_eq!(by_sku[1].spot_usd, 2.0);
     }
 
     #[test]

@@ -397,23 +397,23 @@ impl ServingSystem {
         // that actually serves (fixed batch-fill delay vs iteration-level
         // slot turnover).
         .with_engine_mode(opts.engine);
-        // One optimizer lane per distinct SKU, pools mapped onto lanes in
-        // first-seen order; a scenario without pools is one lane of the
-        // base type.
-        let base_ty = &scenario.cloud.instance_type;
-        let pool_types: Vec<&InstanceType> = if scenario.pools.is_empty() {
-            vec![base_ty]
+        // A scenario without pools is one pool of the base type replaying
+        // its trace.
+        let default_pool;
+        let pools = if scenario.pools.is_empty() {
+            default_pool = [PoolSpec::new("default", scenario.trace.clone())];
+            &default_pool[..]
         } else {
-            scenario
-                .pools
-                .iter()
-                .map(|p| p.instance_type.as_ref().unwrap_or(base_ty))
-                .collect()
+            &scenario.pools[..]
         };
+        // One optimizer lane per distinct SKU, pools mapped onto lanes in
+        // first-seen order.
+        let base_ty = &scenario.cloud.instance_type;
         let mut lane_types: Vec<&InstanceType> = Vec::new();
-        let pool_lane = pool_types
-            .into_iter()
-            .map(|ty| {
+        let pool_lane = pools
+            .iter()
+            .map(|p| {
+                let ty = p.instance_type.as_ref().unwrap_or(base_ty);
                 lane_types.iter().position(|t| *t == ty).unwrap_or_else(|| {
                     lane_types.push(ty);
                     lane_types.len() - 1
@@ -428,15 +428,7 @@ impl ServingSystem {
             active: 0,
             decided: 0,
         };
-        let mut cloud = if scenario.pools.is_empty() {
-            CloudMarket::single(
-                scenario.cloud.clone(),
-                scenario.trace.clone(),
-                scenario.seed,
-            )
-        } else {
-            CloudMarket::new(&scenario.cloud, &scenario.pools, scenario.seed)
-        };
+        let mut cloud = CloudMarket::new(&scenario.cloud, pools, scenario.seed);
         if opts.telemetry {
             cloud.enable_telemetry();
         }
@@ -1857,8 +1849,9 @@ impl ServingSystem {
             // Move the deepest `fraction` of each pipeline's cache;
             // inheritance survives, shallow requests recompute.
             TriageTier::Partial => {
+                let keep = tri.tier.cache_fraction(fraction);
                 for bytes in &mut task.cache_bytes_per_pipeline {
-                    *bytes = (*bytes as f64 * fraction) as u64;
+                    *bytes = (*bytes as f64 * keep) as u64;
                 }
                 let plan = plan_migration(&task, &planner_opts);
                 (evaluate_plan(&plan, net, storage), outcome, tri)
@@ -2220,9 +2213,16 @@ impl ServingSystem {
             reloaded,
             vec![None; cfg.data as usize],
         );
-        if matches!(self.opts.policy, Policy::Rerouting) {
-            self.rekey_rerouting_assignment();
-        }
+        // Rerouting keys the assignment's pipelines by slot id (see
+        // `reform_rerouting_pipelines`). It adopts a configuration only at
+        // bootstrap, whose fresh slots are numbered `0..D`, so the
+        // contiguous assignment's data-parallel indices already are their
+        // ids.
+        debug_assert!(
+            self.opts.policy != Policy::Rerouting
+                || (0..).zip(&self.pipelines).all(|(d, s)| s.id == d),
+            "Rerouting adopts a configuration only at bootstrap"
+        );
     }
 
     fn adopt_config_with_carry(
@@ -2329,24 +2329,6 @@ impl ServingSystem {
     }
 
     // ---- Rerouting specifics -----------------------------------------
-
-    /// Re-keys the assignment's pipelines from data-parallel indices into
-    /// the slot-id namespace (see reform), which is how Rerouting finds a
-    /// pipeline's instances.
-    fn rekey_rerouting_assignment(&mut self) {
-        let slot_ids: Vec<u32> = self.pipelines.iter().map(|s| s.id as u32).collect();
-        self.assignment = self
-            .assignment
-            .iter()
-            .map(|(pos, gpu)| {
-                let pipeline = slot_ids[pos.pipeline as usize];
-                (
-                    parallelism::MeshPosition::new(pipeline, pos.stage, pos.shard),
-                    gpu,
-                )
-            })
-            .collect();
-    }
 
     /// Forms new Rerouting pipelines from idle ready instances, cold.
     fn reform_rerouting_pipelines(&mut self) {
@@ -2636,6 +2618,59 @@ mod tests {
         assert_eq!(
             sys.rate_estimate(),
             (window.as_micros() / 1_000_000 + 1) as f64 / window.as_secs_f64()
+        );
+    }
+
+    /// Rerouting finds a pipeline's instances through the assignment, keyed
+    /// by slot id: every position must name a live slot, at bootstrap
+    /// (where the slot ids are the data-parallel indices) and after a
+    /// preemption drops a pipeline and a new one forms on the replacement.
+    #[test]
+    fn rerouting_assignment_is_keyed_by_live_slot_ids() {
+        let keyed_by_live_slots = |sys: &ServingSystem| {
+            let live: BTreeSet<u64> = sys.pipelines.iter().map(|s| s.id).collect();
+            let keys: BTreeSet<u64> = sys
+                .assignment
+                .iter()
+                .map(|(pos, _)| u64::from(pos.pipeline))
+                .collect();
+            assert_eq!(keys, live, "at {}", sys.now);
+        };
+        let trace = AvailabilityTrace::from_steps(vec![
+            (SimTime::ZERO, 8),
+            (SimTime::from_secs(60), 5),
+            (SimTime::from_secs(120), 8),
+        ]);
+        let scenario = Scenario::with_requests(ModelSpec::opt_6_7b(), trace, Vec::new(), 0.8, 53);
+        let mut sys = ServingSystem::new(SystemOptions::rerouting(), scenario);
+        sys.bootstrap();
+        let first: Vec<u64> = sys.pipelines.iter().map(|s| s.id).collect();
+        assert_eq!(first, (0..first.len() as u64).collect::<Vec<_>>());
+        keyed_by_live_slots(&sys);
+        // Step the serving loop and the cloud until a pipeline formed after
+        // bootstrap is live, checking the keys after every event.
+        while sys.pipelines.iter().all(|s| first.contains(&s.id)) {
+            let internal = sys.events.peek_time();
+            let next = internal
+                .into_iter()
+                .chain(sys.cloud.next_time())
+                .min()
+                .expect("the replacement is pending");
+            assert!(next < SimTime::from_secs(600), "no pipeline re-formed");
+            sys.now = next;
+            if internal == Some(next) {
+                let (_, ev) = sys.events.pop().expect("peeked");
+                sys.on_event(ev);
+            } else if let Some((_, ev)) = sys.cloud.step() {
+                sys.on_cloud_event(ev);
+            }
+            keyed_by_live_slots(&sys);
+        }
+        assert!(
+            first
+                .iter()
+                .any(|id| sys.pipelines.iter().all(|s| s.id != *id)),
+            "the preemption dropped a pipeline"
         );
     }
 

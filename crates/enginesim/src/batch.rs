@@ -145,16 +145,6 @@ impl BatchRun {
         (self.resumed_from as u64 + extra).min(self.total_iters as u64) as u32
     }
 
-    /// The instant at which `iters` tokens are committed (inverse of
-    /// [`BatchRun::committed_iters_at`]), or `None` if `iters` is never
-    /// reached or already carried over.
-    pub fn time_of_iter(&self, iters: u32) -> Option<SimTime> {
-        if iters <= self.resumed_from || iters > self.total_iters {
-            return None;
-        }
-        Some(self.first_token_at + self.iter_time * (iters - self.resumed_from - 1) as u64)
-    }
-
     /// Whether the batch is finished at `t`.
     pub fn finished_at(&self, t: SimTime) -> bool {
         t >= self.finish_time()
@@ -226,9 +216,9 @@ mod tests {
     #[test]
     fn no_tokens_before_prefill_completes() {
         let run = BatchRun::start(reqs(8), &cfg(), SimTime::ZERO, &perf());
-        let just_before = SimTime::from_micros(run.time_of_iter(1).unwrap().as_micros() - 1);
+        let just_before = SimTime::from_micros(run.first_token_at.as_micros() - 1);
         assert_eq!(run.committed_iters_at(just_before), 0);
-        assert_eq!(run.committed_iters_at(run.time_of_iter(1).unwrap()), 1);
+        assert_eq!(run.committed_iters_at(run.first_token_at), 1);
     }
 
     #[test]
@@ -241,17 +231,6 @@ mod tests {
         let expect = SimTime::ZERO + resumed.iter_time() * 28;
         assert_eq!(resumed.finish_time(), expect);
         assert_eq!(resumed.committed_iters_at(SimTime::ZERO), 100);
-    }
-
-    #[test]
-    fn time_of_iter_inverts_commitment() {
-        let run = BatchRun::start(reqs(3), &cfg(), SimTime::from_secs(1), &perf());
-        for iters in [1u32, 2, 64, 128] {
-            let t = run.time_of_iter(iters).unwrap();
-            assert_eq!(run.committed_iters_at(t), iters);
-        }
-        assert_eq!(run.time_of_iter(0), None);
-        assert_eq!(run.time_of_iter(129), None);
     }
 
     #[test]

@@ -595,37 +595,17 @@ impl IterationScheduler {
         (self.chunk != u32::MAX).then_some(self.chunk)
     }
 
-    /// Rebuilds a scheduler from checkpointed records (stateful recovery
-    /// after migration): records with progress resume decoding from their
-    /// committed token, fresh ones re-run prefill. Starts the first
-    /// segment at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records` exceeds `cfg`'s batch capacity or contains a
-    /// finished record.
-    pub fn resume(
-        records: Vec<RequestRun>,
-        cfg: ParallelConfig,
-        kv_bytes_per_token: u64,
-        kv_budget_bytes: u64,
-        now: SimTime,
-        perf: &PerfModel,
-    ) -> Self {
-        IterationScheduler::new(cfg, kv_bytes_per_token, kv_budget_bytes)
-            .restore(records, now, perf)
-    }
-
     /// Installs checkpointed records into this (idle, freshly configured)
-    /// scheduler and starts the first segment — the chunk-aware form of
-    /// [`IterationScheduler::resume`]: build with
+    /// scheduler and starts the first segment at `now` (stateful recovery
+    /// after migration): records with progress resume decoding from their
+    /// committed token, fresh ones re-run prefill. Build with
     /// [`IterationScheduler::with_prefill_chunk`] first and half-prefilled
     /// records continue their prefill chunk-exact.
     ///
     /// # Panics
     ///
-    /// Panics as [`IterationScheduler::resume`] does, or if this scheduler
-    /// already has work in flight.
+    /// Panics if `records` exceeds the batch capacity or contains a
+    /// finished record, or if this scheduler already has work in flight.
     pub fn restore(mut self, records: Vec<RequestRun>, now: SimTime, perf: &PerfModel) -> Self {
         assert!(
             self.running.is_empty() && self.segment.is_none(),
@@ -1435,8 +1415,11 @@ mod tests {
         assert_eq!(records, vec![RequestRun::resumed(req(1, 512, 128), 42)]);
         // Resume under a different configuration: no prefill re-run.
         let new_cfg = ParallelConfig::new(1, 2, 2, 8);
-        let mut r =
-            IterationScheduler::resume(records, new_cfg, kvbpt(), u64::MAX, seg.boundary(10), &p);
+        let mut r = IterationScheduler::new(new_cfg, kvbpt(), u64::MAX).restore(
+            records,
+            seg.boundary(10),
+            &p,
+        );
         assert!(!r.running()[0].needs_prefill());
         let end = r.next_event().unwrap();
         let retired = r.advance(end, &mut VecDeque::new(), &p);

@@ -233,16 +233,6 @@ impl FleetController {
         }
     }
 
-    /// The policy this controller runs.
-    pub fn policy(&self) -> &FleetPolicy {
-        &self.policy
-    }
-
-    /// The preemption-rate estimator (read access for reporting).
-    pub fn estimator(&self) -> &PreemptionEstimator {
-        &self.estimator
-    }
-
     /// Feeds one observed kill in `pool` into the rate estimator.
     pub fn observe_kill(&mut self, pool: usize, now: SimTime) {
         self.estimator.record_kill(pool, now);

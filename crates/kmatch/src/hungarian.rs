@@ -10,7 +10,6 @@ use crate::matrix::WeightMatrix;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     pub(crate) row_to_col: Vec<Option<usize>>,
-    pub(crate) col_to_row: Vec<Option<usize>>,
     /// Sum of weights over matched pairs.
     pub total_weight: i64,
 }
@@ -19,11 +18,6 @@ impl Assignment {
     /// The column matched to `row`, if any.
     pub fn col_of_row(&self, row: usize) -> Option<usize> {
         self.row_to_col.get(row).copied().flatten()
-    }
-
-    /// The row matched to `col`, if any.
-    pub fn row_of_col(&self, col: usize) -> Option<usize> {
-        self.col_to_row.get(col).copied().flatten()
     }
 
     /// All matched `(row, col)` pairs in row order.
@@ -71,14 +65,12 @@ pub fn max_weight_assignment(weights: &WeightMatrix) -> Assignment {
     let (rows, cols) = (weights.rows(), weights.cols());
     let mut km = KmScratch::default();
     let mut row_to_col = vec![None; rows];
-    let mut col_to_row = vec![None; cols];
     if rows > cols {
         // Solve the transposed problem and flip the mapping back.
         km.solve(cols, rows, |i, j| weights.get(j, i));
         for (r, &c) in km.p[1..].iter().enumerate() {
             if c != 0 {
                 row_to_col[r] = Some(c - 1);
-                col_to_row[c - 1] = Some(r);
             }
         }
     } else {
@@ -86,7 +78,6 @@ pub fn max_weight_assignment(weights: &WeightMatrix) -> Assignment {
         for (c, &r) in km.p[1..].iter().enumerate() {
             if r != 0 {
                 row_to_col[r - 1] = Some(c);
-                col_to_row[c] = Some(r - 1);
             }
         }
     }
@@ -97,7 +88,6 @@ pub fn max_weight_assignment(weights: &WeightMatrix) -> Assignment {
         .sum();
     Assignment {
         row_to_col,
-        col_to_row,
         total_weight,
     }
 }
@@ -262,8 +252,7 @@ mod tests {
         let w = WeightMatrix::from_rows(&[vec![1, 9, 2, 3]]);
         let a = max_weight_assignment(&w);
         assert_eq!(a.total_weight, 9);
-        assert_eq!(a.col_of_row(0), Some(1));
-        assert_eq!(a.row_of_col(0), None);
+        assert_eq!(a.pairs().collect::<Vec<_>>(), vec![(0, 1)]);
         assert_eq!(a.len(), 1);
     }
 
@@ -272,7 +261,7 @@ mod tests {
         let w = WeightMatrix::from_rows(&[vec![1], vec![9], vec![2]]);
         let a = max_weight_assignment(&w);
         assert_eq!(a.total_weight, 9);
-        assert_eq!(a.row_of_col(0), Some(1));
+        assert_eq!(a.pairs().collect::<Vec<_>>(), vec![(1, 0)]);
         assert_eq!(a.col_of_row(0), None);
         assert_eq!(a.col_of_row(2), None);
     }

@@ -29,6 +29,4 @@ pub mod skucost;
 
 pub use hungarian::{max_weight_assignment, Assignment, KmScratch};
 pub use matrix::WeightMatrix;
-pub use skucost::{
-    capability_priced_matrix, edge_weight, transfer_penalty_bytes, SkuCaps, FORBIDDEN,
-};
+pub use skucost::{edge_weight, transfer_penalty_bytes, SkuCaps, FORBIDDEN};

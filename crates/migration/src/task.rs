@@ -204,16 +204,6 @@ impl MigrationTask {
             pipeline_inheritance: vec![None; new_config.data as usize],
         }
     }
-
-    /// Total committed cache bytes that should survive the migration
-    /// (summed over inherited pipelines only).
-    pub fn inherited_cache_bytes(&self) -> u64 {
-        self.pipeline_inheritance
-            .iter()
-            .flatten()
-            .filter_map(|&d| self.cache_bytes_per_pipeline.get(d as usize))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -287,18 +277,6 @@ mod tests {
             &[(InstanceId(0), 4)],
         );
         assert!(task.old_assignment.is_empty());
-        assert_eq!(task.inherited_cache_bytes(), 0);
-    }
-
-    #[test]
-    fn inherited_cache_sums_only_inherited() {
-        let mut task = MigrationTask::fresh_start(
-            &ModelSpec::opt_6_7b(),
-            ParallelConfig::new(2, 1, 2, 8),
-            &[(InstanceId(0), 4)],
-        );
-        task.cache_bytes_per_pipeline = vec![100, 200];
-        task.pipeline_inheritance = vec![Some(1), None];
-        assert_eq!(task.inherited_cache_bytes(), 200);
+        assert!(task.pipeline_inheritance.iter().all(Option::is_none));
     }
 }

@@ -89,19 +89,6 @@ impl ParallelConfig {
         })
     }
 
-    /// Canonical dense index of `pos` in [`ParallelConfig::positions`] order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is outside this mesh.
-    pub fn position_index(&self, pos: MeshPosition) -> usize {
-        assert!(
-            pos.pipeline < self.data && pos.stage < self.pipeline && pos.shard < self.tensor,
-            "{pos} outside mesh {self}"
-        );
-        ((pos.pipeline * self.pipeline + pos.stage) * self.tensor + pos.shard) as usize
-    }
-
     /// The same strategy ignoring batch size, as used for device mapping
     /// (`(D, P, M)` in §3.3).
     pub fn mesh_key(&self) -> (u32, u32, u32) {
@@ -143,9 +130,10 @@ mod tests {
         let c = ParallelConfig::new(2, 2, 2, 1);
         let ps: Vec<MeshPosition> = c.positions().collect();
         assert_eq!(ps.len(), 8);
-        for (i, p) in ps.iter().enumerate() {
-            assert_eq!(c.position_index(*p), i);
-        }
+        assert!(
+            ps.windows(2).all(|w| w[0] < w[1]),
+            "pipeline-major, then stage, then shard"
+        );
         assert_eq!(ps[0], MeshPosition::new(0, 0, 0));
         assert_eq!(ps[7], MeshPosition::new(1, 1, 1));
     }
@@ -154,12 +142,5 @@ mod tests {
     #[should_panic(expected = "degenerate config")]
     fn zero_degree_panics() {
         ParallelConfig::new(1, 0, 4, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside mesh")]
-    fn position_index_bounds() {
-        let c = ParallelConfig::new(1, 1, 1, 1);
-        c.position_index(MeshPosition::new(0, 1, 0));
     }
 }

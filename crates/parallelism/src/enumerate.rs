@@ -35,17 +35,6 @@ impl Default for ConfigSpace {
     }
 }
 
-impl ConfigSpace {
-    /// The ablation space of Varuna-style systems: data + pipeline only
-    /// (tensor degree pinned to `m`).
-    pub fn data_pipeline_only(m: u32) -> Self {
-        ConfigSpace {
-            tensor_degrees: vec![m],
-            ..ConfigSpace::default()
-        }
-    }
-}
-
 /// Lists every configuration in `space` that fits on `available_gpus` GPUs
 /// of type `gpu` under `mem`, in canonical order.
 ///
@@ -171,11 +160,15 @@ mod tests {
 
     #[test]
     fn data_pipeline_only_space_pins_tensor_degree() {
+        let space = ConfigSpace {
+            tensor_degrees: vec![4],
+            ..ConfigSpace::default()
+        };
         let cs = enumerate_configs(
             &ModelSpec::opt_6_7b(),
             &MemoryModel::default(),
             &GpuSpec::t4(),
-            &ConfigSpace::data_pipeline_only(4),
+            &space,
             16,
         );
         assert!(!cs.is_empty());

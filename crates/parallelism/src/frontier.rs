@@ -34,7 +34,7 @@
 //!   functions of its inputs, so [`CandidateFrontier::shared`] hands out
 //!   one immutable [`Arc`] per exact input set from a bounded process-wide
 //!   table, and each frontier memoizes its minimum-latency scans per
-//!   `(pricing mode, instance limit, α)`. Every optimizer on equal inputs
+//!   `(engine mode, instance limit, α)`. Every optimizer on equal inputs
 //!   (the systems of an experiment grid, the shards of one run, on any
 //!   thread) builds the space once and scans each query once.
 //!   [`CandidateFrontier::new`] stays the uncached cold build.
@@ -59,7 +59,7 @@ use simkit::SimDuration;
 
 use crate::config::ParallelConfig;
 use crate::enumerate::{enumerate_configs, ConfigSpace};
-use crate::perf::PerfModel;
+use crate::perf::{EngineMode, PerfModel};
 
 /// Frontiers the process-wide table holds before it is cleared wholesale.
 const TABLE_CAP: usize = 64;
@@ -71,17 +71,6 @@ const SCAN_MEMO_CAP: usize = 4096;
 /// The process-wide frontier table behind [`CandidateFrontier::shared`].
 static TABLE: LazyLock<Mutex<HashMap<FrontierKey, Arc<CandidateFrontier>>>> =
     LazyLock::new(Mutex::default);
-
-/// Which engine's estimator prices candidates — the frontier caches both
-/// so an optimizer can switch engines without re-enumerating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PricingMode {
-    /// The paper's fixed-batch formulas (`φ`, Eq. 1 `l_req`).
-    FixedBatch,
-    /// The re-derived iteration-level estimator
-    /// ([`PerfModel::request_latency_continuous`]).
-    ContinuousBatching,
-}
 
 /// One enumerated configuration with its precomputed pricing components.
 /// Its per-occupancy tables live in the frontier that built it, shared
@@ -113,19 +102,19 @@ impl Candidate {
     /// steady(b)/2` over occupancies `b ≤ B` — or `slot(1)`, the empty
     /// engine's price at `α = 0` — for the continuous one. Saturated
     /// candidates price at [`SimDuration::MAX`], above any floor.
-    pub fn floor(&self, mode: PricingMode) -> SimDuration {
+    pub fn floor(&self, mode: EngineMode) -> SimDuration {
         match mode {
-            PricingMode::FixedBatch => self.l_exe,
-            PricingMode::ContinuousBatching => self.floor_cont,
+            EngineMode::FixedBatch => self.l_exe,
+            EngineMode::ContinuousBatching => self.floor_cont,
         }
     }
 
     /// Cached `φ(C)` under `mode` — bit-identical to
     /// [`PerfModel::throughput`] / [`PerfModel::throughput_continuous`].
-    pub fn throughput(&self, mode: PricingMode) -> f64 {
+    pub fn throughput(&self, mode: EngineMode) -> f64 {
         match mode {
-            PricingMode::FixedBatch => self.phi_fixed,
-            PricingMode::ContinuousBatching => self.phi_cont,
+            EngineMode::FixedBatch => self.phi_fixed,
+            EngineMode::ContinuousBatching => self.phi_cont,
         }
     }
 }
@@ -140,7 +129,7 @@ impl Candidate {
 /// ```
 /// use cloudsim::GpuSpec;
 /// use llmsim::{MemoryModel, ModelSpec};
-/// use parallelism::{CandidateFrontier, ConfigSpace, PerfModel, PricingMode};
+/// use parallelism::{CandidateFrontier, ConfigSpace, EngineMode, PerfModel};
 ///
 /// let model = ModelSpec::gpt_20b();
 /// let perf = PerfModel::paper_defaults(model.clone());
@@ -150,10 +139,10 @@ impl Candidate {
 /// assert!(f.feasible_at(2).is_empty());
 /// assert!(!f.feasible_at(3).is_empty());
 /// // Every survivor of pruning is still priced exactly.
-/// let c = f.pruned_at(16, PricingMode::FixedBatch).next().unwrap();
-/// assert_eq!(c.throughput(PricingMode::FixedBatch), perf.throughput(&c.config));
+/// let c = f.pruned_at(16, EngineMode::FixedBatch).next().unwrap();
+/// assert_eq!(c.throughput(EngineMode::FixedBatch), perf.throughput(&c.config));
 /// assert_eq!(
-///     f.latency(c, PricingMode::FixedBatch, 0.2),
+///     f.latency(c, EngineMode::FixedBatch, 0.2),
 ///     perf.request_latency(&c.config, 0.2)
 /// );
 /// // Equal inputs share one frontier, and its scans.
@@ -180,7 +169,7 @@ pub struct CandidateFrontier {
     slot: Vec<SimDuration>,
     /// `steady_iteration(b)`, laid out like `slot`.
     steady: Vec<SimDuration>,
-    /// Each pricing mode's pruned index, built on first use: a system
+    /// Each engine mode's pruned index, built on first use: a system
     /// prices with one engine only.
     fixed: OnceLock<ModeIndex>,
     cont: OnceLock<ModeIndex>,
@@ -193,7 +182,7 @@ pub struct CandidateFrontier {
 /// must never conflate rates that price differently).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ScanKey {
-    mode: PricingMode,
+    mode: EngineMode,
     limit: u32,
     alpha_bits: u64,
 }
@@ -324,7 +313,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The candidates surviving one pricing mode's pruning.
+/// The candidates surviving one engine mode's pruning.
 #[derive(Debug, Clone)]
 struct ModeIndex {
     /// Indices (ascending) of the survivors.
@@ -523,7 +512,7 @@ impl CandidateFrontier {
     }
 
     /// Candidates surviving pruning under `mode`, at the ceiling.
-    pub fn pruned_len(&self, mode: PricingMode) -> usize {
+    pub fn pruned_len(&self, mode: EngineMode) -> usize {
         self.index(mode).pruned.len()
     }
 
@@ -531,13 +520,13 @@ impl CandidateFrontier {
     /// kernels of this frontier's estimator over the cached components —
     /// bit-identical to fresh pricing. `cand` must come from this frontier
     /// (its continuous tables live here).
-    pub fn latency(&self, cand: &Candidate, mode: PricingMode, alpha: f64) -> SimDuration {
+    pub fn latency(&self, cand: &Candidate, mode: EngineMode, alpha: f64) -> SimDuration {
         match mode {
-            PricingMode::FixedBatch => {
+            EngineMode::FixedBatch => {
                 self.perf
                     .request_latency_with_exec(&cand.config, cand.l_exe, alpha)
             }
-            PricingMode::ContinuousBatching => {
+            EngineMode::ContinuousBatching => {
                 let (slot, steady) = self.tables(cand);
                 self.perf.request_latency_continuous_with(
                     &cand.config,
@@ -569,7 +558,7 @@ impl CandidateFrontier {
     /// candidates are exactly those that can never be selected (see
     /// `dominates`), so a scan over this iterator picks the same winner as
     /// a scan over [`CandidateFrontier::feasible_at`].
-    pub fn pruned_at(&self, n: u32, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
+    pub fn pruned_at(&self, n: u32, mode: EngineMode) -> impl Iterator<Item = &Candidate> + '_ {
         let n = n.min(self.ceiling) as usize;
         let index = self.index(mode);
         index.pruned[..index.cum[n] as usize]
@@ -582,7 +571,7 @@ impl CandidateFrontier {
     /// `l_req` within `n` instances skips candidates needing more than `n`
     /// and may stop at the first floor above the best latency found: no
     /// later candidate can price lower.
-    pub fn pruned_by_floor(&self, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
+    pub fn pruned_by_floor(&self, mode: EngineMode) -> impl Iterator<Item = &Candidate> + '_ {
         self.index(mode)
             .by_floor
             .iter()
@@ -622,7 +611,7 @@ impl CandidateFrontier {
     /// memo's lock is never held while scanning.
     pub fn min_latency(
         &self,
-        mode: PricingMode,
+        mode: EngineMode,
         limit: u32,
         alpha: f64,
     ) -> Option<(SimDuration, u32, ParallelConfig)> {
@@ -651,7 +640,7 @@ impl CandidateFrontier {
     /// winner's latency and candidate index.
     fn scan_min_latency(
         &self,
-        mode: PricingMode,
+        mode: EngineMode,
         limit: u32,
         alpha: f64,
     ) -> Option<(SimDuration, u32)> {
@@ -673,10 +662,10 @@ impl CandidateFrontier {
     }
 
     /// `mode`'s pruned index, built on first use.
-    fn index(&self, mode: PricingMode) -> &ModeIndex {
+    fn index(&self, mode: EngineMode) -> &ModeIndex {
         let cell = match mode {
-            PricingMode::FixedBatch => &self.fixed,
-            PricingMode::ContinuousBatching => &self.cont,
+            EngineMode::FixedBatch => &self.fixed,
+            EngineMode::ContinuousBatching => &self.cont,
         };
         cell.get_or_init(|| self.build_index(mode))
     }
@@ -688,7 +677,7 @@ impl CandidateFrontier {
     /// candidate always has a dominator among the earlier *survivors*:
     /// testing against those keeps exactly the set a test against every
     /// other candidate of the bucket keeps.
-    fn build_index(&self, mode: PricingMode) -> ModeIndex {
+    fn build_index(&self, mode: EngineMode) -> ModeIndex {
         let mut pruned: Vec<u32> = Vec::new();
         let mut bucket_start = 0;
         for (i, x) in self.candidates.iter().enumerate() {
@@ -730,12 +719,12 @@ impl CandidateFrontier {
     /// * component-wise latency ordering that implies
     ///   `l_req(y, α) ≤ l_req(x, α)` for all `α` through the estimator's
     ///   monotone structure.
-    fn dominates(&self, y: &Candidate, x: &Candidate, mode: PricingMode) -> bool {
+    fn dominates(&self, y: &Candidate, x: &Candidate, mode: EngineMode) -> bool {
         if y.instances != x.instances || y.config >= x.config {
             return false;
         }
         match mode {
-            PricingMode::FixedBatch => {
+            EngineMode::FixedBatch => {
                 // l_req = l_exe + (B−1)/2α + l_exe·ρ^√(2(D+1))/(2D(1−ρ)):
                 // monotone in l_exe, B, ρ = α/φ and anti-monotone in D.
                 y.phi_fixed >= x.phi_fixed
@@ -743,7 +732,7 @@ impl CandidateFrontier {
                     && y.config.batch <= x.config.batch
                     && y.config.data >= x.config.data
             }
-            PricingMode::ContinuousBatching => {
+            EngineMode::ContinuousBatching => {
                 // The occupancy fixed point iterates b ← clamp((α/D)·slot(b))
                 // from the same seed over the same clamp range (equal B):
                 // a pointwise-≤ slot table and D ≥ keep the iterate ≤ at
@@ -824,7 +813,7 @@ mod tests {
         out
     }
 
-    const MODES: [PricingMode; 2] = [PricingMode::FixedBatch, PricingMode::ContinuousBatching];
+    const MODES: [EngineMode; 2] = [EngineMode::FixedBatch, EngineMode::ContinuousBatching];
 
     #[test]
     fn feasible_at_matches_fresh_enumeration_at_every_fleet_size() {
@@ -853,19 +842,19 @@ mod tests {
             assert!(!f.is_empty(), "{name}");
             for cand in f.feasible_at(12) {
                 let c = &cand.config;
-                assert_eq!(cand.throughput(PricingMode::FixedBatch), perf.throughput(c));
+                assert_eq!(cand.throughput(EngineMode::FixedBatch), perf.throughput(c));
                 assert_eq!(
-                    cand.throughput(PricingMode::ContinuousBatching),
+                    cand.throughput(EngineMode::ContinuousBatching),
                     perf.throughput_continuous(c)
                 );
                 for alpha in [0.0, 0.1, 0.35, 1.0, 3.0] {
                     assert_eq!(
-                        f.latency(cand, PricingMode::FixedBatch, alpha),
+                        f.latency(cand, EngineMode::FixedBatch, alpha),
                         perf.request_latency(c, alpha),
                         "{name}: {c} fixed @ {alpha}"
                     );
                     assert_eq!(
-                        f.latency(cand, PricingMode::ContinuousBatching, alpha),
+                        f.latency(cand, EngineMode::ContinuousBatching, alpha),
                         perf.request_latency_continuous(c, alpha),
                         "{name}: {c} continuous @ {alpha}"
                     );
@@ -925,7 +914,7 @@ mod tests {
         // under both estimators — the domination contract, checked
         // exhaustively at a small ceiling.
         let (_, f) = frontier(ModelSpec::gpt_20b(), 10);
-        for mode in [PricingMode::FixedBatch, PricingMode::ContinuousBatching] {
+        for mode in [EngineMode::FixedBatch, EngineMode::ContinuousBatching] {
             for n in [3u32, 5, 8, 10] {
                 for alpha in [0.0, 0.05, 0.2, 0.35, 0.6, 1.5] {
                     let best_full = f
@@ -984,7 +973,7 @@ mod tests {
     #[test]
     fn scan_memo_is_bounded_and_transparent() {
         let (_, f) = frontier(ModelSpec::gpt_20b(), 16);
-        let mode = PricingMode::ContinuousBatching;
+        let mode = EngineMode::ContinuousBatching;
         let pinned = f.min_latency(mode, 10, 0.35);
         for i in 0..(SCAN_MEMO_CAP as u32 + 10) {
             let _ = f.min_latency(mode, 10, 0.05 + f64::from(i) * 1e-5);
@@ -997,9 +986,9 @@ mod tests {
     fn pruning_actually_removes_candidates() {
         let (_, f) = frontier(ModelSpec::gpt_20b(), 16);
         assert!(
-            f.pruned_len(PricingMode::FixedBatch) < f.len(),
+            f.pruned_len(EngineMode::FixedBatch) < f.len(),
             "fixed-batch pruning must bite: {} of {}",
-            f.pruned_len(PricingMode::FixedBatch),
+            f.pruned_len(EngineMode::FixedBatch),
             f.len()
         );
     }

@@ -14,6 +14,24 @@ use simkit::SimDuration;
 
 use crate::config::ParallelConfig;
 
+/// Which execution engine the inference pipelines run, and so which of
+/// [`PerfModel`]'s estimators prices a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum EngineMode {
+    /// Iteration-level continuous batching (the default): requests are
+    /// admitted and retired at decode-iteration boundaries, within the
+    /// batch capacity and the engine's KV budget, and each iteration is
+    /// priced from the current mixed batch
+    /// ([`PerfModel::request_latency_continuous`]).
+    #[default]
+    ContinuousBatching,
+    /// Run-to-completion batching: a batch forms, decodes to its last
+    /// token, and only then does the next batch form. The paper's §3/§6.1
+    /// engine model, kept as the comparison baseline and priced by the
+    /// paper's fixed-batch formulas (`φ`, Eq. 1 `l_req`).
+    FixedBatch,
+}
+
 /// Latency/throughput estimator for one model on one cluster.
 ///
 /// # Example
@@ -170,7 +188,7 @@ impl PerfModel {
     /// saturated (`ρ ≥ 1`), matching the optimizer's "overloaded" treatment.
     ///
     /// This is the estimator Algorithm 1 uses under
-    /// `EngineMode::FixedBatch`, kept formula-exact so figure comparisons
+    /// [`EngineMode::FixedBatch`], kept formula-exact so figure comparisons
     /// against the paper stay bit-identical; the continuous engine prices
     /// candidates with [`PerfModel::request_latency_continuous`] instead.
     ///

@@ -96,11 +96,6 @@ impl RateProfile {
     pub fn steps(&self) -> &[(SimTime, f64)] {
         &self.steps
     }
-
-    /// The maximum rate anywhere in the profile.
-    pub fn peak_rate(&self) -> f64 {
-        self.steps.iter().map(|&(_, r)| r).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +120,8 @@ mod tests {
         let p = RateProfile::maf_like(0.35, 2.0);
         let at = |t: u64| p.rate_at(SimTime::from_secs(t));
         assert!(at(300) > at(0) * 1.5, "burst overwhelms by t=300");
-        assert_eq!(p.peak_rate(), 0.7);
+        let peak = p.steps().iter().map(|&(_, r)| r).fold(0.0, f64::max);
+        assert_eq!(peak, 0.7);
         assert!(at(700) < at(0), "decays below base after t=600");
     }
 
@@ -141,6 +137,6 @@ mod tests {
         let b = RateProfile::maf_raw(&mut SimRng::new(3).stream("maf"));
         assert_eq!(a, b);
         assert!(a.steps().len() == 180);
-        assert!(a.peak_rate() < 1.0);
+        assert!(a.steps().iter().all(|&(_, r)| r < 1.0));
     }
 }

@@ -22,7 +22,6 @@ impl fmt::Display for RequestId {
 /// use simkit::{SimDuration, SimTime};
 /// use workload::{Request, RequestId};
 /// let r = Request::new(RequestId(0), SimTime::from_secs(3), 512, 128);
-/// assert_eq!(r.total_tokens(), 640);
 /// let tight = r.with_slo(SimDuration::from_secs(30));
 /// assert_eq!(tight.deadline, Some(SimTime::from_secs(33)));
 /// ```
@@ -58,11 +57,6 @@ impl Request {
     pub fn with_slo(mut self, slo: SimDuration) -> Self {
         self.deadline = Some(self.arrival + slo);
         self
-    }
-
-    /// Input plus output tokens.
-    pub fn total_tokens(&self) -> u32 {
-        self.s_in + self.s_out
     }
 
     /// The earliest-deadline-first ordering key: the deadline for

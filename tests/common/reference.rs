@@ -713,7 +713,7 @@ pub fn evaluate_plan_reference(
 
 /// The candidate frontier as it was before the shared per-mesh tables and
 /// the lazy per-mode index: every candidate carries boxed copies of its
-/// mesh's slot and steady tables, both pricing modes are pruned and
+/// mesh's slot and steady tables, both engine modes are pruned and
 /// floor-sorted at build time, and pruning tests each candidate against
 /// every other in its instance bucket. Kept verbatim as the oracle
 /// `frontier_equivalence.rs` holds the production frontier to.
@@ -722,7 +722,7 @@ pub mod frontier {
 
     use cloudsim::GpuSpec;
     use llmsim::MemoryModel;
-    use parallelism::{enumerate_configs, ConfigSpace, ParallelConfig, PerfModel, PricingMode};
+    use parallelism::{enumerate_configs, ConfigSpace, EngineMode, ParallelConfig, PerfModel};
     use simkit::SimDuration;
 
     /// One enumerated configuration with its precomputed pricing components.
@@ -753,30 +753,30 @@ pub mod frontier {
         /// steady(b)/2` over occupancies `b ≤ B` — or `slot(1)`, the empty
         /// engine's price at `α = 0` — for the continuous one. Saturated
         /// candidates price at [`SimDuration::MAX`], above any floor.
-        pub fn floor(&self, mode: PricingMode) -> SimDuration {
+        pub fn floor(&self, mode: EngineMode) -> SimDuration {
             match mode {
-                PricingMode::FixedBatch => self.l_exe,
-                PricingMode::ContinuousBatching => self.floor_cont,
+                EngineMode::FixedBatch => self.l_exe,
+                EngineMode::ContinuousBatching => self.floor_cont,
             }
         }
 
         /// Cached `φ(C)` under `mode` — bit-identical to
         /// [`PerfModel::throughput`] / [`PerfModel::throughput_continuous`].
-        pub fn throughput(&self, mode: PricingMode) -> f64 {
+        pub fn throughput(&self, mode: EngineMode) -> f64 {
             match mode {
-                PricingMode::FixedBatch => self.phi_fixed,
-                PricingMode::ContinuousBatching => self.phi_cont,
+                EngineMode::FixedBatch => self.phi_fixed,
+                EngineMode::ContinuousBatching => self.phi_cont,
             }
         }
 
         /// `l_req(C, α)` under `mode`, via the shared [`PerfModel`] kernels
         /// over the cached components — bit-identical to fresh pricing.
-        pub fn latency(&self, perf: &PerfModel, mode: PricingMode, alpha: f64) -> SimDuration {
+        pub fn latency(&self, perf: &PerfModel, mode: EngineMode, alpha: f64) -> SimDuration {
             match mode {
-                PricingMode::FixedBatch => {
+                EngineMode::FixedBatch => {
                     perf.request_latency_with_exec(&self.config, self.l_exe, alpha)
                 }
-                PricingMode::ContinuousBatching => perf.request_latency_continuous_with(
+                EngineMode::ContinuousBatching => perf.request_latency_continuous_with(
                     &self.config,
                     alpha,
                     |b| self.slot_times[b as usize - 1],
@@ -799,12 +799,12 @@ pub mod frontier {
         /// * component-wise latency ordering that implies
         ///   `l_req(self, α) ≤ l_req(x, α)` for all `α` through the
         ///   estimator's monotone structure.
-        fn dominates(&self, x: &Candidate, mode: PricingMode) -> bool {
+        fn dominates(&self, x: &Candidate, mode: EngineMode) -> bool {
             if self.instances != x.instances || self.config >= x.config {
                 return false;
             }
             match mode {
-                PricingMode::FixedBatch => {
+                EngineMode::FixedBatch => {
                     // l_req = l_exe + (B−1)/2α + l_exe·ρ^√(2(D+1))/(2D(1−ρ)):
                     // monotone in l_exe, B, ρ = α/φ and anti-monotone in D.
                     self.phi_fixed >= x.phi_fixed
@@ -812,7 +812,7 @@ pub mod frontier {
                         && self.config.batch <= x.config.batch
                         && self.config.data >= x.config.data
                 }
-                PricingMode::ContinuousBatching => {
+                EngineMode::ContinuousBatching => {
                     // The occupancy fixed point iterates b ← clamp((α/D)·slot(b))
                     // from the same seed over the same clamp range (equal B):
                     // a pointwise-≤ slot table and D ≥ keep the iterate ≤ at
@@ -844,7 +844,7 @@ pub mod frontier {
     /// ```
     /// use cloudsim::GpuSpec;
     /// use llmsim::{MemoryModel, ModelSpec};
-    /// use parallelism::{CandidateFrontier, ConfigSpace, PerfModel, PricingMode};
+    /// use parallelism::{CandidateFrontier, ConfigSpace, PerfModel, EngineMode};
     ///
     /// let model = ModelSpec::gpt_20b();
     /// let perf = PerfModel::paper_defaults(model.clone());
@@ -860,8 +860,8 @@ pub mod frontier {
     /// assert!(f.feasible_at(2).is_empty());
     /// assert!(!f.feasible_at(3).is_empty());
     /// // Every survivor of pruning is still priced exactly.
-    /// let c = f.pruned_at(16, PricingMode::FixedBatch).next().unwrap();
-    /// assert_eq!(c.throughput(PricingMode::FixedBatch), perf.throughput(&c.config));
+    /// let c = f.pruned_at(16, EngineMode::FixedBatch).next().unwrap();
+    /// assert_eq!(c.throughput(EngineMode::FixedBatch), perf.throughput(&c.config));
     /// ```
     #[derive(Debug, Clone)]
     pub struct CandidateFrontier {
@@ -985,19 +985,19 @@ pub mod frontier {
             candidates.sort_by_key(|a| (a.instances, a.config));
             let cum = cumulative(candidates.iter().map(|c| c.instances), ceiling_instances);
             let (pruned_fixed, pruned_fixed_cum) =
-                prune(&candidates, ceiling_instances, PricingMode::FixedBatch);
+                prune(&candidates, ceiling_instances, EngineMode::FixedBatch);
             let (pruned_cont, pruned_cont_cum) = prune(
                 &candidates,
                 ceiling_instances,
-                PricingMode::ContinuousBatching,
+                EngineMode::ContinuousBatching,
             );
             let by_floor = |pruned: &[u32], mode| {
                 let mut order = pruned.to_vec();
                 order.sort_by_key(|&i| candidates[i as usize].floor(mode));
                 order
             };
-            let by_floor_fixed = by_floor(&pruned_fixed, PricingMode::FixedBatch);
-            let by_floor_cont = by_floor(&pruned_cont, PricingMode::ContinuousBatching);
+            let by_floor_fixed = by_floor(&pruned_fixed, EngineMode::FixedBatch);
+            let by_floor_cont = by_floor(&pruned_cont, EngineMode::ContinuousBatching);
             CandidateFrontier {
                 gpus_per_instance,
                 ceiling: ceiling_instances,
@@ -1033,10 +1033,10 @@ pub mod frontier {
         }
 
         /// Candidates surviving pruning under `mode`, at the ceiling.
-        pub fn pruned_len(&self, mode: PricingMode) -> usize {
+        pub fn pruned_len(&self, mode: EngineMode) -> usize {
             match mode {
-                PricingMode::FixedBatch => self.pruned_fixed.len(),
-                PricingMode::ContinuousBatching => self.pruned_cont.len(),
+                EngineMode::FixedBatch => self.pruned_fixed.len(),
+                EngineMode::ContinuousBatching => self.pruned_cont.len(),
             }
         }
 
@@ -1053,15 +1053,11 @@ pub mod frontier {
         /// candidates are exactly those that can never be selected (see
         /// [`Candidate`] `dominates`), so a scan over this iterator picks the
         /// same winner as a scan over [`CandidateFrontier::feasible_at`].
-        pub fn pruned_at(
-            &self,
-            n: u32,
-            mode: PricingMode,
-        ) -> impl Iterator<Item = &Candidate> + '_ {
+        pub fn pruned_at(&self, n: u32, mode: EngineMode) -> impl Iterator<Item = &Candidate> + '_ {
             let n = n.min(self.ceiling) as usize;
             let (idx, cum) = match mode {
-                PricingMode::FixedBatch => (&self.pruned_fixed, &self.pruned_fixed_cum),
-                PricingMode::ContinuousBatching => (&self.pruned_cont, &self.pruned_cont_cum),
+                EngineMode::FixedBatch => (&self.pruned_fixed, &self.pruned_fixed_cum),
+                EngineMode::ContinuousBatching => (&self.pruned_cont, &self.pruned_cont_cum),
             };
             idx[..cum[n] as usize]
                 .iter()
@@ -1073,10 +1069,10 @@ pub mod frontier {
         /// `l_req` within `n` instances skips candidates needing more than `n`
         /// and may stop at the first floor above the best latency found: no
         /// later candidate can price lower.
-        pub fn pruned_by_floor(&self, mode: PricingMode) -> impl Iterator<Item = &Candidate> + '_ {
+        pub fn pruned_by_floor(&self, mode: EngineMode) -> impl Iterator<Item = &Candidate> + '_ {
             let idx = match mode {
-                PricingMode::FixedBatch => &self.by_floor_fixed,
-                PricingMode::ContinuousBatching => &self.by_floor_cont,
+                EngineMode::FixedBatch => &self.by_floor_fixed,
+                EngineMode::ContinuousBatching => &self.by_floor_cont,
             };
             idx.iter().map(move |&i| &self.candidates[i as usize])
         }
@@ -1118,7 +1114,7 @@ pub mod frontier {
     /// Pareto pruning within equal-instance buckets: drop every candidate
     /// dominated by another of the same instance cost. Domination is
     /// transitive, so any dominated candidate has a *surviving* dominator.
-    fn prune(candidates: &[Candidate], ceiling: u32, mode: PricingMode) -> (Vec<u32>, Vec<u32>) {
+    fn prune(candidates: &[Candidate], ceiling: u32, mode: EngineMode) -> (Vec<u32>, Vec<u32>) {
         let mut keep: Vec<u32> = Vec::new();
         let mut start = 0;
         while start < candidates.len() {

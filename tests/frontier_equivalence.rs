@@ -1,6 +1,6 @@
 //! The candidate frontier against its reference (`common::reference::
 //! frontier`, the form that copies each mesh's tables into every
-//! candidate, prunes and floor-sorts both pricing modes at build time, and
+//! candidate, prunes and floor-sorts both engine modes at build time, and
 //! tests each candidate against every other in its instance bucket).
 //!
 //! Cases run every paper model on T4, L4 and A100 instances priced as an
@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use cloudsim::{GpuSpec, InstanceType};
 use common::reference::frontier::CandidateFrontier as ReferenceFrontier;
 use llmsim::{CostModel, MemoryModel, ModelSpec};
-use parallelism::{CandidateFrontier, ConfigSpace, ParallelConfig, PerfModel, PricingMode};
+use parallelism::{CandidateFrontier, ConfigSpace, EngineMode, ParallelConfig, PerfModel};
 
 /// Held by every test that fetches shared handles. The process-wide table
 /// is cleared wholesale when full, and a clear landing between two
@@ -58,7 +58,7 @@ fn assert_frontiers_equal(
     perf: &PerfModel,
     new: &CandidateFrontier,
     old: &ReferenceFrontier,
-    modes: [PricingMode; 2],
+    modes: [EngineMode; 2],
 ) {
     let ceiling = new.ceiling();
     assert_eq!(ceiling, old.ceiling(), "{name}");
@@ -132,8 +132,8 @@ fn frontiers_equal_the_reference() {
     let _table = table_user();
     let space = ConfigSpace::default();
     let orders = [
-        [PricingMode::FixedBatch, PricingMode::ContinuousBatching],
-        [PricingMode::ContinuousBatching, PricingMode::FixedBatch],
+        [EngineMode::FixedBatch, EngineMode::ContinuousBatching],
+        [EngineMode::ContinuousBatching, EngineMode::FixedBatch],
     ];
     let mut checked = 0;
     for model in ModelSpec::paper_models() {

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use cloudsim::GpuSpec;
 use llmsim::{MemoryModel, ModelSpec};
-use parallelism::{CandidateFrontier, ConfigSpace, PerfModel, PricingMode};
+use parallelism::{CandidateFrontier, ConfigSpace, EngineMode, PerfModel};
 use spotserve::ConfigOptimizer;
 
 #[test]
@@ -29,7 +29,7 @@ fn warm_decide_at_256_instance_ceiling_stays_far_under_the_1s_budget() {
     let (mem, space) = (MemoryModel::default(), ConfigSpace::default());
     let cold = Instant::now();
     let frontier = CandidateFrontier::new(&perf, &mem, &GpuSpec::t4(), &space, 4, 256);
-    let best = frontier.min_latency(PricingMode::FixedBatch, 254, 0.35);
+    let best = frontier.min_latency(EngineMode::FixedBatch, 254, 0.35);
     let cold_elapsed = cold.elapsed();
     assert!(best.is_some(), "a 254-instance fleet sustains 0.35 req/s");
     assert!(
